@@ -40,7 +40,6 @@ from .policies import (
     LruEngine,
     PolicyEngine,
     TableBacking,
-    fetch_value,
     identity_backing,
     make_engine,
 )

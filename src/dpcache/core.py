@@ -5,8 +5,10 @@ bit-string holding ``k`` elements (ways); each element packs a key, a value and
 one or two SCN (sequence change number) metadata words.  A parallel keys-only
 register mirrors just the key fields so that membership can be tested with a
 single ternary (TCAM-style) comparison instead of a loop.  The store keeps
-each set as a row of its ``k`` element slices and derives the packed words on
-demand, so the simulator does not pay for packing on every packet.
+each set as field rows (a key row, a value row and one row per SCN word) and
+derives the packed words on demand, so the simulator does not pay for packing
+on every packet.  A way travels as a flat ``(key, value, scn0[, scn1])``
+tuple whose entries line up with the field rows.
 
 Bit order is little-endian by way: way 0 occupies the lowest-order slice of the
 set word, and within an element the key sits in the lowest bits, then the
@@ -16,13 +18,16 @@ keys are always >= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 MISS = -1
 
 # Longest ternary mask supported by the match stage; caps k * key_bits.
 TCAM_MASK_BITS = 2048
+
+# Position of the first SCN word in a way tuple and in a set's field rows.
+SCN_FIELD = 2
 
 
 class CacheElement(NamedTuple):
@@ -31,6 +36,14 @@ class CacheElement(NamedTuple):
     key: int
     value: int
     scn: tuple[int, ...]
+
+    @classmethod
+    def from_way(cls, way: tuple[int, ...]) -> "CacheElement":
+        """The element of a flat ``(key, value, scn0[, scn1])`` way tuple."""
+        return cls(way[0], way[1], way[SCN_FIELD:])
+
+    def as_way(self) -> tuple[int, ...]:
+        return (self.key, self.value, *self.scn)
 
 
 class LayoutError(ValueError):
@@ -148,10 +161,11 @@ def ternary_match(keys_word: int, key: int, k: int, key_bits: int) -> int:
 class RegisterStore:
     """Fixed array of ``d`` sets plus the parallel keys register.
 
-    Each set is held unpacked: one row of ``k`` encoded element slices and a
-    parallel row of their keys, so a lookup is one C-level search of the keys
-    row and a whole-set read or write is one row copy.  The packed set and
-    keys-register words are views derived from the rows (``sets``,
+    Each set is held unpacked as field rows: ``rows[h]`` is
+    ``[keys, values, scn0(, scn1)]``, each a list of ``k`` ints, way 0 first.
+    A lookup is one C-level search of the key row, a whole-set read or write
+    copies the rows, and a fold works on one SCN row.  The packed set and
+    keys-register words are checked views derived from the rows (``sets``,
     ``keys_register``, ``word``); the bit layout, the field-width validation
     and the operation accounting are the same as for packed storage.
 
@@ -170,16 +184,10 @@ class RegisterStore:
         self.layout = layout
         self.counter = counter if counter is not None else OpCounter()
         self.check_invariants = check_invariants
-        self.rows: list[list[int]] = [[0] * layout.k for _ in range(layout.d)]
-        self.key_rows: list[list[int]] = [[0] * layout.k for _ in range(layout.d)]
-
-        lay = layout
-        self._ew = lay.element_width
-        self._key_mask = (1 << lay.key_bits) - 1
-        self._val_mask = (1 << lay.value_bits) - 1
-        self._scn_mask = (1 << lay.scn_bits) - 1
-        self._elem_mask = (1 << self._ew) - 1
-        self._kv_bits = lay.key_bits + lay.value_bits
+        self._widths = (layout.key_bits, layout.value_bits) + (layout.scn_bits,) * layout.scn_words
+        self.rows: list[list[list[int]]] = [
+            [[0] * layout.k for _ in self._widths] for _ in range(layout.d)
+        ]
 
     # -- encoding ----------------------------------------------------------
 
@@ -192,47 +200,39 @@ class RegisterStore:
         keys_word = 0
         seen: set[int] = set()
         for i, e in enumerate(elements):
-            if not 0 <= e.key <= self._key_mask:
-                raise StorageError(f"key {e.key} exceeds {lay.key_bits} bits")
-            if not 0 <= e.value <= self._val_mask:
-                raise StorageError(f"value {e.value} exceeds {lay.value_bits} bits")
             if len(e.scn) != lay.scn_words:
                 raise StorageError(f"expected {lay.scn_words} scn words")
+            enc = shift = 0
+            for field, (x, width) in enumerate(zip(e.as_way(), self._widths)):
+                if not 0 <= x < 1 << width:
+                    name = ("key", "value")[field] if field < SCN_FIELD else "scn"
+                    raise StorageError(f"{name} {x} exceeds {width} bits")
+                enc |= x << shift
+                shift += width
             if e.key:
                 if e.key in seen:
                     raise StorageError(f"duplicate key {e.key} within one set")
                 seen.add(e.key)
-            enc = e.key | (e.value << lay.key_bits)
-            for w, s in enumerate(e.scn):
-                if not 0 <= s <= self._scn_mask:
-                    raise StorageError(f"scn {s} exceeds {lay.scn_bits} bits")
-                enc |= s << (self._kv_bits + w * lay.scn_bits)
-            word |= enc << (i * self._ew)
+            word |= enc << (i * lay.element_width)
             keys_word |= e.key << (i * lay.key_bits)
         return word, keys_word
 
     def decode_set(self, word: int) -> list[CacheElement]:
         """Unpack a set word into its k elements."""
-        return [self.unpack_element(raw) for raw in self._split(word)]
-
-    def _split(self, word: int) -> list[int]:
-        """The k encoded element slices of a set word, way 0 first."""
-        ew, em = self._ew, self._elem_mask
-        raws = []
+        elements = []
         for _ in range(self.layout.k):
-            raws.append(word & em)
-            word >>= ew
-        return raws
+            way = []
+            for width in self._widths:
+                way.append(word & ((1 << width) - 1))
+                word >>= width
+            elements.append(CacheElement.from_way(tuple(way)))
+        return elements
 
     # -- packed views -------------------------------------------------------
 
     def word(self, h: int) -> int:
         """Set ``h`` as one packed word: way 0 in the lowest-order slice."""
-        ew = self._ew
-        word = 0
-        for raw in reversed(self.rows[h]):
-            word = (word << ew) | raw
-        return word
+        return self.encode_set(self.peek_set(h))[0]
 
     @property
     def sets(self) -> list[int]:
@@ -242,14 +242,7 @@ class RegisterStore:
     @property
     def keys_register(self) -> list[int]:
         """Packed keys-register word of every set (a derived copy)."""
-        kb = self.layout.key_bits
-        out = []
-        for keys in self.key_rows:
-            keys_word = 0
-            for key in reversed(keys):
-                keys_word = (keys_word << kb) | key
-            out.append(keys_word)
-        return out
+        return [self.encode_set(self.peek_set(h))[1] for h in range(self.layout.d)]
 
     # -- whole-set access ---------------------------------------------------
 
@@ -257,59 +250,36 @@ class RegisterStore:
         if not 0 <= h < self.layout.d:
             raise StorageError(f"set index {h} out of range")
         self.counter.register_reads += 1
-        return [self.unpack_element(raw) for raw in self.rows[h]]
+        return self.peek_set(h)
 
     def write_set(self, h: int, elements: list[CacheElement]) -> None:
         if not 0 <= h < self.layout.d:
             raise StorageError(f"set index {h} out of range")
-        word = self.encode_set(elements)[0]
+        self.encode_set(elements)
         self.counter.register_writes += 1
-        self._store_word(h, word)
+        self.rows[h] = [list(row) for row in zip(*(e.as_way() for e in elements))]
 
-    def _store_word(self, h: int, word: int) -> None:
-        raws = self._split(word)
-        km = self._key_mask
-        self.rows[h] = raws
-        self.key_rows[h] = [raw & km for raw in raws]
+    def peek_set(self, h: int) -> list[CacheElement]:
+        """Decoded set ``h``; bypasses operation accounting."""
+        return [CacheElement.from_way(way) for way in zip(*self.rows[h])]
 
-    # -- raw element access (hot path; same accounting, same semantics) ------
+    # -- field-row access (hot path; same accounting, same semantics) --------
 
-    def pack_element(self, key: int, value: int, scn: tuple[int, ...]) -> int:
-        enc = key | (value << self.layout.key_bits)
-        for w, s in enumerate(scn):
-            enc |= s << (self._kv_bits + w * self.layout.scn_bits)
-        return enc
-
-    def unpack_element(self, raw: int) -> CacheElement:
-        lay = self.layout
-        if lay.scn_words == 1:
-            scn: tuple[int, ...] = ((raw >> self._kv_bits) & self._scn_mask,)
-        else:
-            scn = (
-                (raw >> self._kv_bits) & self._scn_mask,
-                (raw >> (self._kv_bits + lay.scn_bits)) & self._scn_mask,
-            )
-        return CacheElement(
-            raw & self._key_mask, (raw >> lay.key_bits) & self._val_mask, scn
-        )
-
-    def read_set_raw(self, h: int) -> list[int]:
-        """Whole-set read returning (a copy of) the k encoded element slices."""
+    def read_set_raw(self, h: int) -> list[list[int]]:
+        """Whole-set read returning (copies of) the set's field rows."""
         self.counter.register_reads += 1
-        return self.rows[h][:]
+        return [row[:] for row in self.rows[h]]
 
-    def write_set_raw(self, h: int, raws: list[int]) -> None:
-        """Whole-set write from encoded element slices; syncs the keys register.
+    def write_set_raw(self, h: int, rows: list[list[int]]) -> None:
+        """Whole-set write from field rows, which also rewrites the keys register.
 
         Trusts the caller to preserve element invariants (the typed write_set
         validates); with ``check_invariants`` the set is fully re-validated.
         """
         self.counter.register_writes += 1
-        km = self._key_mask
-        self.rows[h] = raws[:]
-        self.key_rows[h] = [raw & km for raw in raws]
+        self.rows[h] = [row[:] for row in rows]
         if self.check_invariants:
-            self._check_raws(h)
+            self._check_rows(h)
 
     # -- ternary lookup -----------------------------------------------------
 
@@ -318,38 +288,32 @@ class RegisterStore:
         if key < 1:
             raise StorageError("key 0 would falsely match empty ways")
         self.counter.tcam_matches += 1
-        keys = self.key_rows[h]
+        keys = self.rows[h][0]
         return keys.index(key) if key in keys else MISS
 
     # -- targeted hot-path access (same accounting unit as whole-set ops) ----
 
-    def read_way(self, h: int, way: int) -> CacheElement:
-        """Read one way; counts as the whole-set register read."""
+    def read_way(self, h: int, way: int) -> tuple[int, ...]:
+        """Read one way as a flat tuple; counts as the whole-set register read."""
         self.counter.register_reads += 1
-        return self.unpack_element(self.rows[h][way])
+        return tuple([row[way] for row in self.rows[h]])
 
-    def write_way_field(self, h: int, way: int, bit_offset: int, width: int, value: int) -> None:
+    def write_way_field(self, h: int, way: int, field: int, value: int) -> None:
         """Patch one field of one way; counts as the whole-set register write.
 
-        ``bit_offset`` is relative to the element start.  Key fields must not
-        be patched this way (the keys register would go stale); use write_set.
+        ``field`` indexes the way tuple (1 is the value, 2 onwards the SCN
+        words).  Key fields must not be patched this way (the keys register
+        would lose its distinct-key guarantee); use write_set.
         """
-        if bit_offset < self.layout.key_bits:
+        if field < 1:
             raise StorageError("key field updates must go through write_set")
-        if not 0 <= value < (1 << width):
+        width = self._widths[field]
+        if not 0 <= value < 1 << width:
             raise StorageError(f"value {value} exceeds {width} bits")
         self.counter.register_writes += 1
-        mask = ((1 << width) - 1) << bit_offset
-        row = self.rows[h]
-        row[way] = (row[way] & ~mask) | (value << bit_offset)
+        self.rows[h][field][way] = value
         if self.check_invariants:
-            self._check_raws(h)
-
-    def write_way_scn(self, h: int, way: int, scn_index: int, value: int) -> None:
-        self.write_way_field(
-            h, way, self._kv_bits + scn_index * self.layout.scn_bits,
-            self.layout.scn_bits, value,
-        )
+            self._check_rows(h)
 
     def writeback(self, h: int) -> None:
         """Unconditional set write-back with unchanged content."""
@@ -357,25 +321,33 @@ class RegisterStore:
 
     # -- maintenance --------------------------------------------------------
 
-    def peek_set(self, h: int) -> list[CacheElement]:
-        """Decoded set for a maintenance sweep; accounting is the caller's."""
-        return [self.unpack_element(raw) for raw in self.rows[h]]
+    def map_scn(self, scn_index: int, remap: Callable[[list[int]], list[int]]) -> None:
+        """Sweep every set, replacing the live entries of one SCN row.
 
-    def poke_set(self, h: int, elements: list[CacheElement]) -> None:
-        """Validated set rewrite for a maintenance sweep; accounting is the caller's."""
-        self._store_word(h, self.encode_set(elements)[0])
+        ``remap`` receives a set's live entries (ways holding a key) in way
+        order and returns their replacements.  Every rewritten set is
+        re-validated.  The sweep reads and writes each set once outside the
+        per-packet cost model, charged as extra ops.
+        """
+        field = SCN_FIELD + scn_index
+        for h, rows in enumerate(self.rows):
+            live = [way for way, key in enumerate(rows[0]) if key]
+            if live:
+                row = rows[field]
+                for way, x in zip(live, remap([row[way] for way in live])):
+                    row[way] = x
+                self._check_rows(h)
+        self.counter.extra_reads += self.layout.d
+        self.counter.extra_writes += self.layout.d
 
     def clone(self) -> "RegisterStore":
         other = RegisterStore(self.layout, OpCounter(), self.check_invariants)
-        other.rows = [row[:] for row in self.rows]
-        other.key_rows = [keys[:] for keys in self.key_rows]
+        other.rows = [[row[:] for row in rows] for rows in self.rows]
         return other
 
-    def _check_raws(self, h: int) -> None:
-        """Re-validate set ``h`` and its keys row (``check_invariants`` mode)."""
-        row = self.rows[h]
-        if len(row) != self.layout.k or any(not 0 <= raw <= self._elem_mask for raw in row):
-            raise AssertionError(f"set {h} holds a slice wider than its element")
-        self.encode_set([self.unpack_element(raw) for raw in row])
-        if self.key_rows[h] != [raw & self._key_mask for raw in row]:
-            raise AssertionError(f"keys register out of sync for set {h}")
+    def _check_rows(self, h: int) -> None:
+        """Re-validate set ``h``: row shape, field widths, unique keys."""
+        rows = self.rows[h]
+        if len(rows) != len(self._widths) or any(len(row) != self.layout.k for row in rows):
+            raise AssertionError(f"set {h} does not hold {self.layout.k} ways of every field")
+        self.encode_set(self.peek_set(h))

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import CacheElement, StorageError
+from .core import StorageError
 from .policies import FetchResult, PolicyEngine
 
 DEFAULT_INTEGER_FACTOR = Fraction(100)
@@ -153,26 +153,12 @@ class HyperbolicEngine(PolicyEngine):
 
     def _halve_times(self) -> None:
         """Right-shift the tick and every stored insert time by one."""
-        store = self.store
-        idx = self.scn_index
         self.tick >>= 1
-        for h in range(self.layout.d):
-            elements = store.peek_set(h)
-            changed = False
-            for i, e in enumerate(elements):
-                if not e.key:
-                    continue
-                freq, t = self._unpack(e.scn[idx])
-                if t:
-                    scn = list(e.scn)
-                    scn[idx] = self._pack(freq, t >> 1)
-                    elements[i] = CacheElement(e.key, e.value, tuple(scn))
-                    changed = True
-            if changed:
-                store.poke_set(h, elements)
-        counter = store.counter
-        counter.extra_reads += self.layout.d
-        counter.extra_writes += self.layout.d
+
+        def halve(live: list[int]) -> list[int]:
+            return [self._pack(freq, t >> 1) for freq, t in map(self._unpack, live)]
+
+        self.store.map_scn(self.scn_index, halve)
 
     def _initial_scn(self) -> int:
         self._advance_tick()
@@ -181,36 +167,21 @@ class HyperbolicEngine(PolicyEngine):
     def serve_hit(self, h: int, way: int) -> FetchResult:
         self._advance_tick()
         element = self.store.read_way(h, way)
-        idx = self.scn_index
-        freq, t = self._unpack(element.scn[idx])
+        freq, t = self._unpack(element[self._scn_field])
         if freq < self.freq_max:
-            self.store.write_way_scn(h, way, idx, self._pack(freq + 1, t))
+            self.store.write_way_field(h, way, self._scn_field, self._pack(freq + 1, t))
         else:
             self.store.writeback(h)
-        return FetchResult(True, element.value, None)
+        return FetchResult(True, element[1], None)
 
-    def _score(self, scn_word: int) -> int:
-        freq, t = self._unpack(scn_word)
-        lifetime = self.tick - t
-        if lifetime < 1:
-            lifetime = 1
-        table = self.log_table
-        # two lookups into the log register per scored element
-        self.store.counter.extra_reads += 2
-        return table.lookup(freq) - table.lookup(lifetime)
-
-    def _fold(self, raws: list[int]) -> int:
-        off, mask = self._scn_off, self._scn_mask
-        candidate = raws.pop(1)
-        p_candidate = self._score((candidate >> off) & mask)
-        observer = self.fold_observer
-        for i in range(1, len(raws)):
-            e = raws[i]
-            p_element = self._score((e >> off) & mask)
-            if observer is not None:
-                observer(p_element, p_candidate)
-            if p_element < p_candidate:
-                raws[i] = candidate
-                candidate = e
-                p_candidate = p_element
-        return candidate
+    def _metric(self, rows: list[list[int]]) -> list[int]:
+        """Integer priority scores of the ways, with two log lookups per way."""
+        scns = rows[self._scn_field]
+        lookup = self.log_table.lookup
+        freq_max, freq_bits, tick = self.freq_max, self.freq_bits, self.tick
+        self.store.counter.extra_reads += 2 * len(scns)
+        scores = []
+        for scn in scns:
+            lifetime = tick - (scn >> freq_bits)
+            scores.append(lookup(scn & freq_max) - lookup(lifetime if lifetime > 1 else 1))
+        return scores

@@ -203,37 +203,37 @@ class MultiRegionCache:
             return self.window.serve_hit(h_window, way_window)
 
         value = self.backing(key)
-        window_victim, pending = self.window.insert_pending_raw(
-            h_window, self.window.new_raw(key, value)
+        window, main = self.window, self.main
+        window_victim, pending = window.insert_pending_raw(
+            h_window, window.stamp((key, value) + window._no_scn)
         )
-        self.window.store.write_set_raw(h_window, pending)
-        key_mask = (1 << self.config.key_bits) - 1
-        victim_key = window_victim & key_mask
+        window.store.write_set_raw(h_window, pending)
+        victim_key = window_victim[0]
         if not victim_key:
             return FetchResult(False, value, None)
 
         if self.config.refresh_scn_on_admission:
-            admitted = self.main.refresh_admitted_raw(window_victim)
+            admitted = main.stamp(window_victim)
         else:
             # carry the window-region metric into the main-region word
-            scn0 = self.window._raw_scn(window_victim)
-            admitted = self.main._with_scn(window_victim, scn0)
+            admitted = main.stamp(window_victim, window_victim[window._scn_field])
 
-        h2 = victim_key % self.main.layout.d
-        main_victim, pending = self.main.insert_pending_raw(h2, admitted)
-        main_victim_key = main_victim & key_mask
+        h2 = victim_key % main.layout.d
+        main_victim, pending = main.insert_pending_raw(h2, admitted)
+        main_victim_key = main_victim[0]
         if not main_victim_key:
-            self.main.store.write_set_raw(h2, pending)
+            main.store.write_set_raw(h2, pending)
             return FetchResult(False, value, None)
 
         if flt is not None and flt.count(main_victim_key) > flt.count(victim_key):
             # admission denied: the fold's victim keeps its slot at way 0 and
             # the window victim is the element that leaves the cache
-            pending[0] = main_victim
-            self.main.store.write_set_raw(h2, pending)
-            return FetchResult(False, value, self.main.store.unpack_element(window_victim))
-        self.main.store.write_set_raw(h2, pending)
-        return FetchResult(False, value, self.main.store.unpack_element(main_victim))
+            for row, x in zip(pending, main_victim):
+                row[0] = x
+            main.store.write_set_raw(h2, pending)
+            return FetchResult(False, value, CacheElement.from_way(window_victim))
+        main.store.write_set_raw(h2, pending)
+        return FetchResult(False, value, CacheElement.from_way(main_victim))
 
     def keys_in_window(self) -> set[int]:
         return self.window.live_keys()

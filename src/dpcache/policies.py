@@ -7,7 +7,7 @@ through the remaining ways as a "candidate" with a fixed, unrolled sequence of
 compare-and-swap steps.  The element carried out of the last way is the
 victim; an all-zero victim means an empty way absorbed the insertion.
 
-Engines work on raw encoded element slices internally (one int per way) and
+Engines work on the store's field rows and flat way tuples internally and
 expose decoded ``CacheElement`` values at their boundaries.
 """
 
@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 
 from .core import (
     MISS,
+    SCN_FIELD,
     CacheElement,
     LayoutConfig,
     OpCounter,
@@ -61,21 +62,17 @@ class TableBacking:
         return self.table.get(key, self._fallback(key))
 
 
-def fetch_value(backing: Backing, key: int) -> int:
-    """Fetch a missing key's value from the backing store."""
-    return backing(key)
-
-
 class PolicyEngine:
     """Base engine: storage wiring, the fetch skeleton and the fold driver.
 
-    Subclasses define how metadata is initialised, refreshed on a hit, and
-    compared during the eviction fold.  ``scn_index`` selects which SCN word
-    belongs to this engine (multi-region elements carry one word per region).
+    Subclasses define how metadata is initialised and refreshed on a hit, and
+    the metric row the eviction fold compares (by default this engine's own
+    SCN row).  ``scn_index`` selects which SCN word belongs to this engine
+    (multi-region elements carry one word per region).
 
     ``fold_observer``, when set, receives the two metric values of every fold
     comparison; it exists for divergence analysis and costs one branch per
-    fold step otherwise.
+    fold otherwise.
     """
 
     name = "base"
@@ -95,11 +92,10 @@ class PolicyEngine:
         self.store = RegisterStore(layout, counter, check_invariants)
         self.backing: Backing = backing or identity_backing(layout.value_bits)
         self.fold_observer: Callable[[int, int], None] | None = None
-        # this engine's scn word as a slice of the raw element
-        self._scn_off = layout.key_bits + layout.value_bits + scn_index * layout.scn_bits
-        self._scn_mask = (1 << layout.scn_bits) - 1
-        self._scn_clear = ~(self._scn_mask << self._scn_off)
-        self._key_mask = (1 << layout.key_bits) - 1
+        # this engine's SCN word in a way tuple and in a set's field rows
+        self._scn_field = SCN_FIELD + scn_index
+        self._no_scn = (0,) * layout.scn_words
+        self._scn_max = layout.max_scn()
 
     # -- policy hooks --------------------------------------------------------
 
@@ -109,42 +105,25 @@ class PolicyEngine:
     def serve_hit(self, h: int, way: int) -> FetchResult:
         raise NotImplementedError
 
-    def _fold(self, raws: list[int]) -> int:
-        """Thread the displaced way-0 element through ways 1..k-1."""
-        raise NotImplementedError
+    def _age(self, rows: list[list[int]]) -> None:
+        """Adjust the set read for an insertion before the fold; none by default."""
 
-    # -- raw element helpers --------------------------------------------------
-
-    def _raw_scn(self, raw: int) -> int:
-        return (raw >> self._scn_off) & self._scn_mask
-
-    def _with_scn(self, raw: int, scn: int) -> int:
-        return (raw & self._scn_clear) | (scn << self._scn_off)
-
-    def new_raw(self, key: int, value: int) -> int:
-        return (
-            key
-            | (value << self.layout.key_bits)
-            | (self._initial_scn() << self._scn_off)
-        )
-
-    def new_element(self, key: int, value: int) -> CacheElement:
-        """Build a freshly inserted element with this policy's initial SCN."""
-        return self.store.unpack_element(self.new_raw(key, value))
-
-    def refresh_admitted_raw(self, raw: int) -> int:
-        """Re-stamp an element admitted from another region.
-
-        Only this engine's SCN word is refreshed; the other region's word is
-        carried along untouched.
-        """
-        return self._with_scn(raw, self._initial_scn())
-
-    def refresh_admitted(self, element: CacheElement) -> CacheElement:
-        raw = self.refresh_admitted_raw(self.store.pack_element(*element))
-        return self.store.unpack_element(raw)
+    def _metric(self, rows: list[list[int]]) -> list[int]:
+        """Per-way values the fold carries the minimum of."""
+        return rows[self._scn_field]
 
     # -- shared machinery ----------------------------------------------------
+
+    def stamp(self, way: tuple[int, ...], scn: int | None = None) -> tuple[int, ...]:
+        """``way`` with this engine's SCN word set to ``scn``.
+
+        The default is a fresh initial SCN, as given to a newly inserted or
+        admitted element; the other region's word is carried along untouched.
+        """
+        if scn is None:
+            scn = self._initial_scn()
+        f = self._scn_field
+        return way[:f] + (scn,) + way[f + 1:]
 
     def fetch(self, key: int) -> FetchResult:
         h = hash_to_set(key, self.layout.d)
@@ -152,42 +131,81 @@ class PolicyEngine:
         if way != MISS:
             return self.serve_hit(h, way)
         value = self.backing(key)
-        victim, raws = self.insert_pending_raw(h, self.new_raw(key, value))
-        self.store.write_set_raw(h, raws)
-        if victim & self._key_mask:
-            return FetchResult(False, value, self.store.unpack_element(victim))
+        victim, rows = self.insert_pending_raw(h, self.stamp((key, value) + self._no_scn))
+        self.store.write_set_raw(h, rows)
+        if victim[0]:
+            return FetchResult(False, value, CacheElement.from_way(victim))
         return FetchResult(False, value, None)
 
-    def insert_pending_raw(self, h: int, raw: int) -> tuple[int, list[int]]:
+    def insert_pending_raw(self, h: int, way: tuple[int, ...]) -> tuple[tuple[int, ...], list[list[int]]]:
         """Insert at way 0 and run the eviction fold; the set is not written.
 
-        Returns (victim, pending slices).  The caller commits the pending list
-        with ``write_set_raw`` — split out so an admission filter can overrule
-        the fold before the single end-of-pipeline set write.  Each of the k
-        fold/insert steps reads and writes auxiliary registers (candidate and
-        keys registers), which is accounted here.
+        Returns (victim way, pending field rows).  The caller commits the
+        pending rows with ``write_set_raw`` — split out so an admission filter
+        can overrule the fold before the single end-of-pipeline set write.
+        Each of the k fold/insert steps reads and writes auxiliary registers
+        (candidate and keys registers), which is accounted here.
         """
         k = self.layout.k
         counter = self.store.counter
         counter.register_reads += 2 * k
         counter.register_writes += 2 * k
-        raws = self.store.read_set_raw(h)
-        raws.insert(0, raw)
-        if k > 1:
-            return self._fold(raws), raws
-        return raws.pop(), raws
+        rows = self.store.read_set_raw(h)
+        self._age(rows)
+        victim, skipped = self._fold(self._metric(rows)) if k > 1 else (0, [])
+        out = []
+        for row, x in zip(rows, way):
+            out.append(row.pop(victim))
+            row.insert(0, x)
+            # the shift put the candidate on each step that kept its
+            # element: swap them back, the candidate moves on
+            for s in skipped:
+                row[s], row[s + 1] = row[s + 1], row[s]
+        return tuple(out), rows
+
+    def _fold(self, metric: list[int]) -> tuple[int, list[int]]:
+        """The unrolled compare-and-swap fold over old ways 0..k-1.
+
+        The displaced way-0 element starts as the candidate; at step i (way
+        order 1..k-1) way i swaps with it if its metric is strictly smaller.
+        Returns the old way of the element carried out and the steps before
+        it that kept their element; with the new element at way 0, every
+        other way up to the victim moves on by one.
+        """
+        ways = iter(metric)
+        best = next(ways)
+        victim = i = cut = 0
+        skipped = []
+        for m in ways:
+            i += 1
+            if m < best:
+                best = m
+                victim = i
+                cut = len(skipped)
+            else:
+                skipped.append(i)
+        observer = self.fold_observer
+        if observer is not None:
+            best = metric[0]
+            for m in metric[1:]:
+                observer(m, best)
+                if m < best:
+                    best = m
+        # steps after the victim kept their ways without any shift
+        del skipped[cut:]
+        return victim, skipped
 
     def insert(self, h: int, element: CacheElement) -> CacheElement:
-        victim, raws = self.insert_pending_raw(h, self.store.pack_element(*element))
-        self.store.write_set_raw(h, raws)
-        return self.store.unpack_element(victim)
+        victim, rows = self.insert_pending_raw(h, element.as_way())
+        self.store.write_set_raw(h, rows)
+        return CacheElement.from_way(victim)
 
     def dump(self) -> list[list[CacheElement]]:
         """Decoded contents of every set; bypasses operation accounting."""
         return [self.store.peek_set(h) for h in range(self.layout.d)]
 
     def live_keys(self) -> set[int]:
-        return {e.key for row in self.dump() for e in row if e.key}
+        return {key for rows in self.store.rows for key in rows[0] if key}
 
     def clone(self):
         other = self.__class__.__new__(self.__class__)
@@ -207,34 +225,14 @@ class FifoEngine(PolicyEngine):
     def serve_hit(self, h: int, way: int) -> FetchResult:
         element = self.store.read_way(h, way)
         self.store.writeback(h)
-        return FetchResult(True, element.value, None)
+        return FetchResult(True, element[1], None)
 
-    def _fold(self, raws: list[int]) -> int:
-        # unconditional swaps leave a pure shift: last slice exits
-        return raws.pop()
-
-
-class _ScnFoldEngine(PolicyEngine):
-    """Shared fold for policies that carry out the minimum-SCN element."""
-
-    def _fold(self, raws: list[int]) -> int:
-        off, mask = self._scn_off, self._scn_mask
-        candidate = raws.pop(1)  # displaced way-0 occupant
-        c_scn = (candidate >> off) & mask
-        observer = self.fold_observer
-        for i in range(1, len(raws)):
-            e = raws[i]
-            e_scn = (e >> off) & mask
-            if observer is not None:
-                observer(e_scn, c_scn)
-            if e_scn < c_scn:
-                raws[i] = candidate
-                candidate = e
-                c_scn = e_scn
-        return candidate
+    def _fold(self, metric: list[int]) -> tuple[int, list[int]]:
+        # unconditional swaps leave a pure shift: the last way exits
+        return len(metric) - 1, []
 
 
-class LruEngine(_ScnFoldEngine):
+class LruEngine(PolicyEngine):
     """Least-recently-used via a strictly increasing per-engine SCN clock.
 
     Every fetch consumes exactly one clock tick; the fold carries out the
@@ -252,49 +250,36 @@ class LruEngine(_ScnFoldEngine):
             raise StorageError("scn_bits too small to rescale an LRU clock")
         self.clock = 0
 
-    def _initial_scn(self) -> int:
-        return self._next_scn()
-
     def _next_scn(self) -> int:
         nxt = self.clock + 1
-        if nxt >= self.layout.max_scn():
+        if nxt >= self._scn_max:
             self._rescale()
             nxt = self.clock + 1
         self.clock = nxt
         return nxt
 
+    _initial_scn = _next_scn
+
     def _rescale(self) -> None:
-        store = self.store
-        idx = self.scn_index
         top = 0
-        for h in range(self.layout.d):
-            elements = store.peek_set(h)
-            live = sorted({e.scn[idx] for e in elements if e.key})
-            if not live:
-                continue
-            rank = {s: r for r, s in enumerate(live, start=1)}
-            rewritten = []
-            for e in elements:
-                if e.key:
-                    scn = list(e.scn)
-                    scn[idx] = rank[e.scn[idx]]
-                    e = CacheElement(e.key, e.value, tuple(scn))
-                rewritten.append(e)
-            store.poke_set(h, rewritten)
-            top = max(top, len(live))
-        # maintenance sweep, not part of the per-packet cost model
-        store.counter.extra_reads += self.layout.d
-        store.counter.extra_writes += self.layout.d
+
+        def ranks(live: list[int]) -> list[int]:
+            nonlocal top
+            rank = {s: r for r, s in enumerate(sorted(set(live)), start=1)}
+            top = max(top, len(rank))
+            return [rank[s] for s in live]
+
+        self.store.map_scn(self.scn_index, ranks)
         self.clock = top
 
     def serve_hit(self, h: int, way: int) -> FetchResult:
         scn = self._next_scn()
         element = self.store.read_way(h, way)
-        self.store.write_way_scn(h, way, self.scn_index, scn)
-        return FetchResult(True, element.value, None)
+        self.store.write_way_field(h, way, self._scn_field, scn)
+        return FetchResult(True, element[1], None)
 
 
-class LfuEngine(_ScnFoldEngine):
+class LfuEngine(PolicyEngine):
     """Least-frequently-used with in-place aging.
 
     The SCN word holds a saturating access count.  A hit increments only the
@@ -311,34 +296,21 @@ class LfuEngine(_ScnFoldEngine):
     def _initial_scn(self) -> int:
         return 1
 
-    def _age_raws(self, raws: list[int]) -> None:
+    def _age(self, rows: list[list[int]]) -> None:
         """Decrement every live element's count by 1, floored at 1."""
-        off, mask, kmask = self._scn_off, self._scn_mask, self._key_mask
-        one = 1 << off
-        for i, raw in enumerate(raws):
-            if raw & kmask and (raw >> off) & mask > 1:
-                raws[i] = raw - one
+        keys, counts = rows[0], rows[self._scn_field]
+        for way, count in enumerate(counts):
+            if count > 1 and keys[way]:
+                counts[way] = count - 1
 
     def serve_hit(self, h: int, way: int) -> FetchResult:
         element = self.store.read_way(h, way)
-        scn = element.scn[self.scn_index]
-        if scn < self._scn_mask:
-            self.store.write_way_scn(h, way, self.scn_index, scn + 1)
+        scn = element[self._scn_field]
+        if scn < self._scn_max:
+            self.store.write_way_field(h, way, self._scn_field, scn + 1)
         else:
             self.store.writeback(h)
-        return FetchResult(True, element.value, None)
-
-    def insert_pending_raw(self, h: int, raw: int) -> tuple[int, list[int]]:
-        k = self.layout.k
-        counter = self.store.counter
-        counter.register_reads += 2 * k
-        counter.register_writes += 2 * k
-        raws = self.store.read_set_raw(h)
-        self._age_raws(raws)
-        raws.insert(0, raw)
-        if k > 1:
-            return self._fold(raws), raws
-        return raws.pop(), raws
+        return FetchResult(True, element[1], None)
 
 
 def make_engine(

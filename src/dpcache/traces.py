@@ -83,7 +83,7 @@ class Trace:
 @lru_cache(maxsize=8)
 def _zipf_weights(N: int, s: float) -> np.ndarray:
     ranks = np.arange(1, N + 1, dtype=np.float64)
-    return ranks ** (-s)
+    return np.power(ranks, -s, out=ranks)
 
 
 def zipf_frequency(N: int, l: int, s: float) -> float:

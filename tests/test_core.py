@@ -199,61 +199,92 @@ class TestRegisterStore:
         a, b = RegisterStore(lay), RegisterStore(lay)
         elems = [CacheElement(3, 7, (1, 9)), CacheElement(0, 0, (0, 0)),
                  CacheElement(11, 2, (4, 4))]
+        rows = [[3, 0, 11], [7, 0, 2], [1, 0, 4], [9, 0, 4]]
         a.write_set(0, elems)
-        b.write_set_raw(0, [b.pack_element(*e) for e in elems])
+        b.write_set_raw(0, rows)
         assert a.sets == b.sets and a.keys_register == b.keys_register
-        assert b.read_set_raw(0) == [a.pack_element(*e) for e in elems]
-        assert [b.unpack_element(r) for r in a.read_set_raw(0)] == elems
+        assert b.read_set_raw(0) == rows
+        assert [CacheElement.from_way(way) for way in zip(*a.read_set_raw(0))] == elems
+        assert b.read_set(0) == elems
 
     def test_read_way_and_patch(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1)
         store = RegisterStore(lay, check_invariants=True)
         store.write_set(0, [CacheElement(3, 30, (2,)), CacheElement(5, 50, (7,))])
-        assert store.read_way(0, 1) == CacheElement(5, 50, (7,))
-        store.write_way_scn(0, 1, 0, 9)
-        assert store.read_way(0, 1) == CacheElement(5, 50, (9,))
+        assert store.read_way(0, 1) == (5, 50, 7)
+        store.write_way_field(0, 1, 2, 9)
+        assert store.read_way(0, 1) == (5, 50, 9)
+        store.write_way_field(0, 0, 1, 31)
+        assert store.read_set(0) == [CacheElement(3, 31, (2,)), CacheElement(5, 50, (9,))]
         with pytest.raises(StorageError):
-            store.write_way_field(0, 0, 0, 8, 1)  # key field is off limits
+            store.write_way_field(0, 0, 0, 1)  # key field is off limits
+        with pytest.raises(StorageError):
+            store.write_way_field(0, 0, 2, 256)  # wider than the scn field
 
     def test_packed_views_follow_every_write_path(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=3, d=2)
         store = RegisterStore(lay)
         elems = [CacheElement(4, 1, (6,)), CacheElement(0, 0, (0,)),
                  CacheElement(2, 9, (3,))]
-        store.write_set_raw(1, [store.pack_element(*e) for e in elems])
-        store.write_way_scn(1, 2, 0, 5)
+
+        def assert_views(expected):
+            word, keys_word = store.encode_set(expected)
+            assert store.sets == [0, word] and store.word(1) == word
+            assert store.keys_register == [0, keys_word]
+            assert store.decode_set(word) == expected
+
+        store.write_set_raw(1, [[4, 0, 2], [1, 0, 9], [6, 0, 3]])
+        assert_views(elems)
+        store.write_way_field(1, 2, 2, 5)
         elems[2] = CacheElement(2, 9, (5,))
-        word, keys_word = store.encode_set(elems)
-        assert store.sets == [0, word] and store.word(1) == word
-        assert store.keys_register == [0, keys_word]
+        assert_views(elems)
+        store.map_scn(0, lambda live: [s + 1 for s in live])
+        elems = [CacheElement(4, 1, (7,)), CacheElement(0, 0, (0,)), CacheElement(2, 9, (6,))]
+        assert_views(elems)
+        elems[1] = CacheElement(8, 8, (8,))
+        store.write_set(1, elems)
+        assert_views(elems)
         assert store.ternary_lookup(1, 2) == 2 and store.ternary_lookup(1, 3) == MISS
 
     def test_raw_row_is_copied_on_read_and_write(self):
         store = RegisterStore(LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1))
-        raws = [store.pack_element(7, 1, (1,)), 0]
-        store.write_set_raw(0, raws)
-        raws[0] = store.pack_element(9, 1, (1,))
+        rows = [[7, 0], [1, 0], [1, 0]]
+        store.write_set_raw(0, rows)
+        rows[0][0] = 9
         pending = store.read_set_raw(0)
-        pending.insert(0, 0)
+        for row in pending:
+            row.insert(0, 0)
+        pending[0][1] = 5
         assert store.read_set(0) == [CacheElement(7, 1, (1,)), CacheElement(0, 0, (0,))]
 
     def test_checked_raw_write_rejects_overwide_slice(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1)
         store = RegisterStore(lay, check_invariants=True)
-        with pytest.raises(AssertionError):
-            store.write_set_raw(0, [1 << lay.element_width, 0])
         with pytest.raises(StorageError):
-            store.write_set_raw(0, [3, 3])  # one key twice in a set
+            store.write_set_raw(0, [[1, 0], [1 << lay.value_bits, 0], [0, 0]])
+        with pytest.raises(StorageError):
+            store.write_set_raw(0, [[3, 3], [0, 0], [0, 0]])  # one key twice in a set
+        with pytest.raises(AssertionError):
+            store.write_set_raw(0, [[1, 0], [0, 0]])  # the scn row is missing
 
     def test_maintenance_access_is_validated_and_unaccounted(self):
-        lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1)
+        lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=3)
         store = RegisterStore(lay)
-        elems = [CacheElement(3, 30, (2,)), CacheElement(5, 50, (7,))]
-        store.poke_set(0, elems)
-        assert store.peek_set(0) == elems
-        assert store.counter == OpCounter()
+        store.rows[1] = [[3, 0], [30, 0], [2, 0]]
+        store.rows[2] = [[5, 6], [50, 60], [7, 4]]
+        seen = []
+
+        def bump(live):
+            seen.append(live)
+            return [s + 10 for s in live]
+
+        store.map_scn(0, bump)
+        assert seen == [[2], [7, 4]]  # empty set 0 and empty ways are skipped
+        assert store.peek_set(1) == [CacheElement(3, 30, (12,)), CacheElement(0, 0, (0,))]
+        assert store.peek_set(2) == [CacheElement(5, 50, (17,)), CacheElement(6, 60, (14,))]
+        assert store.counter == OpCounter(extra_reads=3, extra_writes=3)
         with pytest.raises(StorageError):
-            store.poke_set(0, [CacheElement(3, 30, (256,)), CacheElement(0, 0, (0,))])
+            store.map_scn(0, lambda live: [256] * len(live))
 
     def test_op_counter_reset(self):
         c = OpCounter(tcam_matches=3, register_reads=2, register_writes=1,

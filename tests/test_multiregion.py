@@ -169,6 +169,27 @@ class TestComposition:
         for key in random_trace(5, 6000, 400):
             assert cache.fetch(key).hit == ref.fetch(key)[0]
 
+    def test_main_lru_rescale_matches_reference_exactly(self):
+        # 6-bit SCNs: the main region's LRU clock, kept in SCN word 1, wraps
+        # and rescales every few dozen fetches
+        cache = make_cache(window=("lru", 2, 4), main=("lru", 4, 4), universe=120,
+                           filter="none", scn_bits=6)
+        ref = ReferenceMultiCache("lru", "lru", 2, 4, 4, 4, key_universe=120,
+                                  use_filter=False)
+        assert cache.main.scn_index == 1
+        rescales = 0
+        clock = cache.main.clock
+        for key in random_trace(13, 5000, 120):
+            result = cache.fetch(key)
+            hit, evicted = ref.fetch(key)
+            assert result.hit == hit
+            assert (result.evicted.key if result.evicted else None) == evicted
+            assert cache.keys_in_main() == ref.main.live_keys()
+            assert cache.keys_in_window() == ref.window.live_keys()
+            rescales += cache.main.clock < clock
+            clock = cache.main.clock
+        assert rescales > 10
+
     def test_filter_divergence_starts_at_contended_admission(self):
         # with and without the filter, behaviour can first differ only when a
         # window victim meets a full main set

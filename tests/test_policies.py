@@ -9,7 +9,6 @@ from dpcache.policies import (
     FifoEngine,
     LruEngine,
     TableBacking,
-    fetch_value,
     identity_backing,
     make_engine,
 )
@@ -240,14 +239,14 @@ class TestLfu:
 
 class TestBacking:
     def test_identity_default(self):
-        assert fetch_value(identity_backing(32), 7) == 7
+        assert identity_backing(32)(7) == 7
 
     def test_truncation(self):
-        assert fetch_value(identity_backing(32), 2**33 + 5) == 5
+        assert identity_backing(32)(2**33 + 5) == 5
 
     def test_table(self):
-        assert fetch_value(TableBacking({1: 10}), 1) == 10
-        assert fetch_value(TableBacking({1: 10}), 2) == 2
+        assert TableBacking({1: 10})(1) == 10
+        assert TableBacking({1: 10})(2) == 2
 
     def test_engine_stores_backed_value(self):
         eng = make_engine("lru", LayoutConfig(k=2, d=1), backing=TableBacking({9: 90}))
