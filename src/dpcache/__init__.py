@@ -45,7 +45,6 @@ from .policies import (
 )
 from .traces import (
     Trace,
-    TraceEvent,
     TraceFormatError,
     ZipfSpec,
     generate_zipf,

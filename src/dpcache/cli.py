@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import LayoutError, StorageError
 from .harness import (
     CacheSpec,
     ConfigError,
@@ -22,7 +21,7 @@ from .harness import (
     run_sweep,
 )
 from .oracle import exhaustive_check
-from .traces import TraceFormatError, ZipfSpec, generate_zipf
+from .traces import ZipfSpec, generate_zipf
 
 POLICIES = ["fifo", "lru", "lfu", "hyperbolic"]
 
@@ -185,10 +184,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(report.first_divergence_dump)
             return 0 if report.passed else 1
         return 0
-    except (ConfigError, TraceFormatError, LayoutError, StorageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # ConfigError, TraceFormatError, LayoutError and StorageError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -350,4 +350,8 @@ class RegisterStore:
         rows = self.rows[h]
         if len(rows) != len(self._widths) or any(len(row) != self.layout.k for row in rows):
             raise AssertionError(f"set {h} does not hold {self.layout.k} ways of every field")
-        self.encode_set(self.peek_set(h))
+        keys = [key for key in rows[0] if key]
+        if (any(min(row) < 0 or max(row) >> width for row, width in zip(rows, self._widths))
+                or len(set(keys)) != len(keys)):
+            # encoding raises for the first fault in way order
+            self.encode_set(self.peek_set(h))

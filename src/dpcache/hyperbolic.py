@@ -154,9 +154,11 @@ class HyperbolicEngine(PolicyEngine):
     def _halve_times(self) -> None:
         """Right-shift the tick and every stored insert time by one."""
         self.tick >>= 1
+        freq_max, freq_bits = self.freq_max, self.freq_bits
 
         def halve(live: list[int]) -> list[int]:
-            return [self._pack(freq, t >> 1) for freq, t in map(self._unpack, live)]
+            # _pack(freq, t >> 1) without unpacking: keep freq, shift the time half
+            return [(scn & freq_max) | (scn >> (freq_bits + 1) << freq_bits) for scn in live]
 
         self.store.map_scn(self.scn_index, halve)
 

@@ -3,8 +3,10 @@
 These are the textbook implementations the restricted engines are validated
 against: per-set move-to-front LRU, per-set FIFO queues, perfect LFU with
 least-recently-used tie-breaking, and hyperbolic priorities compared as exact
-rationals (cross multiplication, never floating division).  Fully associative
-behaviour is the k =capacity, d = 1 special case.
+rationals (cross multiplication, never floating division).  Each policy is
+its own subclass of `ReferenceCache`, so no per-event code branches on the
+policy name.  Fully associative behaviour is the k = capacity, d = 1 special
+case.
 
 `exhaustive_check` enumerates every key sequence up to a length bound and
 compares hit/miss streams between a restricted engine and its reference; for
@@ -16,15 +18,11 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .core import LayoutConfig
 from .policies import PolicyEngine, make_engine
-
-FULL = "full"
-KWAY = "kway"
 
 _MAX_ENUMERATION_NODES = 5_000_000
 
@@ -32,39 +30,36 @@ _MAX_ENUMERATION_NODES = 5_000_000
 class ReferenceCache:
     """Exact k-way set-associative cache, one of fifo/lru/lfu/hyperbolic.
 
+    ``ReferenceCache(policy, k, d)`` builds the policy's own subclass.
     ``fetch`` returns (hit, evicted_key).  ``tie_seen`` latches whenever an
     eviction decision had more than one metric-minimal candidate (LFU equal
-    frequencies, hyperbolic equal exact priorities).
+    frequencies, hyperbolic equal exact priorities).  The base ``fetch`` runs
+    the per-policy hooks (``_touch``, ``victim``, ``_remove``, ``_place``),
+    which ``ReferenceMultiCache`` also composes; FIFO and LRU override it with
+    one body over their queue.
     """
+
+    policy: str
+
+    def __new__(cls, policy: str, k: int, d: int) -> "ReferenceCache":
+        chosen = _BY_POLICY.get(policy.lower())
+        if chosen is None:
+            raise ValueError(f"unknown reference policy {policy!r}")
+        return super().__new__(chosen)
 
     def __init__(self, policy: str, k: int, d: int) -> None:
         if k < 1 or d < 1:
             raise ValueError("k and d must be >= 1")
-        policy = policy.lower()
-        if policy not in ("fifo", "lru", "lfu", "hyperbolic"):
-            raise ValueError(f"unknown reference policy {policy!r}")
-        self.policy = policy
         self.k = k
         self.d = d
         self.tie_seen = False
         self.seq = 0  # fetch counter: LFU recency + hyperbolic clock
-        if policy == "fifo":
-            self.sets: list = [deque() for _ in range(d)]
-        elif policy == "lru":
-            self.sets = [OrderedDict() for _ in range(d)]
-        elif policy == "lfu":
-            self.sets = [{} for _ in range(d)]  # key -> [freq, last_seq]
-        else:
-            self.sets = [{} for _ in range(d)]  # key -> [freq, insert_tick]
+        self.sets: list = [self._new_set() for _ in range(d)]
 
     @classmethod
     def full(cls, policy: str, capacity: int) -> "ReferenceCache":
         """Fully associative cache: a single set holding `capacity` ways."""
         return cls(policy, k=capacity, d=1)
-
-    @property
-    def associativity(self) -> str:
-        return FULL if self.d == 1 else KWAY
 
     def fetch(self, key: int) -> tuple[bool, int | None]:
         if key < 1:
@@ -74,20 +69,6 @@ class ReferenceCache:
         if self._touch(h, key):
             return True, None
         return False, self._insert(h, key)
-
-    def _touch(self, h: int, key: int) -> bool:
-        s = self.sets[h]
-        if key not in s:
-            return False
-        if self.policy == "lru":
-            s.move_to_end(key)
-        elif self.policy == "lfu":
-            rec = s[key]
-            rec[0] += 1
-            rec[1] = self.seq
-        elif self.policy == "hyperbolic":
-            s[key][0] += 1
-        return True
 
     def _insert(self, h: int, key: int) -> int | None:
         victim = self.victim(h)
@@ -101,18 +82,134 @@ class ReferenceCache:
         s = self.sets[h]
         if len(s) < self.k:
             return None
-        if self.policy == "fifo":
-            return s[0]
-        if self.policy == "lru":
-            return next(iter(s))
-        if self.policy == "lfu":
-            best = min(s.items(), key=lambda kv: (kv[1][0], kv[1][1]))
-            if sum(1 for rec in s.values() if rec[0] == best[1][0]) > 1:
-                self.tie_seen = True
-            return best[0]
-        return self._hyperbolic_victim(s)
+        return self._victim_of(s)
 
-    def _hyperbolic_victim(self, s: dict) -> int:
+    def _remove(self, h: int, key: int) -> None:
+        del self.sets[h][key]
+
+    def contains(self, key: int) -> bool:
+        return key in self.sets[key % self.d]
+
+    def live_keys(self) -> set[int]:
+        return {k for s in self.sets for k in s}
+
+    def clone(self) -> "ReferenceCache":
+        other = object.__new__(type(self))
+        other.k, other.d = self.k, self.d
+        other.tie_seen = self.tie_seen
+        other.seq = self.seq
+        other.sets = [self._copy_set(s) for s in self.sets]
+        return other
+
+
+class _FifoReference(ReferenceCache):
+    """Per-set insertion-order queues; hits change nothing."""
+
+    policy = "fifo"
+    _new_set = _copy_set = deque
+
+    def fetch(self, key: int) -> tuple[bool, int | None]:
+        if key < 1:
+            raise ValueError("keys must be >= 1")
+        self.seq += 1
+        s = self.sets[key % self.d]
+        if key in s:
+            return True, None
+        victim = s.popleft() if len(s) >= self.k else None
+        s.append(key)
+        return False, victim
+
+    def _touch(self, h: int, key: int) -> bool:
+        return key in self.sets[h]
+
+    def _victim_of(self, s: deque) -> int:
+        return s[0]
+
+    def _remove(self, h: int, key: int) -> None:
+        self.sets[h].remove(key)
+
+    def _place(self, h: int, key: int) -> None:
+        self.sets[h].append(key)
+
+
+class _LruReference(ReferenceCache):
+    """Per-set move-to-front lists, least recent first."""
+
+    policy = "lru"
+    _new_set = _copy_set = OrderedDict
+
+    def fetch(self, key: int) -> tuple[bool, int | None]:
+        if key < 1:
+            raise ValueError("keys must be >= 1")
+        self.seq += 1
+        s = self.sets[key % self.d]
+        if key in s:
+            s.move_to_end(key)
+            return True, None
+        victim = s.popitem(last=False)[0] if len(s) >= self.k else None
+        s[key] = None
+        return False, victim
+
+    def _touch(self, h: int, key: int) -> bool:
+        s = self.sets[h]
+        if key not in s:
+            return False
+        s.move_to_end(key)
+        return True
+
+    def _victim_of(self, s: OrderedDict) -> int:
+        return next(iter(s))
+
+    def _place(self, h: int, key: int) -> None:
+        self.sets[h][key] = None
+
+
+class _RecordReference(ReferenceCache):
+    """Sets of ``key -> [freq, tick]`` records; a new key starts at freq 1."""
+
+    _new_set = dict
+
+    @staticmethod
+    def _copy_set(s: dict) -> dict:
+        return {k: list(v) for k, v in s.items()}
+
+    def _place(self, h: int, key: int) -> None:
+        self.sets[h][key] = [1, self.seq]
+
+
+class _LfuReference(_RecordReference):
+    """Perfect LFU; the tick is the last access, so recency breaks ties."""
+
+    policy = "lfu"
+
+    def _touch(self, h: int, key: int) -> bool:
+        rec = self.sets[h].get(key)
+        if rec is None:
+            return False
+        rec[0] += 1
+        rec[1] = self.seq
+        return True
+
+    def _victim_of(self, s: dict) -> int:
+        best = min(s.items(), key=lambda kv: (kv[1][0], kv[1][1]))
+        if sum(1 for rec in s.values() if rec[0] == best[1][0]) > 1:
+            self.tie_seen = True
+        return best[0]
+
+
+class _HyperbolicReference(_RecordReference):
+    """Exact hyperbolic priorities; the tick is the insertion time."""
+
+    policy = "hyperbolic"
+
+    def _touch(self, h: int, key: int) -> bool:
+        rec = self.sets[h].get(key)
+        if rec is None:
+            return False
+        rec[0] += 1
+        return True
+
+    def _victim_of(self, s: dict) -> int:
         # minimise freq/(now - insert_tick) exactly; first-inserted wins ties
         now = self.seq
         best_key = None
@@ -130,49 +227,9 @@ class ReferenceCache:
                 self.tie_seen = True
         return best_key
 
-    def _remove(self, h: int, key: int) -> None:
-        s = self.sets[h]
-        if self.policy == "fifo":
-            s.remove(key)
-        else:
-            del s[key]
 
-    def _place(self, h: int, key: int) -> None:
-        s = self.sets[h]
-        if self.policy == "fifo":
-            s.append(key)
-        elif self.policy == "lru":
-            s[key] = None
-        elif self.policy == "lfu":
-            s[key] = [1, self.seq]
-        else:
-            s[key] = [1, self.seq]
-
-    def contains(self, key: int) -> bool:
-        return key in self.sets[key % self.d]
-
-    def live_keys(self) -> set[int]:
-        return {k for s in self.sets for k in s}
-
-    def hit_count_trace(self, keys: Iterable[int]) -> int:
-        hits = 0
-        for key in keys:
-            if self.fetch(key)[0]:
-                hits += 1
-        return hits
-
-    def clone(self) -> "ReferenceCache":
-        other = ReferenceCache.__new__(ReferenceCache)
-        other.policy, other.k, other.d = self.policy, self.k, self.d
-        other.tie_seen = self.tie_seen
-        other.seq = self.seq
-        if self.policy == "fifo":
-            other.sets = [deque(s) for s in self.sets]
-        elif self.policy == "lru":
-            other.sets = [OrderedDict(s) for s in self.sets]
-        else:
-            other.sets = [{k: list(v) for k, v in s.items()} for s in self.sets]
-        return other
+_BY_POLICY = {cls.policy: cls for cls in
+              (_FifoReference, _LruReference, _LfuReference, _HyperbolicReference)}
 
 
 class ReferenceMultiCache:

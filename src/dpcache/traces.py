@@ -15,7 +15,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -28,10 +28,6 @@ FORMAT_ARC = "arc"
 
 class TraceFormatError(ValueError):
     """Raised for malformed trace files."""
-
-
-class TraceEvent(NamedTuple):
-    key: int
 
 
 @dataclass(frozen=True)
@@ -68,10 +64,6 @@ class Trace:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.keys)
-
-    def events(self) -> Iterator[TraceEvent]:
-        for key in self.keys:
-            yield TraceEvent(key)
 
     @property
     def max_key(self) -> int:

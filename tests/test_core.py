@@ -286,6 +286,34 @@ class TestRegisterStore:
         with pytest.raises(StorageError):
             store.map_scn(0, lambda live: [256] * len(live))
 
+    @pytest.mark.parametrize("field, name", [(0, "key"), (1, "value"), (2, "scn"), (3, "scn")])
+    @pytest.mark.parametrize("bad", ["negative", "overwide"])
+    def test_check_rows_rejects_out_of_range_in_every_row(self, field, name, bad):
+        lay = LayoutConfig(key_bits=6, value_bits=7, scn_bits=5, scn_words=2, k=3, d=1)
+        store = RegisterStore(lay)
+        width = (6, 7, 5, 5)[field]
+        x = -1 if bad == "negative" else 1 << width
+        store.rows[0] = [[4, 0, 9], [1, 0, 2], [3, 0, 4], [5, 0, 6]]
+        store.rows[0][field][2] = x
+        with pytest.raises(StorageError, match=f"^{name} {x} exceeds {width} bits$"):
+            store._check_rows(0)
+
+    def test_check_rows_duplicates_and_empty_ways(self):
+        lay = LayoutConfig(key_bits=6, value_bits=7, scn_bits=5, k=4, d=1)
+        store = RegisterStore(lay)
+        store.rows[0] = [[0, 5, 0, 0], [0, 1, 0, 0], [0, 2, 0, 0]]
+        store._check_rows(0)  # several empty ways are not duplicates
+        store.rows[0] = [[5, 0, 5, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+        with pytest.raises(StorageError, match="^duplicate key 5 within one set$"):
+            store._check_rows(0)
+        # the first fault in way order is reported, as encode_set does
+        store.rows[0] = [[5, 5, 0, 0], [0, 0, 0, 1 << 7], [0, 0, 0, 0]]
+        with pytest.raises(StorageError, match="^duplicate key 5"):
+            store._check_rows(0)
+        store.rows[0] = [[5, 0, 0, 0], [0, 0, 0], [0, 0, 0, 0]]
+        with pytest.raises(AssertionError, match="does not hold 4 ways"):
+            store._check_rows(0)
+
     def test_op_counter_reset(self):
         c = OpCounter(tcam_matches=3, register_reads=2, register_writes=1,
                       extra_reads=5, extra_writes=5)

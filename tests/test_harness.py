@@ -233,3 +233,15 @@ class TestCli:
         code = main(["run", "--policy", "lru", "--trace", str(bad)])
         assert code == 1
         assert "non-numeric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "--policy", "lru", "--alphabet", "10", "--max-len", "8"],
+         "too large"),
+        (["run", "--policy", "lru", "--zipf-n", "0", "--zipf-s", "0.99",
+          "--zipf-len", "10"], "N and length must be >= 1"),
+    ])
+    def test_value_errors_become_error_lines(self, argv, message, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err

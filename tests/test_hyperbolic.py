@@ -169,6 +169,24 @@ class TestHyperbolicEngine:
         assert halved == [t >> 1 for t in times]
         assert sorted(halved, reverse=True) == halved
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_halving_arithmetic_equals_pack(self, data):
+        # narrow widths included: at scn_bits=2 each half is a single bit
+        scn_bits = data.draw(st.sampled_from([2, 3, 5, 8, 16, 32]), label="scn_bits")
+        lay = LayoutConfig(scn_bits=scn_bits, k=4, d=2)
+        eng = HyperbolicEngine(lay, max_scn=1 << (scn_bits - scn_bits // 2))
+        words = data.draw(st.lists(st.integers(0, lay.max_scn()), min_size=8, max_size=8),
+                          label="words")
+        words[0] |= eng.freq_max  # one saturated frequency
+        for h in range(2):
+            eng.store.rows[h] = [[4 * h + w + 1 for w in range(4)], [0] * 4, words[4 * h:4 * h + 4]]
+        eng.tick = eng.log_table.max_scn - 1
+        eng._halve_times()
+        expected = [eng._pack(freq, t >> 1) for freq, t in map(eng._unpack, words)]
+        assert eng.store.rows[0][2] + eng.store.rows[1][2] == expected
+        assert eng._unpack(expected[0])[0] == eng.freq_max
+
     def test_max_scn_must_fit_time_field(self):
         with pytest.raises(StorageError):
             HyperbolicEngine(LayoutConfig(scn_bits=8, k=1, d=1), max_scn=2048)

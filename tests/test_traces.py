@@ -75,7 +75,7 @@ class TestGenerateZipf:
         assert trace.generator == "numpy-pcg64"
         assert trace.seed == 4
         assert "zipf" in trace.source
-        assert len(list(trace.events())) == 10
+        assert len(list(trace)) == 10
 
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError):
