@@ -8,8 +8,6 @@ from .core import (
     OpCounter,
     RegisterStore,
     StorageError,
-    hash_to_set,
-    ternary_match,
 )
 from .harness import (
     CacheSpec,
@@ -20,7 +18,7 @@ from .harness import (
     run_experiment,
     run_sweep,
 )
-from .hyperbolic import HyperbolicEngine, LogTable, build_log_table, priority_score
+from .hyperbolic import HyperbolicEngine, LogTable
 from .multiregion import (
     CountingFilter,
     MultiRegionCache,

@@ -31,7 +31,11 @@ SCN_FIELD = 2
 
 
 class CacheElement(NamedTuple):
-    """One way's payload: key, value and SCN metadata words."""
+    """One decoded way: key, value and SCN metadata words.
+
+    The store never holds elements; this is the type that ``peek_set``, an
+    engine's ``dump`` and ``FetchResult.evicted`` hand out.
+    """
 
     key: int
     value: int
@@ -41,9 +45,6 @@ class CacheElement(NamedTuple):
     def from_way(cls, way: tuple[int, ...]) -> "CacheElement":
         """The element of a flat ``(key, value, scn0[, scn1])`` way tuple."""
         return cls(way[0], way[1], way[SCN_FIELD:])
-
-    def as_way(self) -> tuple[int, ...]:
-        return (self.key, self.value, *self.scn)
 
 
 class LayoutError(ValueError):
@@ -90,15 +91,6 @@ class LayoutConfig:
     def set_width(self) -> int:
         return self.k * self.element_width
 
-    def empty_element(self) -> CacheElement:
-        return CacheElement(0, 0, (0,) * self.scn_words)
-
-    def max_key(self) -> int:
-        return (1 << self.key_bits) - 1
-
-    def max_value(self) -> int:
-        return (1 << self.value_bits) - 1
-
     def max_scn(self) -> int:
         return (1 << self.scn_bits) - 1
 
@@ -128,36 +120,6 @@ class OpCounter:
         self.extra_writes = 0
 
 
-def hash_to_set(key: int, d: int) -> int:
-    """Map a live key to its set index by modulo."""
-    if key < 1:
-        raise StorageError("key 0 is the reserved empty marker")
-    if d < 1:
-        raise StorageError("d must be >= 1")
-    return key % d
-
-
-def ternary_match(keys_word: int, key: int, k: int, key_bits: int) -> int:
-    """Locate ``key`` inside a keys-register word with one XOR comparison.
-
-    The key is concatenated ``k`` times, XORed against the stored word, and
-    the way whose key-wide slice comes out all-zero is the match.  Returns the
-    way index, or ``MISS``.
-    """
-    if key < 1:
-        raise StorageError("key 0 would falsely match empty ways")
-    rep = 0
-    for i in range(k):
-        rep |= key << (i * key_bits)
-    x = keys_word ^ rep
-    mask = (1 << key_bits) - 1
-    for way in range(k):
-        if x & mask == 0:
-            return way
-        x >>= key_bits
-    return MISS
-
-
 class RegisterStore:
     """Fixed array of ``d`` sets plus the parallel keys register.
 
@@ -169,10 +131,10 @@ class RegisterStore:
     ``keys_register``, ``word``); the bit layout, the field-width validation
     and the operation accounting are the same as for packed storage.
 
-    ``read_set``/``write_set`` model whole-set register accesses and are the
-    unit of the operation accounting.  Targeted single-field accessors are
-    provided for hot paths; they carry the same one-read/one-write cost as the
-    whole-set operation they stand in for.
+    ``read_set_raw``/``write_set_raw`` model whole-set register accesses and
+    are the unit of the operation accounting.  ``read_way`` and
+    ``write_way_field`` are targeted accessors for hot paths; they carry the
+    same one-read/one-write cost as the whole-set operation they stand in for.
     """
 
     def __init__(
@@ -191,48 +153,45 @@ class RegisterStore:
 
     # -- encoding ----------------------------------------------------------
 
-    def encode_set(self, elements: list[CacheElement]) -> tuple[int, int]:
-        """Pack elements into (set_word, keys_word); validates widths."""
+    def encode_set(self, rows: list[list[int]]) -> tuple[int, int]:
+        """Pack field rows into (set_word, keys_word); validates widths."""
         lay = self.layout
-        if len(elements) != lay.k:
-            raise StorageError(f"expected {lay.k} elements, got {len(elements)}")
+        if len(rows) != len(self._widths) or any(len(row) != lay.k for row in rows):
+            raise StorageError(f"expected {len(self._widths)} field rows of {lay.k} ways")
         word = 0
         keys_word = 0
         seen: set[int] = set()
-        for i, e in enumerate(elements):
-            if len(e.scn) != lay.scn_words:
-                raise StorageError(f"expected {lay.scn_words} scn words")
+        for i, way in enumerate(zip(*rows)):
             enc = shift = 0
-            for field, (x, width) in enumerate(zip(e.as_way(), self._widths)):
+            for field, (x, width) in enumerate(zip(way, self._widths)):
                 if not 0 <= x < 1 << width:
                     name = ("key", "value")[field] if field < SCN_FIELD else "scn"
                     raise StorageError(f"{name} {x} exceeds {width} bits")
                 enc |= x << shift
                 shift += width
-            if e.key:
-                if e.key in seen:
-                    raise StorageError(f"duplicate key {e.key} within one set")
-                seen.add(e.key)
+            key = way[0]
+            if key:
+                if key in seen:
+                    raise StorageError(f"duplicate key {key} within one set")
+                seen.add(key)
             word |= enc << (i * lay.element_width)
-            keys_word |= e.key << (i * lay.key_bits)
+            keys_word |= key << (i * lay.key_bits)
         return word, keys_word
 
-    def decode_set(self, word: int) -> list[CacheElement]:
-        """Unpack a set word into its k elements."""
-        elements = []
+    def decode_set(self, word: int) -> list[list[int]]:
+        """Unpack a set word into its field rows."""
+        rows: list[list[int]] = [[] for _ in self._widths]
         for _ in range(self.layout.k):
-            way = []
-            for width in self._widths:
-                way.append(word & ((1 << width) - 1))
+            for row, width in zip(rows, self._widths):
+                row.append(word & ((1 << width) - 1))
                 word >>= width
-            elements.append(CacheElement.from_way(tuple(way)))
-        return elements
+        return rows
 
     # -- packed views -------------------------------------------------------
 
     def word(self, h: int) -> int:
         """Set ``h`` as one packed word: way 0 in the lowest-order slice."""
-        return self.encode_set(self.peek_set(h))[0]
+        return self.encode_set(self.rows[h])[0]
 
     @property
     def sets(self) -> list[int]:
@@ -242,28 +201,13 @@ class RegisterStore:
     @property
     def keys_register(self) -> list[int]:
         """Packed keys-register word of every set (a derived copy)."""
-        return [self.encode_set(self.peek_set(h))[1] for h in range(self.layout.d)]
-
-    # -- whole-set access ---------------------------------------------------
-
-    def read_set(self, h: int) -> list[CacheElement]:
-        if not 0 <= h < self.layout.d:
-            raise StorageError(f"set index {h} out of range")
-        self.counter.register_reads += 1
-        return self.peek_set(h)
-
-    def write_set(self, h: int, elements: list[CacheElement]) -> None:
-        if not 0 <= h < self.layout.d:
-            raise StorageError(f"set index {h} out of range")
-        self.encode_set(elements)
-        self.counter.register_writes += 1
-        self.rows[h] = [list(row) for row in zip(*(e.as_way() for e in elements))]
+        return [self.encode_set(rows)[1] for rows in self.rows]
 
     def peek_set(self, h: int) -> list[CacheElement]:
         """Decoded set ``h``; bypasses operation accounting."""
         return [CacheElement.from_way(way) for way in zip(*self.rows[h])]
 
-    # -- field-row access (hot path; same accounting, same semantics) --------
+    # -- whole-set access ---------------------------------------------------
 
     def read_set_raw(self, h: int) -> list[list[int]]:
         """Whole-set read returning (copies of) the set's field rows."""
@@ -273,8 +217,8 @@ class RegisterStore:
     def write_set_raw(self, h: int, rows: list[list[int]]) -> None:
         """Whole-set write from field rows, which also rewrites the keys register.
 
-        Trusts the caller to preserve element invariants (the typed write_set
-        validates); with ``check_invariants`` the set is fully re-validated.
+        Trusts the caller to preserve element invariants; with
+        ``check_invariants`` the set is fully re-validated.
         """
         self.counter.register_writes += 1
         self.rows[h] = [row[:] for row in rows]
@@ -303,10 +247,10 @@ class RegisterStore:
 
         ``field`` indexes the way tuple (1 is the value, 2 onwards the SCN
         words).  Key fields must not be patched this way (the keys register
-        would lose its distinct-key guarantee); use write_set.
+        would lose its distinct-key guarantee); use write_set_raw.
         """
         if field < 1:
-            raise StorageError("key field updates must go through write_set")
+            raise StorageError("key field updates must go through write_set_raw")
         width = self._widths[field]
         if not 0 <= value < 1 << width:
             raise StorageError(f"value {value} exceeds {width} bits")
@@ -354,4 +298,4 @@ class RegisterStore:
         if (any(min(row) < 0 or max(row) >> width for row, width in zip(rows, self._widths))
                 or len(set(keys)) != len(keys)):
             # encoding raises for the first fault in way order
-            self.encode_set(self.peek_set(h))
+            self.encode_set(rows)

@@ -39,11 +39,6 @@ def as_fraction(value: int | float | str | Fraction) -> Fraction:
     return Fraction(value)
 
 
-def fixed_point(value: int | float | str | Fraction, factor: int | Fraction) -> int:
-    """Scale a real number by ``factor`` and floor it into an integer."""
-    return math.floor(as_fraction(value) * as_fraction(factor))
-
-
 def log2_fixed(x: int, factor: Fraction) -> int:
     """floor(log2(x) * factor), computed exactly.
 
@@ -99,19 +94,6 @@ class LogTable:
 @lru_cache(maxsize=16)
 def _build_entries(max_scn: int, factor: Fraction) -> tuple[int, ...]:
     return (0, 0) + tuple(log2_fixed(x, factor) for x in range(2, max_scn))
-
-
-def build_log_table(max_scn: int = DEFAULT_MAX_SCN,
-                    integer_factor: int | float | str | Fraction = DEFAULT_INTEGER_FACTOR) -> LogTable:
-    return LogTable(max_scn, integer_factor)
-
-
-def priority_score(freq: int, insert_time: int, tick: int, table: LogTable) -> int:
-    """Integer stand-in for the exact priority freq / (tick - insert_time)."""
-    lifetime = tick - insert_time
-    if lifetime < 1:
-        lifetime = 1
-    return table.lookup(freq) - table.lookup(lifetime)
 
 
 class HyperbolicEngine(PolicyEngine):

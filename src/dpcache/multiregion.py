@@ -130,16 +130,6 @@ class CountingFilter:
         self.ops.extra_reads += 1
         return int(self.counters[key])
 
-    def clone(self) -> "CountingFilter":
-        other = CountingFilter(
-            self.key_universe, self.aging_window, self.aging_stride,
-            self.counter_cap, OpCounter(),
-        )
-        other.counters = self.counters.copy()
-        other.access_counter = self.access_counter
-        other.cursor = self.cursor
-        return other
-
 
 class MultiRegionCache:
     """Window and main engines composed behind two ternary tables."""
@@ -240,17 +230,3 @@ class MultiRegionCache:
 
     def keys_in_main(self) -> set[int]:
         return self.main.live_keys()
-
-    def clone(self) -> "MultiRegionCache":
-        other = MultiRegionCache.__new__(MultiRegionCache)
-        other.config = self.config
-        other.counter = OpCounter()
-        other.backing = self.backing
-        other.window = self.window.clone()
-        other.main = self.main.clone()
-        other.window.store.counter = other.counter
-        other.main.store.counter = other.counter
-        other.filter = self.filter.clone() if self.filter is not None else None
-        if other.filter is not None:
-            other.filter.ops = other.counter
-        return other

@@ -87,9 +87,6 @@ class ReferenceCache:
     def _remove(self, h: int, key: int) -> None:
         del self.sets[h][key]
 
-    def contains(self, key: int) -> bool:
-        return key in self.sets[key % self.d]
-
     def live_keys(self) -> set[int]:
         return {k for s in self.sets for k in s}
 
@@ -294,21 +291,6 @@ class ReferenceMultiCache:
         self.main._remove(h2, main_victim)
         self.main._place(h2, window_victim)
         return False, main_victim
-
-    def live_keys(self) -> set[int]:
-        return self.window.live_keys() | self.main.live_keys()
-
-    def clone(self) -> "ReferenceMultiCache":
-        other = ReferenceMultiCache.__new__(ReferenceMultiCache)
-        other.window = self.window.clone()
-        other.main = self.main.clone()
-        other.use_filter = self.use_filter
-        other.key_universe = self.key_universe
-        other.aging_window = self.aging_window
-        other.counter_cap = self.counter_cap
-        other.counters = self.counters.copy()
-        other.access_counter = self.access_counter
-        return other
 
 
 # ---------------------------------------------------------------------------

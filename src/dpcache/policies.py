@@ -23,7 +23,6 @@ from .core import (
     OpCounter,
     RegisterStore,
     StorageError,
-    hash_to_set,
 )
 
 Backing = Callable[[int], int]
@@ -52,9 +51,16 @@ def identity_backing(value_bits: int) -> Backing:
 
 
 class TableBacking:
-    """Deterministic key->value mapping with an identity fallback."""
+    """Deterministic key->value mapping with an identity fallback.
+
+    Every table value must fit ``value_bits``, the width of the value field
+    the engine stores it in.
+    """
 
     def __init__(self, table: dict[int, int], value_bits: int = 32) -> None:
+        for key, value in table.items():
+            if not 0 <= value < 1 << value_bits:
+                raise ValueError(f"value {value} for key {key} does not fit {value_bits} bits")
         self.table = dict(table)
         self._fallback = identity_backing(value_bits)
 
@@ -126,7 +132,7 @@ class PolicyEngine:
         return way[:f] + (scn,) + way[f + 1:]
 
     def fetch(self, key: int) -> FetchResult:
-        h = hash_to_set(key, self.layout.d)
+        h = key % self.layout.d
         way = self.store.ternary_lookup(h, key)
         if way != MISS:
             return self.serve_hit(h, way)
@@ -194,11 +200,6 @@ class PolicyEngine:
         # steps after the victim kept their ways without any shift
         del skipped[cut:]
         return victim, skipped
-
-    def insert(self, h: int, element: CacheElement) -> CacheElement:
-        victim, rows = self.insert_pending_raw(h, element.as_way())
-        self.store.write_set_raw(h, rows)
-        return CacheElement.from_way(victim)
 
     def dump(self) -> list[list[CacheElement]]:
         """Decoded contents of every set; bypasses operation accounting."""

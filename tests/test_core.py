@@ -10,9 +10,8 @@ from dpcache.core import (
     OpCounter,
     RegisterStore,
     StorageError,
-    hash_to_set,
-    ternary_match,
 )
+from dpcache.policies import make_engine
 
 
 def long_division_mod(dividend_digits: str, divisor: int) -> int:
@@ -23,6 +22,11 @@ def long_division_mod(dividend_digits: str, divisor: int) -> int:
         while remainder >= divisor:
             remainder -= divisor
     return remainder
+
+
+def rows_of(elements: list[CacheElement]) -> list[list[int]]:
+    """Field rows ``[keys, values, scn0(, scn1)]`` of decoded elements."""
+    return [list(row) for row in zip(*((e.key, e.value, *e.scn) for e in elements))]
 
 
 class TestLayoutConfig:
@@ -46,46 +50,60 @@ class TestLayoutConfig:
             LayoutConfig(**kwargs)
 
 
+def set_of(key: int, d: int) -> int:
+    """The set an engine's fetch puts ``key`` in, found from the store."""
+    engine = make_engine("lru", LayoutConfig(k=1, d=d))
+    engine.fetch(key)
+    (h,) = [h for h, rows in enumerate(engine.store.rows) if rows[0][0] == key]
+    return h
+
+
 class TestHashToSet:
+    """A fetch indexes set ``key % d``; the ternary lookup rejects keys < 1."""
+
     def test_examples(self):
-        assert hash_to_set(37, 16) == 5
-        assert hash_to_set(16, 16) == 0
+        assert set_of(37, 16) == 5
+        assert set_of(16, 16) == 0
 
     def test_large_key_against_long_division(self):
         expected = long_division_mod("1000003", 7)
-        assert hash_to_set(1_000_003, 7) == expected
+        assert set_of(1_000_003, 7) == expected
 
     def test_rejects_key_zero(self):
+        engine = make_engine("lru", LayoutConfig(k=2, d=16))
         with pytest.raises(StorageError):
-            hash_to_set(0, 16)
+            engine.fetch(0)
+        assert engine.store.rows == make_engine("lru", LayoutConfig(k=2, d=16)).store.rows
 
 
 class TestTernary:
     def test_match_examples(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=3, d=1)
         store = RegisterStore(lay)
-        elems = [CacheElement(7, 0, (0,)), CacheElement(0, 0, (0,)), CacheElement(9, 0, (0,))]
-        store.write_set(0, elems)
+        store.write_set_raw(0, [[7, 0, 9], [0, 0, 0], [0, 0, 0]])
         assert store.ternary_lookup(0, 9) == 2
         assert store.ternary_lookup(0, 3) == MISS
 
     def test_zero_bit_slice(self):
-        # XOR of the matched way's slice is all-zero; others are not
+        # XOR of the matched way's slice of the keys register is all-zero;
+        # others are not
         key_bits = 8
-        keys = [5, 6, 7, 8]
-        word = 0
-        for i, key in enumerate(keys):
-            word |= key << (i * key_bits)
-        assert ternary_match(word, 5, k=4, key_bits=key_bits) == 0
+        store = RegisterStore(LayoutConfig(key_bits=key_bits, value_bits=8, scn_bits=8, k=4, d=1))
+        store.write_set_raw(0, [[5, 6, 7, 8], [0] * 4, [0] * 4])
+        assert store.ternary_lookup(0, 5) == 0
         rep = sum(5 << (i * key_bits) for i in range(4))
-        x = word ^ rep
+        x = store.keys_register[0] ^ rep
         slices = [(x >> (i * key_bits)) & 0xFF for i in range(4)]
         assert slices[0] == 0
         assert all(s != 0 for s in slices[1:])
 
     def test_rejects_key_zero(self):
-        with pytest.raises(StorageError):
-            ternary_match(0, 0, k=2, key_bits=8)
+        # an all-empty set would match key 0 in every way
+        store = RegisterStore(LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1))
+        for key in (0, -1):
+            with pytest.raises(StorageError):
+                store.ternary_lookup(0, key)
+        assert store.counter.tcam_matches == 0
 
     @given(
         keys=st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=8),
@@ -101,10 +119,9 @@ class TestTernary:
                 key = 0
             seen.add(key)
             entry.append(key)
-        word = 0
-        for i, key in enumerate(entry):
-            word |= key << (i * 8)
-        got = ternary_match(word, probe, k=len(entry), key_bits=8)
+        store = RegisterStore(LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=len(entry), d=1))
+        store.write_set_raw(0, [entry, [0] * len(entry), [0] * len(entry)])
+        got = store.ternary_lookup(0, probe)
         expected = next((i for i, key in enumerate(entry) if key == probe), MISS)
         assert got == expected
 
@@ -120,50 +137,49 @@ class TestRegisterStore:
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1)
         store = RegisterStore(lay)
         elems = [CacheElement(3, 30, (2,)), CacheElement(0, 0, (0,))]
-        store.write_set(0, elems)
-        assert store.read_set(0) == elems
+        store.write_set_raw(0, rows_of(elems))
+        assert store.read_set_raw(0) == [[3, 0], [30, 0], [2, 0]]
+        assert store.peek_set(0) == elems
 
     def test_fresh_store_reads_empty(self):
         lay = LayoutConfig(k=3, d=2)
         store = RegisterStore(lay)
-        assert store.read_set(0) == [lay.empty_element()] * 3
+        assert store.read_set_raw(0) == [[0] * 3] * 3
+        assert store.peek_set(1) == [CacheElement(0, 0, (0,))] * 3
 
     def test_keys_register_matches_concatenation(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=3, d=2)
         store = RegisterStore(lay)
         elems = [CacheElement(9, 1, (0,)), CacheElement(4, 2, (5,)), CacheElement(0, 0, (0,))]
-        store.write_set(1, elems)
+        store.write_set_raw(1, rows_of(elems))
         expected = 0
         for i, e in enumerate(elems):
             expected |= e.key << (i * 8)
         assert store.keys_register[1] == expected
 
-    def test_out_of_range_set(self):
-        store = RegisterStore(LayoutConfig(k=2, d=2))
-        with pytest.raises(StorageError):
-            store.read_set(2)
-        with pytest.raises(StorageError):
-            store.write_set(-1, [])
-
     def test_field_width_violations(self):
         lay = LayoutConfig(key_bits=4, value_bits=4, scn_bits=4, k=1, d=1)
-        store = RegisterStore(lay)
+        checked = RegisterStore(lay, check_invariants=True)
+        for rows in ([[16], [0], [0]], [[1], [16], [0]], [[1], [0], [16]]):
+            with pytest.raises(StorageError):
+                checked.encode_set(rows)
+            with pytest.raises(StorageError):
+                checked.write_set_raw(0, rows)
         with pytest.raises(StorageError):
-            store.write_set(0, [CacheElement(16, 0, (0,))])
-        with pytest.raises(StorageError):
-            store.write_set(0, [CacheElement(1, 16, (0,))])
-        with pytest.raises(StorageError):
-            store.write_set(0, [CacheElement(1, 0, (16,))])
+            checked.encode_set([[1], [0]])  # the scn row is missing
 
     def test_duplicate_live_keys_rejected(self):
-        store = RegisterStore(LayoutConfig(k=2, d=1))
+        store = RegisterStore(LayoutConfig(k=2, d=1), check_invariants=True)
+        rows = rows_of([CacheElement(5, 0, (0,)), CacheElement(5, 1, (1,))])
         with pytest.raises(StorageError):
-            store.write_set(0, [CacheElement(5, 0, (0,)), CacheElement(5, 1, (1,))])
+            store.encode_set(rows)
+        with pytest.raises(StorageError):
+            store.write_set_raw(0, rows)
 
     def test_read_write_counting(self):
         store = RegisterStore(LayoutConfig(k=2, d=1))
-        store.write_set(0, [CacheElement(1, 0, (0,)), CacheElement(0, 0, (0,))])
-        store.read_set(0)
+        store.write_set_raw(0, [[1, 0], [0, 0], [0, 0]])
+        store.read_set_raw(0)
         assert store.counter.register_writes == 1
         assert store.counter.register_reads == 1
 
@@ -180,42 +196,43 @@ class TestRegisterStore:
                            scn_bits=scn_bits, scn_words=scn_words, k=k, d=1)
         store = RegisterStore(lay)
         keys = data.draw(st.lists(
-            st.integers(1, lay.max_key()), min_size=k, max_size=k, unique=True))
+            st.integers(1, (1 << key_bits) - 1), min_size=k, max_size=k, unique=True))
         occupancy = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
         elems = []
         for key, live in zip(keys, occupancy):
             if live:
-                value = data.draw(st.integers(0, lay.max_value()))
+                value = data.draw(st.integers(0, (1 << value_bits) - 1))
                 scn = tuple(data.draw(st.integers(0, lay.max_scn()))
                             for _ in range(scn_words))
                 elems.append(CacheElement(key, value, scn))
             else:
-                elems.append(lay.empty_element())
-        store.write_set(0, elems)
-        assert store.read_set(0) == elems
+                elems.append(CacheElement(0, 0, (0,) * scn_words))
+        rows = rows_of(elems)
+        assert store.decode_set(store.encode_set(rows)[0]) == rows
 
     def test_raw_path_equals_typed_path(self):
+        # the packed views and the decoded elements of a raw write
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, scn_words=2, k=3, d=1)
-        a, b = RegisterStore(lay), RegisterStore(lay)
+        store = RegisterStore(lay)
         elems = [CacheElement(3, 7, (1, 9)), CacheElement(0, 0, (0, 0)),
                  CacheElement(11, 2, (4, 4))]
         rows = [[3, 0, 11], [7, 0, 2], [1, 0, 4], [9, 0, 4]]
-        a.write_set(0, elems)
-        b.write_set_raw(0, rows)
-        assert a.sets == b.sets and a.keys_register == b.keys_register
-        assert b.read_set_raw(0) == rows
-        assert [CacheElement.from_way(way) for way in zip(*a.read_set_raw(0))] == elems
-        assert b.read_set(0) == elems
+        assert rows_of(elems) == rows
+        store.write_set_raw(0, rows)
+        assert (store.sets[0], store.keys_register[0]) == store.encode_set(rows)
+        assert store.read_set_raw(0) == rows
+        assert store.decode_set(store.word(0)) == rows
+        assert store.peek_set(0) == elems
 
     def test_read_way_and_patch(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1)
         store = RegisterStore(lay, check_invariants=True)
-        store.write_set(0, [CacheElement(3, 30, (2,)), CacheElement(5, 50, (7,))])
+        store.write_set_raw(0, [[3, 5], [30, 50], [2, 7]])
         assert store.read_way(0, 1) == (5, 50, 7)
         store.write_way_field(0, 1, 2, 9)
         assert store.read_way(0, 1) == (5, 50, 9)
         store.write_way_field(0, 0, 1, 31)
-        assert store.read_set(0) == [CacheElement(3, 31, (2,)), CacheElement(5, 50, (9,))]
+        assert store.peek_set(0) == [CacheElement(3, 31, (2,)), CacheElement(5, 50, (9,))]
         with pytest.raises(StorageError):
             store.write_way_field(0, 0, 0, 1)  # key field is off limits
         with pytest.raises(StorageError):
@@ -224,8 +241,7 @@ class TestRegisterStore:
     def test_packed_views_follow_every_write_path(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=3, d=2)
         store = RegisterStore(lay)
-        elems = [CacheElement(4, 1, (6,)), CacheElement(0, 0, (0,)),
-                 CacheElement(2, 9, (3,))]
+        rows = [[4, 0, 2], [1, 0, 9], [6, 0, 3]]
 
         def assert_views(expected):
             word, keys_word = store.encode_set(expected)
@@ -233,17 +249,15 @@ class TestRegisterStore:
             assert store.keys_register == [0, keys_word]
             assert store.decode_set(word) == expected
 
-        store.write_set_raw(1, [[4, 0, 2], [1, 0, 9], [6, 0, 3]])
-        assert_views(elems)
+        store.write_set_raw(1, rows)
+        assert_views(rows)
         store.write_way_field(1, 2, 2, 5)
-        elems[2] = CacheElement(2, 9, (5,))
-        assert_views(elems)
+        assert_views([[4, 0, 2], [1, 0, 9], [6, 0, 5]])
         store.map_scn(0, lambda live: [s + 1 for s in live])
-        elems = [CacheElement(4, 1, (7,)), CacheElement(0, 0, (0,)), CacheElement(2, 9, (6,))]
-        assert_views(elems)
-        elems[1] = CacheElement(8, 8, (8,))
-        store.write_set(1, elems)
-        assert_views(elems)
+        assert_views([[4, 0, 2], [1, 0, 9], [7, 0, 6]])
+        rows = [[4, 8, 2], [1, 8, 9], [7, 8, 6]]
+        store.write_set_raw(1, rows)
+        assert_views(rows)
         assert store.ternary_lookup(1, 2) == 2 and store.ternary_lookup(1, 3) == MISS
 
     def test_raw_row_is_copied_on_read_and_write(self):
@@ -255,7 +269,7 @@ class TestRegisterStore:
         for row in pending:
             row.insert(0, 0)
         pending[0][1] = 5
-        assert store.read_set(0) == [CacheElement(7, 1, (1,)), CacheElement(0, 0, (0,))]
+        assert store.peek_set(0) == [CacheElement(7, 1, (1,)), CacheElement(0, 0, (0,))]
 
     def test_checked_raw_write_rejects_overwide_slice(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1)

@@ -107,7 +107,7 @@ def test_fold_matches_unrolled_reference(case):
     kwargs = {"max_scn": 256} if policy == "hyperbolic" else {}
     engine = make_engine(policy, lay, scn_index=scn_index, check_invariants=True, **kwargs)
     engine.tick = tick
-    engine.store.write_set(0, [CacheElement.from_way(way) for way in ways])
+    engine.store.write_set_raw(0, [list(row) for row in zip(*ways)])
 
     raws = [pack(way, lay) for way in ways]
     if policy == "lfu":
@@ -138,8 +138,7 @@ def test_fold_skips_a_kept_way_between_swaps():
     # metrics 5, 3, 4, 1: swaps at ways 1 and 3, way 2 keeps its element
     lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=4, d=1)
     engine = make_engine("lru", lay)
-    engine.store.write_set(0, [CacheElement(key, 0, (scn,))
-                               for key, scn in [(10, 5), (11, 3), (12, 4), (13, 1)]])
+    engine.store.write_set_raw(0, [[10, 11, 12, 13], [0] * 4, [5, 3, 4, 1]])
     victim, rows = engine.insert_pending_raw(0, (20, 0, 9))
     assert victim == (13, 0, 1)
     assert rows[0] == [20, 10, 12, 11]
@@ -165,7 +164,7 @@ def check_views(store):
         for key in reversed(rows[0]):
             keys_word = (keys_word << lay.key_bits) | key
         assert keys_register[h] == keys_word
-        assert store.decode_set(sets[h]) == [CacheElement.from_way(w) for w in zip(*rows)]
+        assert store.decode_set(sets[h]) == rows
 
 
 def watch_writes(store):

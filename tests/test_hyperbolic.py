@@ -4,15 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpcache.core import CacheElement, LayoutConfig, StorageError
-from dpcache.hyperbolic import (
-    HyperbolicEngine,
-    LogTable,
-    build_log_table,
-    fixed_point,
-    log2_fixed,
-    priority_score,
-)
+from dpcache.core import LayoutConfig, StorageError
+from dpcache.hyperbolic import HyperbolicEngine, LogTable, as_fraction, log2_fixed
 
 
 def floor_log2_scaled(x: int, p: int, q: int) -> int:
@@ -26,29 +19,35 @@ def floor_log2_scaled(x: int, p: int, q: int) -> int:
 
 class TestLogTable:
     def test_exact_power_of_two(self):
-        table = build_log_table(2048, 100)
+        table = LogTable(2048, 100)
         assert table.lookup(8) == 300
 
     def test_floor_of_irrational(self):
-        table = build_log_table(2048, 100)
+        table = LogTable(2048, 100)
         assert table.lookup(10) == 332
         # oracle: 2^332 <= 10^100 < 2^333
         assert (1 << 332) <= 10**100 < (1 << 333)
 
     def test_fixed_point_conversion(self):
-        assert fixed_point("123.45678", 100) == 12345
+        # decimal strings and floats parse exactly, so a fractional factor
+        # scales the table without rounding drift
+        assert as_fraction("123.45678") * 100 // 1 == 12345
+        assert as_fraction(0.1) == Fraction(1, 10)
+        table = LogTable(2048, "0.5")
+        assert table.integer_factor == Fraction(1, 2)
+        assert table.lookup(1024) == 5 and table.lookup(2047) == 5
 
     def test_entries_monotone_and_anchored(self):
         for factor in [Fraction(1, 10), 1, 10, 100]:
-            table = build_log_table(512, factor)
+            table = LogTable(512, factor)
             assert table.entries[1] == 0
             assert list(table.entries) == sorted(table.entries)
-        table = build_log_table(512, 7)
+        table = LogTable(512, 7)
         for j in range(9):
             assert table.lookup(2**j) == 7 * j
 
     def test_saturation(self):
-        table = build_log_table(64, 100)
+        table = LogTable(64, 100)
         assert table.lookup(64) == table.entries[63]
         assert table.lookup(10**9) == table.entries[63]
 
@@ -62,34 +61,42 @@ class TestLogTable:
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
-            build_log_table(1, 100)
+            LogTable(1, 100)
         with pytest.raises(ValueError):
-            build_log_table(16, 0)
+            LogTable(16, 0)
 
     def test_memory_model_monotone_in_factor(self):
         # reporting function only: larger factors store wider values
-        small = build_log_table(2048, Fraction(1, 10)).memory_bits()
-        large = build_log_table(2048, 100).memory_bits()
+        small = LogTable(2048, Fraction(1, 10)).memory_bits()
+        large = LogTable(2048, 100).memory_bits()
         assert 0 < small < large
 
 
+def scores(tick: int, *ways: tuple[int, int]) -> list[int]:
+    """Fold scores of (freq, insert_time) ways at ``tick``, as ``_metric`` gives them."""
+    eng = HyperbolicEngine(LayoutConfig(k=len(ways), d=1))
+    eng.tick = tick
+    scns = [eng._pack(freq, t) for freq, t in ways]
+    return eng._metric([list(range(1, len(ways) + 1)), [0] * len(ways), scns])
+
+
 class TestPriorityScore:
+    """The integer stand-in for freq / (tick - insert_time) in the fold."""
+
     def test_worked_examples(self):
-        table = build_log_table(2048, 100)
-        assert priority_score(4, 0, 10, table) == 200 - 332
-        assert priority_score(1, 6, 10, table) == 0 - 200
+        older, younger = scores(10, (4, 0), (1, 6))
+        assert (older, younger) == (200 - 332, 0 - 200)
         # consistent with the exact ratios 4/10 > 1/4
-        assert priority_score(4, 0, 10, table) > priority_score(1, 6, 10, table)
+        assert older > younger
         assert Fraction(4, 10) > Fraction(1, 4)
 
     def test_equal_freq_and_lifetime_scores_zero(self):
-        table = build_log_table(2048, 100)
         for x in [1, 5, 77, 600]:
-            assert priority_score(x, 0, x, table) == 0
+            assert scores(x, (x, 0)) == [0]
 
     def test_lifetime_clamped_to_one(self):
-        table = build_log_table(2048, 100)
-        assert priority_score(3, 10, 10, table) == table.lookup(3)
+        table = LogTable(2048, 100)
+        assert scores(10, (3, 10), (3, 11)) == [table.lookup(3)] * 2
 
     @given(
         f1=st.integers(1, 2000), l1=st.integers(1, 2000),
@@ -100,12 +107,10 @@ class TestPriorityScore:
         # if p1/p2 >= 2**(2/F) the integer scores order the same way: each
         # floor loses < 1 scaled unit, so an exact-scale gap >= 2 is decisive
         factor = 100
-        table = build_log_table(2048, factor)
         lhs = (f1 * l2) ** factor
         rhs = 4 * (f2 * l1) ** factor  # (2**(2/F))**F = 4
         if lhs >= rhs:
-            s1 = priority_score(f1, 0, l1, table)
-            s2 = priority_score(f2, 0, l2, table)
+            s1, s2 = scores(2000, (f1, 2000 - l1), (f2, 2000 - l2))
             assert s1 > s2
 
 
@@ -127,10 +132,10 @@ class TestHyperbolicEngine:
         eng = HyperbolicEngine(LayoutConfig(k=2, d=1))
         eng.tick = 10
         scn = eng._pack(2, 4)
-        eng.store.write_set(0, [CacheElement(8, 0, (scn,)), CacheElement(9, 0, (scn,))])
-        victim = eng.insert(0, CacheElement(7, 0, (eng._pack(1, 10),)))
+        eng.store.write_set_raw(0, [[8, 9], [0, 0], [scn, scn]])
+        victim, _ = eng.insert_pending_raw(0, (7, 0, eng._pack(1, 10)))
         # candidate (old way 0, key 8) ties with way 1 (key 9): no swap
-        assert victim.key == 8
+        assert victim[0] == 8
 
     def test_hit_increments_frequency_only(self):
         eng = HyperbolicEngine(LayoutConfig(k=2, d=1))
@@ -162,8 +167,7 @@ class TestHyperbolicEngine:
         eng = HyperbolicEngine(LayoutConfig(k=4, d=1), max_scn=2048)
         eng.tick = 1000
         times = [900, 500, 123, 7]
-        elems = [CacheElement(i + 1, 0, (eng._pack(1, t),)) for i, t in enumerate(times)]
-        eng.store.write_set(0, elems)
+        eng.store.write_set_raw(0, [[1, 2, 3, 4], [0] * 4, [eng._pack(1, t) for t in times]])
         eng._halve_times()
         halved = [eng._unpack(e.scn[0])[1] for e in eng.dump()[0]]
         assert halved == [t >> 1 for t in times]

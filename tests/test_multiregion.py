@@ -226,7 +226,7 @@ class TestComposition:
         for key in trace:
             full_sets = {
                 h for h, word in enumerate(with_filter.main.store.sets)
-                if all(e.key for e in with_filter.main.store.decode_set(word))
+                if all(with_filter.main.store.decode_set(word)[0])
             }
             window_before = with_filter.keys_in_window()
             with_filter.fetch(key)

@@ -253,6 +253,30 @@ class TestBacking:
         assert eng.fetch(9).value == 90
         assert eng.fetch(9).value == 90  # hit returns the cached value
 
+    def test_table_rejects_values_wider_than_the_field(self):
+        # caught at construction, not at the next packed read of the store
+        for value in (256, 1000, -1):
+            with pytest.raises(ValueError, match="does not fit 8 bits"):
+                TableBacking({3: value}, value_bits=8)
+        eng = make_engine("lru", LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1),
+                          backing=TableBacking({3: 255}, value_bits=8))
+        assert eng.fetch(3).value == 255
+        assert eng.store.sets == [eng.store.encode_set([[3, 0], [255, 0], [1, 0]])[0]]
+
+
+class TestKeyRange:
+    @pytest.mark.parametrize("policy", ["fifo", "lru", "lfu", "hyperbolic"])
+    def test_key_zero_and_negative_keys_rejected(self, policy):
+        # key 0 marks an empty way, so it would hit every fresh set; the
+        # ternary lookup is the only check on a single-region fetch
+        for d in (1, 4):
+            eng = make_engine(policy, LayoutConfig(k=2, d=d))
+            for key in (0, -1, -d - 1):
+                with pytest.raises(StorageError):
+                    eng.fetch(key)
+            assert eng.live_keys() == set()
+            assert eng.store.counter == OpCounter()
+
 
 class TestOpAccounting:
     @pytest.mark.parametrize("policy", ["fifo", "lru", "lfu", "hyperbolic"])
@@ -335,6 +359,7 @@ class TestFetchResultInvariants:
             eng.fetch(key)
             for h in range(2):
                 derived = 0
-                for i, e in enumerate(eng.store.decode_set(eng.store.sets[h])):
-                    derived |= e.key << (i * eng.layout.key_bits)
+                keys = eng.store.decode_set(eng.store.sets[h])[0]
+                for i, key in enumerate(keys):
+                    derived |= key << (i * eng.layout.key_bits)
                 assert derived == eng.store.keys_register[h]
