@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 
 from .core import LayoutConfig, OpCounter
@@ -161,7 +162,7 @@ def build_cache(config: ExperimentConfig, trace: Trace):
     return make_engine(spec.policy, layout, integer_factor=spec.integer_factor)
 
 
-def _replay_restricted(cache, keys: list[int]) -> tuple[int, tuple[int, int, int], tuple[int, int, int]]:
+def _replay_restricted(cache, keys: Sequence[int]) -> tuple[int, tuple[int, int, int], tuple[int, int, int]]:
     """Replay and enforce the per-packet operation ceilings."""
     multi = isinstance(cache, MultiRegionCache)
     if multi:

@@ -12,9 +12,10 @@ empty-way marker and cache behaviour depends only on key identity.
 from __future__ import annotations
 
 import csv
-import io
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -24,6 +25,10 @@ GENERATOR_ID = "numpy-pcg64"
 FORMAT_PLAIN = "plain"
 FORMAT_CSV = "csv"
 FORMAT_ARC = "arc"
+
+_ZIPF_CHUNK = 1 << 16  # uniform draws per chunk of a generated trace
+_BLOCK_CHARS = 1 << 16  # characters read per block of a parsed trace
+_BLOCK_ROWS = 1 << 12  # rows per block of a parsed CSV trace
 
 
 class TraceFormatError(ValueError):
@@ -51,9 +56,14 @@ class ZipfSpec:
 
 @dataclass
 class Trace:
-    """A replayable sequence of keyed accesses plus its provenance."""
+    """A replayable sequence of keyed accesses plus its provenance.
 
-    keys: list[int]
+    ``keys`` is an ``array.array`` of unsigned keys: typecode ``'I'`` (4 bytes
+    per event) while the key bound is below 2**32, ``'Q'`` (8 bytes) from
+    there on; see ``key_typecode``.  Iterating it yields plain ints.
+    """
+
+    keys: array
     source: str
     seed: int | None = None
     generator: str | None = None
@@ -72,18 +82,27 @@ class Trace:
         return self._max_key
 
 
+def key_typecode(max_key: int) -> str:
+    """The narrowest ``array`` typecode that holds keys up to ``max_key``."""
+    return "I" if max_key < (1 << 32) else "Q"
+
+
 @lru_cache(maxsize=8)
-def _zipf_weights(N: int, s: float) -> np.ndarray:
-    ranks = np.arange(1, N + 1, dtype=np.float64)
-    return np.power(ranks, -s, out=ranks)
+def _zipf_cdf(N: int, s: float) -> np.ndarray:
+    """Cumulative rank weights ``sum_{n<=l} n^-s``, built in one array."""
+    cdf = np.arange(1, N + 1, dtype=np.float64)
+    np.power(cdf, -s, out=cdf)
+    np.cumsum(cdf, out=cdf)
+    cdf.flags.writeable = False  # shared by every caller through the cache
+    return cdf
 
 
 def zipf_frequency(N: int, l: int, s: float) -> float:
     """Probability of the rank-``l`` key under the rank-frequency law."""
     if not 1 <= l <= N:
         raise ValueError(f"rank {l} outside [1, {N}]")
-    w = _zipf_weights(N, float(s))
-    return float(w[l - 1] / w.sum())
+    s = float(s)
+    return float(l) ** -s / float(_zipf_cdf(N, s)[-1])
 
 
 def generate_zipf(spec: ZipfSpec) -> Trace:
@@ -91,15 +110,23 @@ def generate_zipf(spec: ZipfSpec) -> Trace:
 
     Sampling inverts the cumulative rank-weight table with a binary search
     over uniform draws from a seeded PCG64 stream, so a given spec always
-    produces the same byte-for-byte sequence.
+    produces the same byte-for-byte sequence.  Draws are taken in chunks of
+    ``_ZIPF_CHUNK`` from that one stream, which yields the same doubles as a
+    single draw of the whole length.
     """
-    weights = _zipf_weights(spec.N, float(spec.s))
-    cumulative = np.cumsum(weights)
+    cdf = _zipf_cdf(spec.N, float(spec.s))
+    total = cdf[-1]
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    draws = rng.random(spec.length) * cumulative[-1]
-    keys = np.searchsorted(cumulative, draws, side="left") + 1
+    keys = array(key_typecode(spec.N))
+    dtype = np.dtype(keys.typecode)
+    for start in range(0, spec.length, _ZIPF_CHUNK):
+        draws = rng.random(min(_ZIPF_CHUNK, spec.length - start))
+        draws *= total
+        ranks = np.searchsorted(cdf, draws, side="left")
+        ranks += 1
+        keys.frombytes(ranks.astype(dtype).tobytes())
     return Trace(
-        keys=keys.tolist(),
+        keys=keys,
         source=spec.describe(),
         seed=spec.seed,
         generator=GENERATOR_ID,
@@ -107,18 +134,43 @@ def generate_zipf(spec: ZipfSpec) -> Trace:
     )
 
 
-class _Remapper:
-    """Dense 1-based key ids in first-seen order."""
+def _line_blocks(fh) -> Iterator[tuple[int, list[str]]]:
+    """Blocks of the lines of ``fh``, each with the number of its first line.
 
-    def __init__(self) -> None:
-        self.ids: dict[int, int] = {}
+    The lines are exactly those ``str.splitlines`` gives for the whole text.
+    Text is read in blocks of ``_BLOCK_CHARS``.  A block's unfinished last
+    line carries into the next block, and so does a last line ended by a
+    bare ``\\r``, which may be the first half of a CRLF pair.
+    """
+    carry = ""
+    line_no = 1
+    while block := fh.read(_BLOCK_CHARS):
+        text = carry + block
+        lines = text.splitlines()
+        end = text[-1]
+        if end == "\r":
+            carry = lines.pop() + end
+        elif end.splitlines() == [end]:  # not a line break
+            carry = lines.pop()
+        else:
+            carry = ""
+        yield line_no, lines
+        line_no += len(lines)
+    yield line_no, carry.splitlines()
 
-    def map(self, raw: int) -> int:
-        mapped = self.ids.get(raw)
-        if mapped is None:
-            mapped = len(self.ids) + 1
-            self.ids[raw] = mapped
-        return mapped
+
+def _csv_blocks(fh, key_column: str, path: str) -> Iterator[tuple[int, list[str]]]:
+    """Blocks of the key cells of a CSV trace, each with its first row number.
+
+    The header is row 1; blank rows are skipped and not numbered.
+    """
+    reader = csv.DictReader(fh)
+    if reader.fieldnames is None or key_column not in reader.fieldnames:
+        raise TraceFormatError(f"{path}: missing key column {key_column!r}")
+    row_no = 2
+    while rows := list(islice(reader, _BLOCK_ROWS)):
+        yield row_no, [row.get(key_column) or "" for row in rows]
+        row_no += len(rows)
 
 
 def _parse_key(text: str, line_no: int, path: str) -> int:
@@ -138,28 +190,32 @@ def parse_trace(path: str, format: str = FORMAT_PLAIN, key_column: str = "key") 
 
     ``plain`` and ``arc`` are one decimal key per line (blank lines skipped);
     ``csv`` takes the key from the named header column.  Accepts LF or CRLF.
+    The file is streamed: memory holds the keys and the remap table, never
+    the whole text.
     """
     if format not in (FORMAT_PLAIN, FORMAT_CSV, FORMAT_ARC):
         raise TraceFormatError(f"unknown trace format {format!r}")
+    ids: dict[int, int] = {}  # raw key -> dense id, in first-seen order
+    get = ids.get
+    keys = array(key_typecode(0))
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    remap = _Remapper()
-    keys: list[int] = []
-    if format == FORMAT_CSV:
-        reader = csv.DictReader(io.StringIO(text))
-        if reader.fieldnames is None or key_column not in reader.fieldnames:
-            raise TraceFormatError(f"{path}: missing key column {key_column!r}")
-        for line_no, row in enumerate(reader, start=2):
-            cell = (row.get(key_column) or "").strip()
-            if not cell:
-                continue
-            keys.append(remap.map(_parse_key(cell, line_no, path)))
-    else:
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            keys.append(remap.map(_parse_key(line, line_no, path)))
+        if format == FORMAT_CSV:
+            blocks = _csv_blocks(fh, key_column, path)
+        else:
+            blocks = _line_blocks(fh)
+        for first, cells in blocks:
+            block = []
+            for line_no, cell in enumerate(cells, first):
+                cell = cell.strip()
+                if cell:
+                    raw = _parse_key(cell, line_no, path)
+                    mapped = get(raw)
+                    if mapped is None:
+                        mapped = ids[raw] = len(ids) + 1
+                    block.append(mapped)
+            if key_typecode(len(ids)) != keys.typecode:
+                keys = array(key_typecode(len(ids)), keys)
+            keys.fromlist(block)
     if not keys:
         raise TraceFormatError(f"{path}: no events found")
-    return Trace(keys=keys, source=str(path), _max_key=len(remap.ids))
+    return Trace(keys=keys, source=str(path), _max_key=len(ids))

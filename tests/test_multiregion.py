@@ -191,31 +191,41 @@ class TestComposition:
         assert rescales > 10
 
     def test_filter_divergence_starts_at_contended_admission(self):
-        # with and without the filter, behaviour can first differ only when a
-        # window victim meets a full main set
+        # with and without the filter, behaviour can first differ only after
+        # the filter rejected a window victim that met a full main set
         trace = random_trace(6, 4000, 120)
         with_filter = make_cache(window=("fifo", 2, 2), main=("lru", 2, 2),
                                  universe=120, filter="tinylfu")
         without = make_cache(window=("fifo", 2, 2), main=("lru", 2, 2),
                              universe=120, filter="none")
-        diverged = False
-        for key in trace:
-            before_window = with_filter.keys_in_window()
-            main_sets = [with_filter.main.store.decode_set(w)
-                         for w in with_filter.main.store.sets]
-            a = with_filter.fetch(key).hit
-            b = without.fetch(key).hit
-            if a != b:
-                diverged = True
+        d, k = with_filter.main.layout.d, with_filter.main.layout.k
+        rejected = []
+        state_split = outcome_split = None
+        for step, key in enumerate(trace):
+            window_before = with_filter.keys_in_window()
+            main_before = with_filter.keys_in_main()
+            unfiltered_main_before = without.keys_in_main()
+            a = with_filter.fetch(key)
+            b = without.fetch(key)
+            departed = window_before - with_filter.keys_in_window()
+            if not a.hit and departed:
+                victim = departed.pop()
+                contended = sum(1 for x in main_before if x % d == victim % d) == k
+                if (contended and a.evicted is not None and a.evicted.key == victim
+                        and b.evicted is not None and b.evicted.key != victim
+                        and b.evicted.key in unfiltered_main_before):
+                    rejected.append(step)
+            if state_split is None and (
+                    with_filter.keys_in_window() != without.keys_in_window()
+                    or with_filter.keys_in_main() != without.keys_in_main()):
+                state_split = step
+            if a.hit != b.hit:
+                outcome_split = step
                 break
-            # replication implies identical state while streams agree
-            if with_filter.keys_in_window() != without.keys_in_window():
-                # states may drift only after an admission was filtered
-                break
-        if diverged:
-            # at the first outcome divergence the filtered cache must have
-            # seen at least one contended admission already
-            assert with_filter.filter.access_counter > 0
+        assert outcome_split is not None, "the seeded trace no longer diverges"
+        # the first rejected contended admission is what splits the states,
+        # and it comes strictly before the first different outcome
+        assert rejected and rejected[0] == state_split < outcome_split
 
     def test_first_state_divergence_is_a_filtered_admission(self):
         trace = random_trace(9, 4000, 120)

@@ -1,0 +1,229 @@
+"""Trace ingest keeps its streams while its memory stays bounded.
+
+The sha256 pins below were captured from the whole-array sampler that drew
+every uniform at once and held a separate weight table; the chunked sampler
+must reproduce them for lengths on both sides of a chunk boundary.
+``whole_text_parse`` is the parser that read the whole file and split it
+once; the streaming parser must give the same keys, the same dense ids and
+the same errors with the same line numbers, also when a text block ends
+inside a CRLF pair.
+"""
+
+import csv
+import hashlib
+import io
+import random
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dpcache import traces
+from dpcache.traces import TraceFormatError, ZipfSpec, generate_zipf, parse_trace
+
+ZIPF_PINS = {
+    (1, 1): "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8",
+    (1, 65536): "b1476de1907209012e63fa502715fd97db26e595352faa808d8c10433a1472a4",
+    (1, 65537): "d53d3ad94a7e8f85a5689ff4aad2cf8b2ec92ba5a8f57f6f959ba18e0fe6deb4",
+    (1, 200003): "40c3195f8a78b40f563df5eeee5ece79094b05e920cda27067d2db40678ee954",
+    (50, 1): "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8",
+    (50, 65536): "e4eaf6241db2041dc0b15a4bab2b25c45eec7c2f4e969ef58eb645735ccd847f",
+    (50, 65537): "c6b956bd89d3889cef68b131a5c86489b46855e86c2ee59a6304a81dd5b5091c",
+    (50, 200003): "db7413c935aa91c785a2a309d2e31b26b1f30f1148381ea73e5624044a9daa81",
+    (10**6, 1): "f0a0278e4372459cca6159cd5e71cfee638302a7b9ca9b05c34181ac0a65ac5d",
+    (10**6, 65536): "12fa2f0f011ac236ce85c342a3aebeda470cfb7589123ced5230afd6f5b36564",
+    (10**6, 65537): "f532ae0f89defa0d42dfae551f0379ea6afe25b4227c6bcb59294b4aa412fe6a",
+    (10**6, 200003): "0608c7e29f1dde0e6539f8aa46ab6612115d79c5c19cdc3e3cfec93b7d5ddc91",
+}
+
+
+def keys_digest(keys) -> str:
+    """sha256 of the keys as little-endian uint64, whatever holds them."""
+    return hashlib.sha256(np.fromiter(keys, dtype="<u8", count=len(keys)).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("n, length", sorted(ZIPF_PINS))
+def test_generate_zipf_stream_pinned(n, length):
+    trace = generate_zipf(ZipfSpec(N=n, s=0.99, length=length, seed=11))
+    assert len(trace) == length
+    assert keys_digest(trace.keys) == ZIPF_PINS[n, length]
+
+
+def test_key_storage_is_four_bytes_below_two_to_the_32():
+    assert traces.key_typecode(2**32 - 1) == "I"
+    assert traces.key_typecode(2**32) == "Q"
+    trace = generate_zipf(ZipfSpec(N=1000, s=0.99, length=100, seed=1))
+    assert trace.keys.typecode == "I" and trace.keys.itemsize == 4
+
+
+def test_parsed_keys_widen_when_the_ids_need_it(tmp_path):
+    # with the 'Q' threshold moved down to 3 ids, the third distinct key,
+    # met in the second block, widens the keys parsed so far
+    path = tmp_path / "t.trace"
+    path.write_text("70\n80\n70\n90\n80\n")
+    with mock.patch.object(traces, "key_typecode", lambda n: "I" if n < 3 else "Q"), \
+            mock.patch.object(traces, "_BLOCK_CHARS", 6):
+        trace = parse_trace(str(path))
+    assert trace.keys.typecode == "Q"
+    assert trace.keys.tolist() == [1, 2, 1, 3, 2]
+
+
+# -- the whole-text parser the streaming one replaces ------------------------
+
+def whole_text_parse(path: str, format: str, key_column: str = "key"):
+    """Read the file at once and split it once; returns (keys, max_key)."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    ids: dict[int, int] = {}
+    keys: list[int] = []
+
+    def parse_key(cell: str, line_no: int) -> int:
+        try:
+            key = int(cell)
+        except ValueError:
+            raise TraceFormatError(f"{path}:{line_no}: non-numeric key {cell!r}") from None
+        if key < 0 or key >= (1 << 64):
+            raise TraceFormatError(f"{path}:{line_no}: key {key} outside 64-bit range")
+        return ids.setdefault(key, len(ids) + 1)
+
+    if format == "csv":
+        reader = csv.DictReader(io.StringIO(text))
+        if reader.fieldnames is None or key_column not in reader.fieldnames:
+            raise TraceFormatError(f"{path}: missing key column {key_column!r}")
+        for line_no, row in enumerate(reader, start=2):
+            cell = (row.get(key_column) or "").strip()
+            if cell:
+                keys.append(parse_key(cell, line_no))
+    else:
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            line = line.strip()
+            if line:
+                keys.append(parse_key(line, line_no))
+    if not keys:
+        raise TraceFormatError(f"{path}: no events found")
+    return keys, len(ids)
+
+
+def outcome(parse, path, format):
+    try:
+        return parse(path, format)
+    except TraceFormatError as exc:
+        return ("error", str(exc))
+
+
+def streamed(path, format):
+    trace = parse_trace(path, format)
+    return trace.keys.tolist(), trace.max_key
+
+
+CELLS = st.one_of(
+    st.sampled_from(["", " ", "\t"]),
+    st.integers(0, 40).map(str),
+    st.sampled_from([str(2**64 - 1), str(2**32), "0", " 7 ", "12\t"]),
+)
+BAD_CELLS = st.sampled_from(["x1", "-3", str(2**64), "1 2"])
+SEPARATORS = st.sampled_from(["\n", "\r\n", "\r", "\x0c"])
+
+
+@st.composite
+def trace_texts(draw):
+    cells = draw(st.lists(CELLS, max_size=30))
+    if draw(st.booleans()):
+        cells.insert(draw(st.integers(0, len(cells))), draw(BAD_CELLS))
+    seps = [draw(SEPARATORS) for _ in cells]
+    if cells and draw(st.booleans()):
+        seps[-1] = ""  # no line break after the last line
+    return cells, seps
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=trace_texts(), format=st.sampled_from(["plain", "arc", "csv"]),
+       block=st.sampled_from([1, 2, 3, 5, 8, traces._BLOCK_CHARS]))
+def test_streaming_parse_matches_whole_text(texts, format, block):
+    cells, seps = texts
+    if format == "csv":
+        # the whole-text reader raised csv.Error on a bare "\r" row end
+        seps = ["\r\n" if s == "\r" else s for s in seps]
+        text = "op,key\n" + "".join(f"r,{c}{s}" for c, s in zip(cells, seps))
+    else:
+        text = "".join(c + s for c, s in zip(cells, seps))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "t.trace")
+        Path(path).write_bytes(text.encode("utf-8"))
+        expected = outcome(whole_text_parse, path, format)
+        with mock.patch.object(traces, "_BLOCK_CHARS", block), \
+                mock.patch.object(traces, "_BLOCK_ROWS", block):
+            assert outcome(streamed, path, format) == expected
+
+
+@pytest.mark.parametrize("format", ["plain", "arc"])
+def test_block_boundary_inside_crlf_pair(tmp_path, format):
+    # "11\r" fills the first block; its "\n" opens the second, so a parser
+    # that took the lone "\r" as a line end would count an extra blank line
+    # and report the bad key on line 4 instead of line 3
+    path = tmp_path / "t.trace"
+    path.write_bytes(b"11\r\n22\r\nbad\r\n")
+    with mock.patch.object(traces, "_BLOCK_CHARS", 3):
+        with pytest.raises(TraceFormatError, match=r":3: non-numeric key 'bad'"):
+            parse_trace(str(path), format)
+    path.write_bytes(b"11\r\n22\r\n11\r\n")
+    with mock.patch.object(traces, "_BLOCK_CHARS", 3):
+        trace = parse_trace(str(path), format)
+    assert trace.keys.tolist() == [1, 2, 1]
+    assert trace.max_key == 2
+
+
+def test_csv_row_numbers_run_across_row_blocks(tmp_path):
+    # the header is row 1 and the blank row is not numbered, as before
+    path = tmp_path / "t.csv"
+    path.write_text("op,key\nr,1\nr,2\n\nr,3\nr,x\n")
+    with mock.patch.object(traces, "_BLOCK_ROWS", 2):
+        with pytest.raises(TraceFormatError, match=r":5: non-numeric key 'x'"):
+            parse_trace(str(path), format="csv")
+    assert outcome(whole_text_parse, str(path), "csv") == (
+        "error", f"{path}:5: non-numeric key 'x'")
+
+
+def test_csv_rows_may_end_in_a_bare_cr(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"op,key\rr,5\rr,6\rr,5\r")
+    assert parse_trace(str(path), format="csv").keys.tolist() == [1, 2, 1]
+
+
+# -- memory ------------------------------------------------------------------
+
+def traced_peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_generate_zipf_peak_memory():
+    # one 8 MB CDF table, 4 MB of keys and a few 64k-draw chunks
+    traces._zipf_cdf.cache_clear()
+    peak = traced_peak_mb(lambda: generate_zipf(ZipfSpec(10**6, 0.99, 10**6, 3)))
+    traces._zipf_cdf.cache_clear()
+    assert peak <= 16, f"generate_zipf peaked at {peak:.1f} MB"
+
+
+def test_parse_trace_peak_memory(tmp_path):
+    # 2e5 lines over 5e4 distinct 64-bit ids: the remap dict dominates
+    rng = random.Random(5)
+    ids = [(i * 0x9E3779B97F4A7C15) % 2**64 for i in range(1, 50_001)]
+    lines = ids * 4
+    rng.shuffle(lines)
+    path = tmp_path / "big.trace"
+    path.write_text("".join(f"{key}\n" for key in lines))
+    traces._zipf_cdf.cache_clear()
+    result = []
+    peak = traced_peak_mb(lambda: result.append(parse_trace(str(path))))
+    assert len(result[0]) == 200_000 and result[0].max_key == 50_000
+    assert peak <= 12, f"parse_trace peaked at {peak:.1f} MB"
