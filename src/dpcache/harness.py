@@ -20,6 +20,7 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 
 from .core import LayoutConfig, OpCounter
+from .hyperbolic import as_fraction
 from .multiregion import (
     FILTER_NONE,
     FILTER_TINYLFU,
@@ -162,6 +163,25 @@ def build_cache(config: ExperimentConfig, trace: Trace):
     return make_engine(spec.policy, layout, integer_factor=spec.integer_factor)
 
 
+def check_cache(config: ExperimentConfig) -> None:
+    """Raise what ``build_cache`` would raise for this geometry or integer factor.
+
+    Builds no cache and no log table, so the log table's build cache stays
+    cold for the set-up that follows.
+    """
+    spec = config.cache
+    regions = [(spec.k_w, spec.d_w), (spec.k, spec.d)] if spec.multi_region else [(spec.k, spec.d)]
+    if config.engine == ENGINE_REFERENCE:
+        if any(k < 1 or d < 1 for k, d in regions):
+            raise ConfigError("k and d must be >= 1")
+        return
+    for k, d in regions:
+        LayoutConfig(k=k, d=d)
+    policies = {spec.policy.lower(), (spec.window_policy or "").lower()}
+    if "hyperbolic" in policies and as_fraction(spec.integer_factor) <= 0:
+        raise ConfigError("integer_factor must be positive")
+
+
 def _replay_restricted(cache, keys: Sequence[int]) -> tuple[int, tuple[int, int, int], tuple[int, int, int]]:
     """Replay and enforce the per-packet operation ceilings."""
     multi = isinstance(cache, MultiRegionCache)
@@ -215,9 +235,10 @@ def run_experiment(config: ExperimentConfig, trace: Trace | None = None) -> Expe
     if config.engine == ENGINE_RESTRICTED:
         hits, totals, maxes = _replay_restricted(cache, trace.keys)
     else:
+        fetch = cache.fetch
         hits = 0
         for key in trace.keys:
-            if cache.fetch(key)[0]:
+            if fetch(key)[0]:
                 hits += 1
         totals = maxes = (0, 0, 0)
     events = len(trace.keys)
@@ -268,7 +289,7 @@ def run_sweep(
         if capacity is None:
             raise ConfigError("a k sweep needs the fixed capacity (k*d)")
         for k in k_values:
-            if capacity % k:
+            if k < 1 or capacity % k:
                 raise ConfigError(f"k={k} does not divide capacity {capacity}")
             grid.append(replace(config, cache=replace(config.cache, k=k, d=capacity // k)))
     elif sizes is not None:
@@ -278,12 +299,14 @@ def run_sweep(
                 # a single set means full associativity: k tracks the size
                 grid.append(replace(config, cache=replace(config.cache, k=size)))
                 continue
-            if size % k:
+            if k < 1 or size % k:
                 raise ConfigError(f"k={k} does not divide cache size {size}")
             grid.append(replace(config, cache=replace(config.cache, d=size // k)))
     else:
         for factor in integer_factors:
             grid.append(replace(config, cache=replace(config.cache, integer_factor=str(factor))))
+    for cfg in grid:
+        check_cache(cfg)
     trace = load_trace(config)
     return [run_experiment(cfg, trace) for cfg in grid]
 

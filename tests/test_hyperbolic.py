@@ -1,11 +1,13 @@
+import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dpcache import hyperbolic
 from dpcache.core import LayoutConfig, StorageError
-from dpcache.hyperbolic import HyperbolicEngine, LogTable, as_fraction, log2_fixed
+from dpcache.hyperbolic import HyperbolicEngine, LogTable, _build_entries, as_fraction, log2_fixed
 
 
 def floor_log2_scaled(x: int, p: int, q: int) -> int:
@@ -15,6 +17,11 @@ def floor_log2_scaled(x: int, p: int, q: int) -> int:
     while (1 << ((m + 1) * q)) <= target:
         m += 1
     return m
+
+
+def exact_entries(max_scn: int, factor: Fraction) -> tuple[int, ...]:
+    """Reference table: every entry from the exact integer log, one x at a time."""
+    return (0, 0) + tuple(log2_fixed(x, factor) for x in range(2, max_scn))
 
 
 class TestLogTable:
@@ -51,13 +58,63 @@ class TestLogTable:
         assert table.lookup(64) == table.entries[63]
         assert table.lookup(10**9) == table.entries[63]
 
-    @given(x=st.integers(2, 4096),
+    @given(x=st.integers(1, 4096),
            factor=st.sampled_from([Fraction(1, 10), Fraction(1), Fraction(10),
-                                   Fraction(100), Fraction(1000), Fraction(3, 7)]))
+                                   Fraction(100), Fraction(1000), Fraction(3, 7),
+                                   Fraction(61, 7), Fraction(12345, 17)]))
+    @example(x=1, factor=Fraction(61, 7))
+    @example(x=1, factor=Fraction(12345, 17))
+    @example(x=128, factor=Fraction(61, 7))
     @settings(max_examples=150, deadline=None)
     def test_log2_fixed_matches_search_oracle(self, x, factor):
         assert log2_fixed(x, factor) == floor_log2_scaled(
             x, factor.numerator, factor.denominator)
+
+    def test_float_product_just_below_an_integer_is_settled_exactly(self):
+        # log2(128) * 61/7 is exactly 61, but 7.0 * (61/7) in floats is
+        # 60.99999999999999, whose bare floor would store 60
+        assert LogTable(2048, Fraction(61, 7)).lookup(128) == 61
+
+    @pytest.mark.parametrize("max_scn", [2, 3, 64, 2048, 4096])
+    @pytest.mark.parametrize("factor", [
+        Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(1, 3), Fraction(61, 7),
+        Fraction(10), Fraction(100), Fraction(1000)])
+    def test_vectorized_build_equals_exact_loop(self, max_scn, factor):
+        _build_entries.cache_clear()
+        assert _build_entries(max_scn, factor) == exact_entries(max_scn, factor)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_vectorized_build_equals_exact_loop_random_factors(self, data):
+        max_scn = data.draw(st.sampled_from([2, 3, 64, 2048, 4096]), label="max_scn")
+        # the exact loop's x**p grows with p * log2(max_scn) bits; cap its
+        # work per example so wide tables draw smaller numerators
+        p = data.draw(st.integers(1, min(10**4, 10**6 // max_scn)), label="p")
+        q = data.draw(st.integers(1, 10**3), label="q")
+        factor = Fraction(p, q)
+        _build_entries.cache_clear()
+        assert _build_entries(max_scn, factor) == exact_entries(max_scn, factor)
+
+    def test_estimates_beyond_float_precision_take_the_exact_path(self, monkeypatch):
+        # entry 2 at F = 2**64 + 1 is 2**64 + 1: its float rounds to 2**64 and
+        # would overflow an int64 cast.  x**p is out of reach at such p, so
+        # the exact step is replaced by its closed form for powers of two.
+        factor = Fraction(2**64 + 1)
+        settled = []
+
+        def power_of_two_log(x, f):
+            settled.append(x)
+            return f.numerator * (x.bit_length() - 1) // f.denominator
+
+        monkeypatch.setattr(hyperbolic, "log2_fixed", power_of_two_log)
+        _build_entries.cache_clear()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _build_entries(3, factor) == (0, 0, 2**64 + 1)
+        finally:
+            _build_entries.cache_clear()
+        assert settled == [2]
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
