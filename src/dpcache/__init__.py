@@ -37,8 +37,6 @@ from .policies import (
     LfuEngine,
     LruEngine,
     PolicyEngine,
-    TableBacking,
-    identity_backing,
     make_engine,
 )
 from .traces import (

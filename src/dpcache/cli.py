@@ -42,7 +42,8 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--km", type=int, default=8, help="ways per main set")
     parser.add_argument("--dm", type=int, default=16, help="main set count")
     parser.add_argument("--window-policy", choices=POLICIES,
-                        help="window-region policy; enables the multi-region cache")
+                        help="window-region policy; with --kw and --dw it enables "
+                             "the multi-region cache")
     parser.add_argument("--kw", type=int, default=0, help="ways per window set")
     parser.add_argument("--dw", type=int, default=0, help="window set count")
     parser.add_argument("--filter", choices=["none", "tinylfu"], default=None,
@@ -70,17 +71,16 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cache_spec(args: argparse.Namespace) -> CacheSpec:
-    multi = args.window_policy is not None
     filt = args.filter
     if filt is None:
-        filt = "tinylfu" if multi else "none"
+        filt = "none" if args.window_policy is None else "tinylfu"
     return CacheSpec(
         policy=args.policy,
         k=args.km,
         d=args.dm,
         window_policy=args.window_policy,
-        k_w=args.kw if multi else 0,
-        d_w=args.dw if multi else 0,
+        k_w=args.kw,
+        d_w=args.dw,
         filter=filt,
         integer_factor=args.integer_factor,
     )

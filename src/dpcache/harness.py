@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 
 from .core import LayoutConfig, OpCounter
-from .hyperbolic import as_fraction
+from .hyperbolic import checked_factor
 from .multiregion import (
     FILTER_NONE,
     FILTER_TINYLFU,
@@ -48,7 +48,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class CacheSpec:
-    """Cache geometry: single region, or window x main when k_w is set."""
+    """Cache geometry: single region, or window x main when a window policy
+    and a window region (k_w, d_w) are given together."""
 
     policy: str
     k: int
@@ -72,11 +73,11 @@ class CacheSpec:
         return label
 
     def validate(self) -> None:
-        if self.multi_region:
+        if self.window_policy or self.k_w or self.d_w:
             if not self.window_policy:
-                raise ConfigError("multi-region cache needs a window policy")
-            if self.d_w < 1:
-                raise ConfigError("multi-region cache needs d_w >= 1")
+                raise ConfigError("a window region (k_w, d_w) needs a window policy")
+            if self.k_w < 1 or self.d_w < 1:
+                raise ConfigError("a window policy needs a window region with k_w >= 1 and d_w >= 1")
         elif self.filter == FILTER_TINYLFU:
             raise ConfigError("the admission filter applies to multi-region caches only")
 
@@ -178,8 +179,11 @@ def check_cache(config: ExperimentConfig) -> None:
     for k, d in regions:
         LayoutConfig(k=k, d=d)
     policies = {spec.policy.lower(), (spec.window_policy or "").lower()}
-    if "hyperbolic" in policies and as_fraction(spec.integer_factor) <= 0:
-        raise ConfigError("integer_factor must be positive")
+    if "hyperbolic" in policies:
+        try:
+            checked_factor(spec.integer_factor)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _replay_restricted(cache, keys: Sequence[int]) -> tuple[int, tuple[int, int, int], tuple[int, int, int]]:

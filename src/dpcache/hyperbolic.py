@@ -14,7 +14,8 @@ gaps of 2 or more always order the same way as the exact ratios.
 On a switch the table register is loaded at deployment by control packets,
 one (key=x, value=floor(log2(x)*F)) entry per packet, before traffic starts.
 The simulator models that whole protocol as the LogTable constructor: the
-table is immutable once built and freely shareable between engines.
+table is immutable once built, and tables of equal size and factor share one
+entries tuple through the build cache.
 
 The table is built in one numpy pass of floor(log2(x) * F) over every x,
 whose float error is far below a relative 1e-9.  Only entries whose float
@@ -34,10 +35,17 @@ from functools import lru_cache
 import numpy as np
 
 from .core import StorageError
-from .policies import FetchResult, PolicyEngine
+from .policies import DEFAULT_INTEGER_FACTOR, DEFAULT_MAX_SCN, FetchResult, PolicyEngine
 
-DEFAULT_INTEGER_FACTOR = Fraction(100)
-DEFAULT_MAX_SCN = 2048
+# Accepted integer factors F = p/q: 0 < F <= MAX_INTEGER_FACTOR (the paper's
+# grid tops out at 1000) and p <= MAX_FACTOR_NUMERATOR in lowest terms.  An
+# exactly settled entry costs x**p, so p bounds the build: a 2048-entry table
+# builds in about 0.1 s at p near 10**5, where p = 10**6 took 3.6 s at 4096
+# entries (CPython 3.11, shared 2-core x86-64 host).  The bounds also keep
+# every entry far below 2**52, where float64 stops separating consecutive
+# integers.
+MAX_INTEGER_FACTOR = 10**4
+MAX_FACTOR_NUMERATOR = 10**5
 
 
 def as_fraction(value: int | float | str | Fraction) -> Fraction:
@@ -50,6 +58,17 @@ def as_fraction(value: int | float | str | Fraction) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"integer factor {value!r} has a zero denominator") from None
+
+
+def checked_factor(value: int | float | str | Fraction) -> Fraction:
+    """Parse an integer factor; ValueError unless it is in the accepted range."""
+    factor = as_fraction(value)
+    if not 0 < factor <= MAX_INTEGER_FACTOR:
+        raise ValueError(f"integer factor {value} must lie in (0, {MAX_INTEGER_FACTOR}]")
+    if factor.numerator > MAX_FACTOR_NUMERATOR:
+        raise ValueError(f"integer factor {value} = {factor} needs a numerator of at most "
+                         f"{MAX_FACTOR_NUMERATOR} in lowest terms")
+    return factor
 
 
 def log2_fixed(x: int, factor: Fraction) -> int:
@@ -76,9 +95,7 @@ class LogTable:
                  integer_factor: int | float | str | Fraction = DEFAULT_INTEGER_FACTOR) -> None:
         if max_scn < 2:
             raise ValueError("max_scn must be >= 2")
-        factor = as_fraction(integer_factor)
-        if factor <= 0:
-            raise ValueError("integer_factor must be positive")
+        factor = checked_factor(integer_factor)
         self.max_scn = max_scn
         self.integer_factor = factor
         self.entries = _build_entries(max_scn, factor)
@@ -99,16 +116,11 @@ class LogTable:
 # Float log2(x) * F is within a few ulps (~1e-15 relative) of the exact value,
 # so its floor is exact unless it lies within this relative margin of an integer.
 _NEAR_INTEGER = 1e-9
-# At or above 2**52 float64 no longer separates consecutive integers: every
-# entry is then settled exactly, and none goes through an int64 cast.
-_FLOAT_EXACT_LIMIT = 2.0**52
 
 
 @lru_cache(maxsize=16)
 def _build_entries(max_scn: int, factor: Fraction) -> tuple[int, ...]:
     scaled = np.log2(np.arange(2, max_scn, dtype=np.float64)) * float(factor)
-    if scaled.size and not scaled[-1] < _FLOAT_EXACT_LIMIT:
-        return (0, 0) + tuple(log2_fixed(x, factor) for x in range(2, max_scn))
     near = np.abs(scaled - np.rint(scaled)) <= _NEAR_INTEGER * np.maximum(1.0, scaled)
     entries = np.floor(scaled).astype(np.int64).tolist()
     for i in np.flatnonzero(near).tolist():
@@ -128,14 +140,14 @@ class HyperbolicEngine(PolicyEngine):
     name = "hyperbolic"
 
     def __init__(self, *args, integer_factor: int | float | str | Fraction = DEFAULT_INTEGER_FACTOR,
-                 max_scn: int = DEFAULT_MAX_SCN, log_table: LogTable | None = None, **kwargs) -> None:
+                 max_scn: int = DEFAULT_MAX_SCN, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         lay = self.layout
         if lay.scn_bits < 2:
             raise StorageError("hyperbolic needs at least 2 scn bits to split")
         self.freq_bits = lay.scn_bits // 2
         self.time_bits = lay.scn_bits - self.freq_bits
-        self.log_table = log_table if log_table is not None else LogTable(max_scn, integer_factor)
+        self.log_table = LogTable(max_scn, integer_factor)
         if self.log_table.max_scn > (1 << self.time_bits):
             raise StorageError("max_scn does not fit the insert-time field")
         self.freq_max = (1 << self.freq_bits) - 1

@@ -10,7 +10,10 @@ higher count — so a rejected window victim is the element that actually leaves
 The filter keeps one explicit counter per key in the universe, aged in a
 de-amortized fashion: every ``n`` accesses a fixed-size slice of the counter
 array is halved in cyclic order, so that a full halving pass completes once
-per ``W`` accesses without ever pausing a packet for a full sweep.
+per ``W`` accesses without ever pausing a packet for a full sweep.  The aging
+constants are fixed here for both this cache and the reference composition
+(``oracle.ReferenceMultiCache``): W = 16 x the total capacity, n = 16, and
+counters saturate at 2**15 - 1.
 """
 
 from __future__ import annotations
@@ -20,12 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MISS, CacheElement, LayoutConfig, OpCounter, StorageError
-from .policies import Backing, FetchResult, PolicyEngine, identity_backing, make_engine
+from .policies import FetchResult, PolicyEngine, make_engine
 
 FILTER_NONE = "none"
 FILTER_TINYLFU = "tinylfu"
 
-DEFAULT_COUNTER_CAP = (1 << 15) - 1
+AGING_STRIDE = 16
+COUNTER_CAP = (1 << 15) - 1
+
+
+def aging_window(capacity: int) -> int:
+    """Accesses per full halving epoch for a cache of ``capacity`` entries."""
+    return 16 * capacity
 
 
 @dataclass(frozen=True)
@@ -41,23 +50,16 @@ class RegionSpec:
 
 @dataclass(frozen=True)
 class MultiRegionConfig:
-    """Geometry and policy of both regions plus filter/aging knobs.
+    """Geometry and policy of both regions, the filter, and the SCN width.
 
-    ``aging_window`` (W) is the access count per full halving epoch and
-    defaults to 16x the total capacity; ``aging_stride`` (n) is the access
-    count between partial halving steps.
+    The filter's aging is fixed by the module constants; ``integer_factor``
+    applies to a hyperbolic region.
     """
 
     window: RegionSpec
     main: RegionSpec
     key_universe: int
     filter: str = FILTER_TINYLFU
-    aging_window: int | None = None
-    aging_stride: int = 16
-    counter_cap: int = DEFAULT_COUNTER_CAP
-    refresh_scn_on_admission: bool = True
-    key_bits: int = 32
-    value_bits: int = 32
     scn_bits: int = 32
     integer_factor: object = 100
 
@@ -66,14 +68,6 @@ class MultiRegionConfig:
             raise ValueError(f"unknown filter {self.filter!r}")
         if self.key_universe < 2:
             raise ValueError("key_universe must cover at least one live key")
-        w = self.resolved_aging_window()
-        if not self.aging_stride < w:
-            raise ValueError("aging_stride must be smaller than aging_window")
-
-    def resolved_aging_window(self) -> int:
-        if self.aging_window is not None:
-            return self.aging_window
-        return 16 * (self.window.capacity + self.main.capacity)
 
 
 class CountingFilter:
@@ -84,7 +78,7 @@ class CountingFilter:
         key_universe: int,
         aging_window: int,
         aging_stride: int,
-        counter_cap: int = DEFAULT_COUNTER_CAP,
+        counter_cap: int = COUNTER_CAP,
         counter: OpCounter | None = None,
     ) -> None:
         if not 0 < aging_stride < aging_window:
@@ -137,40 +131,30 @@ class MultiRegionCache:
     def __init__(
         self,
         config: MultiRegionConfig,
-        backing: Backing | None = None,
         counter: OpCounter | None = None,
         check_invariants: bool = False,
     ) -> None:
         self.config = config
         self.counter = counter if counter is not None else OpCounter()
-        self.backing: Backing = backing or identity_backing(config.value_bits)
 
         def layout(spec: RegionSpec) -> LayoutConfig:
-            return LayoutConfig(
-                key_bits=config.key_bits,
-                value_bits=config.value_bits,
-                scn_bits=config.scn_bits,
-                scn_words=2,
-                k=spec.k,
-                d=spec.d,
-            )
+            return LayoutConfig(scn_bits=config.scn_bits, scn_words=2, k=spec.k, d=spec.d)
 
         self.window: PolicyEngine = make_engine(
             config.window.policy, layout(config.window),
-            backing=self.backing, counter=self.counter, scn_index=0,
+            counter=self.counter, scn_index=0,
             check_invariants=check_invariants, integer_factor=config.integer_factor,
         )
         self.main: PolicyEngine = make_engine(
             config.main.policy, layout(config.main),
-            backing=self.backing, counter=self.counter, scn_index=1,
+            counter=self.counter, scn_index=1,
             check_invariants=check_invariants, integer_factor=config.integer_factor,
         )
         if config.filter == FILTER_TINYLFU:
             self.filter: CountingFilter | None = CountingFilter(
                 config.key_universe,
-                config.resolved_aging_window(),
-                config.aging_stride,
-                config.counter_cap,
+                aging_window(config.window.capacity + config.main.capacity),
+                AGING_STRIDE,
                 counter=self.counter,
             )
         else:
@@ -192,8 +176,8 @@ class MultiRegionCache:
         if way_window != MISS:
             return self.window.serve_hit(h_window, way_window)
 
-        value = self.backing(key)
         window, main = self.window, self.main
+        value = key & window.value_mask
         window_victim, pending = window.insert_pending_raw(
             h_window, window.stamp((key, value) + window._no_scn)
         )
@@ -202,14 +186,8 @@ class MultiRegionCache:
         if not victim_key:
             return FetchResult(False, value, None)
 
-        if self.config.refresh_scn_on_admission:
-            admitted = main.stamp(window_victim)
-        else:
-            # carry the window-region metric into the main-region word
-            admitted = main.stamp(window_victim, window_victim[window._scn_field])
-
         h2 = victim_key % main.layout.d
-        main_victim, pending = main.insert_pending_raw(h2, admitted)
+        main_victim, pending = main.insert_pending_raw(h2, main.stamp(window_victim))
         main_victim_key = main_victim[0]
         if not main_victim_key:
             main.store.write_set_raw(h2, pending)
@@ -224,9 +202,3 @@ class MultiRegionCache:
             return FetchResult(False, value, CacheElement.from_way(window_victim))
         main.store.write_set_raw(h2, pending)
         return FetchResult(False, value, CacheElement.from_way(main_victim))
-
-    def keys_in_window(self) -> set[int]:
-        return self.window.live_keys()
-
-    def keys_in_main(self) -> set[int]:
-        return self.main.live_keys()

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LayoutConfig
+from .multiregion import COUNTER_CAP, aging_window
 from .policies import PolicyEngine, make_engine
 
 _MAX_ENUMERATION_NODES = 5_000_000
@@ -235,7 +236,8 @@ class ReferenceMultiCache:
     Aging here is the original batch scheme: all counters are halved at once
     every ``aging_window`` accesses.  This intentionally differs from the
     restricted engine's de-amortized slicing so the admission behaviour of the
-    two schemes can be compared.
+    two schemes can be compared; the window length and the counter cap are
+    the restricted cache's own (``multiregion.aging_window``, ``COUNTER_CAP``).
     """
 
     def __init__(
@@ -248,15 +250,13 @@ class ReferenceMultiCache:
         d_m: int,
         key_universe: int,
         use_filter: bool = True,
-        aging_window: int | None = None,
-        counter_cap: int = (1 << 15) - 1,
     ) -> None:
         self.window = ReferenceCache(window_policy, k_w, d_w)
         self.main = ReferenceCache(main_policy, k_m, d_m)
         self.use_filter = use_filter
         self.key_universe = key_universe
-        self.aging_window = aging_window or 16 * (k_w * d_w + k_m * d_m)
-        self.counter_cap = counter_cap
+        self.aging_window = aging_window(k_w * d_w + k_m * d_m)
+        self.counter_cap = COUNTER_CAP
         self.counters = np.zeros(key_universe, dtype=np.uint32)
         self.access_counter = 0
 

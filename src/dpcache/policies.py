@@ -13,6 +13,7 @@ expose decoded ``CacheElement`` values at their boundaries.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .core import (
@@ -25,7 +26,9 @@ from .core import (
     StorageError,
 )
 
-Backing = Callable[[int], int]
+# hyperbolic log table defaults, shared by make_engine and the hyperbolic module
+DEFAULT_INTEGER_FACTOR = Fraction(100)
+DEFAULT_MAX_SCN = 2048
 
 
 class FetchResult(NamedTuple):
@@ -38,34 +41,6 @@ class FetchResult(NamedTuple):
     hit: bool
     value: int
     evicted: CacheElement | None
-
-
-def identity_backing(value_bits: int) -> Backing:
-    """Default backing store: the key itself, truncated to the value width."""
-    mask = (1 << value_bits) - 1
-
-    def fetch(key: int) -> int:
-        return key & mask
-
-    return fetch
-
-
-class TableBacking:
-    """Deterministic key->value mapping with an identity fallback.
-
-    Every table value must fit ``value_bits``, the width of the value field
-    the engine stores it in.
-    """
-
-    def __init__(self, table: dict[int, int], value_bits: int = 32) -> None:
-        for key, value in table.items():
-            if not 0 <= value < 1 << value_bits:
-                raise ValueError(f"value {value} for key {key} does not fit {value_bits} bits")
-        self.table = dict(table)
-        self._fallback = identity_backing(value_bits)
-
-    def __call__(self, key: int) -> int:
-        return self.table.get(key, self._fallback(key))
 
 
 class PolicyEngine:
@@ -86,7 +61,6 @@ class PolicyEngine:
     def __init__(
         self,
         layout: LayoutConfig,
-        backing: Backing | None = None,
         counter: OpCounter | None = None,
         scn_index: int = 0,
         check_invariants: bool = False,
@@ -96,7 +70,8 @@ class PolicyEngine:
         self.layout = layout
         self.scn_index = scn_index
         self.store = RegisterStore(layout, counter, check_invariants)
-        self.backing: Backing = backing or identity_backing(layout.value_bits)
+        # a miss serves the key itself, truncated to the value width
+        self.value_mask = (1 << layout.value_bits) - 1
         self.fold_observer: Callable[[int, int], None] | None = None
         # this engine's SCN word in a way tuple and in a set's field rows
         self._scn_field = SCN_FIELD + scn_index
@@ -120,23 +95,21 @@ class PolicyEngine:
 
     # -- shared machinery ----------------------------------------------------
 
-    def stamp(self, way: tuple[int, ...], scn: int | None = None) -> tuple[int, ...]:
-        """``way`` with this engine's SCN word set to ``scn``.
+    def stamp(self, way: tuple[int, ...]) -> tuple[int, ...]:
+        """``way`` with this engine's SCN word set to a fresh initial SCN.
 
-        The default is a fresh initial SCN, as given to a newly inserted or
-        admitted element; the other region's word is carried along untouched.
+        As given to a newly inserted or admitted element; the other region's
+        word is carried along untouched.
         """
-        if scn is None:
-            scn = self._initial_scn()
         f = self._scn_field
-        return way[:f] + (scn,) + way[f + 1:]
+        return way[:f] + (self._initial_scn(),) + way[f + 1:]
 
     def fetch(self, key: int) -> FetchResult:
         h = key % self.layout.d
         way = self.store.ternary_lookup(h, key)
         if way != MISS:
             return self.serve_hit(h, way)
-        value = self.backing(key)
+        value = key & self.value_mask
         victim, rows = self.insert_pending_raw(h, self.stamp((key, value) + self._no_scn))
         self.store.write_set_raw(h, rows)
         if victim[0]:
@@ -317,13 +290,18 @@ class LfuEngine(PolicyEngine):
 def make_engine(
     policy: str,
     layout: LayoutConfig,
-    backing: Backing | None = None,
     counter: OpCounter | None = None,
     scn_index: int = 0,
     check_invariants: bool = False,
-    **policy_kwargs,
+    *,
+    integer_factor: int | float | str | Fraction = DEFAULT_INTEGER_FACTOR,
+    max_scn: int = DEFAULT_MAX_SCN,
 ) -> PolicyEngine:
-    """Build an engine by policy name ("fifo", "lru", "lfu", "hyperbolic")."""
+    """Build an engine by policy name ("fifo", "lru", "lfu", "hyperbolic").
+
+    ``integer_factor`` and ``max_scn`` size the hyperbolic log table; the
+    other policies have no log table and ignore them.
+    """
     # imported here so the hyperbolic module can build on this one
     from .hyperbolic import HyperbolicEngine
 
@@ -337,14 +315,7 @@ def make_engine(
         cls = classes[policy.lower()]
     except KeyError:
         raise ValueError(f"unknown policy {policy!r}") from None
-    if cls is not HyperbolicEngine:
-        policy_kwargs.pop("integer_factor", None)
-        policy_kwargs.pop("max_scn", None)
-    return cls(
-        layout,
-        backing=backing,
-        counter=counter,
-        scn_index=scn_index,
-        check_invariants=check_invariants,
-        **policy_kwargs,
-    )
+    if cls is HyperbolicEngine:
+        return cls(layout, counter, scn_index, check_invariants,
+                   integer_factor=integer_factor, max_scn=max_scn)
+    return cls(layout, counter, scn_index, check_invariants)

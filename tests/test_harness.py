@@ -90,6 +90,18 @@ class TestRunExperiment:
                 trace_path=path,
             ).validate()
 
+    @pytest.mark.parametrize("window", [
+        dict(window_policy="fifo"),
+        dict(window_policy="fifo", d_w=2),
+        dict(window_policy="fifo", k_w=2),
+        dict(k_w=2, d_w=2),
+        dict(d_w=2),
+        dict(window_policy="fifo", k_w=-1, d_w=2),
+    ])
+    def test_window_policy_and_region_come_together(self, window):
+        with pytest.raises(ConfigError, match="window"):
+            single(**window).validate()
+
 
 class TestRunSweep:
     def test_k_sweep_grid(self):
@@ -282,6 +294,18 @@ class TestCli:
           "--zipf-len", "10"], "N and length must be >= 1"),
         (["sweep", "--policy", "hyperbolic", "--zipf-n", "100", "--zipf-s", "0.99",
           "--zipf-len", "10", "--integer-factors", "1,1/0"], "zero denominator"),
+        (["run", "--policy", "hyperbolic", "--integer-factor", "1e400", "--zipf-n", "100",
+          "--zipf-s", "0.99", "--zipf-len", "10"], "must lie in (0, 10000]"),
+        (["sweep", "--policy", "hyperbolic", "--zipf-n", "100", "--zipf-s", "0.99",
+          "--zipf-len", "10", "--integer-factors", "1,1e400"], "must lie in (0, 10000]"),
+        # window flags that do not form a window region are errors, never a
+        # silently single-region run
+        (["run", "--policy", "lru", "--window-policy", "fifo", "--filter", "none",
+          "--zipf-n", "100", "--zipf-s", "0.99", "--zipf-len", "10"], "needs a window region"),
+        (["run", "--policy", "lru", "--window-policy", "fifo",
+          "--zipf-n", "100", "--zipf-s", "0.99", "--zipf-len", "10"], "needs a window region"),
+        (["run", "--policy", "lru", "--kw", "2", "--dw", "2",
+          "--zipf-n", "100", "--zipf-s", "0.99", "--zipf-len", "10"], "needs a window policy"),
     ])
     def test_value_errors_become_error_lines(self, argv, message, capsys):
         assert main(argv) == 1

@@ -1,13 +1,20 @@
-import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpcache import hyperbolic
 from dpcache.core import LayoutConfig, StorageError
-from dpcache.hyperbolic import HyperbolicEngine, LogTable, _build_entries, as_fraction, log2_fixed
+from dpcache.hyperbolic import (
+    MAX_FACTOR_NUMERATOR,
+    MAX_INTEGER_FACTOR,
+    HyperbolicEngine,
+    LogTable,
+    _build_entries,
+    as_fraction,
+    checked_factor,
+    log2_fixed,
+)
 
 
 def floor_log2_scaled(x: int, p: int, q: int) -> int:
@@ -95,32 +102,29 @@ class TestLogTable:
         _build_entries.cache_clear()
         assert _build_entries(max_scn, factor) == exact_entries(max_scn, factor)
 
-    def test_estimates_beyond_float_precision_take_the_exact_path(self, monkeypatch):
-        # entry 2 at F = 2**64 + 1 is 2**64 + 1: its float rounds to 2**64 and
-        # would overflow an int64 cast.  x**p is out of reach at such p, so
-        # the exact step is replaced by its closed form for powers of two.
-        factor = Fraction(2**64 + 1)
-        settled = []
-
-        def power_of_two_log(x, f):
-            settled.append(x)
-            return f.numerator * (x.bit_length() - 1) // f.denominator
-
-        monkeypatch.setattr(hyperbolic, "log2_fixed", power_of_two_log)
-        _build_entries.cache_clear()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert _build_entries(3, factor) == (0, 0, 2**64 + 1)
-        finally:
-            _build_entries.cache_clear()
-        assert settled == [2]
-
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             LogTable(1, 100)
         with pytest.raises(ValueError):
             LogTable(16, 0)
+
+    @pytest.mark.parametrize("factor", [
+        "0", "-1", "1e400", 1e300, "1/0", "inf", "nan", MAX_INTEGER_FACTOR + Fraction(1, 10**6),
+        Fraction(MAX_FACTOR_NUMERATOR + 1, 1000),
+    ])
+    def test_factor_outside_the_accepted_range_is_rejected(self, factor):
+        with pytest.raises(ValueError):
+            checked_factor(factor)
+        with pytest.raises(ValueError):
+            LogTable(64, factor)
+
+    @pytest.mark.parametrize("factor", [
+        "1e-400", Fraction(1, 10**6), MAX_INTEGER_FACTOR, Fraction(MAX_FACTOR_NUMERATOR, 11),
+    ])
+    def test_factor_at_the_edges_of_the_range_is_accepted(self, factor):
+        table = LogTable(2048, factor)
+        assert table.integer_factor == Fraction(factor)
+        assert list(table.entries) == sorted(table.entries)
 
     def test_memory_model_monotone_in_factor(self):
         # reporting function only: larger factors store wider values
@@ -253,7 +257,7 @@ class TestHyperbolicEngine:
             HyperbolicEngine(LayoutConfig(scn_bits=8, k=1, d=1), max_scn=2048)
 
     def test_log_table_shared_between_engines(self):
-        table = LogTable(256, 100)
-        a = HyperbolicEngine(LayoutConfig(k=2, d=1), log_table=table)
-        b = HyperbolicEngine(LayoutConfig(k=2, d=1), log_table=table)
-        assert a.log_table is b.log_table
+        # engines of one size and factor share the built entries, not copies
+        a = HyperbolicEngine(LayoutConfig(k=2, d=1), max_scn=256, integer_factor=100)
+        b = HyperbolicEngine(LayoutConfig(k=4, d=8), max_scn=256, integer_factor="100")
+        assert a.log_table.entries is b.log_table.entries

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dpcache.core import OpCounter
+from dpcache.core import OpCounter, StorageError
 from dpcache.multiregion import (
     CountingFilter,
     MultiRegionCache,
@@ -30,23 +30,31 @@ def random_trace(seed, length, universe):
 
 
 class TestConfig:
-    def test_stride_must_undercut_window(self):
-        with pytest.raises(ValueError):
-            MultiRegionConfig(window=RegionSpec("fifo", 2, 1),
-                              main=RegionSpec("lru", 2, 1),
-                              key_universe=10, aging_window=8, aging_stride=8)
-
     def test_default_window_is_16x_capacity(self):
-        cfg = MultiRegionConfig(window=RegionSpec("fifo", 4, 16),
-                                main=RegionSpec("lru", 16, 16), key_universe=10)
-        assert cfg.resolved_aging_window() == 16 * (64 + 256)
+        cache = make_cache(window=("fifo", 4, 16), main=("lru", 16, 16), universe=10)
+        assert cache.filter.aging_window == 16 * (64 + 256)
+        assert (cache.filter.aging_stride, cache.filter.counter_cap) == (16, 2**15 - 1)
+
+    def test_reference_composition_ages_alike(self):
+        # c05 compares the two schemes' admission behaviour, so both must
+        # read the same epoch length and counter cap for one geometry
+        for window, main in [(("fifo", 4, 16), ("lru", 16, 16)), (("lru", 1, 1), ("lru", 1, 1))]:
+            cache = make_cache(window=window, main=main, universe=10)
+            ref = ReferenceMultiCache(window[0], main[0], *window[1:], *main[1:], key_universe=10)
+            assert cache.filter.aging_window == ref.aging_window
+            assert cache.filter.counter_cap == ref.counter_cap
 
     def test_key_outside_universe_rejected(self):
         cache = make_cache(universe=10)
-        with pytest.raises(Exception):
+        with pytest.raises(StorageError):
             cache.fetch(10)
-        with pytest.raises(Exception):
+        with pytest.raises(StorageError):
             cache.fetch(0)
+
+    def test_miss_serves_the_key(self):
+        cache = make_cache(universe=100)
+        assert cache.fetch(42) == (False, 42, None)
+        assert cache.fetch(42) == (True, 42, None)
 
 
 class TestCountingFilter:
@@ -94,8 +102,8 @@ class TestAdmission:
         cache = make_cache(window=("fifo", 2, 1), main=("lru", 2, 1), universe=100)
         for key in [2, 4, 1, 3]:
             cache.fetch(key)
-        assert cache.keys_in_main() == {2, 4}
-        assert cache.keys_in_window() == {1, 3}
+        assert cache.main.live_keys() == {2, 4}
+        assert cache.window.live_keys() == {1, 3}
         cache.filter.counters[:] = 0
         cache.filter.counters[1] = w_count
         main_victim = 2  # LRU-older of the two main residents
@@ -106,21 +114,21 @@ class TestAdmission:
         cache = self._primed(w_count=5, m_count=3)
         result = cache.fetch(5)
         assert result.evicted.key == 2
-        assert cache.keys_in_main() == {1, 4}
+        assert cache.main.live_keys() == {1, 4}
 
     def test_window_victim_rejected_on_lower_count(self):
         cache = self._primed(w_count=2, m_count=6)
-        before = cache.keys_in_main()
+        before = cache.main.live_keys()
         result = cache.fetch(5)
         assert result.evicted.key == 1
-        assert cache.keys_in_main() == before
+        assert cache.main.live_keys() == before
 
     def test_tie_admits_window_victim(self):
         # strict > is required to restore the main victim
         cache = self._primed(w_count=4, m_count=4)
         result = cache.fetch(5)
         assert result.evicted.key == 2
-        assert cache.keys_in_main() == {1, 4}
+        assert cache.main.live_keys() == {1, 4}
 
     def test_filterless_evicts_main_victim_unconditionally(self):
         cache = make_cache(window=("fifo", 2, 1), main=("lru", 2, 1),
@@ -144,7 +152,7 @@ class TestComposition:
         capacity = window[1] * window[2] + main[1] * main[2]
         for key in random_trace(3, 2500, 60):
             cache.fetch(key)
-            w, m = cache.keys_in_window(), cache.keys_in_main()
+            w, m = cache.window.live_keys(), cache.main.live_keys()
             assert not w & m
             assert len(w) + len(m) <= capacity
 
@@ -153,7 +161,7 @@ class TestComposition:
         for key in random_trace(4, 800, 50):
             r = cache.fetch(key)
             if r.hit:
-                live = cache.keys_in_window() | cache.keys_in_main()
+                live = cache.window.live_keys() | cache.main.live_keys()
                 assert key in live
 
     @pytest.mark.parametrize("window,main", [
@@ -184,8 +192,8 @@ class TestComposition:
             hit, evicted = ref.fetch(key)
             assert result.hit == hit
             assert (result.evicted.key if result.evicted else None) == evicted
-            assert cache.keys_in_main() == ref.main.live_keys()
-            assert cache.keys_in_window() == ref.window.live_keys()
+            assert cache.main.live_keys() == ref.main.live_keys()
+            assert cache.window.live_keys() == ref.window.live_keys()
             rescales += cache.main.clock < clock
             clock = cache.main.clock
         assert rescales > 10
@@ -202,12 +210,12 @@ class TestComposition:
         rejected = []
         state_split = outcome_split = None
         for step, key in enumerate(trace):
-            window_before = with_filter.keys_in_window()
-            main_before = with_filter.keys_in_main()
-            unfiltered_main_before = without.keys_in_main()
+            window_before = with_filter.window.live_keys()
+            main_before = with_filter.main.live_keys()
+            unfiltered_main_before = without.main.live_keys()
             a = with_filter.fetch(key)
             b = without.fetch(key)
-            departed = window_before - with_filter.keys_in_window()
+            departed = window_before - with_filter.window.live_keys()
             if not a.hit and departed:
                 victim = departed.pop()
                 contended = sum(1 for x in main_before if x % d == victim % d) == k
@@ -216,8 +224,8 @@ class TestComposition:
                         and b.evicted.key in unfiltered_main_before):
                     rejected.append(step)
             if state_split is None and (
-                    with_filter.keys_in_window() != without.keys_in_window()
-                    or with_filter.keys_in_main() != without.keys_in_main()):
+                    with_filter.window.live_keys() != without.window.live_keys()
+                    or with_filter.main.live_keys() != without.main.live_keys()):
                 state_split = step
             if a.hit != b.hit:
                 outcome_split = step
@@ -238,29 +246,19 @@ class TestComposition:
                 h for h, word in enumerate(with_filter.main.store.sets)
                 if all(with_filter.main.store.decode_set(word)[0])
             }
-            window_before = with_filter.keys_in_window()
+            window_before = with_filter.window.live_keys()
             with_filter.fetch(key)
             without.fetch(key)
-            same = (with_filter.keys_in_window() == without.keys_in_window()
-                    and with_filter.keys_in_main() == without.keys_in_main())
+            same = (with_filter.window.live_keys() == without.window.live_keys()
+                    and with_filter.main.live_keys() == without.main.live_keys())
             if not same:
                 # the step produced a window victim aimed at a full main set
-                departed = window_before - with_filter.keys_in_window()
+                departed = window_before - with_filter.window.live_keys()
                 assert departed, "divergence without a window eviction"
                 victim = departed.pop()
                 assert victim % with_filter.main.layout.d in full_sets
                 return
         pytest.skip("no divergence in this trace")
-
-    def test_refresh_vs_carry_switch(self):
-        keys = random_trace(12, 1500, 80)
-        refreshed = make_cache(window=("lru", 2, 2), main=("lru", 2, 2),
-                               universe=80, refresh_scn_on_admission=True)
-        carried = make_cache(window=("lru", 2, 2), main=("lru", 2, 2),
-                             universe=80, refresh_scn_on_admission=False)
-        a = [refreshed.fetch(key).hit for key in keys]
-        b = [carried.fetch(key).hit for key in keys]
-        assert len(a) == len(b)  # both run to completion; streams may differ
 
 
 class TestMultiOpAccounting:
@@ -268,7 +266,7 @@ class TestMultiOpAccounting:
         cache = make_cache(window=("fifo", 2, 1), main=("lru", 2, 1), universe=100)
         for key in [2, 4, 1, 3]:
             cache.fetch(key)
-        assert 2 in cache.keys_in_main()
+        assert 2 in cache.main.live_keys()
         cache.counter.reset()
         r = cache.fetch(2)
         assert r.hit

@@ -106,13 +106,14 @@ class TestReferencePolicies:
 
 class TestReferenceMulti:
     def test_batch_halving(self):
-        cache = ReferenceMultiCache("fifo", "lru", 1, 1, 1, 1,
-                                    key_universe=50, aging_window=10)
-        for _ in range(9):
+        # capacity 2: the epoch is 16 x 2 = 32 accesses
+        cache = ReferenceMultiCache("fifo", "lru", 1, 1, 1, 1, key_universe=50)
+        assert cache.aging_window == 32
+        for _ in range(31):
             cache.fetch(7)
-        assert cache.counters[7] == 9
-        cache.fetch(7)  # 10th access triggers the halve-all
-        assert cache.counters[7] == 5
+        assert cache.counters[7] == 31
+        cache.fetch(7)  # 32nd access triggers the halve-all
+        assert cache.counters[7] == 16
 
     def test_live_keys_disjoint_regions(self):
         cache = ReferenceMultiCache("fifo", "lru", 2, 2, 2, 2, key_universe=60)

@@ -8,8 +8,6 @@ from dpcache.oracle import ReferenceCache
 from dpcache.policies import (
     FifoEngine,
     LruEngine,
-    TableBacking,
-    identity_backing,
     make_engine,
 )
 
@@ -238,30 +236,19 @@ class TestLfu:
 
 
 class TestBacking:
+    """The value source: a miss serves the key truncated to the value width."""
+
     def test_identity_default(self):
-        assert identity_backing(32)(7) == 7
+        eng = make_engine("lru", LayoutConfig(k=2, d=1))
+        assert eng.fetch(7).value == 7
+        assert eng.fetch(7).value == 7  # hit returns the cached value
 
     def test_truncation(self):
-        assert identity_backing(32)(2**33 + 5) == 5
-
-    def test_table(self):
-        assert TableBacking({1: 10})(1) == 10
-        assert TableBacking({1: 10})(2) == 2
-
-    def test_engine_stores_backed_value(self):
-        eng = make_engine("lru", LayoutConfig(k=2, d=1), backing=TableBacking({9: 90}))
-        assert eng.fetch(9).value == 90
-        assert eng.fetch(9).value == 90  # hit returns the cached value
-
-    def test_table_rejects_values_wider_than_the_field(self):
-        # caught at construction, not at the next packed read of the store
-        for value in (256, 1000, -1):
-            with pytest.raises(ValueError, match="does not fit 8 bits"):
-                TableBacking({3: value}, value_bits=8)
-        eng = make_engine("lru", LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1),
-                          backing=TableBacking({3: 255}, value_bits=8))
-        assert eng.fetch(3).value == 255
-        assert eng.store.sets == [eng.store.encode_set([[3, 0], [255, 0], [1, 0]])[0]]
+        for policy in ["fifo", "lru", "lfu", "hyperbolic"]:
+            eng = make_engine(policy, LayoutConfig(key_bits=16, value_bits=8, k=2, d=1))
+            assert eng.fetch(0x1234).value == 0x34
+            assert eng.fetch(0x1234) == (True, 0x34, None)
+            assert eng.store.rows[0][1][0] == 0x34
 
 
 class TestKeyRange:
