@@ -2,17 +2,18 @@
 
 A cache region is one fixed array of ``d`` encoded sets.  Each set is a single
 bit-string holding ``k`` elements (ways); each element packs a key, a value and
-one or two SCN (sequence change number) metadata words.  A parallel keys-only
+one SCN (sequence change number) metadata word.  A parallel keys-only
 register mirrors just the key fields so that membership can be tested with a
 single ternary (TCAM-style) comparison instead of a loop.  The store keeps
-each set as field rows (a key row, a value row and one row per SCN word) and
-derives the packed words on demand, so the simulator does not pay for packing
-on every packet.  A way travels as a flat ``(key, value, scn0[, scn1])``
-tuple whose entries line up with the field rows.
+each set as field rows (a key row, a value row and an SCN row) and derives
+the packed words on demand, so the simulator does not pay for packing on every
+packet.  A way travels as a flat ``(key, value, scn)`` tuple whose entries
+line up with the field rows.  Each region of a multi-region cache is its own
+store, so an element only carries the SCN word of the region holding it.
 
 Bit order is little-endian by way: way 0 occupies the lowest-order slice of the
 set word, and within an element the key sits in the lowest bits, then the
-value, then the SCN word(s).  Key 0 is reserved as the empty-way marker; live
+value, then the SCN word.  Key 0 is reserved as the empty-way marker; live
 keys are always >= 1.
 """
 
@@ -26,12 +27,12 @@ MISS = -1
 # Longest ternary mask supported by the match stage; caps k * key_bits.
 TCAM_MASK_BITS = 2048
 
-# Position of the first SCN word in a way tuple and in a set's field rows.
+# Position of the SCN word in a way tuple and in a set's field rows.
 SCN_FIELD = 2
 
 
 class CacheElement(NamedTuple):
-    """One decoded way: key, value and SCN metadata words.
+    """One decoded way: key, value and SCN metadata word.
 
     The store never holds elements; this is the type that ``peek_set``, an
     engine's ``dump`` and ``FetchResult.evicted`` hand out.
@@ -39,12 +40,12 @@ class CacheElement(NamedTuple):
 
     key: int
     value: int
-    scn: tuple[int, ...]
+    scn: int
 
     @classmethod
     def from_way(cls, way: tuple[int, ...]) -> "CacheElement":
-        """The element of a flat ``(key, value, scn0[, scn1])`` way tuple."""
-        return cls(way[0], way[1], way[SCN_FIELD:])
+        """The element of a flat ``(key, value, scn)`` way tuple."""
+        return cls(*way)
 
 
 class LayoutError(ValueError):
@@ -57,24 +58,17 @@ class StorageError(ValueError):
 
 @dataclass(frozen=True)
 class LayoutConfig:
-    """Field widths and geometry of one cache region.
-
-    ``scn_words`` is 1 for single-region elements and 2 for multi-region
-    elements that carry one metadata word per region.
-    """
+    """Field widths and geometry of one cache region."""
 
     key_bits: int = 32
     value_bits: int = 32
     scn_bits: int = 32
-    scn_words: int = 1
     k: int = 4
     d: int = 16
 
     def __post_init__(self) -> None:
         if min(self.key_bits, self.value_bits, self.scn_bits) < 1:
             raise LayoutError("all field widths must be >= 1")
-        if self.scn_words not in (1, 2):
-            raise LayoutError("scn_words must be 1 or 2")
         if self.k < 1 or self.d < 1:
             raise LayoutError("k and d must be >= 1")
         if self.k * self.key_bits > TCAM_MASK_BITS:
@@ -85,7 +79,7 @@ class LayoutConfig:
 
     @property
     def element_width(self) -> int:
-        return self.key_bits + self.value_bits + self.scn_words * self.scn_bits
+        return self.key_bits + self.value_bits + self.scn_bits
 
     @property
     def set_width(self) -> int:
@@ -124,9 +118,9 @@ class RegisterStore:
     """Fixed array of ``d`` sets plus the parallel keys register.
 
     Each set is held unpacked as field rows: ``rows[h]`` is
-    ``[keys, values, scn0(, scn1)]``, each a list of ``k`` ints, way 0 first.
+    ``[keys, values, scns]``, each a list of ``k`` ints, way 0 first.
     A lookup is one C-level search of the key row, a whole-set read or write
-    copies the rows, and a fold works on one SCN row.  The packed set and
+    copies the rows, and a fold works on the SCN row.  The packed set and
     keys-register words are checked views derived from the rows (``sets``,
     ``keys_register``, ``word``); the bit layout, the field-width validation
     and the operation accounting are the same as for packed storage.
@@ -146,7 +140,7 @@ class RegisterStore:
         self.layout = layout
         self.counter = counter if counter is not None else OpCounter()
         self.check_invariants = check_invariants
-        self._widths = (layout.key_bits, layout.value_bits) + (layout.scn_bits,) * layout.scn_words
+        self._widths = (layout.key_bits, layout.value_bits, layout.scn_bits)
         self.rows: list[list[list[int]]] = [
             [[0] * layout.k for _ in self._widths] for _ in range(layout.d)
         ]
@@ -165,7 +159,7 @@ class RegisterStore:
             enc = shift = 0
             for field, (x, width) in enumerate(zip(way, self._widths)):
                 if not 0 <= x < 1 << width:
-                    name = ("key", "value")[field] if field < SCN_FIELD else "scn"
+                    name = ("key", "value", "scn")[field]
                     raise StorageError(f"{name} {x} exceeds {width} bits")
                 enc |= x << shift
                 shift += width
@@ -231,6 +225,8 @@ class RegisterStore:
         """One TCAM comparison against the keys register of set ``h``."""
         if key < 1:
             raise StorageError("key 0 would falsely match empty ways")
+        if key >> self.layout.key_bits:
+            raise StorageError(f"key {key} exceeds {self.layout.key_bits} bits")
         self.counter.tcam_matches += 1
         keys = self.rows[h][0]
         return keys.index(key) if key in keys else MISS
@@ -242,20 +238,17 @@ class RegisterStore:
         self.counter.register_reads += 1
         return tuple([row[way] for row in self.rows[h]])
 
-    def write_way_field(self, h: int, way: int, field: int, value: int) -> None:
-        """Patch one field of one way; counts as the whole-set register write.
+    def write_way_field(self, h: int, way: int, scn: int) -> None:
+        """Patch the SCN word of one way; counts as the whole-set register write.
 
-        ``field`` indexes the way tuple (1 is the value, 2 onwards the SCN
-        words).  Key fields must not be patched this way (the keys register
-        would lose its distinct-key guarantee); use write_set_raw.
+        Keys and values are only written with the whole set (write_set_raw),
+        which keeps the keys register's distinct-key guarantee.
         """
-        if field < 1:
-            raise StorageError("key field updates must go through write_set_raw")
-        width = self._widths[field]
-        if not 0 <= value < 1 << width:
-            raise StorageError(f"value {value} exceeds {width} bits")
+        width = self.layout.scn_bits
+        if not 0 <= scn < 1 << width:
+            raise StorageError(f"scn {scn} exceeds {width} bits")
         self.counter.register_writes += 1
-        self.rows[h][field][way] = value
+        self.rows[h][SCN_FIELD][way] = scn
         if self.check_invariants:
             self._check_rows(h)
 
@@ -265,19 +258,18 @@ class RegisterStore:
 
     # -- maintenance --------------------------------------------------------
 
-    def map_scn(self, scn_index: int, remap: Callable[[list[int]], list[int]]) -> None:
-        """Sweep every set, replacing the live entries of one SCN row.
+    def map_scn(self, remap: Callable[[list[int]], list[int]]) -> None:
+        """Sweep every set, replacing the live entries of its SCN row.
 
         ``remap`` receives a set's live entries (ways holding a key) in way
         order and returns their replacements.  Every rewritten set is
         re-validated.  The sweep reads and writes each set once outside the
         per-packet cost model, charged as extra ops.
         """
-        field = SCN_FIELD + scn_index
         for h, rows in enumerate(self.rows):
             live = [way for way, key in enumerate(rows[0]) if key]
             if live:
-                row = rows[field]
+                row = rows[SCN_FIELD]
                 for way, x in zip(live, remap([row[way] for way in live])):
                     row[way] = x
                 self._check_rows(h)

@@ -34,8 +34,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import StorageError
-from .policies import DEFAULT_INTEGER_FACTOR, DEFAULT_MAX_SCN, FetchResult, PolicyEngine
+from .core import SCN_FIELD, StorageError
+from .policies import DEFAULT_INTEGER_FACTOR, FetchResult, PolicyEngine
+
+# Largest log table: an engine sizes its table to its insert-time field, up to
+# this many entries, the size the factor bounds below are calibrated for.
+DEFAULT_MAX_SCN = 2048
 
 # Accepted integer factors F = p/q: 0 < F <= MAX_INTEGER_FACTOR (the paper's
 # grid tops out at 1000) and p <= MAX_FACTOR_NUMERATOR in lowest terms.  An
@@ -89,12 +93,13 @@ class LogTable:
     Index 0 is defined as 0 (live frequencies are >= 1 and lifetimes are
     clamped >= 1, so it is only reached by empty ways, whose score must sit at
     the bottom).  Lookups at or beyond ``max_scn`` saturate to the last entry.
+    ``max_scn`` lies in [2, DEFAULT_MAX_SCN].
     """
 
     def __init__(self, max_scn: int = DEFAULT_MAX_SCN,
                  integer_factor: int | float | str | Fraction = DEFAULT_INTEGER_FACTOR) -> None:
-        if max_scn < 2:
-            raise ValueError("max_scn must be >= 2")
+        if not 2 <= max_scn <= DEFAULT_MAX_SCN:
+            raise ValueError(f"max_scn must lie in [2, {DEFAULT_MAX_SCN}]")
         factor = checked_factor(integer_factor)
         self.max_scn = max_scn
         self.integer_factor = factor
@@ -132,24 +137,24 @@ class HyperbolicEngine(PolicyEngine):
     """Hyperbolic policy over a split SCN word.
 
     The element's SCN word is divided into a frequency half (low bits,
-    saturating) and an insert-time half (high bits).  A global tick advances
-    once per touch; when it reaches ``max_scn - 1`` the tick and every stored
-    insert time are halved by right shift, which preserves lifetime order.
+    saturating) and an insert-time half (high bits).  The log table has one
+    entry per insert time, ``min(DEFAULT_MAX_SCN, 2**time_bits)`` in all.  A
+    global tick advances once per touch; when it reaches the table size minus
+    one the tick and every stored insert time are halved by right shift, which
+    preserves lifetime order.
     """
 
     name = "hyperbolic"
 
     def __init__(self, *args, integer_factor: int | float | str | Fraction = DEFAULT_INTEGER_FACTOR,
-                 max_scn: int = DEFAULT_MAX_SCN, **kwargs) -> None:
+                 **kwargs) -> None:
         super().__init__(*args, **kwargs)
         lay = self.layout
         if lay.scn_bits < 2:
             raise StorageError("hyperbolic needs at least 2 scn bits to split")
         self.freq_bits = lay.scn_bits // 2
         self.time_bits = lay.scn_bits - self.freq_bits
-        self.log_table = LogTable(max_scn, integer_factor)
-        if self.log_table.max_scn > (1 << self.time_bits):
-            raise StorageError("max_scn does not fit the insert-time field")
+        self.log_table = LogTable(min(DEFAULT_MAX_SCN, 1 << self.time_bits), integer_factor)
         self.freq_max = (1 << self.freq_bits) - 1
         self.tick = 0
 
@@ -174,7 +179,7 @@ class HyperbolicEngine(PolicyEngine):
             # _pack(freq, t >> 1) without unpacking: keep freq, shift the time half
             return [(scn & freq_max) | (scn >> (freq_bits + 1) << freq_bits) for scn in live]
 
-        self.store.map_scn(self.scn_index, halve)
+        self.store.map_scn(halve)
 
     def _initial_scn(self) -> int:
         self._advance_tick()
@@ -183,16 +188,16 @@ class HyperbolicEngine(PolicyEngine):
     def serve_hit(self, h: int, way: int) -> FetchResult:
         self._advance_tick()
         element = self.store.read_way(h, way)
-        freq, t = self._unpack(element[self._scn_field])
+        freq, t = self._unpack(element[SCN_FIELD])
         if freq < self.freq_max:
-            self.store.write_way_field(h, way, self._scn_field, self._pack(freq + 1, t))
+            self.store.write_way_field(h, way, self._pack(freq + 1, t))
         else:
             self.store.writeback(h)
         return FetchResult(True, element[1], None)
 
     def _metric(self, rows: list[list[int]]) -> list[int]:
         """Integer priority scores of the ways, with two log lookups per way."""
-        scns = rows[self._scn_field]
+        scns = rows[SCN_FIELD]
         lookup = self.log_table.lookup
         freq_max, freq_bits, tick = self.freq_max, self.freq_bits, self.tick
         self.store.counter.extra_reads += 2 * len(scns)

@@ -7,6 +7,10 @@ evicted unconditionally.  With the filter, the candidate admitted at main way
 the main victim is restored (overwriting the newcomer) if it has the strictly
 higher count — so a rejected window victim is the element that actually leaves.
 
+Each region keeps its own register arrays with one SCN word per element, so
+an element carries only the metadata of the region holding it: a window
+victim admitted to the main region takes a fresh main-region SCN.
+
 The filter keeps one explicit counter per key in the universe, aged in a
 de-amortized fashion: every ``n`` accesses a fixed-size slice of the counter
 array is halved in cyclic order, so that a full halving pass completes once
@@ -137,19 +141,15 @@ class MultiRegionCache:
         self.config = config
         self.counter = counter if counter is not None else OpCounter()
 
-        def layout(spec: RegionSpec) -> LayoutConfig:
-            return LayoutConfig(scn_bits=config.scn_bits, scn_words=2, k=spec.k, d=spec.d)
+        def engine(spec: RegionSpec) -> PolicyEngine:
+            return make_engine(
+                spec.policy, LayoutConfig(scn_bits=config.scn_bits, k=spec.k, d=spec.d),
+                counter=self.counter, check_invariants=check_invariants,
+                integer_factor=config.integer_factor,
+            )
 
-        self.window: PolicyEngine = make_engine(
-            config.window.policy, layout(config.window),
-            counter=self.counter, scn_index=0,
-            check_invariants=check_invariants, integer_factor=config.integer_factor,
-        )
-        self.main: PolicyEngine = make_engine(
-            config.main.policy, layout(config.main),
-            counter=self.counter, scn_index=1,
-            check_invariants=check_invariants, integer_factor=config.integer_factor,
-        )
+        self.window = engine(config.window)
+        self.main = engine(config.main)
         if config.filter == FILTER_TINYLFU:
             self.filter: CountingFilter | None = CountingFilter(
                 config.key_universe,
@@ -178,9 +178,7 @@ class MultiRegionCache:
 
         window, main = self.window, self.main
         value = key & window.value_mask
-        window_victim, pending = window.insert_pending_raw(
-            h_window, window.stamp((key, value) + window._no_scn)
-        )
+        window_victim, pending = window.insert_pending_raw(h_window, window.stamp((key, value)))
         window.store.write_set_raw(h_window, pending)
         victim_key = window_victim[0]
         if not victim_key:

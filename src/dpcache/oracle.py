@@ -331,7 +331,7 @@ class ExhaustiveReport:
 
 
 def _small_layout(k: int, d: int) -> LayoutConfig:
-    return LayoutConfig(key_bits=16, value_bits=16, scn_bits=32, scn_words=1, k=k, d=d)
+    return LayoutConfig(key_bits=16, value_bits=16, scn_bits=32, k=k, d=d)
 
 
 def _fresh_engine(policy: str, k: int, d: int, integer_factor) -> PolicyEngine:
@@ -364,13 +364,12 @@ def has_metric_tie(
             found = True
 
     engine.fold_observer = observer
-    idx = engine.scn_index
     for key in sequence:
         engine.fetch(key)
         reference.fetch(key)
         if policy == "lfu" and not found:
             for row in engine.dump():
-                scns = [e.scn[idx] for e in row if e.key]
+                scns = [e.scn for e in row if e.key]
                 if len(scns) != len(set(scns)):
                     found = True
                     break

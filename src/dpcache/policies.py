@@ -26,9 +26,8 @@ from .core import (
     StorageError,
 )
 
-# hyperbolic log table defaults, shared by make_engine and the hyperbolic module
+# hyperbolic integer factor default, shared by make_engine and the hyperbolic module
 DEFAULT_INTEGER_FACTOR = Fraction(100)
-DEFAULT_MAX_SCN = 2048
 
 
 class FetchResult(NamedTuple):
@@ -47,9 +46,7 @@ class PolicyEngine:
     """Base engine: storage wiring, the fetch skeleton and the fold driver.
 
     Subclasses define how metadata is initialised and refreshed on a hit, and
-    the metric row the eviction fold compares (by default this engine's own
-    SCN row).  ``scn_index`` selects which SCN word belongs to this engine
-    (multi-region elements carry one word per region).
+    the metric row the eviction fold compares (by default the SCN row).
 
     ``fold_observer``, when set, receives the two metric values of every fold
     comparison; it exists for divergence analysis and costs one branch per
@@ -62,20 +59,13 @@ class PolicyEngine:
         self,
         layout: LayoutConfig,
         counter: OpCounter | None = None,
-        scn_index: int = 0,
         check_invariants: bool = False,
     ) -> None:
-        if scn_index >= layout.scn_words:
-            raise StorageError("scn_index out of range for this layout")
         self.layout = layout
-        self.scn_index = scn_index
         self.store = RegisterStore(layout, counter, check_invariants)
         # a miss serves the key itself, truncated to the value width
         self.value_mask = (1 << layout.value_bits) - 1
         self.fold_observer: Callable[[int, int], None] | None = None
-        # this engine's SCN word in a way tuple and in a set's field rows
-        self._scn_field = SCN_FIELD + scn_index
-        self._no_scn = (0,) * layout.scn_words
         self._scn_max = layout.max_scn()
 
     # -- policy hooks --------------------------------------------------------
@@ -91,18 +81,17 @@ class PolicyEngine:
 
     def _metric(self, rows: list[list[int]]) -> list[int]:
         """Per-way values the fold carries the minimum of."""
-        return rows[self._scn_field]
+        return rows[SCN_FIELD]
 
     # -- shared machinery ----------------------------------------------------
 
     def stamp(self, way: tuple[int, ...]) -> tuple[int, ...]:
-        """``way`` with this engine's SCN word set to a fresh initial SCN.
+        """``way``'s key and value with a fresh initial SCN.
 
-        As given to a newly inserted or admitted element; the other region's
-        word is carried along untouched.
+        As given to a newly inserted or admitted element; an admitted
+        element's SCN from the other region is dropped.
         """
-        f = self._scn_field
-        return way[:f] + (self._initial_scn(),) + way[f + 1:]
+        return way[:SCN_FIELD] + (self._initial_scn(),)
 
     def fetch(self, key: int) -> FetchResult:
         h = key % self.layout.d
@@ -110,7 +99,7 @@ class PolicyEngine:
         if way != MISS:
             return self.serve_hit(h, way)
         value = key & self.value_mask
-        victim, rows = self.insert_pending_raw(h, self.stamp((key, value) + self._no_scn))
+        victim, rows = self.insert_pending_raw(h, self.stamp((key, value)))
         self.store.write_set_raw(h, rows)
         if victim[0]:
             return FetchResult(False, value, CacheElement.from_way(victim))
@@ -243,13 +232,13 @@ class LruEngine(PolicyEngine):
             top = max(top, len(rank))
             return [rank[s] for s in live]
 
-        self.store.map_scn(self.scn_index, ranks)
+        self.store.map_scn(ranks)
         self.clock = top
 
     def serve_hit(self, h: int, way: int) -> FetchResult:
         scn = self._next_scn()
         element = self.store.read_way(h, way)
-        self.store.write_way_field(h, way, self._scn_field, scn)
+        self.store.write_way_field(h, way, scn)
         return FetchResult(True, element[1], None)
 
 
@@ -272,16 +261,16 @@ class LfuEngine(PolicyEngine):
 
     def _age(self, rows: list[list[int]]) -> None:
         """Decrement every live element's count by 1, floored at 1."""
-        keys, counts = rows[0], rows[self._scn_field]
+        keys, counts = rows[0], rows[SCN_FIELD]
         for way, count in enumerate(counts):
             if count > 1 and keys[way]:
                 counts[way] = count - 1
 
     def serve_hit(self, h: int, way: int) -> FetchResult:
         element = self.store.read_way(h, way)
-        scn = element[self._scn_field]
+        scn = element[SCN_FIELD]
         if scn < self._scn_max:
-            self.store.write_way_field(h, way, self._scn_field, scn + 1)
+            self.store.write_way_field(h, way, scn + 1)
         else:
             self.store.writeback(h)
         return FetchResult(True, element[1], None)
@@ -291,16 +280,14 @@ def make_engine(
     policy: str,
     layout: LayoutConfig,
     counter: OpCounter | None = None,
-    scn_index: int = 0,
     check_invariants: bool = False,
     *,
     integer_factor: int | float | str | Fraction = DEFAULT_INTEGER_FACTOR,
-    max_scn: int = DEFAULT_MAX_SCN,
 ) -> PolicyEngine:
     """Build an engine by policy name ("fifo", "lru", "lfu", "hyperbolic").
 
-    ``integer_factor`` and ``max_scn`` size the hyperbolic log table; the
-    other policies have no log table and ignore them.
+    ``integer_factor`` scales the hyperbolic log table; the other policies
+    have no log table and ignore it.
     """
     # imported here so the hyperbolic module can build on this one
     from .hyperbolic import HyperbolicEngine
@@ -316,6 +303,5 @@ def make_engine(
     except KeyError:
         raise ValueError(f"unknown policy {policy!r}") from None
     if cls is HyperbolicEngine:
-        return cls(layout, counter, scn_index, check_invariants,
-                   integer_factor=integer_factor, max_scn=max_scn)
-    return cls(layout, counter, scn_index, check_invariants)
+        return cls(layout, counter, check_invariants, integer_factor=integer_factor)
+    return cls(layout, counter, check_invariants)

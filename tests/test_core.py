@@ -11,6 +11,7 @@ from dpcache.core import (
     RegisterStore,
     StorageError,
 )
+from dpcache.multiregion import MultiRegionCache, MultiRegionConfig, RegionSpec
 from dpcache.policies import make_engine
 
 
@@ -25,15 +26,15 @@ def long_division_mod(dividend_digits: str, divisor: int) -> int:
 
 
 def rows_of(elements: list[CacheElement]) -> list[list[int]]:
-    """Field rows ``[keys, values, scn0(, scn1)]`` of decoded elements."""
-    return [list(row) for row in zip(*((e.key, e.value, *e.scn) for e in elements))]
+    """Field rows ``[keys, values, scns]`` of decoded elements."""
+    return [list(row) for row in zip(*elements)]
 
 
 class TestLayoutConfig:
     def test_element_width(self):
-        lay = LayoutConfig(key_bits=32, value_bits=32, scn_bits=32, scn_words=2, k=4, d=8)
-        assert lay.element_width == 128
-        assert lay.set_width == 512
+        lay = LayoutConfig(key_bits=32, value_bits=32, scn_bits=16, k=4, d=8)
+        assert lay.element_width == 80
+        assert lay.set_width == 320
 
     def test_mask_limit(self):
         # 64 ways of 32-bit keys is exactly the 2048-bit ternary mask
@@ -43,7 +44,7 @@ class TestLayoutConfig:
 
     @pytest.mark.parametrize("kwargs", [
         dict(key_bits=0), dict(value_bits=0), dict(scn_bits=0),
-        dict(k=0), dict(d=0), dict(scn_words=3),
+        dict(k=0), dict(d=0), dict(key_bits=33, k=64),
     ])
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises(LayoutError):
@@ -59,7 +60,8 @@ def set_of(key: int, d: int) -> int:
 
 
 class TestHashToSet:
-    """A fetch indexes set ``key % d``; the ternary lookup rejects keys < 1."""
+    """A fetch indexes set ``key % d``; the ternary lookup rejects keys < 1
+    and keys wider than ``key_bits``."""
 
     def test_examples(self):
         assert set_of(37, 16) == 5
@@ -74,6 +76,24 @@ class TestHashToSet:
         with pytest.raises(StorageError):
             engine.fetch(0)
         assert engine.store.rows == make_engine("lru", LayoutConfig(k=2, d=16)).store.rows
+
+    @pytest.mark.parametrize("policy", ["fifo", "lru", "lfu", "hyperbolic"])
+    def test_rejects_key_wider_than_key_bits(self, policy):
+        engine = make_engine(policy, LayoutConfig(key_bits=8, k=2, d=1))
+        for key in (256, 300):
+            with pytest.raises(StorageError, match=f"^key {key} exceeds 8 bits$"):
+                engine.fetch(key)
+        assert engine.live_keys() == set()
+        assert engine.fetch(255).hit is False and engine.fetch(255).hit
+
+    def test_two_region_cache_rejects_key_wider_than_key_bits(self):
+        # a universe past the default 32-bit keys reaches the ternary lookup
+        cache = MultiRegionCache(MultiRegionConfig(
+            window=RegionSpec("lru", 2, 1), main=RegionSpec("lru", 2, 1),
+            key_universe=(1 << 32) + 2, filter="none"))
+        with pytest.raises(StorageError, match="^key 4294967296 exceeds 32 bits$"):
+            cache.fetch(1 << 32)
+        assert cache.window.live_keys() == cache.main.live_keys() == set()
 
 
 class TestTernary:
@@ -104,6 +124,13 @@ class TestTernary:
             with pytest.raises(StorageError):
                 store.ternary_lookup(0, key)
         assert store.counter.tcam_matches == 0
+
+    def test_rejects_key_wider_than_key_bits(self):
+        store = RegisterStore(LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1))
+        assert store.ternary_lookup(0, 255) == MISS
+        with pytest.raises(StorageError, match="^key 256 exceeds 8 bits$"):
+            store.ternary_lookup(0, 256)
+        assert store.counter.tcam_matches == 1
 
     @given(
         keys=st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=8),
@@ -136,7 +163,7 @@ class TestRegisterStore:
     def test_write_read_roundtrip_example(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1)
         store = RegisterStore(lay)
-        elems = [CacheElement(3, 30, (2,)), CacheElement(0, 0, (0,))]
+        elems = [CacheElement(3, 30, 2), CacheElement(0, 0, 0)]
         store.write_set_raw(0, rows_of(elems))
         assert store.read_set_raw(0) == [[3, 0], [30, 0], [2, 0]]
         assert store.peek_set(0) == elems
@@ -145,12 +172,12 @@ class TestRegisterStore:
         lay = LayoutConfig(k=3, d=2)
         store = RegisterStore(lay)
         assert store.read_set_raw(0) == [[0] * 3] * 3
-        assert store.peek_set(1) == [CacheElement(0, 0, (0,))] * 3
+        assert store.peek_set(1) == [CacheElement(0, 0, 0)] * 3
 
     def test_keys_register_matches_concatenation(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=3, d=2)
         store = RegisterStore(lay)
-        elems = [CacheElement(9, 1, (0,)), CacheElement(4, 2, (5,)), CacheElement(0, 0, (0,))]
+        elems = [CacheElement(9, 1, 0), CacheElement(4, 2, 5), CacheElement(0, 0, 0)]
         store.write_set_raw(1, rows_of(elems))
         expected = 0
         for i, e in enumerate(elems):
@@ -170,7 +197,7 @@ class TestRegisterStore:
 
     def test_duplicate_live_keys_rejected(self):
         store = RegisterStore(LayoutConfig(k=2, d=1), check_invariants=True)
-        rows = rows_of([CacheElement(5, 0, (0,)), CacheElement(5, 1, (1,))])
+        rows = rows_of([CacheElement(5, 0, 0), CacheElement(5, 1, 1)])
         with pytest.raises(StorageError):
             store.encode_set(rows)
         with pytest.raises(StorageError):
@@ -190,10 +217,9 @@ class TestRegisterStore:
         key_bits = data.draw(st.integers(3, 16))
         value_bits = data.draw(st.integers(1, 16))
         scn_bits = data.draw(st.integers(1, 16))
-        scn_words = data.draw(st.sampled_from([1, 2]))
         k = data.draw(st.integers(1, 6))
         lay = LayoutConfig(key_bits=key_bits, value_bits=value_bits,
-                           scn_bits=scn_bits, scn_words=scn_words, k=k, d=1)
+                           scn_bits=scn_bits, k=k, d=1)
         store = RegisterStore(lay)
         keys = data.draw(st.lists(
             st.integers(1, (1 << key_bits) - 1), min_size=k, max_size=k, unique=True))
@@ -202,21 +228,19 @@ class TestRegisterStore:
         for key, live in zip(keys, occupancy):
             if live:
                 value = data.draw(st.integers(0, (1 << value_bits) - 1))
-                scn = tuple(data.draw(st.integers(0, lay.max_scn()))
-                            for _ in range(scn_words))
+                scn = data.draw(st.integers(0, lay.max_scn()))
                 elems.append(CacheElement(key, value, scn))
             else:
-                elems.append(CacheElement(0, 0, (0,) * scn_words))
+                elems.append(CacheElement(0, 0, 0))
         rows = rows_of(elems)
         assert store.decode_set(store.encode_set(rows)[0]) == rows
 
     def test_raw_path_equals_typed_path(self):
         # the packed views and the decoded elements of a raw write
-        lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, scn_words=2, k=3, d=1)
+        lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=3, d=1)
         store = RegisterStore(lay)
-        elems = [CacheElement(3, 7, (1, 9)), CacheElement(0, 0, (0, 0)),
-                 CacheElement(11, 2, (4, 4))]
-        rows = [[3, 0, 11], [7, 0, 2], [1, 0, 4], [9, 0, 4]]
+        elems = [CacheElement(3, 7, 1), CacheElement(0, 0, 0), CacheElement(11, 2, 4)]
+        rows = [[3, 0, 11], [7, 0, 2], [1, 0, 4]]
         assert rows_of(elems) == rows
         store.write_set_raw(0, rows)
         assert (store.sets[0], store.keys_register[0]) == store.encode_set(rows)
@@ -229,14 +253,11 @@ class TestRegisterStore:
         store = RegisterStore(lay, check_invariants=True)
         store.write_set_raw(0, [[3, 5], [30, 50], [2, 7]])
         assert store.read_way(0, 1) == (5, 50, 7)
-        store.write_way_field(0, 1, 2, 9)
+        store.write_way_field(0, 1, 9)
         assert store.read_way(0, 1) == (5, 50, 9)
-        store.write_way_field(0, 0, 1, 31)
-        assert store.peek_set(0) == [CacheElement(3, 31, (2,)), CacheElement(5, 50, (9,))]
-        with pytest.raises(StorageError):
-            store.write_way_field(0, 0, 0, 1)  # key field is off limits
-        with pytest.raises(StorageError):
-            store.write_way_field(0, 0, 2, 256)  # wider than the scn field
+        assert store.peek_set(0) == [CacheElement(3, 30, 2), CacheElement(5, 50, 9)]
+        with pytest.raises(StorageError, match="^scn 256 exceeds 8 bits$"):
+            store.write_way_field(0, 0, 256)
 
     def test_packed_views_follow_every_write_path(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=3, d=2)
@@ -251,9 +272,9 @@ class TestRegisterStore:
 
         store.write_set_raw(1, rows)
         assert_views(rows)
-        store.write_way_field(1, 2, 2, 5)
+        store.write_way_field(1, 2, 5)
         assert_views([[4, 0, 2], [1, 0, 9], [6, 0, 5]])
-        store.map_scn(0, lambda live: [s + 1 for s in live])
+        store.map_scn(lambda live: [s + 1 for s in live])
         assert_views([[4, 0, 2], [1, 0, 9], [7, 0, 6]])
         rows = [[4, 8, 2], [1, 8, 9], [7, 8, 6]]
         store.write_set_raw(1, rows)
@@ -269,7 +290,7 @@ class TestRegisterStore:
         for row in pending:
             row.insert(0, 0)
         pending[0][1] = 5
-        assert store.peek_set(0) == [CacheElement(7, 1, (1,)), CacheElement(0, 0, (0,))]
+        assert store.peek_set(0) == [CacheElement(7, 1, 1), CacheElement(0, 0, 0)]
 
     def test_checked_raw_write_rejects_overwide_slice(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1)
@@ -292,22 +313,22 @@ class TestRegisterStore:
             seen.append(live)
             return [s + 10 for s in live]
 
-        store.map_scn(0, bump)
+        store.map_scn(bump)
         assert seen == [[2], [7, 4]]  # empty set 0 and empty ways are skipped
-        assert store.peek_set(1) == [CacheElement(3, 30, (12,)), CacheElement(0, 0, (0,))]
-        assert store.peek_set(2) == [CacheElement(5, 50, (17,)), CacheElement(6, 60, (14,))]
+        assert store.peek_set(1) == [CacheElement(3, 30, 12), CacheElement(0, 0, 0)]
+        assert store.peek_set(2) == [CacheElement(5, 50, 17), CacheElement(6, 60, 14)]
         assert store.counter == OpCounter(extra_reads=3, extra_writes=3)
         with pytest.raises(StorageError):
-            store.map_scn(0, lambda live: [256] * len(live))
+            store.map_scn(lambda live: [256] * len(live))
 
-    @pytest.mark.parametrize("field, name", [(0, "key"), (1, "value"), (2, "scn"), (3, "scn")])
+    @pytest.mark.parametrize("field, name", [(0, "key"), (1, "value"), (2, "scn")])
     @pytest.mark.parametrize("bad", ["negative", "overwide"])
     def test_check_rows_rejects_out_of_range_in_every_row(self, field, name, bad):
-        lay = LayoutConfig(key_bits=6, value_bits=7, scn_bits=5, scn_words=2, k=3, d=1)
+        lay = LayoutConfig(key_bits=6, value_bits=7, scn_bits=5, k=3, d=1)
         store = RegisterStore(lay)
-        width = (6, 7, 5, 5)[field]
+        width = (6, 7, 5)[field]
         x = -1 if bad == "negative" else 1 << width
-        store.rows[0] = [[4, 0, 9], [1, 0, 2], [3, 0, 4], [5, 0, 6]]
+        store.rows[0] = [[4, 0, 9], [1, 0, 2], [3, 0, 4]]
         store.rows[0][field][2] = x
         with pytest.raises(StorageError, match=f"^{name} {x} exceeds {width} bits$"):
             store._check_rows(0)

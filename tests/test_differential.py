@@ -1,10 +1,11 @@
 """Whole engines against their exact oracles at the edges of the layout.
 
 Random traces replay through restricted FIFO and LRU engines and through
-`ReferenceCache`; every event's (hit, evicted key) must agree.  The layouts
-sit where the restricted model is tightest: ternary masks at exactly the
-2048-bit limit, single-set and multi-set geometry, and SCN clocks narrow
-enough that LRU rescales every few dozen to few hundred ticks.
+`ReferenceCache`, and through the filterless two-region cache and
+`ReferenceMultiCache`; every event's (hit, evicted key) must agree.  The
+layouts sit where the restricted model is tightest: ternary masks at exactly
+the 2048-bit limit, single-set and multi-set geometry, and SCN clocks narrow
+enough that LRU rescales every few ticks to every few hundred.
 """
 
 import random
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpcache.core import TCAM_MASK_BITS, LayoutConfig, LayoutError
-from dpcache.oracle import ReferenceCache
+from dpcache.multiregion import MultiRegionCache, MultiRegionConfig, RegionSpec
+from dpcache.oracle import ReferenceCache, ReferenceMultiCache
 from dpcache.policies import make_engine
 
 
@@ -90,3 +92,42 @@ class TestNarrowClock:
         engine = make_engine("lru", LayoutConfig(scn_bits=3, k=4, d=d), check_invariants=True)
         assert_same_stream(engine, ReferenceCache("lru", 4, d), keys)
         assert engine.clock < 7
+
+
+class TestTwoRegion:
+    """The filterless window + main cache against ``ReferenceMultiCache`` for
+    every FIFO/LRU pairing.  At 4- and 5-bit SCNs each LRU region's own clock
+    rescales every few to few dozen of its ticks."""
+
+    @pytest.mark.parametrize("window", ["fifo", "lru"])
+    @pytest.mark.parametrize("main", ["fifo", "lru"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, window, main, data):
+        k_w, d_w = data.draw(st.sampled_from([(1, 1), (2, 1), (4, 2)]), label="window k, d")
+        k_m, d_m = data.draw(st.sampled_from([(2, 1), (4, 1), (4, 3), (8, 2)]), label="main k, d")
+        scn_bits = data.draw(st.sampled_from([4, 5, 32]), label="scn_bits")
+        capacity = k_w * d_w + k_m * d_m
+        universe = data.draw(st.integers(capacity + 2, 3 * capacity), label="universe")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        keys = random_keys(seed, 10 * capacity + 400, 1, universe - 1)
+        cache = MultiRegionCache(MultiRegionConfig(
+            window=RegionSpec(window, k_w, d_w), main=RegionSpec(main, k_m, d_m),
+            key_universe=universe, filter="none", scn_bits=scn_bits,
+        ), check_invariants=True)
+        rescales = {"window": 0, "main": 0}
+        for region in rescales:
+            store = getattr(cache, region).store
+            sweep = store.map_scn
+
+            def counted(remap, _region=region, _sweep=sweep):
+                rescales[_region] += 1
+                _sweep(remap)
+
+            store.map_scn = counted
+        oracle = ReferenceMultiCache(window, main, k_w, d_w, k_m, d_m,
+                                     key_universe=universe, use_filter=False)
+        assert_same_stream(cache, oracle, keys)
+        if scn_bits < 32:
+            for region, policy in (("window", window), ("main", main)):
+                assert (rescales[region] > 0) == (policy == "lru"), region

@@ -22,7 +22,7 @@ from dpcache.policies import make_engine
 
 def pack(way, lay):
     """Encode a flat way tuple as one element int (key in the lowest bits)."""
-    widths = (lay.key_bits, lay.value_bits) + (lay.scn_bits,) * lay.scn_words
+    widths = (lay.key_bits, lay.value_bits, lay.scn_bits)
     raw = shift = 0
     for x, width in zip(way, widths):
         raw |= x << shift
@@ -31,7 +31,7 @@ def pack(way, lay):
 
 
 def unpack(raw, lay):
-    widths = (lay.key_bits, lay.value_bits) + (lay.scn_bits,) * lay.scn_words
+    widths = (lay.key_bits, lay.value_bits, lay.scn_bits)
     way = []
     for width in widths:
         way.append(raw & ((1 << width) - 1))
@@ -59,14 +59,14 @@ def reference_fold(raws, metric, observer):
     return candidate
 
 
-def scn_metric(lay, scn_index):
-    off = lay.key_bits + lay.value_bits + scn_index * lay.scn_bits
+def scn_metric(lay):
+    off = lay.key_bits + lay.value_bits
     mask = (1 << lay.scn_bits) - 1
     return lambda raw: (raw >> off) & mask
 
 
 def hyperbolic_metric(engine, lay):
-    scn = scn_metric(lay, engine.scn_index)
+    scn = scn_metric(lay)
 
     def score(raw):
         s = scn(raw)
@@ -81,8 +81,6 @@ def hyperbolic_metric(engine, lay):
 @st.composite
 def fold_cases(draw):
     k = draw(st.sampled_from([1, 2, 3, 64]))
-    scn_words = draw(st.sampled_from([1, 2]))
-    scn_index = draw(st.integers(0, scn_words - 1))
     policy = draw(st.sampled_from(["lru", "lfu", "hyperbolic"]))
     # a narrow SCN range makes LFU-style ties frequent
     scn_high = draw(st.sampled_from([3, 200, 65535]))
@@ -90,35 +88,34 @@ def fold_cases(draw):
     ways = []
     for key in keys[:k]:
         if draw(st.booleans()) and draw(st.booleans()):
-            ways.append((0,) * (2 + scn_words))  # empty way
+            ways.append((0, 0, 0))  # empty way
         else:
-            scns = tuple(draw(st.integers(0, scn_high)) for _ in range(scn_words))
-            ways.append((key, draw(st.integers(0, 255))) + scns)
-    new = (keys[k], 7) + tuple(draw(st.integers(0, scn_high)) for _ in range(scn_words))
+            ways.append((key, draw(st.integers(0, 255)), draw(st.integers(0, scn_high))))
+    new = (keys[k], 7, draw(st.integers(0, scn_high)))
     tick = draw(st.integers(0, 255))
-    return k, scn_words, scn_index, policy, ways, new, tick
+    return k, policy, ways, new, tick
 
 
 @given(fold_cases())
 @settings(max_examples=400, deadline=None)
 def test_fold_matches_unrolled_reference(case):
-    k, scn_words, scn_index, policy, ways, new, tick = case
-    lay = LayoutConfig(key_bits=16, value_bits=8, scn_bits=16, scn_words=scn_words, k=k, d=1)
-    kwargs = {"max_scn": 256} if policy == "hyperbolic" else {}
-    engine = make_engine(policy, lay, scn_index=scn_index, check_invariants=True, **kwargs)
+    k, policy, ways, new, tick = case
+    # 16-bit SCNs give hyperbolic an 8-bit insert time: a 256-entry log table
+    lay = LayoutConfig(key_bits=16, value_bits=8, scn_bits=16, k=k, d=1)
+    engine = make_engine(policy, lay, check_invariants=True)
     engine.tick = tick
     engine.store.write_set_raw(0, [list(row) for row in zip(*ways)])
 
     raws = [pack(way, lay) for way in ways]
     if policy == "lfu":
         # the aging hook runs before the fold: live counts above 1 drop by one
-        metric = scn_metric(lay, scn_index)
-        one = 1 << (lay.key_bits + lay.value_bits + scn_index * lay.scn_bits)
+        metric = scn_metric(lay)
+        one = 1 << (lay.key_bits + lay.value_bits)
         raws = [raw - one if raw & 0xFFFF and metric(raw) > 1 else raw for raw in raws]
     if policy == "hyperbolic":
         metric = hyperbolic_metric(engine, lay)
     else:
-        metric = scn_metric(lay, scn_index)
+        metric = scn_metric(lay)
     expected_pairs = []
     raws.insert(0, pack(new, lay))
     expected_victim = reference_fold(raws, metric, lambda a, b: expected_pairs.append((a, b)))
@@ -191,12 +188,11 @@ def trace(seed, length, universe):
 @pytest.mark.parametrize("policy,kwargs", [
     ("lru", {"scn_bits": 7}),  # the clock rescales every ~60 fetches
     ("lfu", {"scn_bits": 3}),  # counts saturate at 7
-    ("hyperbolic", {}),
+    ("hyperbolic", {"scn_bits": 14}),  # a 128-entry log table: halving every ~127 ticks
 ])
 def test_k64_replay_keeps_views_in_step(policy, kwargs):
     lay = LayoutConfig(k=64, d=2, **kwargs)
-    extra = {"max_scn": 128} if policy == "hyperbolic" else {}
-    engine = make_engine(policy, lay, check_invariants=True, **extra)
+    engine = make_engine(policy, lay, check_invariants=True)
     writes = watch_writes(engine.store)
     clocks = []
     for key in trace(3, 600, 400):

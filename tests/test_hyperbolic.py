@@ -4,8 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpcache.core import LayoutConfig, StorageError
+from dpcache.core import LayoutConfig
 from dpcache.hyperbolic import (
+    DEFAULT_MAX_SCN,
     MAX_FACTOR_NUMERATOR,
     MAX_INTEGER_FACTOR,
     HyperbolicEngine,
@@ -107,6 +108,10 @@ class TestLogTable:
             LogTable(1, 100)
         with pytest.raises(ValueError):
             LogTable(16, 0)
+        # no table outgrows the size the factor bounds are calibrated for
+        assert LogTable(DEFAULT_MAX_SCN, 100).max_scn == 2048
+        with pytest.raises(ValueError, match=r"^max_scn must lie in \[2, 2048\]$"):
+            LogTable(DEFAULT_MAX_SCN + 1, 100)
 
     @pytest.mark.parametrize("factor", [
         "0", "-1", "1e400", 1e300, "1/0", "inf", "nan", MAX_INTEGER_FACTOR + Fraction(1, 10**6),
@@ -179,7 +184,7 @@ class TestHyperbolicEngine:
     def test_fresh_insert_stamps_tick(self):
         eng = HyperbolicEngine(LayoutConfig(k=2, d=1))
         eng.fetch(5)
-        freq, t = eng._unpack(eng.dump()[0][0].scn[0])
+        freq, t = eng._unpack(eng.dump()[0][0].scn)
         assert (freq, t) == (1, eng.tick) == (1, 1)
 
     def test_eviction_agrees_with_exact_oracle(self):
@@ -202,35 +207,35 @@ class TestHyperbolicEngine:
         eng = HyperbolicEngine(LayoutConfig(k=2, d=1))
         eng.fetch(5)
         eng.fetch(5)
-        freq, t = eng._unpack(eng.dump()[0][0].scn[0])
+        freq, t = eng._unpack(eng.dump()[0][0].scn)
         assert (freq, t) == (2, 1)
         assert eng.tick == 2
 
     def test_frequency_saturates(self):
         lay = LayoutConfig(scn_bits=8, k=1, d=1)  # 4-bit freq, 4-bit time
-        eng = HyperbolicEngine(lay, max_scn=16)
+        eng = HyperbolicEngine(lay)
         for _ in range(40):
             eng.fetch(3)
-        freq, _ = eng._unpack(eng.dump()[0][0].scn[0])
+        freq, _ = eng._unpack(eng.dump()[0][0].scn)
         assert freq == 15
 
     def test_tick_halving_keeps_clock_bounded(self):
-        eng = HyperbolicEngine(LayoutConfig(k=2, d=2), max_scn=64)
+        eng = HyperbolicEngine(LayoutConfig(scn_bits=12, k=2, d=2))  # 64-entry table
         for key in range(1, 400):
             eng.fetch(key)
             assert eng.tick < 63
             for row in eng.dump():
                 for e in row:
                     if e.key:
-                        assert eng._unpack(e.scn[0])[1] <= eng.tick
+                        assert eng._unpack(e.scn)[1] <= eng.tick
 
     def test_halving_preserves_lifetime_ranking(self):
-        eng = HyperbolicEngine(LayoutConfig(k=4, d=1), max_scn=2048)
+        eng = HyperbolicEngine(LayoutConfig(k=4, d=1))
         eng.tick = 1000
         times = [900, 500, 123, 7]
         eng.store.write_set_raw(0, [[1, 2, 3, 4], [0] * 4, [eng._pack(1, t) for t in times]])
         eng._halve_times()
-        halved = [eng._unpack(e.scn[0])[1] for e in eng.dump()[0]]
+        halved = [eng._unpack(e.scn)[1] for e in eng.dump()[0]]
         assert halved == [t >> 1 for t in times]
         assert sorted(halved, reverse=True) == halved
 
@@ -240,7 +245,7 @@ class TestHyperbolicEngine:
         # narrow widths included: at scn_bits=2 each half is a single bit
         scn_bits = data.draw(st.sampled_from([2, 3, 5, 8, 16, 32]), label="scn_bits")
         lay = LayoutConfig(scn_bits=scn_bits, k=4, d=2)
-        eng = HyperbolicEngine(lay, max_scn=1 << (scn_bits - scn_bits // 2))
+        eng = HyperbolicEngine(lay)
         words = data.draw(st.lists(st.integers(0, lay.max_scn()), min_size=8, max_size=8),
                           label="words")
         words[0] |= eng.freq_max  # one saturated frequency
@@ -252,12 +257,20 @@ class TestHyperbolicEngine:
         assert eng.store.rows[0][2] + eng.store.rows[1][2] == expected
         assert eng._unpack(expected[0])[0] == eng.freq_max
 
-    def test_max_scn_must_fit_time_field(self):
-        with pytest.raises(StorageError):
-            HyperbolicEngine(LayoutConfig(scn_bits=8, k=1, d=1), max_scn=2048)
+    def test_table_size_follows_time_field(self):
+        # one entry per insert time, up to DEFAULT_MAX_SCN; the tick halves
+        # before it reaches the last entry
+        for scn_bits, size in [(2, 2), (3, 4), (8, 16), (12, 64), (20, 1024),
+                               (22, 2048), (23, 2048), (32, 2048)]:
+            eng = HyperbolicEngine(LayoutConfig(scn_bits=scn_bits, k=2, d=1))
+            assert eng.log_table.max_scn == size == min(DEFAULT_MAX_SCN, 1 << eng.time_bits)
+            for key in range(1, 3 * size):
+                eng.fetch(key)
+                assert eng.tick < size - 1
 
     def test_log_table_shared_between_engines(self):
         # engines of one size and factor share the built entries, not copies
-        a = HyperbolicEngine(LayoutConfig(k=2, d=1), max_scn=256, integer_factor=100)
-        b = HyperbolicEngine(LayoutConfig(k=4, d=8), max_scn=256, integer_factor="100")
+        a = HyperbolicEngine(LayoutConfig(scn_bits=16, k=2, d=1), integer_factor=100)
+        b = HyperbolicEngine(LayoutConfig(scn_bits=16, k=4, d=8), integer_factor="100")
+        assert a.log_table.max_scn == 256
         assert a.log_table.entries is b.log_table.entries

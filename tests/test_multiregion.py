@@ -44,6 +44,13 @@ class TestConfig:
             assert cache.filter.aging_window == ref.aging_window
             assert cache.filter.counter_cap == ref.counter_cap
 
+    def test_each_region_keeps_one_scn_word_per_element(self):
+        cache = make_cache(window=("lru", 2, 4), main=("hyperbolic", 4, 8), scn_bits=12)
+        for engine, k in ((cache.window, 2), (cache.main, 4)):
+            assert engine.layout.set_width == k * (32 + 32 + 12)
+            assert all(len(rows) == 3 for rows in engine.store.rows)
+        assert cache.main.log_table.max_scn == 64
+
     def test_key_outside_universe_rejected(self):
         cache = make_cache(universe=10)
         with pytest.raises(StorageError):
@@ -178,13 +185,12 @@ class TestComposition:
             assert cache.fetch(key).hit == ref.fetch(key)[0]
 
     def test_main_lru_rescale_matches_reference_exactly(self):
-        # 6-bit SCNs: the main region's LRU clock, kept in SCN word 1, wraps
-        # and rescales every few dozen fetches
+        # 6-bit SCNs: the main region's LRU clock, kept in the main region's
+        # own SCN row, wraps and rescales every few dozen fetches
         cache = make_cache(window=("lru", 2, 4), main=("lru", 4, 4), universe=120,
                            filter="none", scn_bits=6)
         ref = ReferenceMultiCache("lru", "lru", 2, 4, 4, 4, key_universe=120,
                                   use_filter=False)
-        assert cache.main.scn_index == 1
         rescales = 0
         clock = cache.main.clock
         for key in random_trace(13, 5000, 120):

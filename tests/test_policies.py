@@ -150,7 +150,7 @@ class TestLru:
         eng = make_engine("lru", LayoutConfig(k=2, d=1))
         r = eng.fetch(5)
         assert (r.hit, r.evicted) == (False, None)
-        assert eng.dump()[0][0] == CacheElement(5, 5, (1,))
+        assert eng.dump()[0][0] == CacheElement(5, 5, 1)
 
     def test_least_recent_evicted(self):
         eng = make_engine("lru", LayoutConfig(k=3, d=1))
@@ -162,7 +162,7 @@ class TestLru:
         for i, key in enumerate([1, 2, 1, 1, 3], start=1):
             eng.fetch(key)
             assert eng.clock == i
-        scns = [e.scn[0] for row in eng.dump() for e in row if e.key]
+        scns = [e.scn for row in eng.dump() for e in row if e.key]
         assert all(s <= eng.clock for s in scns)
 
     @pytest.mark.parametrize("k,d", [(1, 1), (2, 1), (3, 2), (8, 4)])
@@ -200,7 +200,7 @@ class TestLfu:
     def test_fresh_insert_has_count_one(self):
         eng = make_engine("lfu", LayoutConfig(k=2, d=1))
         eng.fetch(5)
-        assert eng.dump()[0][0].scn == (1,)
+        assert eng.dump()[0][0].scn == 1
 
     def test_aging_floors_hot_key_rival(self):
         eng = make_engine("lfu", LayoutConfig(k=2, d=1))
@@ -211,7 +211,7 @@ class TestLfu:
         lay = LayoutConfig(scn_bits=3, k=2, d=1)
         eng = make_engine("lfu", lay)
         replay(eng, [1] * 20)
-        assert eng.dump()[0][0].scn == (7,)
+        assert eng.dump()[0][0].scn == 7
 
     def test_matches_counter_oracle(self):
         # tie-free sequence: the fold's positional tie-break never engages,
