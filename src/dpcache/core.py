@@ -206,7 +206,8 @@ class RegisterStore:
     def read_set_raw(self, h: int) -> list[list[int]]:
         """Whole-set read returning (copies of) the set's field rows."""
         self.counter.register_reads += 1
-        return [row[:] for row in self.rows[h]]
+        keys, values, scns = self.rows[h]
+        return [keys[:], values[:], scns[:]]
 
     def write_set_raw(self, h: int, rows: list[list[int]]) -> None:
         """Whole-set write from field rows, which also rewrites the keys register.
@@ -236,7 +237,8 @@ class RegisterStore:
     def read_way(self, h: int, way: int) -> tuple[int, ...]:
         """Read one way as a flat tuple; counts as the whole-set register read."""
         self.counter.register_reads += 1
-        return tuple([row[way] for row in self.rows[h]])
+        keys, values, scns = self.rows[h]
+        return keys[way], values[way], scns[way]
 
     def write_way_field(self, h: int, way: int, scn: int) -> None:
         """Patch the SCN word of one way; counts as the whole-set register write.

@@ -75,7 +75,13 @@ class MultiRegionConfig:
 
 
 class CountingFilter:
-    """Explicit per-key frequency counters with de-amortized halving."""
+    """Explicit per-key frequency counters with de-amortized halving.
+
+    ``counters`` is a ``uint32`` numpy array, halved a slice at a time by
+    ``age_step``.  The per-packet ``record_access`` and ``count`` read and
+    write the same buffer through a memoryview, which yields plain ints and
+    skips numpy's per-element scalar boxing.
+    """
 
     def __init__(
         self,
@@ -94,6 +100,7 @@ class CountingFilter:
         self.aging_stride = aging_stride
         self.counter_cap = counter_cap
         self.counters = np.zeros(key_universe, dtype=np.uint32)
+        self._counts = memoryview(self.counters)
         self.access_counter = 0
         self.cursor = 0
         # counters halved per aging step
@@ -101,9 +108,10 @@ class CountingFilter:
         self.ops = counter if counter is not None else OpCounter()
 
     def record_access(self, key: int) -> None:
-        counters = self.counters
-        if counters[key] < self.counter_cap:
-            counters[key] += 1
+        counts = self._counts
+        c = counts[key]
+        if c < self.counter_cap:
+            counts[key] = c + 1
         self.ops.extra_reads += 1
         self.ops.extra_writes += 1
         self.access_counter += 1
@@ -126,7 +134,7 @@ class CountingFilter:
 
     def count(self, key: int) -> int:
         self.ops.extra_reads += 1
-        return int(self.counters[key])
+        return self._counts[key]
 
 
 class MultiRegionCache:
@@ -178,7 +186,8 @@ class MultiRegionCache:
 
         window, main = self.window, self.main
         value = key & window.value_mask
-        window_victim, pending = window.insert_pending_raw(h_window, window.stamp((key, value)))
+        window_victim, pending = window.insert_pending_raw(
+            h_window, (key, value, window._initial_scn()))
         window.store.write_set_raw(h_window, pending)
         victim_key = window_victim[0]
         if not victim_key:

@@ -258,14 +258,18 @@ class ReferenceMultiCache:
         self.aging_window = aging_window(k_w * d_w + k_m * d_m)
         self.counter_cap = COUNTER_CAP
         self.counters = np.zeros(key_universe, dtype=np.uint32)
+        # per-packet reads and writes go through a view of the same buffer
+        self._counts = memoryview(self.counters)
         self.access_counter = 0
 
     def fetch(self, key: int) -> tuple[bool, int | None]:
         if not 1 <= key < self.key_universe:
             raise ValueError(f"key {key} outside universe")
+        counts = self._counts
         if self.use_filter:
-            if self.counters[key] < self.counter_cap:
-                self.counters[key] += 1
+            c = counts[key]
+            if c < self.counter_cap:
+                counts[key] = c + 1
             self.access_counter += 1
             if self.access_counter % self.aging_window == 0:
                 self.counters >>= 1
@@ -285,7 +289,7 @@ class ReferenceMultiCache:
         if main_victim is None:
             self.main._place(h2, window_victim)
             return False, None
-        if self.use_filter and self.counters[main_victim] > self.counters[window_victim]:
+        if self.use_filter and counts[main_victim] > counts[window_victim]:
             # admission denied; the window victim leaves the cache entirely
             return False, window_victim
         self.main._remove(h2, main_victim)

@@ -88,8 +88,8 @@ class PolicyEngine:
     def stamp(self, way: tuple[int, ...]) -> tuple[int, ...]:
         """``way``'s key and value with a fresh initial SCN.
 
-        As given to a newly inserted or admitted element; an admitted
-        element's SCN from the other region is dropped.
+        As given to an element admitted from the other region, whose SCN
+        from that region is dropped.
         """
         return way[:SCN_FIELD] + (self._initial_scn(),)
 
@@ -99,7 +99,7 @@ class PolicyEngine:
         if way != MISS:
             return self.serve_hit(h, way)
         value = key & self.value_mask
-        victim, rows = self.insert_pending_raw(h, self.stamp((key, value)))
+        victim, rows = self.insert_pending_raw(h, (key, value, self._initial_scn()))
         self.store.write_set_raw(h, rows)
         if victim[0]:
             return FetchResult(False, value, CacheElement.from_way(victim))

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from dpcache import harness
+from dpcache import harness, traces
 from dpcache.cli import main
 from dpcache.core import LayoutError
 from dpcache.harness import (
@@ -306,9 +306,24 @@ class TestCli:
           "--zipf-n", "100", "--zipf-s", "0.99", "--zipf-len", "10"], "needs a window region"),
         (["run", "--policy", "lru", "--kw", "2", "--dw", "2",
           "--zipf-n", "100", "--zipf-s", "0.99", "--zipf-len", "10"], "needs a window policy"),
+        # an infinite exponent would put every draw on key 1
+        (["run", "--policy", "lru", "--km", "4", "--dm", "4", "--zipf-n", "10",
+          "--zipf-s", "inf", "--zipf-len", "100"], "s must be positive and finite"),
     ])
     def test_value_errors_become_error_lines(self, argv, message, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_unbuildable_zipf_universe_is_an_error_line(self, monkeypatch, capsys):
+        # stands in for the 37.3 GiB rank table of N = 5e9; nothing is allocated
+        def out_of_memory(N, s):
+            raise MemoryError
+
+        monkeypatch.setattr(traces, "_zipf_cdf", out_of_memory)
+        assert main(["run", "--policy", "lru", "--km", "4", "--dm", "4",
+                     "--zipf-n", "5000000000", "--zipf-s", "0.99", "--zipf-len", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "N=5000000000 needs a 37.3 GiB" in err
         assert "Traceback" not in err

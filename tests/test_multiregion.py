@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from dpcache.core import OpCounter, StorageError
@@ -92,6 +93,25 @@ class TestCountingFilter:
         for _ in range(40):
             f.record_access(3)
         assert f.counters[3] <= 5
+
+    def test_per_packet_path_shares_the_counter_array(self):
+        # record_access and count work on the buffer of ``counters``: writes
+        # to the array are seen, both return plain ints, and the cap and the
+        # slice halving show through either side
+        f = CountingFilter(10, 20, 6, counter_cap=5)  # halves 3 counters per 6 accesses
+        f.counters[3] = 4
+        assert f.count(3) == 4 and type(f.count(3)) is int
+        f.record_access(3)
+        assert f.counters[3] == 5
+        f.record_access(np.int64(3))
+        assert f.counters[3] == 5 and f.count(3) == 5  # saturated at the cap
+        f.counters[:] = 9
+        f.age_step()  # cursor 0: halves counters 0..2
+        assert [f.count(key) for key in range(10)] == [4, 4, 4] + [9] * 7
+        for _ in range(4):
+            f.record_access(7)  # above the cap: no increment; the 6th access halves 3..5
+        assert type(f.count(7)) is int and f.count(7) == 9
+        assert list(f.counters) == [4, 4, 4, 4, 4, 4, 9, 9, 9, 9]
 
     def test_wraparound_slice(self):
         f = CountingFilter(10, 20, 6)  # step = ceil(10*6/20) = 3
