@@ -184,8 +184,9 @@ def main(argv: list[str] | None = None) -> int:
                 print(report.first_divergence_dump)
             return 0 if report.passed else 1
         return 0
-    except (ValueError, OSError) as exc:
-        # ConfigError, TraceFormatError, LayoutError and StorageError are ValueErrors
+    except (ValueError, OSError, MemoryError) as exc:
+        # ConfigError, TraceFormatError, LayoutError and StorageError are ValueErrors;
+        # numpy's MemoryError names the size it could not allocate
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

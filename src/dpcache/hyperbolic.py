@@ -196,19 +196,13 @@ class HyperbolicEngine(PolicyEngine):
         return FetchResult(True, element[1], None)
 
     def _metric(self, rows: list[list[int]]) -> list[int]:
-        """Integer priority scores of the ways, charged two table reads per way.
-
-        ``table[freq] - table[max(lifetime, 1)]`` in one pass over the table's
-        entries, saturating at the last entry as ``LogTable.lookup`` does.
-        """
+        """Integer priority scores of the ways, with two log lookups per way."""
         scns = rows[SCN_FIELD]
-        entries = self.log_table.entries
-        n, top, at_one = len(entries), entries[-1], entries[1]
+        lookup = self.log_table.lookup
         freq_max, freq_bits, tick = self.freq_max, self.freq_bits, self.tick
         self.store.counter.extra_reads += 2 * len(scns)
-        return [
-            (entries[f] if (f := scn & freq_max) < n else top)
-            - (entries[t] if 1 < (t := tick - (scn >> freq_bits)) < n
-               else at_one if t <= 1 else top)
-            for scn in scns
-        ]
+        scores = []
+        for scn in scns:
+            lifetime = tick - (scn >> freq_bits)
+            scores.append(lookup(scn & freq_max) - lookup(lifetime if lifetime > 1 else 1))
+        return scores

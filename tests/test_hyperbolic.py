@@ -180,50 +180,7 @@ class TestPriorityScore:
             assert s1 > s2
 
 
-def lookup_metric(eng: HyperbolicEngine, scns: list[int]) -> list[int]:
-    """Scores the way the engine once computed them: two table lookups per way."""
-    lookup = eng.log_table.lookup
-    scores = []
-    for scn in scns:
-        lifetime = eng.tick - (scn >> eng.freq_bits)
-        scores.append(lookup(scn & eng.freq_max) - lookup(lifetime if lifetime > 1 else 1))
-    return scores
-
-
 class TestHyperbolicEngine:
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_metric_equals_lookup_formula(self, data):
-        # frequencies at and past the table size (24/32-bit words), insert
-        # times after the tick, lifetimes 0 and 1, and ticks whose lifetimes
-        # run past the table all meet the saturation and the clamp
-        scn_bits = data.draw(st.sampled_from([2, 3, 5, 8, 16, 24, 32]), label="scn_bits")
-        k = data.draw(st.integers(1, 8), label="k")
-        factor = data.draw(st.sampled_from([1, 100, "1/3", "1000"]), label="factor")
-        eng = HyperbolicEngine(LayoutConfig(scn_bits=scn_bits, k=k, d=1), integer_factor=factor)
-        size, time_max = eng.log_table.max_scn, (1 << eng.time_bits) - 1
-        eng.tick = data.draw(st.one_of(st.integers(0, size - 2), st.integers(0, time_max)),
-                             label="tick")
-        freqs = st.one_of(st.integers(0, eng.freq_max), st.just(eng.freq_max),
-                          st.integers(min(size - 1, eng.freq_max), eng.freq_max))
-        near = [t for t in (eng.tick - 1, eng.tick, eng.tick + 1) if 0 <= t <= time_max]
-        times = st.one_of(st.integers(0, time_max), st.sampled_from(near))
-        scns = data.draw(st.lists(st.builds(eng._pack, freqs, times), min_size=k, max_size=k),
-                         label="scns")
-        before = eng.store.counter.extra_reads
-        assert eng._metric([[0] * k, [0] * k, scns]) == lookup_metric(eng, scns)
-        assert eng.store.counter.extra_reads - before == 2 * k
-
-    def test_metric_saturates_and_clamps(self):
-        eng = HyperbolicEngine(LayoutConfig(k=5, d=1))  # 16-bit freq, 2048-entry table
-        eng.tick = 100
-        top = eng.log_table.entries[-1]
-        scns = [eng._pack(2048, 90), eng._pack(eng.freq_max, 99), eng._pack(4, 100),
-                eng._pack(4, 101), eng._pack(8, 0)]
-        assert eng._metric([[0] * 5, [0] * 5, scns]) == [
-            top - eng.log_table.lookup(10), top, 200, 200, 300 - eng.log_table.lookup(100)]
-        assert eng._metric([[0] * 5, [0] * 5, scns]) == lookup_metric(eng, scns)
-
     def test_fresh_insert_stamps_tick(self):
         eng = HyperbolicEngine(LayoutConfig(k=2, d=1))
         eng.fetch(5)

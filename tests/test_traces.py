@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dpcache import traces
 from dpcache.oracle import ReferenceCache
 from dpcache.traces import (
     Trace,
@@ -88,16 +87,6 @@ class TestGenerateZipf:
     def test_rejects_non_finite_exponent(self, s):
         with pytest.raises(ValueError, match="positive and finite"):
             ZipfSpec(N=10, s=s, length=100, seed=1)
-
-    def test_unbuildable_universe_is_a_value_error(self, monkeypatch):
-        def out_of_memory(N, s):
-            raise MemoryError
-
-        monkeypatch.setattr(traces, "_zipf_cdf", out_of_memory)
-        with pytest.raises(ValueError, match=r"N=5000000000 needs a 37\.3 GiB"):
-            generate_zipf(ZipfSpec(N=5_000_000_000, s=0.99, length=10, seed=1))
-        with pytest.raises(ValueError, match="more than memory holds"):
-            zipf_frequency(5_000_000_000, 1, 0.99)
 
 
 class TestParseTrace:
