@@ -21,6 +21,7 @@ from .harness import (
     run_sweep,
 )
 from .oracle import exhaustive_check
+from .policies import DEFAULT_INTEGER_FACTOR
 from .traces import ZipfSpec, generate_zipf
 
 POLICIES = ["fifo", "lru", "lfu", "hyperbolic"]
@@ -49,7 +50,7 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--filter", choices=["none", "tinylfu"], default=None,
                         help="admission filter between the regions (default: "
                              "tinylfu when a window is configured)")
-    parser.add_argument("--integer-factor", default="100",
+    parser.add_argument("--integer-factor", default=str(DEFAULT_INTEGER_FACTOR),
                         help="hyperbolic fixed-point scale, e.g. 0.1, 1, 10, 100")
 
 
@@ -148,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_p.add_argument("--d", type=int, default=1)
     check_p.add_argument("--alphabet", type=int, default=3)
     check_p.add_argument("--max-len", type=int, default=6)
-    check_p.add_argument("--integer-factor", default="100")
+    check_p.add_argument("--integer-factor", default=str(DEFAULT_INTEGER_FACTOR))
     return parser
 
 

@@ -1,20 +1,17 @@
 """Register storage and bit-level primitives shared by every cache policy.
 
-A cache region is one fixed array of ``d`` encoded sets.  Each set is a single
-bit-string holding ``k`` elements (ways); each element packs a key, a value and
-one SCN (sequence change number) metadata word.  A parallel keys-only
-register mirrors just the key fields so that membership can be tested with a
-single ternary (TCAM-style) comparison instead of a loop.  The store keeps
-each set as field rows (a key row, a value row and an SCN row) and derives
-the packed words on demand, so the simulator does not pay for packing on every
-packet.  A way travels as a flat ``(key, value, scn)`` tuple whose entries
-line up with the field rows.  Each region of a multi-region cache is its own
-store, so an element only carries the SCN word of the region holding it.
+A cache region is one fixed array of ``d`` sets, each modelling one
+fixed-width switch register.  A set holds ``k`` elements (ways); each element
+is a key, a value and one SCN (sequence change number) metadata word, each
+of a fixed bit width.  The store keeps each set as field rows (a key row, a
+value row and an SCN row) and checks every field against its width, so a set
+always fits its ``k * element_width``-bit register.  Membership is one
+ternary (TCAM-style) comparison against the key row instead of a loop.  A way
+travels as a flat ``(key, value, scn)`` tuple whose entries line up with the
+field rows.  Each region of a multi-region cache is its own store, so an
+element only carries the SCN word of the region holding it.
 
-Bit order is little-endian by way: way 0 occupies the lowest-order slice of the
-set word, and within an element the key sits in the lowest bits, then the
-value, then the SCN word.  Key 0 is reserved as the empty-way marker; live
-keys are always >= 1.
+Key 0 is reserved as the empty-way marker; live keys are always >= 1.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ SCN_FIELD = 2
 
 
 class CacheElement(NamedTuple):
-    """One decoded way: key, value and SCN metadata word.
+    """One way as a named tuple: key, value and SCN metadata word.
 
     The store never holds elements; this is the type that ``peek_set``, an
     engine's ``dump`` and ``FetchResult.evicted`` hand out.
@@ -41,11 +38,6 @@ class CacheElement(NamedTuple):
     key: int
     value: int
     scn: int
-
-    @classmethod
-    def from_way(cls, way: tuple[int, ...]) -> "CacheElement":
-        """The element of a flat ``(key, value, scn)`` way tuple."""
-        return cls(*way)
 
 
 class LayoutError(ValueError):
@@ -115,15 +107,15 @@ class OpCounter:
 
 
 class RegisterStore:
-    """Fixed array of ``d`` sets plus the parallel keys register.
+    """Fixed array of ``d`` sets, each stored as field rows.
 
-    Each set is held unpacked as field rows: ``rows[h]`` is
-    ``[keys, values, scns]``, each a list of ``k`` ints, way 0 first.
-    A lookup is one C-level search of the key row, a whole-set read or write
-    copies the rows, and a fold works on the SCN row.  The packed set and
-    keys-register words are checked views derived from the rows (``sets``,
-    ``keys_register``, ``word``); the bit layout, the field-width validation
-    and the operation accounting are the same as for packed storage.
+    ``rows[h]`` is ``[keys, values, scns]``, each a list of ``k`` ints, way 0
+    first; the rows are the storage.  A lookup is one C-level search of the
+    key row, a whole-set read or write copies the rows, and a fold works on
+    the SCN row.  Field widths are checked where a value enters the store:
+    ``ternary_lookup`` checks the probed key, ``write_way_field`` the SCN, and
+    ``_check_rows`` (after every write with ``check_invariants``, and after
+    every ``map_scn`` sweep) the whole set, with its distinct live keys.
 
     ``read_set_raw``/``write_set_raw`` model whole-set register accesses and
     are the unit of the operation accounting.  ``read_way`` and
@@ -145,61 +137,9 @@ class RegisterStore:
             [[0] * layout.k for _ in self._widths] for _ in range(layout.d)
         ]
 
-    # -- encoding ----------------------------------------------------------
-
-    def encode_set(self, rows: list[list[int]]) -> tuple[int, int]:
-        """Pack field rows into (set_word, keys_word); validates widths."""
-        lay = self.layout
-        if len(rows) != len(self._widths) or any(len(row) != lay.k for row in rows):
-            raise StorageError(f"expected {len(self._widths)} field rows of {lay.k} ways")
-        word = 0
-        keys_word = 0
-        seen: set[int] = set()
-        for i, way in enumerate(zip(*rows)):
-            enc = shift = 0
-            for field, (x, width) in enumerate(zip(way, self._widths)):
-                if not 0 <= x < 1 << width:
-                    name = ("key", "value", "scn")[field]
-                    raise StorageError(f"{name} {x} exceeds {width} bits")
-                enc |= x << shift
-                shift += width
-            key = way[0]
-            if key:
-                if key in seen:
-                    raise StorageError(f"duplicate key {key} within one set")
-                seen.add(key)
-            word |= enc << (i * lay.element_width)
-            keys_word |= key << (i * lay.key_bits)
-        return word, keys_word
-
-    def decode_set(self, word: int) -> list[list[int]]:
-        """Unpack a set word into its field rows."""
-        rows: list[list[int]] = [[] for _ in self._widths]
-        for _ in range(self.layout.k):
-            for row, width in zip(rows, self._widths):
-                row.append(word & ((1 << width) - 1))
-                word >>= width
-        return rows
-
-    # -- packed views -------------------------------------------------------
-
-    def word(self, h: int) -> int:
-        """Set ``h`` as one packed word: way 0 in the lowest-order slice."""
-        return self.encode_set(self.rows[h])[0]
-
-    @property
-    def sets(self) -> list[int]:
-        """Packed word of every set (a derived copy; writes go through methods)."""
-        return [self.word(h) for h in range(self.layout.d)]
-
-    @property
-    def keys_register(self) -> list[int]:
-        """Packed keys-register word of every set (a derived copy)."""
-        return [self.encode_set(rows)[1] for rows in self.rows]
-
     def peek_set(self, h: int) -> list[CacheElement]:
-        """Decoded set ``h``; bypasses operation accounting."""
-        return [CacheElement.from_way(way) for way in zip(*self.rows[h])]
+        """Set ``h`` as elements, way 0 first; bypasses operation accounting."""
+        return [CacheElement(*way) for way in zip(*self.rows[h])]
 
     # -- whole-set access ---------------------------------------------------
 
@@ -210,7 +150,7 @@ class RegisterStore:
         return [keys[:], values[:], scns[:]]
 
     def write_set_raw(self, h: int, rows: list[list[int]]) -> None:
-        """Whole-set write from field rows, which also rewrites the keys register.
+        """Whole-set write from field rows.
 
         Trusts the caller to preserve element invariants; with
         ``check_invariants`` the set is fully re-validated.
@@ -223,7 +163,7 @@ class RegisterStore:
     # -- ternary lookup -----------------------------------------------------
 
     def ternary_lookup(self, h: int, key: int) -> int:
-        """One TCAM comparison against the keys register of set ``h``."""
+        """One TCAM comparison against the key row of set ``h``."""
         if key < 1:
             raise StorageError("key 0 would falsely match empty ways")
         if key >> self.layout.key_bits:
@@ -244,7 +184,7 @@ class RegisterStore:
         """Patch the SCN word of one way; counts as the whole-set register write.
 
         Keys and values are only written with the whole set (write_set_raw),
-        which keeps the keys register's distinct-key guarantee.
+        which keeps the key row's distinct-key guarantee.
         """
         width = self.layout.scn_bits
         if not 0 <= scn < 1 << width:
@@ -284,12 +224,23 @@ class RegisterStore:
         return other
 
     def _check_rows(self, h: int) -> None:
-        """Re-validate set ``h``: row shape, field widths, unique keys."""
+        """Re-validate set ``h``: row shape, field widths, unique keys.
+
+        Raises for the first fault in way order.
+        """
         rows = self.rows[h]
         if len(rows) != len(self._widths) or any(len(row) != self.layout.k for row in rows):
             raise AssertionError(f"set {h} does not hold {self.layout.k} ways of every field")
         keys = [key for key in rows[0] if key]
         if (any(min(row) < 0 or max(row) >> width for row, width in zip(rows, self._widths))
                 or len(set(keys)) != len(keys)):
-            # encoding raises for the first fault in way order
-            self.encode_set(rows)
+            seen: set[int] = set()
+            for way in zip(*rows):
+                for name, x, width in zip(("key", "value", "scn"), way, self._widths):
+                    if not 0 <= x < 1 << width:
+                        raise StorageError(f"{name} {x} exceeds {width} bits")
+                key = way[0]
+                if key in seen:
+                    raise StorageError(f"duplicate key {key} within one set")
+                if key:
+                    seen.add(key)

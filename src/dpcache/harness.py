@@ -29,7 +29,7 @@ from .multiregion import (
     RegionSpec,
 )
 from .oracle import ReferenceCache, ReferenceMultiCache
-from .policies import make_engine
+from .policies import DEFAULT_INTEGER_FACTOR, make_engine
 from .traces import Trace, ZipfSpec, generate_zipf, parse_trace
 
 ENGINE_RESTRICTED = "restricted"
@@ -58,7 +58,7 @@ class CacheSpec:
     k_w: int = 0
     d_w: int = 0
     filter: str = FILTER_NONE
-    integer_factor: str = "100"
+    integer_factor: str = str(DEFAULT_INTEGER_FACTOR)
 
     @property
     def multi_region(self) -> bool:
@@ -73,6 +73,8 @@ class CacheSpec:
         return label
 
     def validate(self) -> None:
+        if self.filter not in (FILTER_NONE, FILTER_TINYLFU):
+            raise ConfigError(f"unknown filter {self.filter!r}")
         if self.window_policy or self.k_w or self.d_w:
             if not self.window_policy:
                 raise ConfigError("a window region (k_w, d_w) needs a window policy")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MISS, CacheElement, LayoutConfig, OpCounter, StorageError
-from .policies import FetchResult, PolicyEngine, make_engine
+from .policies import DEFAULT_INTEGER_FACTOR, FetchResult, PolicyEngine, make_engine
 
 FILTER_NONE = "none"
 FILTER_TINYLFU = "tinylfu"
@@ -65,7 +65,7 @@ class MultiRegionConfig:
     key_universe: int
     filter: str = FILTER_TINYLFU
     scn_bits: int = 32
-    integer_factor: object = 100
+    integer_factor: object = DEFAULT_INTEGER_FACTOR
 
     def __post_init__(self) -> None:
         if self.filter not in (FILTER_NONE, FILTER_TINYLFU):
@@ -87,24 +87,20 @@ class CountingFilter:
         self,
         key_universe: int,
         aging_window: int,
-        aging_stride: int,
-        counter_cap: int = COUNTER_CAP,
         counter: OpCounter | None = None,
     ) -> None:
-        if not 0 < aging_stride < aging_window:
-            raise ValueError("need 0 < aging_stride < aging_window")
-        if not 0 < counter_cap < (1 << 32):
-            raise ValueError("counter_cap must fit 32 bits")
+        if aging_window <= AGING_STRIDE:
+            raise ValueError(f"aging_window must exceed the aging stride {AGING_STRIDE}")
         self.key_universe = key_universe
         self.aging_window = aging_window
-        self.aging_stride = aging_stride
-        self.counter_cap = counter_cap
+        self.aging_stride = AGING_STRIDE
+        self.counter_cap = COUNTER_CAP
         self.counters = np.zeros(key_universe, dtype=np.uint32)
         self._counts = memoryview(self.counters)
         self.access_counter = 0
         self.cursor = 0
         # counters halved per aging step
-        self.step_size = -(-key_universe * aging_stride // aging_window)
+        self.step_size = -(-key_universe * AGING_STRIDE // aging_window)
         self.ops = counter if counter is not None else OpCounter()
 
     def record_access(self, key: int) -> None:
@@ -162,7 +158,6 @@ class MultiRegionCache:
             self.filter: CountingFilter | None = CountingFilter(
                 config.key_universe,
                 aging_window(config.window.capacity + config.main.capacity),
-                AGING_STRIDE,
                 counter=self.counter,
             )
         else:
@@ -206,6 +201,6 @@ class MultiRegionCache:
             for row, x in zip(pending, main_victim):
                 row[0] = x
             main.store.write_set_raw(h2, pending)
-            return FetchResult(False, value, CacheElement.from_way(window_victim))
+            return FetchResult(False, value, CacheElement(*window_victim))
         main.store.write_set_raw(h2, pending)
-        return FetchResult(False, value, CacheElement.from_way(main_victim))
+        return FetchResult(False, value, CacheElement(*main_victim))

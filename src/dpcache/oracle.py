@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import LayoutConfig
 from .multiregion import COUNTER_CAP, aging_window
-from .policies import PolicyEngine, make_engine
+from .policies import DEFAULT_INTEGER_FACTOR, PolicyEngine, make_engine
 
 _MAX_ENUMERATION_NODES = 5_000_000
 
@@ -347,7 +347,7 @@ def has_metric_tie(
     k: int,
     d: int,
     sequence: tuple[int, ...],
-    integer_factor=100,
+    integer_factor=DEFAULT_INTEGER_FACTOR,
 ) -> bool:
     """Replay a sequence and report whether its metric ever lost strict order.
 
@@ -397,7 +397,7 @@ def exhaustive_check(
     d: int = 1,
     alphabet_size: int = 3,
     max_len: int = 6,
-    integer_factor=100,
+    integer_factor=DEFAULT_INTEGER_FACTOR,
 ) -> ExhaustiveReport:
     """Compare engine vs reference on every key sequence up to ``max_len``.
 

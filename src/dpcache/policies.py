@@ -8,7 +8,7 @@ compare-and-swap steps.  The element carried out of the last way is the
 victim; an all-zero victim means an empty way absorbed the insertion.
 
 Engines work on the store's field rows and flat way tuples internally and
-expose decoded ``CacheElement`` values at their boundaries.
+expose ``CacheElement`` values at their boundaries.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class PolicyEngine:
         victim, rows = self.insert_pending_raw(h, (key, value, self._initial_scn()))
         self.store.write_set_raw(h, rows)
         if victim[0]:
-            return FetchResult(False, value, CacheElement.from_way(victim))
+            return FetchResult(False, value, CacheElement(*victim))
         return FetchResult(False, value, None)
 
     def insert_pending_raw(self, h: int, way: tuple[int, ...]) -> tuple[tuple[int, ...], list[list[int]]]:
@@ -164,7 +164,7 @@ class PolicyEngine:
         return victim, skipped
 
     def dump(self) -> list[list[CacheElement]]:
-        """Decoded contents of every set; bypasses operation accounting."""
+        """Every set as elements; bypasses operation accounting."""
         return [self.store.peek_set(h) for h in range(self.layout.d)]
 
     def live_keys(self) -> set[int]:

@@ -36,6 +36,11 @@ class TraceFormatError(ValueError):
     """Raised for malformed trace files."""
 
 
+def _check_exponent(s: float) -> None:
+    if not 0 < s < math.inf:
+        raise ValueError(f"s must be positive and finite, got {s}")
+
+
 @dataclass(frozen=True)
 class ZipfSpec:
     """Parameters of a synthetic rank-frequency workload."""
@@ -48,8 +53,7 @@ class ZipfSpec:
     def __post_init__(self) -> None:
         if self.N < 1 or self.length < 1:
             raise ValueError("N and length must be >= 1")
-        if not 0 < self.s < math.inf:
-            raise ValueError(f"s must be positive and finite, got {self.s}")
+        _check_exponent(self.s)
 
     def describe(self) -> str:
         return f"zipf(N={self.N},s={self.s},len={self.length})"
@@ -102,6 +106,7 @@ def zipf_frequency(N: int, l: int, s: float) -> float:
     """Probability of the rank-``l`` key under the rank-frequency law."""
     if not 1 <= l <= N:
         raise ValueError(f"rank {l} outside [1, {N}]")
+    _check_exponent(s)
     s = float(s)
     return float(l) ** -s / float(_zipf_cdf(N, s)[-1])
 

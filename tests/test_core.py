@@ -112,7 +112,8 @@ class TestTernary:
         store.write_set_raw(0, [[5, 6, 7, 8], [0] * 4, [0] * 4])
         assert store.ternary_lookup(0, 5) == 0
         rep = sum(5 << (i * key_bits) for i in range(4))
-        x = store.keys_register[0] ^ rep
+        keys_word = sum(key << (i * key_bits) for i, key in enumerate(store.rows[0][0]))
+        x = keys_word ^ rep
         slices = [(x >> (i * key_bits)) & 0xFF for i in range(4)]
         assert slices[0] == 0
         assert all(s != 0 for s in slices[1:])
@@ -174,32 +175,16 @@ class TestRegisterStore:
         assert store.read_set_raw(0) == [[0] * 3] * 3
         assert store.peek_set(1) == [CacheElement(0, 0, 0)] * 3
 
-    def test_keys_register_matches_concatenation(self):
-        lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=3, d=2)
-        store = RegisterStore(lay)
-        elems = [CacheElement(9, 1, 0), CacheElement(4, 2, 5), CacheElement(0, 0, 0)]
-        store.write_set_raw(1, rows_of(elems))
-        expected = 0
-        for i, e in enumerate(elems):
-            expected |= e.key << (i * 8)
-        assert store.keys_register[1] == expected
-
     def test_field_width_violations(self):
         lay = LayoutConfig(key_bits=4, value_bits=4, scn_bits=4, k=1, d=1)
         checked = RegisterStore(lay, check_invariants=True)
         for rows in ([[16], [0], [0]], [[1], [16], [0]], [[1], [0], [16]]):
             with pytest.raises(StorageError):
-                checked.encode_set(rows)
-            with pytest.raises(StorageError):
                 checked.write_set_raw(0, rows)
-        with pytest.raises(StorageError):
-            checked.encode_set([[1], [0]])  # the scn row is missing
 
     def test_duplicate_live_keys_rejected(self):
         store = RegisterStore(LayoutConfig(k=2, d=1), check_invariants=True)
         rows = rows_of([CacheElement(5, 0, 0), CacheElement(5, 1, 1)])
-        with pytest.raises(StorageError):
-            store.encode_set(rows)
         with pytest.raises(StorageError):
             store.write_set_raw(0, rows)
 
@@ -210,42 +195,16 @@ class TestRegisterStore:
         assert store.counter.register_writes == 1
         assert store.counter.register_reads == 1
 
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_codec_roundtrip(self, data):
-        # key_bits >= 3 so k unique live keys always exist
-        key_bits = data.draw(st.integers(3, 16))
-        value_bits = data.draw(st.integers(1, 16))
-        scn_bits = data.draw(st.integers(1, 16))
-        k = data.draw(st.integers(1, 6))
-        lay = LayoutConfig(key_bits=key_bits, value_bits=value_bits,
-                           scn_bits=scn_bits, k=k, d=1)
-        store = RegisterStore(lay)
-        keys = data.draw(st.lists(
-            st.integers(1, (1 << key_bits) - 1), min_size=k, max_size=k, unique=True))
-        occupancy = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
-        elems = []
-        for key, live in zip(keys, occupancy):
-            if live:
-                value = data.draw(st.integers(0, (1 << value_bits) - 1))
-                scn = data.draw(st.integers(0, lay.max_scn()))
-                elems.append(CacheElement(key, value, scn))
-            else:
-                elems.append(CacheElement(0, 0, 0))
-        rows = rows_of(elems)
-        assert store.decode_set(store.encode_set(rows)[0]) == rows
-
     def test_raw_path_equals_typed_path(self):
-        # the packed views and the decoded elements of a raw write
+        # the stored rows and the elements of a raw write
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=3, d=1)
         store = RegisterStore(lay)
         elems = [CacheElement(3, 7, 1), CacheElement(0, 0, 0), CacheElement(11, 2, 4)]
         rows = [[3, 0, 11], [7, 0, 2], [1, 0, 4]]
         assert rows_of(elems) == rows
         store.write_set_raw(0, rows)
-        assert (store.sets[0], store.keys_register[0]) == store.encode_set(rows)
+        assert store.rows[0] == rows
         assert store.read_set_raw(0) == rows
-        assert store.decode_set(store.word(0)) == rows
         assert store.peek_set(0) == elems
 
     def test_read_way_and_patch(self):
@@ -259,26 +218,24 @@ class TestRegisterStore:
         with pytest.raises(StorageError, match="^scn 256 exceeds 8 bits$"):
             store.write_way_field(0, 0, 256)
 
-    def test_packed_views_follow_every_write_path(self):
+    def test_rows_follow_every_write_path(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=3, d=2)
         store = RegisterStore(lay)
         rows = [[4, 0, 2], [1, 0, 9], [6, 0, 3]]
 
-        def assert_views(expected):
-            word, keys_word = store.encode_set(expected)
-            assert store.sets == [0, word] and store.word(1) == word
-            assert store.keys_register == [0, keys_word]
-            assert store.decode_set(word) == expected
+        def assert_rows(expected):
+            assert store.rows == [[[0] * 3] * 3, expected]
+            assert store.peek_set(1) == [CacheElement(*way) for way in zip(*expected)]
 
         store.write_set_raw(1, rows)
-        assert_views(rows)
+        assert_rows(rows)
         store.write_way_field(1, 2, 5)
-        assert_views([[4, 0, 2], [1, 0, 9], [6, 0, 5]])
+        assert_rows([[4, 0, 2], [1, 0, 9], [6, 0, 5]])
         store.map_scn(lambda live: [s + 1 for s in live])
-        assert_views([[4, 0, 2], [1, 0, 9], [7, 0, 6]])
+        assert_rows([[4, 0, 2], [1, 0, 9], [7, 0, 6]])
         rows = [[4, 8, 2], [1, 8, 9], [7, 8, 6]]
         store.write_set_raw(1, rows)
-        assert_views(rows)
+        assert_rows(rows)
         assert store.ternary_lookup(1, 2) == 2 and store.ternary_lookup(1, 3) == MISS
 
     def test_raw_row_is_copied_on_read_and_write(self):
@@ -341,7 +298,7 @@ class TestRegisterStore:
         store.rows[0] = [[5, 0, 5, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
         with pytest.raises(StorageError, match="^duplicate key 5 within one set$"):
             store._check_rows(0)
-        # the first fault in way order is reported, as encode_set does
+        # the first fault in way order is reported
         store.rows[0] = [[5, 5, 0, 0], [0, 0, 0, 1 << 7], [0, 0, 0, 0]]
         with pytest.raises(StorageError, match="^duplicate key 5"):
             store._check_rows(0)

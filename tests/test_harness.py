@@ -90,6 +90,15 @@ class TestRunExperiment:
                 trace_path=path,
             ).validate()
 
+    @pytest.mark.parametrize("engine", ["restricted", "reference"])
+    @pytest.mark.parametrize("window", [{}, dict(window_policy="lru", k_w=2, d_w=2)])
+    def test_unknown_filter_rejected(self, tmp_path, engine, window):
+        path = plain_trace(tmp_path, [1, 2, 1])
+        cfg = ExperimentConfig(engine=engine, cache=single(filter="bogus", **window),
+                               trace_path=path)
+        with pytest.raises(ConfigError, match="^unknown filter 'bogus'$"):
+            run_experiment(cfg)
+
     @pytest.mark.parametrize("window", [
         dict(window_policy="fifo"),
         dict(window_policy="fifo", d_w=2),
@@ -175,6 +184,18 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(cfg, sizes=[128, 0])
         assert replayed == []
+
+    def test_unknown_filter_rejected_before_the_trace_loads(self, monkeypatch):
+        loaded = []
+        monkeypatch.setattr(harness, "load_trace", lambda cfg: loaded.append(cfg))
+        cfg = ExperimentConfig(
+            engine="restricted",
+            cache=single(k=2, d=2, window_policy="lru", k_w=2, d_w=2, filter="bogus"),
+            zipf=ZipfSpec(N=2000, s=0.99, length=100, seed=11),
+        )
+        with pytest.raises(ConfigError, match="^unknown filter 'bogus'$"):
+            run_sweep(cfg, sizes=[4, 8])
+        assert loaded == []
 
     def test_exactly_one_axis(self):
         cfg = ExperimentConfig(

@@ -5,6 +5,7 @@ import pytest
 
 from dpcache.core import OpCounter, StorageError
 from dpcache.multiregion import (
+    COUNTER_CAP,
     CountingFilter,
     MultiRegionCache,
     MultiRegionConfig,
@@ -67,54 +68,56 @@ class TestConfig:
 
 class TestCountingFilter:
     def test_step_size_example(self):
-        f = CountingFilter(key_universe=100, aging_window=1000, aging_stride=10)
+        f = CountingFilter(key_universe=100, aging_window=1600)
         assert f.step_size == 1
 
     def test_halving_is_integer_shift(self):
-        f = CountingFilter(100, 1000, 10)
+        f = CountingFilter(100, 1600)
         f.counters[0] = 7
         f.age_step()
         assert f.counters[0] == 3
 
     def test_full_cycle_per_window(self):
-        f = CountingFilter(100, 1000, 10)
+        f = CountingFilter(100, 1600)
         for key in range(1, 100):
             f.counters[key] = 64
-        for i in range(1000):
+        for i in range(1600):
             f.record_access(1 + (i % 99))
         # one full halving cycle completed; replay bound from the snapshot
         for key in range(1, 100):
-            accesses = len([i for i in range(1000) if 1 + (i % 99) == key])
+            accesses = len([i for i in range(1600) if 1 + (i % 99) == key])
             assert f.counters[key] <= (64 >> 1) + accesses
         assert f.cursor == 0
 
     def test_saturation_at_cap(self):
-        f = CountingFilter(10, 160, 16, counter_cap=5)
+        f = CountingFilter(10, 160)  # halves counters 0 and 1 in 40 accesses
+        f.counters[3] = COUNTER_CAP - 1
         for _ in range(40):
             f.record_access(3)
-        assert f.counters[3] <= 5
+        assert f.counters[3] == COUNTER_CAP
 
     def test_per_packet_path_shares_the_counter_array(self):
         # record_access and count work on the buffer of ``counters``: writes
         # to the array are seen, both return plain ints, and the cap and the
         # slice halving show through either side
-        f = CountingFilter(10, 20, 6, counter_cap=5)  # halves 3 counters per 6 accesses
-        f.counters[3] = 4
-        assert f.count(3) == 4 and type(f.count(3)) is int
+        cap, half = COUNTER_CAP, COUNTER_CAP >> 1
+        f = CountingFilter(10, 60)  # halves 3 counters per 16 accesses
+        f.counters[3] = cap - 1
+        assert f.count(3) == cap - 1 and type(f.count(3)) is int
         f.record_access(3)
-        assert f.counters[3] == 5
+        assert f.counters[3] == cap
         f.record_access(np.int64(3))
-        assert f.counters[3] == 5 and f.count(3) == 5  # saturated at the cap
-        f.counters[:] = 9
+        assert f.counters[3] == cap and f.count(3) == cap  # saturated at the cap
+        f.counters[:] = cap
         f.age_step()  # cursor 0: halves counters 0..2
-        assert [f.count(key) for key in range(10)] == [4, 4, 4] + [9] * 7
-        for _ in range(4):
-            f.record_access(7)  # above the cap: no increment; the 6th access halves 3..5
-        assert type(f.count(7)) is int and f.count(7) == 9
-        assert list(f.counters) == [4, 4, 4, 4, 4, 4, 9, 9, 9, 9]
+        assert [f.count(key) for key in range(10)] == [half] * 3 + [cap] * 7
+        for _ in range(14):
+            f.record_access(7)  # at the cap: no increment; the 16th access halves 3..5
+        assert type(f.count(7)) is int and f.count(7) == cap
+        assert list(f.counters) == [half] * 6 + [cap] * 4
 
     def test_wraparound_slice(self):
-        f = CountingFilter(10, 20, 6)  # step = ceil(10*6/20) = 3
+        f = CountingFilter(10, 60)  # step = ceil(10*16/60) = 3
         assert f.step_size == 3
         f.counters[:] = 8
         f.cursor = 8
@@ -269,8 +272,8 @@ class TestComposition:
                              universe=120, filter="none")
         for key in trace:
             full_sets = {
-                h for h, word in enumerate(with_filter.main.store.sets)
-                if all(with_filter.main.store.decode_set(word)[0])
+                h for h, (keys, _, _) in enumerate(with_filter.main.store.rows)
+                if all(keys)
             }
             window_before = with_filter.window.live_keys()
             with_filter.fetch(key)

@@ -38,6 +38,13 @@ class TestZipfFrequency:
         with pytest.raises(ValueError):
             zipf_frequency(10, 11, 1.0)
 
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_rejects_what_zipf_spec_rejects(self, s):
+        # the ZipfSpec side is TestGenerateZipf's test_rejects_bad_spec and
+        # test_rejects_non_finite_exponent
+        with pytest.raises(ValueError, match="s must be positive and finite"):
+            zipf_frequency(10, 1, s)
+
 
 class TestGenerateZipf:
     def test_same_seed_same_sequence(self):
