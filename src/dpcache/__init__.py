@@ -19,12 +19,7 @@ from .harness import (
     run_sweep,
 )
 from .hyperbolic import HyperbolicEngine, LogTable
-from .multiregion import (
-    CountingFilter,
-    MultiRegionCache,
-    MultiRegionConfig,
-    RegionSpec,
-)
+from .multiregion import CountingFilter, MultiRegionCache, RegionSpec
 from .oracle import (
     ExhaustiveReport,
     ReferenceCache,

@@ -20,11 +20,10 @@ from .harness import (
     run_experiment,
     run_sweep,
 )
+from .multiregion import FILTERS
 from .oracle import exhaustive_check
-from .policies import DEFAULT_INTEGER_FACTOR
+from .policies import DEFAULT_INTEGER_FACTOR, POLICIES
 from .traces import ZipfSpec, generate_zipf
-
-POLICIES = ["fifo", "lru", "lfu", "hyperbolic"]
 
 
 def _int_list(text: str) -> list[int]:
@@ -47,7 +46,7 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
                              "the multi-region cache")
     parser.add_argument("--kw", type=int, default=0, help="ways per window set")
     parser.add_argument("--dw", type=int, default=0, help="window set count")
-    parser.add_argument("--filter", choices=["none", "tinylfu"], default=None,
+    parser.add_argument("--filter", choices=FILTERS, default=None,
                         help="admission filter between the regions (default: "
                              "tinylfu when a window is configured)")
     parser.add_argument("--integer-factor", default=str(DEFAULT_INTEGER_FACTOR),

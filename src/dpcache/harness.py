@@ -21,15 +21,9 @@ from dataclasses import asdict, dataclass, replace
 
 from .core import LayoutConfig, OpCounter
 from .hyperbolic import checked_factor
-from .multiregion import (
-    FILTER_NONE,
-    FILTER_TINYLFU,
-    MultiRegionCache,
-    MultiRegionConfig,
-    RegionSpec,
-)
+from .multiregion import FILTER_NONE, FILTER_TINYLFU, FILTERS, MultiRegionCache, RegionSpec
 from .oracle import ReferenceCache, ReferenceMultiCache
-from .policies import DEFAULT_INTEGER_FACTOR, make_engine
+from .policies import DEFAULT_INTEGER_FACTOR, POLICIES, make_engine
 from .traces import Trace, ZipfSpec, generate_zipf, parse_trace
 
 ENGINE_RESTRICTED = "restricted"
@@ -64,6 +58,13 @@ class CacheSpec:
     def multi_region(self) -> bool:
         return self.k_w > 0
 
+    def regions(self) -> list[RegionSpec]:
+        """``[window, main]`` for a two-region cache, else ``[main]``."""
+        main = RegionSpec(self.policy, self.k, self.d)
+        if not self.multi_region:
+            return [main]
+        return [RegionSpec(self.window_policy, self.k_w, self.d_w), main]
+
     def policy_label(self) -> str:
         if not self.multi_region:
             return self.policy
@@ -73,7 +74,7 @@ class CacheSpec:
         return label
 
     def validate(self) -> None:
-        if self.filter not in (FILTER_NONE, FILTER_TINYLFU):
+        if self.filter not in FILTERS:
             raise ConfigError(f"unknown filter {self.filter!r}")
         if self.window_policy or self.k_w or self.d_w:
             if not self.window_policy:
@@ -82,6 +83,11 @@ class CacheSpec:
                 raise ConfigError("a window policy needs a window region with k_w >= 1 and d_w >= 1")
         elif self.filter == FILTER_TINYLFU:
             raise ConfigError("the admission filter applies to multi-region caches only")
+        for region in self.regions():
+            if region.policy.lower() not in POLICIES:
+                raise ConfigError(f"unknown policy {region.policy!r}")
+            if region.k < 1 or region.d < 1:
+                raise ConfigError("k and d must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -94,11 +100,26 @@ class ExperimentConfig:
     zipf: ZipfSpec | None = None
 
     def validate(self) -> None:
+        """Raise what building this run's cache would raise, before any trace loads.
+
+        Builds no cache and no log table, so the log table's build cache stays
+        cold for the set-up that follows.
+        """
         if self.engine not in (ENGINE_RESTRICTED, ENGINE_REFERENCE):
             raise ConfigError(f"unknown engine {self.engine!r}")
         if (self.trace_path is None) == (self.zipf is None):
             raise ConfigError("exactly one of trace_path or zipf must be given")
         self.cache.validate()
+        if self.engine == ENGINE_REFERENCE:
+            return
+        regions = self.cache.regions()
+        for region in regions:
+            LayoutConfig(k=region.k, d=region.d)
+        if any(region.policy.lower() == "hyperbolic" for region in regions):
+            try:
+                checked_factor(self.cache.integer_factor)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -145,62 +166,23 @@ def build_cache(config: ExperimentConfig, trace: Trace):
     universe = trace.max_key + 1
     if config.engine == ENGINE_REFERENCE:
         if spec.multi_region:
-            return ReferenceMultiCache(
-                spec.window_policy, spec.policy,
-                spec.k_w, spec.d_w, spec.k, spec.d,
-                key_universe=universe,
-                use_filter=spec.filter == FILTER_TINYLFU,
-            )
+            return ReferenceMultiCache(*spec.regions(), universe, spec.filter)
         return ReferenceCache(spec.policy, spec.k, spec.d)
     if spec.multi_region:
-        return MultiRegionCache(
-            MultiRegionConfig(
-                window=RegionSpec(spec.window_policy, spec.k_w, spec.d_w),
-                main=RegionSpec(spec.policy, spec.k, spec.d),
-                key_universe=universe,
-                filter=spec.filter,
-                integer_factor=spec.integer_factor,
-            )
-        )
+        return MultiRegionCache(*spec.regions(), universe, spec.filter,
+                                integer_factor=spec.integer_factor)
     layout = LayoutConfig(k=spec.k, d=spec.d)
     return make_engine(spec.policy, layout, integer_factor=spec.integer_factor)
 
 
-def check_cache(config: ExperimentConfig) -> None:
-    """Raise what ``build_cache`` would raise for this geometry or integer factor.
-
-    Builds no cache and no log table, so the log table's build cache stays
-    cold for the set-up that follows.
-    """
-    spec = config.cache
-    regions = [(spec.k_w, spec.d_w), (spec.k, spec.d)] if spec.multi_region else [(spec.k, spec.d)]
-    if config.engine == ENGINE_REFERENCE:
-        if any(k < 1 or d < 1 for k, d in regions):
-            raise ConfigError("k and d must be >= 1")
-        return
-    for k, d in regions:
-        LayoutConfig(k=k, d=d)
-    policies = {spec.policy.lower(), (spec.window_policy or "").lower()}
-    if "hyperbolic" in policies:
-        try:
-            checked_factor(spec.integer_factor)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-
 def _replay_restricted(cache, keys: Sequence[int]) -> tuple[int, tuple[int, int, int], tuple[int, int, int]]:
     """Replay and enforce the per-packet operation ceilings."""
-    multi = isinstance(cache, MultiRegionCache)
-    if multi:
-        counter: OpCounter = cache.counter
-        tcam_budget = 2
-        rw_budget = 2 + 2 * cache.window.layout.k + 2 * cache.main.layout.k
-        fetch = cache.fetch
-    else:
-        counter = cache.store.counter
-        tcam_budget = 1
-        rw_budget = 1 + 2 * cache.layout.k
-        fetch = cache.fetch
+    regions = [cache.window, cache.main] if isinstance(cache, MultiRegionCache) else [cache]
+    # the two-region cache's engines share one counter
+    counter: OpCounter = regions[0].store.counter
+    tcam_budget = len(regions)
+    rw_budget = len(regions) + 2 * sum(region.layout.k for region in regions)
+    fetch = cache.fetch
     hits = 0
     max_t = max_r = max_w = 0
     tot_t = tot_r = tot_w = 0
@@ -284,9 +266,9 @@ def run_sweep(
 
     ``k_values`` with ``capacity`` varies associativity at fixed total size;
     ``sizes`` varies total size at the configured k; ``integer_factors``
-    varies the hyperbolic fixed-point scale.  Runs share one resolved trace.
+    varies the hyperbolic fixed-point scale.  Runs share one resolved trace,
+    which loads only once every grid point has passed validation.
     """
-    config.validate()
     axes = [k_values is not None, sizes is not None, integer_factors is not None]
     if sum(axes) != 1:
         raise ConfigError("exactly one sweep axis must be given")
@@ -311,8 +293,10 @@ def run_sweep(
     else:
         for factor in integer_factors:
             grid.append(replace(config, cache=replace(config.cache, integer_factor=str(factor))))
+    if not grid:
+        raise ConfigError("the sweep axis has no values")
     for cfg in grid:
-        check_cache(cfg)
+        cfg.validate()
     trace = load_trace(config)
     return [run_experiment(cfg, trace) for cfg in grid]
 

@@ -31,6 +31,7 @@ from .policies import DEFAULT_INTEGER_FACTOR, FetchResult, PolicyEngine, make_en
 
 FILTER_NONE = "none"
 FILTER_TINYLFU = "tinylfu"
+FILTERS = (FILTER_NONE, FILTER_TINYLFU)
 
 AGING_STRIDE = 16
 COUNTER_CAP = (1 << 15) - 1
@@ -43,6 +44,8 @@ def aging_window(capacity: int) -> int:
 
 @dataclass(frozen=True)
 class RegionSpec:
+    """One region's policy and geometry: ``d`` sets of ``k`` ways."""
+
     policy: str
     k: int
     d: int
@@ -52,26 +55,12 @@ class RegionSpec:
         return self.k * self.d
 
 
-@dataclass(frozen=True)
-class MultiRegionConfig:
-    """Geometry and policy of both regions, the filter, and the SCN width.
-
-    The filter's aging is fixed by the module constants; ``integer_factor``
-    applies to a hyperbolic region.
-    """
-
-    window: RegionSpec
-    main: RegionSpec
-    key_universe: int
-    filter: str = FILTER_TINYLFU
-    scn_bits: int = 32
-    integer_factor: object = DEFAULT_INTEGER_FACTOR
-
-    def __post_init__(self) -> None:
-        if self.filter not in (FILTER_NONE, FILTER_TINYLFU):
-            raise ValueError(f"unknown filter {self.filter!r}")
-        if self.key_universe < 2:
-            raise ValueError("key_universe must cover at least one live key")
+def check_composition(filter: str, key_universe: int) -> None:
+    """ValueError unless ``filter`` is a known filter and the universe holds a live key."""
+    if filter not in FILTERS:
+        raise ValueError(f"unknown filter {filter!r}")
+    if key_universe < 2:
+        raise ValueError("key_universe must cover at least one live key")
 
 
 class CountingFilter:
@@ -134,38 +123,50 @@ class CountingFilter:
 
 
 class MultiRegionCache:
-    """Window and main engines composed behind two ternary tables."""
+    """Window and main engines composed behind two ternary tables.
+
+    Both regions use one-word layouts of ``scn_bits``; ``integer_factor``
+    applies to a hyperbolic region.  The filter's aging is fixed by the module
+    constants.
+    """
 
     def __init__(
         self,
-        config: MultiRegionConfig,
+        window: RegionSpec,
+        main: RegionSpec,
+        key_universe: int,
+        filter: str = FILTER_TINYLFU,
+        *,
+        scn_bits: int = 32,
+        integer_factor: object = DEFAULT_INTEGER_FACTOR,
         counter: OpCounter | None = None,
         check_invariants: bool = False,
     ) -> None:
-        self.config = config
+        check_composition(filter, key_universe)
+        self.key_universe = key_universe
         self.counter = counter if counter is not None else OpCounter()
 
         def engine(spec: RegionSpec) -> PolicyEngine:
             return make_engine(
-                spec.policy, LayoutConfig(scn_bits=config.scn_bits, k=spec.k, d=spec.d),
+                spec.policy, LayoutConfig(scn_bits=scn_bits, k=spec.k, d=spec.d),
                 counter=self.counter, check_invariants=check_invariants,
-                integer_factor=config.integer_factor,
+                integer_factor=integer_factor,
             )
 
-        self.window = engine(config.window)
-        self.main = engine(config.main)
-        if config.filter == FILTER_TINYLFU:
+        self.window = engine(window)
+        self.main = engine(main)
+        if filter == FILTER_TINYLFU:
             self.filter: CountingFilter | None = CountingFilter(
-                config.key_universe,
-                aging_window(config.window.capacity + config.main.capacity),
+                key_universe,
+                aging_window(window.capacity + main.capacity),
                 counter=self.counter,
             )
         else:
             self.filter = None
 
     def fetch(self, key: int) -> FetchResult:
-        if not 1 <= key < self.config.key_universe:
-            raise StorageError(f"key {key} outside universe [1, {self.config.key_universe})")
+        if not 1 <= key < self.key_universe:
+            raise StorageError(f"key {key} outside universe [1, {self.key_universe})")
         flt = self.filter
         if flt is not None:
             flt.record_access(key)

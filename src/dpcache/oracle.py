@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LayoutConfig
-from .multiregion import COUNTER_CAP, aging_window
+from .multiregion import COUNTER_CAP, FILTER_TINYLFU, RegionSpec, aging_window, check_composition
 from .policies import DEFAULT_INTEGER_FACTOR, PolicyEngine, make_engine
 
 _MAX_ENUMERATION_NODES = 5_000_000
@@ -233,6 +233,9 @@ _BY_POLICY = {cls.policy: cls for cls in
 class ReferenceMultiCache:
     """Unrestricted window x main composition with the counting filter.
 
+    Takes the regions and the filter name of ``MultiRegionCache``; with
+    filter "none" every window victim is admitted.
+
     Aging here is the original batch scheme: all counters are halved at once
     every ``aging_window`` accesses.  This intentionally differs from the
     restricted engine's de-amortized slicing so the admission behaviour of the
@@ -242,20 +245,17 @@ class ReferenceMultiCache:
 
     def __init__(
         self,
-        window_policy: str,
-        main_policy: str,
-        k_w: int,
-        d_w: int,
-        k_m: int,
-        d_m: int,
+        window: RegionSpec,
+        main: RegionSpec,
         key_universe: int,
-        use_filter: bool = True,
+        filter: str = FILTER_TINYLFU,
     ) -> None:
-        self.window = ReferenceCache(window_policy, k_w, d_w)
-        self.main = ReferenceCache(main_policy, k_m, d_m)
-        self.use_filter = use_filter
+        check_composition(filter, key_universe)
+        self.window = ReferenceCache(window.policy, window.k, window.d)
+        self.main = ReferenceCache(main.policy, main.k, main.d)
+        self.use_filter = filter == FILTER_TINYLFU
         self.key_universe = key_universe
-        self.aging_window = aging_window(k_w * d_w + k_m * d_m)
+        self.aging_window = aging_window(window.capacity + main.capacity)
         self.counter_cap = COUNTER_CAP
         self.counters = np.zeros(key_universe, dtype=np.uint32)
         # per-packet reads and writes go through a view of the same buffer
@@ -405,6 +405,8 @@ def exhaustive_check(
     once a prefix diverges, every extension is divergent as well and the
     subtree is counted without being walked.
     """
+    if alphabet_size < 1 or max_len < 1:
+        raise ValueError("alphabet_size and max_len must be >= 1")
     nodes = sum(alphabet_size**j for j in range(1, max_len + 1))
     if nodes > _MAX_ENUMERATION_NODES:
         raise ValueError(f"enumeration of {nodes} sequences is too large")

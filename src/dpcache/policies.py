@@ -29,6 +29,9 @@ from .core import (
 # hyperbolic integer factor default, shared by make_engine and the hyperbolic module
 DEFAULT_INTEGER_FACTOR = Fraction(100)
 
+# policy names every engine, reference and front end accepts (case-insensitively)
+POLICIES = ("fifo", "lru", "lfu", "hyperbolic")
+
 
 class FetchResult(NamedTuple):
     """Outcome of one keyed access.
@@ -284,7 +287,7 @@ def make_engine(
     *,
     integer_factor: int | float | str | Fraction = DEFAULT_INTEGER_FACTOR,
 ) -> PolicyEngine:
-    """Build an engine by policy name ("fifo", "lru", "lfu", "hyperbolic").
+    """Build an engine by policy name, one of ``POLICIES`` in any case.
 
     ``integer_factor`` scales the hyperbolic log table; the other policies
     have no log table and ignore it.

@@ -32,7 +32,7 @@ import numpy as np
 
 from dpcache.core import LayoutConfig, OpCounter
 from dpcache.cli import main as cli_main
-from dpcache.multiregion import MultiRegionCache, MultiRegionConfig, RegionSpec
+from dpcache.multiregion import MultiRegionCache, RegionSpec
 from dpcache.oracle import ReferenceCache, ReferenceMultiCache, exhaustive_check
 from dpcache.policies import make_engine
 from dpcache.traces import ZipfSpec, generate_zipf, parse_trace, zipf_frequency
@@ -85,12 +85,9 @@ def test_c02_filterless_multiregion_exactness(zipf_1m_trace):
     t0 = time.monotonic()
 
     def build(universe):
-        cfg = MultiRegionConfig(window=RegionSpec("fifo", 4, 16),
-                                main=RegionSpec("lru", 16, 16),
-                                key_universe=universe, filter="none")
-        ref = ReferenceMultiCache("fifo", "lru", 4, 16, 16, 16,
-                                  key_universe=universe, use_filter=False)
-        return MultiRegionCache(cfg), ref
+        regions = RegionSpec("fifo", 4, 16), RegionSpec("lru", 16, 16)
+        return (MultiRegionCache(*regions, universe, "none"),
+                ReferenceMultiCache(*regions, universe, "none"))
 
     results = {}
     cache, ref = build(zipf_1m_trace.max_key + 1)
@@ -214,13 +211,10 @@ def test_c04b_integer_factor_one_tenth(desk_trace):
 
 def test_c05_wtinylfu_proximity(desk_trace):
     universe = desk_trace.max_key + 1
-    cfg = MultiRegionConfig(window=RegionSpec("lru", 4, 16),
-                            main=RegionSpec("lru", 16, 16),
-                            key_universe=universe, filter="tinylfu")
-    cache = MultiRegionCache(cfg)
+    regions = RegionSpec("lru", 4, 16), RegionSpec("lru", 16, 16)
+    cache = MultiRegionCache(*regions, universe, "tinylfu")
     hits = sum(engine_stream(cache, desk_trace.keys))
-    ref = ReferenceMultiCache("lru", "lru", 4, 16, 16, 16,
-                              key_universe=universe, use_filter=True)
+    ref = ReferenceMultiCache(*regions, universe, "tinylfu")
     ref_hits = sum(reference_stream(ref, desk_trace.keys))
     n = len(desk_trace.keys)
     gap = abs(hits - ref_hits) / n * 100
@@ -257,10 +251,7 @@ def test_c06_op_count_model():
             else:
                 assert counter.extra_reads == counter.extra_writes == 0
 
-    cfg = MultiRegionConfig(window=RegionSpec("fifo", 4, 4),
-                            main=RegionSpec("lru", 8, 8),
-                            key_universe=513, filter="tinylfu")
-    cache = MultiRegionCache(cfg)
+    cache = MultiRegionCache(RegionSpec("fifo", 4, 4), RegionSpec("lru", 8, 8), 513, "tinylfu")
     flt = cache.filter
     hit_region_ops = 0
     for key in packets:

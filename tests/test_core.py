@@ -11,7 +11,7 @@ from dpcache.core import (
     RegisterStore,
     StorageError,
 )
-from dpcache.multiregion import MultiRegionCache, MultiRegionConfig, RegionSpec
+from dpcache.multiregion import MultiRegionCache, RegionSpec
 from dpcache.policies import make_engine
 
 
@@ -88,9 +88,8 @@ class TestHashToSet:
 
     def test_two_region_cache_rejects_key_wider_than_key_bits(self):
         # a universe past the default 32-bit keys reaches the ternary lookup
-        cache = MultiRegionCache(MultiRegionConfig(
-            window=RegionSpec("lru", 2, 1), main=RegionSpec("lru", 2, 1),
-            key_universe=(1 << 32) + 2, filter="none"))
+        cache = MultiRegionCache(RegionSpec("lru", 2, 1), RegionSpec("lru", 2, 1),
+                                 (1 << 32) + 2, "none")
         with pytest.raises(StorageError, match="^key 4294967296 exceeds 32 bits$"):
             cache.fetch(1 << 32)
         assert cache.window.live_keys() == cache.main.live_keys() == set()

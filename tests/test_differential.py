@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpcache.core import TCAM_MASK_BITS, LayoutConfig, LayoutError
-from dpcache.multiregion import MultiRegionCache, MultiRegionConfig, RegionSpec
+from dpcache.multiregion import MultiRegionCache, RegionSpec
 from dpcache.oracle import ReferenceCache, ReferenceMultiCache
 from dpcache.policies import make_engine
 
@@ -111,10 +111,9 @@ class TestTwoRegion:
         universe = data.draw(st.integers(capacity + 2, 3 * capacity), label="universe")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         keys = random_keys(seed, 10 * capacity + 400, 1, universe - 1)
-        cache = MultiRegionCache(MultiRegionConfig(
-            window=RegionSpec(window, k_w, d_w), main=RegionSpec(main, k_m, d_m),
-            key_universe=universe, filter="none", scn_bits=scn_bits,
-        ), check_invariants=True)
+        regions = RegionSpec(window, k_w, d_w), RegionSpec(main, k_m, d_m)
+        cache = MultiRegionCache(*regions, universe, "none", scn_bits=scn_bits,
+                                 check_invariants=True)
         rescales = {"window": 0, "main": 0}
         for region in rescales:
             store = getattr(cache, region).store
@@ -125,8 +124,7 @@ class TestTwoRegion:
                 _sweep(remap)
 
             store.map_scn = counted
-        oracle = ReferenceMultiCache(window, main, k_w, d_w, k_m, d_m,
-                                     key_universe=universe, use_filter=False)
+        oracle = ReferenceMultiCache(*regions, universe, "none")
         assert_same_stream(cache, oracle, keys)
         if scn_bits < 32:
             for region, policy in (("window", window), ("main", main)):

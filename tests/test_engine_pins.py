@@ -15,7 +15,7 @@ import random
 import pytest
 
 from dpcache.core import LayoutConfig
-from dpcache.multiregion import MultiRegionCache, MultiRegionConfig, RegionSpec
+from dpcache.multiregion import MultiRegionCache, RegionSpec
 from dpcache.policies import make_engine
 
 POLICIES = ["fifo", "lru", "lfu", "hyperbolic"]
@@ -49,13 +49,9 @@ def single_engine(policy, scn_bits, k, d):
 
 
 def multi_cache(window, main, use_filter, scn_bits):
-    return MultiRegionCache(MultiRegionConfig(
-        window=RegionSpec(window, 2, 2),
-        main=RegionSpec(main, 4, 4),
-        key_universe=UNIVERSE,
-        filter="tinylfu" if use_filter else "none",
-        scn_bits=scn_bits,
-    ), check_invariants=True)
+    return MultiRegionCache(RegionSpec(window, 2, 2), RegionSpec(main, 4, 4), UNIVERSE,
+                            "tinylfu" if use_filter else "none",
+                            scn_bits=scn_bits, check_invariants=True)
 
 
 SINGLE_PINS = {

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpcache.core import CacheElement, LayoutConfig
-from dpcache.multiregion import MultiRegionCache, MultiRegionConfig, RegionSpec
+from dpcache.multiregion import MultiRegionCache, RegionSpec
 from dpcache.policies import make_engine
 
 
@@ -211,9 +211,8 @@ def test_k64_replay_keeps_views_in_step(policy, kwargs):
 
 @pytest.mark.parametrize("flt", ["none", "tinylfu"])
 def test_two_region_replay_keeps_views_in_step(flt):
-    cfg = MultiRegionConfig(window=RegionSpec("lru", 4, 4), main=RegionSpec("lru", 8, 4),
-                            key_universe=200, filter=flt, scn_bits=8)
-    cache = MultiRegionCache(cfg, check_invariants=True)
+    cache = MultiRegionCache(RegionSpec("lru", 4, 4), RegionSpec("lru", 8, 4), 200, flt,
+                             scn_bits=8, check_invariants=True)
     writes = [watch_writes(cache.window.store), watch_writes(cache.main.store)]
     for key in trace(4, 1500, 199):
         cache.fetch(key)

@@ -197,6 +197,38 @@ class TestRunSweep:
             run_sweep(cfg, sizes=[4, 8])
         assert loaded == []
 
+    @pytest.mark.parametrize("engine", ["restricted", "reference"])
+    @pytest.mark.parametrize("cache", [
+        single(policy="bogus"),
+        single(k=2, d=2, window_policy="bogus", k_w=2, d_w=2, filter="tinylfu"),
+    ], ids=["policy", "window_policy"])
+    @pytest.mark.parametrize("run", [
+        run_experiment,
+        lambda cfg: run_sweep(cfg, sizes=[4, 8]),
+    ], ids=["run_experiment", "run_sweep"])
+    def test_unknown_policy_rejected_before_the_trace_loads(self, monkeypatch, engine, cache, run):
+        loaded = []
+        monkeypatch.setattr(harness, "load_trace", lambda cfg: loaded.append(cfg))
+        cfg = ExperimentConfig(engine=engine, cache=cache,
+                               zipf=ZipfSpec(N=2000, s=0.99, length=100, seed=11))
+        with pytest.raises(ConfigError, match="^unknown policy 'bogus'$"):
+            run(cfg)
+        assert loaded == []
+
+    @pytest.mark.parametrize("axis", [
+        dict(k_values=[], capacity=16), dict(sizes=[]), dict(integer_factors=[]),
+    ], ids=["k_values", "sizes", "integer_factors"])
+    def test_empty_axis_rejected_before_the_trace_loads(self, monkeypatch, axis):
+        loaded = []
+        monkeypatch.setattr(harness, "load_trace", lambda cfg: loaded.append(cfg))
+        cfg = ExperimentConfig(
+            engine="restricted", cache=single(policy="hyperbolic", k=4, d=4),
+            zipf=ZipfSpec(N=100, s=0.99, length=100, seed=1),
+        )
+        with pytest.raises(ConfigError, match="^the sweep axis has no values$"):
+            run_sweep(cfg, **axis)
+        assert loaded == []
+
     def test_exactly_one_axis(self):
         cfg = ExperimentConfig(
             engine="restricted", cache=single(),
@@ -330,6 +362,18 @@ class TestCli:
         # an infinite exponent would put every draw on key 1
         (["run", "--policy", "lru", "--km", "4", "--dm", "4", "--zipf-n", "10",
           "--zipf-s", "inf", "--zipf-len", "100"], "s must be positive and finite"),
+        # an empty axis is an error, never a report of the header alone
+        (["sweep", "--policy", "lru", "--km", "4", "--dm", "4", "--zipf-n", "100",
+          "--zipf-s", "0.99", "--zipf-len", "100", "--sizes", ","], "no values"),
+        (["sweep", "--policy", "lru", "--km", "4", "--dm", "4", "--zipf-n", "100",
+          "--zipf-s", "0.99", "--zipf-len", "100", "--k-values", ",", "--capacity", "16"],
+         "no values"),
+        (["sweep", "--policy", "hyperbolic", "--km", "4", "--dm", "4", "--zipf-n", "100",
+          "--zipf-s", "0.99", "--zipf-len", "100", "--integer-factors", ","], "no values"),
+        # an empty enumeration is an error, never an [OK] over nothing
+        (["check", "--policy", "lru", "--alphabet", "0"], "must be >= 1"),
+        (["check", "--policy", "lru", "--alphabet", "-3"], "must be >= 1"),
+        (["check", "--policy", "lru", "--max-len", "0"], "must be >= 1"),
     ])
     def test_value_errors_become_error_lines(self, argv, message, capsys):
         assert main(argv) == 1

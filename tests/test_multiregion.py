@@ -8,7 +8,6 @@ from dpcache.multiregion import (
     COUNTER_CAP,
     CountingFilter,
     MultiRegionCache,
-    MultiRegionConfig,
     RegionSpec,
 )
 from dpcache.oracle import ReferenceMultiCache
@@ -16,14 +15,7 @@ from dpcache.oracle import ReferenceMultiCache
 
 def make_cache(window=("fifo", 2, 1), main=("lru", 2, 1), universe=100,
                filter="tinylfu", **kwargs) -> MultiRegionCache:
-    cfg = MultiRegionConfig(
-        window=RegionSpec(*window),
-        main=RegionSpec(*main),
-        key_universe=universe,
-        filter=filter,
-        **kwargs,
-    )
-    return MultiRegionCache(cfg)
+    return MultiRegionCache(RegionSpec(*window), RegionSpec(*main), universe, filter, **kwargs)
 
 
 def random_trace(seed, length, universe):
@@ -42,9 +34,18 @@ class TestConfig:
         # read the same epoch length and counter cap for one geometry
         for window, main in [(("fifo", 4, 16), ("lru", 16, 16)), (("lru", 1, 1), ("lru", 1, 1))]:
             cache = make_cache(window=window, main=main, universe=10)
-            ref = ReferenceMultiCache(window[0], main[0], *window[1:], *main[1:], key_universe=10)
+            ref = ReferenceMultiCache(RegionSpec(*window), RegionSpec(*main), 10)
             assert cache.filter.aging_window == ref.aging_window
             assert cache.filter.counter_cap == ref.counter_cap
+
+    @pytest.mark.parametrize("build", [MultiRegionCache, ReferenceMultiCache])
+    @pytest.mark.parametrize("universe, filter, message", [
+        (100, "bogus", "^unknown filter 'bogus'$"),
+        (1, "none", "^key_universe must cover at least one live key$"),
+    ], ids=["filter", "universe"])
+    def test_both_compositions_reject_the_same_input(self, build, universe, filter, message):
+        with pytest.raises(ValueError, match=message):
+            build(RegionSpec("lru", 2, 1), RegionSpec("lru", 2, 1), universe, filter)
 
     def test_each_region_keeps_one_scn_word_per_element(self):
         cache = make_cache(window=("lru", 2, 4), main=("hyperbolic", 4, 8), scn_bits=12)
@@ -201,9 +202,7 @@ class TestComposition:
     ])
     def test_filterless_matches_reference_exactly(self, window, main):
         cache = make_cache(window=window, main=main, universe=400, filter="none")
-        ref = ReferenceMultiCache(window[0], main[0], window[1], window[2],
-                                  main[1], main[2], key_universe=400,
-                                  use_filter=False)
+        ref = ReferenceMultiCache(RegionSpec(*window), RegionSpec(*main), 400, "none")
         for key in random_trace(5, 6000, 400):
             assert cache.fetch(key).hit == ref.fetch(key)[0]
 
@@ -212,8 +211,7 @@ class TestComposition:
         # own SCN row, wraps and rescales every few dozen fetches
         cache = make_cache(window=("lru", 2, 4), main=("lru", 4, 4), universe=120,
                            filter="none", scn_bits=6)
-        ref = ReferenceMultiCache("lru", "lru", 2, 4, 4, 4, key_universe=120,
-                                  use_filter=False)
+        ref = ReferenceMultiCache(RegionSpec("lru", 2, 4), RegionSpec("lru", 4, 4), 120, "none")
         rescales = 0
         clock = cache.main.clock
         for key in random_trace(13, 5000, 120):
@@ -328,8 +326,7 @@ class TestMultiOpAccounting:
 
     def test_shared_counter_across_regions(self):
         counter = OpCounter()
-        cfg = MultiRegionConfig(window=RegionSpec("fifo", 2, 1),
-                                main=RegionSpec("lru", 2, 1), key_universe=50)
-        cache = MultiRegionCache(cfg, counter=counter)
+        cache = MultiRegionCache(RegionSpec("fifo", 2, 1), RegionSpec("lru", 2, 1), 50,
+                                 counter=counter)
         cache.fetch(1)
         assert counter.tcam_matches == 2

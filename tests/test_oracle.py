@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dpcache.multiregion import RegionSpec
 from dpcache.oracle import (
     ReferenceCache,
     ReferenceMultiCache,
@@ -107,7 +108,7 @@ class TestReferencePolicies:
 class TestReferenceMulti:
     def test_batch_halving(self):
         # capacity 2: the epoch is 16 x 2 = 32 accesses
-        cache = ReferenceMultiCache("fifo", "lru", 1, 1, 1, 1, key_universe=50)
+        cache = ReferenceMultiCache(RegionSpec("fifo", 1, 1), RegionSpec("lru", 1, 1), 50)
         assert cache.aging_window == 32
         for _ in range(31):
             cache.fetch(7)
@@ -116,7 +117,7 @@ class TestReferenceMulti:
         assert cache.counters[7] == 16
 
     def test_live_keys_disjoint_regions(self):
-        cache = ReferenceMultiCache("fifo", "lru", 2, 2, 2, 2, key_universe=60)
+        cache = ReferenceMultiCache(RegionSpec("fifo", 2, 2), RegionSpec("lru", 2, 2), 60)
         for key in random_trace(17, 2000, 59):
             cache.fetch(key)
             assert not cache.window.live_keys() & cache.main.live_keys()
@@ -147,6 +148,11 @@ class TestExhaustiveCheck:
         with pytest.raises(ValueError):
             exhaustive_check("lru", alphabet_size=50, max_len=8)
 
+    @pytest.mark.parametrize("alphabet_size, max_len", [(0, 6), (-3, 6), (3, 0)])
+    def test_empty_enumeration_rejected(self, alphabet_size, max_len):
+        with pytest.raises(ValueError, match="^alphabet_size and max_len must be >= 1$"):
+            exhaustive_check("lru", alphabet_size=alphabet_size, max_len=max_len)
+
     def test_classifier_flags_plain_tie(self):
         # three cold keys into a 2-way set: eviction among equal counts
         assert has_metric_tie("lfu", 2, 1, (1, 2, 3))
@@ -173,8 +179,10 @@ def golden_single(policy, k, d):
 
 
 def golden_multi(window_policy, main_policy, use_filter):
-    cache = ReferenceMultiCache(window_policy, main_policy, use_filter=use_filter,
-                                **GOLDEN_MULTI)
+    g = GOLDEN_MULTI
+    cache = ReferenceMultiCache(RegionSpec(window_policy, g["k_w"], g["d_w"]),
+                                RegionSpec(main_policy, g["k_m"], g["d_m"]),
+                                g["key_universe"], "tinylfu" if use_filter else "none")
     return (stream_digest(cache, GOLDEN_KEYS),
             cache.window.tie_seen, cache.main.tie_seen)
 

@@ -6,6 +6,7 @@ import pytest
 from dpcache.core import CacheElement, LayoutConfig, OpCounter, StorageError
 from dpcache.oracle import ReferenceCache
 from dpcache.policies import (
+    POLICIES,
     FifoEngine,
     LruEngine,
     make_engine,
@@ -339,3 +340,18 @@ class TestFetchResultInvariants:
             else:
                 assert departed == set()
             previous = live
+
+
+class TestPolicyNames:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_engine_and_reference_build_every_name_in_any_case(self, policy):
+        for name in (policy, policy.upper()):
+            assert make_engine(name, LayoutConfig(k=2, d=2)).fetch(1).hit is False
+            assert ReferenceCache(name, 2, 2).policy == policy
+
+    def test_other_names_are_rejected(self):
+        assert POLICIES == ("fifo", "lru", "lfu", "hyperbolic")
+        with pytest.raises(ValueError, match="unknown policy 'arc'"):
+            make_engine("arc", LayoutConfig(k=2, d=2))
+        with pytest.raises(ValueError, match="unknown reference policy 'arc'"):
+            ReferenceCache("arc", 2, 2)
