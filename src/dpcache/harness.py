@@ -102,24 +102,22 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise what building this run's cache would raise, before any trace loads.
 
-        Builds no cache and no log table, so the log table's build cache stays
-        cold for the set-up that follows.
+        The integer factor is checked for every policy and engine, because
+        every report prints it.  Builds no cache and no log table, so the log
+        table's build cache stays cold for the set-up that follows.
         """
         if self.engine not in (ENGINE_RESTRICTED, ENGINE_REFERENCE):
             raise ConfigError(f"unknown engine {self.engine!r}")
         if (self.trace_path is None) == (self.zipf is None):
             raise ConfigError("exactly one of trace_path or zipf must be given")
         self.cache.validate()
-        if self.engine == ENGINE_REFERENCE:
-            return
-        regions = self.cache.regions()
-        for region in regions:
-            LayoutConfig(k=region.k, d=region.d)
-        if any(region.policy.lower() == "hyperbolic" for region in regions):
-            try:
-                checked_factor(self.cache.integer_factor)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+        if self.engine == ENGINE_RESTRICTED:
+            for region in self.cache.regions():
+                LayoutConfig(k=region.k, d=region.d)
+        try:
+            checked_factor(self.cache.integer_factor)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -264,7 +262,8 @@ def run_sweep(
 ) -> list[ExperimentReport]:
     """Expand one sweep axis into a list of independent runs.
 
-    ``k_values`` with ``capacity`` varies associativity at fixed total size;
+    ``k_values`` with ``capacity`` varies associativity at fixed total size
+    (``capacity`` with another axis is an error);
     ``sizes`` varies total size at the configured k; ``integer_factors``
     varies the hyperbolic fixed-point scale.  Runs share one resolved trace,
     which loads only once every grid point has passed validation.
@@ -272,6 +271,8 @@ def run_sweep(
     axes = [k_values is not None, sizes is not None, integer_factors is not None]
     if sum(axes) != 1:
         raise ConfigError("exactly one sweep axis must be given")
+    if capacity is not None and k_values is None:
+        raise ConfigError("capacity applies to the k_values axis only")
     grid: list[ExperimentConfig] = []
     if k_values is not None:
         if capacity is None:

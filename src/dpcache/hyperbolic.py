@@ -156,6 +156,7 @@ class HyperbolicEngine(PolicyEngine):
         self.time_bits = lay.scn_bits - self.freq_bits
         self.log_table = LogTable(min(DEFAULT_MAX_SCN, 1 << self.time_bits), integer_factor)
         self.freq_max = (1 << self.freq_bits) - 1
+        self._halve_at = self.log_table.max_scn - 1
         self.tick = 0
 
     # freq in the low half of the scn word, insert time in the high half
@@ -164,11 +165,6 @@ class HyperbolicEngine(PolicyEngine):
 
     def _unpack(self, scn_word: int) -> tuple[int, int]:
         return scn_word & self.freq_max, scn_word >> self.freq_bits
-
-    def _advance_tick(self) -> None:
-        self.tick += 1
-        if self.tick >= self.log_table.max_scn - 1:
-            self._halve_times()
 
     def _halve_times(self) -> None:
         """Right-shift the tick and every stored insert time by one."""
@@ -182,17 +178,23 @@ class HyperbolicEngine(PolicyEngine):
         self.store.map_scn(halve)
 
     def _initial_scn(self) -> int:
-        self._advance_tick()
-        return self._pack(1, self.tick)
+        self.tick = tick = self.tick + 1
+        if tick >= self._halve_at:
+            self._halve_times()
+        return 1 | self.tick << self.freq_bits
 
     def serve_hit(self, h: int, way: int) -> FetchResult:
-        self._advance_tick()
-        element = self.store.read_way(h, way)
-        freq, t = self._unpack(element[SCN_FIELD])
-        if freq < self.freq_max:
-            self.store.write_way_field(h, way, self._pack(freq + 1, t))
+        self.tick = tick = self.tick + 1
+        if tick >= self._halve_at:
+            self._halve_times()
+        store = self.store
+        element = store.read_way(h, way)
+        scn = element[SCN_FIELD]
+        if scn & self.freq_max < self.freq_max:
+            # the frequency sits in the low bits: +1 counts the hit
+            store.write_way_field(h, way, scn + 1)
         else:
-            self.store.writeback(h)
+            store.writeback(h)
         return FetchResult(True, element[1], None)
 
     def _metric(self, rows: list[list[int]]) -> list[int]:

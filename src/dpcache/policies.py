@@ -13,6 +13,7 @@ expose ``CacheElement`` values at their boundaries.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -65,6 +66,7 @@ class PolicyEngine:
         check_invariants: bool = False,
     ) -> None:
         self.layout = layout
+        self.d = layout.d
         self.store = RegisterStore(layout, counter, check_invariants)
         # a miss serves the key itself, truncated to the value width
         self.value_mask = (1 << layout.value_bits) - 1
@@ -79,12 +81,12 @@ class PolicyEngine:
     def serve_hit(self, h: int, way: int) -> FetchResult:
         raise NotImplementedError
 
-    def _age(self, rows: list[list[int]]) -> None:
-        """Adjust the set read for an insertion before the fold; none by default."""
-
-    def _metric(self, rows: list[list[int]]) -> list[int]:
-        """Per-way values the fold carries the minimum of."""
-        return rows[SCN_FIELD]
+    # Optional hooks, None unless a policy defines them:
+    # _age(rows) adjusts the set read for an insertion before the fold (LFU);
+    # _metric(rows) returns the per-way values the fold carries the minimum of,
+    # in place of the SCN row (hyperbolic).
+    _age: Callable[[list[list[int]]], None] | None = None
+    _metric: Callable[[list[list[int]]], list[int]] | None = None
 
     # -- shared machinery ----------------------------------------------------
 
@@ -97,13 +99,14 @@ class PolicyEngine:
         return way[:SCN_FIELD] + (self._initial_scn(),)
 
     def fetch(self, key: int) -> FetchResult:
-        h = key % self.layout.d
-        way = self.store.ternary_lookup(h, key)
+        store = self.store
+        h = key % self.d
+        way = store.ternary_lookup(h, key)
         if way != MISS:
             return self.serve_hit(h, way)
         value = key & self.value_mask
         victim, rows = self.insert_pending_raw(h, (key, value, self._initial_scn()))
-        self.store.write_set_raw(h, rows)
+        store.write_set_raw(h, rows)
         if victim[0]:
             return FetchResult(False, value, CacheElement(*victim))
         return FetchResult(False, value, None)
@@ -116,23 +119,36 @@ class PolicyEngine:
         can overrule the fold before the single end-of-pipeline set write.
         Each of the k fold/insert steps reads and writes auxiliary registers
         (candidate and keys registers), which is accounted here.
+
+        Only LFU defines ``_age`` and only hyperbolic ``_metric``; FIFO and
+        LRU fold over the SCN row with no hook call.  The key, value and SCN
+        rows are each rewritten by name.
         """
         k = self.layout.k
-        counter = self.store.counter
+        store = self.store
+        counter = store.counter
         counter.register_reads += 2 * k
         counter.register_writes += 2 * k
-        rows = self.store.read_set_raw(h)
-        self._age(rows)
-        victim, skipped = self._fold(self._metric(rows)) if k > 1 else (0, [])
-        out = []
-        for row, x in zip(rows, way):
-            out.append(row.pop(victim))
-            row.insert(0, x)
-            # the shift put the candidate on each step that kept its
-            # element: swap them back, the candidate moves on
-            for s in skipped:
-                row[s], row[s + 1] = row[s + 1], row[s]
-        return tuple(out), rows
+        rows = store.read_set_raw(h)
+        keys, values, scns = rows
+        if self._age is not None:
+            self._age(rows)
+        if k > 1:
+            victim, skipped = self._fold(scns if self._metric is None else self._metric(rows))
+        else:
+            victim, skipped = 0, []
+        out = keys.pop(victim), values.pop(victim), scns.pop(victim)
+        keys.insert(0, way[0])
+        values.insert(0, way[1])
+        scns.insert(0, way[2])
+        # the shift put the candidate on each step that kept its element:
+        # swap them back, the candidate moves on
+        for s in skipped:
+            t = s + 1
+            keys[s], keys[t] = keys[t], keys[s]
+            values[s], values[t] = values[t], values[s]
+            scns[s], scns[t] = scns[t], scns[s]
+        return out, rows
 
     def _fold(self, metric: list[int]) -> tuple[int, list[int]]:
         """The unrolled compare-and-swap fold over old ways 0..k-1.
@@ -141,18 +157,18 @@ class PolicyEngine:
         order 1..k-1) way i swaps with it if its metric is strictly smaller.
         Returns the old way of the element carried out and the steps before
         it that kept their element; with the new element at way 0, every
-        other way up to the victim moves on by one.
+        other way up to the victim moves on by one.  The kept steps are
+        recorded in order and cut once, after the scan, by ``bisect_left``.
         """
         ways = iter(metric)
         best = next(ways)
-        victim = i = cut = 0
+        victim = i = 0
         skipped = []
         for m in ways:
             i += 1
             if m < best:
                 best = m
                 victim = i
-                cut = len(skipped)
             else:
                 skipped.append(i)
         observer = self.fold_observer
@@ -163,7 +179,7 @@ class PolicyEngine:
                 if m < best:
                     best = m
         # steps after the victim kept their ways without any shift
-        del skipped[cut:]
+        del skipped[bisect_left(skipped, victim):]
         return victim, skipped
 
     def dump(self) -> list[list[CacheElement]]:
@@ -216,15 +232,13 @@ class LruEngine(PolicyEngine):
             raise StorageError("scn_bits too small to rescale an LRU clock")
         self.clock = 0
 
-    def _next_scn(self) -> int:
-        nxt = self.clock + 1
-        if nxt >= self._scn_max:
+    def _initial_scn(self) -> int:
+        scn = self.clock + 1
+        if scn >= self._scn_max:
             self._rescale()
-            nxt = self.clock + 1
-        self.clock = nxt
-        return nxt
-
-    _initial_scn = _next_scn
+            scn = self.clock + 1
+        self.clock = scn
+        return scn
 
     def _rescale(self) -> None:
         top = 0
@@ -239,9 +253,15 @@ class LruEngine(PolicyEngine):
         self.clock = top
 
     def serve_hit(self, h: int, way: int) -> FetchResult:
-        scn = self._next_scn()
-        element = self.store.read_way(h, way)
-        self.store.write_way_field(h, way, scn)
+        # the clock tick of _initial_scn, inlined on the hit path
+        scn = self.clock + 1
+        if scn >= self._scn_max:
+            self._rescale()
+            scn = self.clock + 1
+        self.clock = scn
+        store = self.store
+        element = store.read_way(h, way)
+        store.write_way_field(h, way, scn)
         return FetchResult(True, element[1], None)
 
 

@@ -1,0 +1,67 @@
+"""Summary arithmetic of ``tools/bench_pairs.py`` on synthetic samples.
+
+No benchmark run and no subprocess: ``summarise`` is fed pairs built here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def pairs_of(parent, change, metric="events_per_s"):
+    return [{"parent": {metric: p}, "change": {metric: c}} for p, c in zip(parent, change)]
+
+
+def test_quartiles_use_the_inclusive_method(tool):
+    assert tool.quartiles([1, 2, 3, 4, 5, 6, 7, 8, 9, 10]) == {"q1": 3.25, "median": 5.5, "q3": 7.75}
+    assert tool.quartiles([4.0]) == {"q1": 4.0, "median": 4.0, "q3": 4.0}
+
+
+def test_higher_is_better_gain(tool):
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]
+    change = [p + 10 for p in parent]
+    out = tool.summarise(pairs_of(parent, change), {"events_per_s": "higher"})["events_per_s"]
+    assert out["parent"] == {"q1": 102.25, "median": 104.5, "q3": 106.75}
+    assert out["change"]["median"] == 114.5
+    assert (out["wins"], out["losses"], out["ties"]) == (10, 0, 0)
+    assert out["ratio"] == pytest.approx(114.5 / 104.5)
+    assert out["gain"] is True
+
+
+def test_lower_is_better_counts_decreases_as_wins(tool):
+    parent = [1.0, 1.1, 1.2, 1.3]
+    change = [0.5, 1.1, 1.3, 0.6]
+    out = tool.summarise(pairs_of(parent, change, "wall_s"), {"wall_s": "lower"})["wall_s"]
+    assert (out["wins"], out["losses"], out["ties"]) == (2, 1, 1)
+    assert out["gain"] is False
+
+
+def test_gap_inside_the_parent_spread_is_no_gain(tool):
+    # every pair won, but the medians differ by 1 against a parent spread of 5.5
+    parent = [100, 110, 101, 109, 102, 108, 103, 107, 104, 106]
+    change = [p + 1 for p in parent]
+    out = tool.summarise(pairs_of(parent, change), {"events_per_s": "higher"})["events_per_s"]
+    assert out["wins"] == 10
+    assert out["parent"]["q3"] - out["parent"]["q1"] == 5.5
+    assert out["gain"] is False
+
+
+def test_eight_wins_in_ten_is_no_gain(tool):
+    parent = [100] * 10
+    change = [200] * 8 + [100, 50]
+    out = tool.summarise(pairs_of(parent, change), {"events_per_s": "higher"})["events_per_s"]
+    assert (out["wins"], out["losses"], out["ties"]) == (8, 1, 1)
+    assert out["gain"] is False
+    out = tool.summarise(pairs_of(parent, [200] * 9 + [100]), {"events_per_s": "higher"})
+    assert out["events_per_s"]["gain"] is True

@@ -6,7 +6,9 @@ replays one skewed trace at a wide (32-bit) and two narrow SCN widths; at the
 narrow widths the LRU clock rescales, LFU counts saturate and the hyperbolic
 tick halves and its frequencies saturate (``test_narrow_widths_fire_maintenance``
 checks that they do).  The two-region cache is pinned for all 16 window x main
-pairings, with and without the admission filter.
+pairings, with and without the admission filter.  Every single-region case also
+pins its final set contents and maintenance clock, which hold the fold's
+way-by-way arrangement that a stream alone does not show.
 """
 
 import hashlib
@@ -41,6 +43,19 @@ def stream_digest(cache, keys):
         r = cache.fetch(key)
         digest.update(f"{int(r.hit)}:{r.evicted.key if r.evicted else 0};".encode())
     return digest.hexdigest()
+
+
+def state_digest(engine):
+    """sha256 of every set's ways in way order, one ``key,value,scn;`` record per way."""
+    digest = hashlib.sha256()
+    for ways in engine.dump():
+        digest.update("".join(f"{e.key},{e.value},{e.scn};" for e in ways).encode() + b"|")
+    return digest.hexdigest()
+
+
+def engine_clock(engine):
+    """The LRU clock or the hyperbolic tick; None for FIFO and LFU."""
+    return getattr(engine, "clock", getattr(engine, "tick", None))
 
 
 def single_engine(policy, scn_bits, k, d):
@@ -103,6 +118,59 @@ SINGLE_PINS = {
     ("hyperbolic", 4, 2, 1): "39b5e2fb6ade3de88a4486d0261873506d1bfc67b2579d8d41215e5e8b059e28",
     ("hyperbolic", 4, 4, 4): "f9f394804d269595ec7cc3bb0dfa677fef3a7800b81fcf8fd224ca0bcb4987ef",
     ("hyperbolic", 4, 8, 2): "e53434b79b7c32e3e844698ede6db59ea49eb60b8b2d5fb483e66b33a56fe874",
+}
+
+# (sha256 of the final dump(), final clock or tick) after replaying KEYS,
+# captured before the fold and the clocks were last rewritten
+SINGLE_STATE_PINS = {
+    ("fifo", 4, 1, 1): ("88671e04c7eeffcd699c67cec09abe52074f6bcd0b7d78391674535d2c215df5", None),
+    ("fifo", 4, 2, 1): ("06c19f5dbe3cc68b2fe78a92e37cd979b3e0c4bfaf944c7ab124c5762c974248", None),
+    ("fifo", 4, 4, 4): ("0e6451c37d8c582fd58d52d50d13f510fb0aefa527a599645f6f8c793f23854f", None),
+    ("fifo", 4, 8, 2): ("2c107380de9715787f8854ab46ec1557a7aa9c20a2732e85eaf82f5ea7c091dc", None),
+    ("fifo", 6, 1, 1): ("88671e04c7eeffcd699c67cec09abe52074f6bcd0b7d78391674535d2c215df5", None),
+    ("fifo", 6, 2, 1): ("06c19f5dbe3cc68b2fe78a92e37cd979b3e0c4bfaf944c7ab124c5762c974248", None),
+    ("fifo", 6, 4, 4): ("0e6451c37d8c582fd58d52d50d13f510fb0aefa527a599645f6f8c793f23854f", None),
+    ("fifo", 6, 8, 2): ("2c107380de9715787f8854ab46ec1557a7aa9c20a2732e85eaf82f5ea7c091dc", None),
+    ("fifo", 32, 1, 1): ("88671e04c7eeffcd699c67cec09abe52074f6bcd0b7d78391674535d2c215df5", None),
+    ("fifo", 32, 2, 1): ("06c19f5dbe3cc68b2fe78a92e37cd979b3e0c4bfaf944c7ab124c5762c974248", None),
+    ("fifo", 32, 4, 4): ("0e6451c37d8c582fd58d52d50d13f510fb0aefa527a599645f6f8c793f23854f", None),
+    ("fifo", 32, 8, 2): ("2c107380de9715787f8854ab46ec1557a7aa9c20a2732e85eaf82f5ea7c091dc", None),
+    ("hyperbolic", 4, 1, 1): ("164c58375aa08bd1db7f7f856c6edbf4d9cdc6e796236d8a8f859c3a57877028", 2),
+    ("hyperbolic", 4, 2, 1): ("11fcd2d40b79dba62c042db35984484ee8e08de4b75dbaf03cb22c8f4a59b732", 2),
+    ("hyperbolic", 4, 4, 4): ("54b59eb87352606e72d13550172281a8134562f96075bd37ff4c738a2979f735", 2),
+    ("hyperbolic", 4, 8, 2): ("1a30ca24aeff3962a9d78ece14b68e941029b365f76f57f3222f595f7338b96e", 2),
+    ("hyperbolic", 6, 1, 1): ("65feae2e121f10ea7e9bbcd17216922aafe2975b2d5d70cfc8d09349bc7c61bf", 4),
+    ("hyperbolic", 6, 2, 1): ("f80ad325a1bb65f51435b9823bffc767b65de9daafdd80532738b6ad130a8e4f", 4),
+    ("hyperbolic", 6, 4, 4): ("d77b3d19a3223970dcfdf87ac0204075d92fab7cae055575212ce6439fc71950", 4),
+    ("hyperbolic", 6, 8, 2): ("81d62b676264685154c04381b2e1c687e0408c2a7581180631a7d43b9c2cd229", 4),
+    ("hyperbolic", 32, 1, 1): ("ccd19a4576bd367e35e9ba5a8526716baa6ea5e257b8b2708db93e3294270b9c", 1976),
+    ("hyperbolic", 32, 2, 1): ("dcd73a29be304480f9322f1ca38a87ded02f62748e84e7bbbdf3aa15303af4bc", 1976),
+    ("hyperbolic", 32, 4, 4): ("a0f5981c8ec448923367199d94e95b06dd79248116225601bc8686b8762be0ce", 1976),
+    ("hyperbolic", 32, 8, 2): ("7ddc3350a5a0879e36efc6cc0b3d2cd0a28c37fe32f7a030c236be153e9c1c01", 1976),
+    ("lfu", 4, 1, 1): ("40d9c8e654976521dfbacce6bc0640ff1bc924563dbda64fac847d5a9caf8fda", None),
+    ("lfu", 4, 2, 1): ("80c76b58a12156ee6adf12d2f89c24f82e7323124b2427c18cf8966ff244ee66", None),
+    ("lfu", 4, 4, 4): ("bc98a1b736548d8e2b93b38efa3051dd0fb4b2e2e3d2bbf3b197e8fb7a0208f8", None),
+    ("lfu", 4, 8, 2): ("b6759faf6bf69acf06cf9849c4dcff82b4e14620d3648e49ee6a0fd38ee9c163", None),
+    ("lfu", 6, 1, 1): ("40d9c8e654976521dfbacce6bc0640ff1bc924563dbda64fac847d5a9caf8fda", None),
+    ("lfu", 6, 2, 1): ("80c76b58a12156ee6adf12d2f89c24f82e7323124b2427c18cf8966ff244ee66", None),
+    ("lfu", 6, 4, 4): ("1f5f7b0911ba97a9b4684451fb5c4c83c2abf51c964c85fb457780e9bc3f517d", None),
+    ("lfu", 6, 8, 2): ("7cba0882e5b6da310fda0480b61e0a8fb23d79f1f562ed1df27959bf88d2a2cf", None),
+    ("lfu", 32, 1, 1): ("40d9c8e654976521dfbacce6bc0640ff1bc924563dbda64fac847d5a9caf8fda", None),
+    ("lfu", 32, 2, 1): ("80c76b58a12156ee6adf12d2f89c24f82e7323124b2427c18cf8966ff244ee66", None),
+    ("lfu", 32, 4, 4): ("5626aae1a3a3591e9bc2ab1363f9a6211052a784a09c0f79f468bc3e0dbbe288", None),
+    ("lfu", 32, 8, 2): ("31426dde1f7e0ef65df63605c9744c7a810c823b1fe6ed3fb5a12daf66d9e184", None),
+    ("lru", 4, 1, 1): ("6926c44ea877e493278de776f5091a40c9d9bbaeb4e56bd88fda74990f7411da", 10),
+    ("lru", 4, 2, 1): ("9cfb38684f918ccc10f3f3d7fd6b708aa54c353e9f9e0764d2f857868e318d48", 12),
+    ("lru", 4, 4, 4): ("260955cc20e8442b89c393e027ff91f885281606e3faef973ac64ab63a59295c", 9),
+    ("lru", 4, 8, 2): ("54efce6a1f2a32f2ae1208011fe233818eee87192eb42f8ca8e5e08f0d025b6d", 11),
+    ("lru", 6, 1, 1): ("1ed5b3cadd0cf67952f2e5cbb3f6c02bcf5bb8c4d6b5e98309755fcb0e6c0aec", 11),
+    ("lru", 6, 2, 1): ("a98500dcffb1bb025736d33bab6f5d99bc56ba59f19b56f21a892309d326c284", 60),
+    ("lru", 6, 4, 4): ("bcf15d7fca88a063b7be52560c544d5853cab5604810e1ce8f75a118b83df81b", 42),
+    ("lru", 6, 8, 2): ("db0104dfe23c031eb4feeb3efc32271af1fee2570d7926db88a87f6bb78660c8", 30),
+    ("lru", 32, 1, 1): ("8f55f054f81d1620886ae34ee3bde641ad08bfffa910841c7bfa502d9c0a198c", 3000),
+    ("lru", 32, 2, 1): ("5556510c04f588da3454bec3b0d4c472a16195a45a4beb65eabbbd603a14a81e", 3000),
+    ("lru", 32, 4, 4): ("3a72aaefd56b74d4254a216aa4341595b9d607fc37b2dc422822d55e048cdc42", 3000),
+    ("lru", 32, 8, 2): ("e3618329c01436e451db8a4711b1b3e856ad1492a99c9ce8e3d1b0fe28073af6", 3000),
 }
 
 MULTI_PINS = {
@@ -179,6 +247,14 @@ def test_single_region_stream(policy, scn_bits, k, d):
         SINGLE_PINS[policy, scn_bits, k, d]
 
 
+@pytest.mark.parametrize("policy, scn_bits, k, d", sorted(SINGLE_STATE_PINS))
+def test_single_region_final_state(policy, scn_bits, k, d):
+    engine = single_engine(policy, scn_bits, k, d)
+    for key in KEYS:
+        engine.fetch(key)
+    assert (state_digest(engine), engine_clock(engine)) == SINGLE_STATE_PINS[policy, scn_bits, k, d]
+
+
 @pytest.mark.parametrize("window, main, use_filter, scn_bits", sorted(MULTI_PINS))
 def test_two_region_stream(window, main, use_filter, scn_bits):
     assert stream_digest(multi_cache(window, main, use_filter, scn_bits), KEYS) == \
@@ -188,6 +264,7 @@ def test_two_region_stream(window, main, use_filter, scn_bits):
 def test_pins_cover_every_case():
     assert len(SINGLE_PINS) == len(POLICIES) * len(GEOMETRIES) * len(SCN_WIDTHS)
     assert len(MULTI_PINS) == 2 * len(POLICIES) ** 2 * len(MULTI_SCN_WIDTHS)
+    assert SINGLE_STATE_PINS.keys() == SINGLE_PINS.keys()
 
 
 @pytest.mark.parametrize("policy", ["lru", "lfu", "hyperbolic"])

@@ -159,6 +159,8 @@ class TestRunSweep:
         ("hyperbolic", {"integer_factors": ["1", "100", "abc"]}, ValueError),
         ("hyperbolic", {"integer_factors": ["1", "1/0"]}, ValueError),
         ("hyperbolic", {"integer_factors": ["1", "0"]}, ConfigError),
+        # a factor no engine uses is still printed in the report
+        ("lru", {"integer_factors": ["1", "bogus"]}, ConfigError),
     ])
     def test_bad_grid_point_raises_before_any_replay(self, monkeypatch, policy, axis, error):
         replayed = []
@@ -173,6 +175,33 @@ class TestRunSweep:
         assert replayed == []
         # the check builds no log table, so build_cache still pays for it
         assert _build_entries.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("axis", [
+        dict(sizes=[8, 16]), dict(integer_factors=["1", "100"]),
+    ], ids=["sizes", "integer_factors"])
+    def test_capacity_belongs_to_the_k_axis(self, monkeypatch, axis):
+        loaded = []
+        monkeypatch.setattr(harness, "load_trace", lambda cfg: loaded.append(cfg))
+        cfg = ExperimentConfig(
+            engine="restricted", cache=single(policy="hyperbolic", k=4, d=4),
+            zipf=ZipfSpec(N=100, s=0.99, length=100, seed=1),
+        )
+        with pytest.raises(ConfigError, match="^capacity applies to the k_values axis only$"):
+            run_sweep(cfg, capacity=512, **axis)
+        assert loaded == []
+
+    @pytest.mark.parametrize("engine", ["restricted", "reference"])
+    @pytest.mark.parametrize("policy", ["lru", "hyperbolic"])
+    def test_integer_factor_checked_for_every_run(self, monkeypatch, engine, policy):
+        loaded = []
+        monkeypatch.setattr(harness, "load_trace", lambda cfg: loaded.append(cfg))
+        cfg = ExperimentConfig(
+            engine=engine, cache=single(policy=policy, k=4, d=4, integer_factor="bogus"),
+            zipf=ZipfSpec(N=100, s=0.99, length=100, seed=1),
+        )
+        with pytest.raises(ConfigError, match="bogus"):
+            run_experiment(cfg)
+        assert loaded == []
 
     def test_reference_grid_point_checked_before_any_replay(self, monkeypatch):
         replayed = []
@@ -370,6 +399,16 @@ class TestCli:
          "no values"),
         (["sweep", "--policy", "hyperbolic", "--km", "4", "--dm", "4", "--zipf-n", "100",
           "--zipf-s", "0.99", "--zipf-len", "100", "--integer-factors", ","], "no values"),
+        # the factor is printed in every report, so it is checked for every
+        # policy and engine
+        (["run", "--policy", "lru", "--km", "4", "--dm", "4", "--zipf-n", "100",
+          "--zipf-s", "0.99", "--zipf-len", "100", "--integer-factor", "bogus"], "bogus"),
+        (["run", "--engine", "reference", "--policy", "hyperbolic", "--zipf-n", "100",
+          "--zipf-s", "0.99", "--zipf-len", "100", "--integer-factor", "bogus"], "bogus"),
+        # --capacity belongs to --k-values; never a silently ignored flag
+        (["sweep", "--policy", "lru", "--km", "4", "--dm", "4", "--zipf-n", "100",
+          "--zipf-s", "0.99", "--zipf-len", "100", "--sizes", "8,16", "--capacity", "512"],
+         "capacity applies to the k_values axis only"),
         # an empty enumeration is an error, never an [OK] over nothing
         (["check", "--policy", "lru", "--alphabet", "0"], "must be >= 1"),
         (["check", "--policy", "lru", "--alphabet", "-3"], "must be >= 1"),

@@ -5,7 +5,8 @@ attribute name and skips a name that an object lacks, so a renamed method
 would zero its per-layer metric without failing anything.  These tests read
 the tracer's name maps (the file is only imported, never changed) and check
 that each name resolves on caches that ``harness.build_cache`` returns for
-the benchmark's restricted cache shapes.
+the benchmark's restricted cache shapes, and that a seeded replay calls each
+one as often as the pinned counts say.
 """
 
 import importlib.util
@@ -59,3 +60,96 @@ def test_every_traced_name_resolves(tracer, shape):
     if multi:
         assert_methods(cache.filter, tracer.FILTER_SPANS)
 
+
+
+# A seeded Zipf trace whose replay runs misses, hits, halvings and filter aging
+# on every SPECS cache.
+COUNT_TRACE = ZipfSpec(N=5000, s=0.99, length=3000, seed=3)
+
+# Calls per traced name over one replay of COUNT_TRACE, captured before the
+# engines' per-packet code was last rewritten.  Engine and store names carry
+# the region of a two-region cache as ``@window``/``@main``.
+CALL_COUNTS = {
+    "hyperbolic": {
+        "core.ternary_lookup": 3000,
+        "core.read_set_raw": 1153,
+        "core.write_set_raw": 1153,
+        "core.read_way": 1847,
+        "core.write_way_field": 1847,
+        "policies.fold": 1153,
+        "policies.serve_hit": 1847,
+        "hyperbolic.lookup": 36896,
+    },
+    "lru": {
+        "core.ternary_lookup": 3000,
+        "core.read_set_raw": 1162,
+        "core.write_set_raw": 1162,
+        "core.read_way": 1838,
+        "core.write_way_field": 1838,
+        "policies.fold": 1162,
+        "policies.serve_hit": 1838,
+    },
+    "wtinylfu": {
+        "core.ternary_lookup@window": 3000,
+        "core.read_set_raw@window": 1257,
+        "core.write_set_raw@window": 1257,
+        "core.read_way@window": 523,
+        "core.write_way_field@window": 523,
+        "policies.fold@window": 1257,
+        "policies.serve_hit@window": 523,
+        "core.ternary_lookup@main": 3000,
+        "core.read_set_raw@main": 1193,
+        "core.write_set_raw@main": 1193,
+        "core.read_way@main": 1220,
+        "core.write_way_field@main": 1220,
+        "policies.fold@main": 1193,
+        "policies.serve_hit@main": 1220,
+        "multiregion.record_access": 3000,
+        "multiregion.age_step": 187,
+        "multiregion.count": 1874,
+    },
+}
+
+
+def counted_calls(tracer, cache, multi: bool) -> dict[str, int]:
+    """Wrap every name the tracer wraps with a counter on its instance."""
+    counts: dict[str, int] = {}
+
+    def count(obj, attr: str, label: str) -> None:
+        inner = getattr(obj, attr)
+        counts[label] = 0
+
+        def counted(*args, **kwargs):
+            counts[label] += 1
+            return inner(*args, **kwargs)
+
+        setattr(obj, attr, counted)
+
+    regions = {"@window": cache.window, "@main": cache.main} if multi else {"": cache}
+    for suffix, engine in regions.items():
+        for attr, span in tracer.STORE_SPANS.items():
+            count(engine.store, attr, span + suffix)
+        for attr, span in tracer.ENGINE_SPANS.items():
+            count(engine, attr, span + suffix)
+        if engine.name == "hyperbolic":
+            count(engine.log_table, "lookup", "hyperbolic.lookup" + suffix)
+    if multi:
+        for attr, span in tracer.FILTER_SPANS.items():
+            count(cache.filter, attr, span)
+    return counts
+
+
+def replay_counts(tracer, shape: str) -> dict[str, int]:
+    config = ExperimentConfig("restricted", SPECS[shape], zipf=COUNT_TRACE)
+    trace = harness.load_trace(config)
+    cache = harness.build_cache(config, trace)
+    counts = counted_calls(tracer, cache, SPECS[shape].multi_region)
+    for key in trace.keys:
+        cache.fetch(key)
+    return counts
+
+
+@pytest.mark.parametrize("shape", sorted(SPECS))
+def test_traced_call_counts_are_pinned(tracer, shape):
+    """A change that stops calling a traced name would zero its span silently."""
+    assert replay_counts(tracer, shape) == CALL_COUNTS[shape]

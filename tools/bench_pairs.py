@@ -1,0 +1,129 @@
+"""Alternating parent/change runs of one benchmark workload, summarised per metric.
+
+Run from anywhere, with two checkouts of the repository:
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --workload lru-k64-zipf-miss --seed 1 --pairs 10 --seconds 20 --out pairs.json
+
+Each pair runs ``bench/run.py --trace 0`` once in each checkout, the parent
+first in even pairs and the change first in odd ones, so drift of the host's
+speed falls on both sides alike.  Every run must report ``correct: true``; the
+first that does not stops the script with status 1.  The end-to-end metrics
+and the direction in which each is better are read from the change's
+``BENCHMARK.json``.
+
+The JSON file, rewritten after every pair, holds each pair's metrics and, per
+metric, each side's median and quartiles (``statistics.quantiles`` with the
+inclusive method), the change's wins, losses and ties, and ``gain``: the
+change won at least nine tenths of the pairs (ties count for neither side)
+and its median is better than the parent's by more than the distance between
+the parent's quartiles.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def quartiles(values: list[float]) -> dict[str, float]:
+    """Median and quartiles of ``values``."""
+    if len(values) == 1:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarise(pairs: list[dict[str, dict[str, float]]], better: dict[str, str]) -> dict[str, dict]:
+    """Per-metric medians, quartiles, wins and the gain rule over ``pairs``.
+
+    Each pair is ``{"parent": {metric: value}, "change": {metric: value}}``;
+    ``better`` maps each metric to ``"higher"`` or ``"lower"``.
+    """
+    summary = {}
+    for metric, direction in better.items():
+        sign = 1 if direction == "higher" else -1
+        parent = [pair["parent"][metric] for pair in pairs]
+        change = [pair["change"][metric] for pair in pairs]
+        gaps = [sign * (c - p) for p, c in zip(parent, change)]
+        wins = sum(gap > 0 for gap in gaps)
+        losses = sum(gap < 0 for gap in gaps)
+        base, new = quartiles(parent), quartiles(change)
+        spread = base["q3"] - base["q1"]
+        summary[metric] = {
+            "better": direction,
+            "parent": base,
+            "change": new,
+            "ratio": new["median"] / base["median"] if base["median"] else None,
+            "wins": wins,
+            "losses": losses,
+            "ties": len(pairs) - wins - losses,
+            "gain": wins >= 0.9 * len(pairs) and sign * (new["median"] - base["median"]) > spread,
+        }
+    return summary
+
+
+def end_to_end(checkout: Path) -> dict[str, str]:
+    """Each end-to-end metric of the benchmark and the direction that is better."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, metrics) -> dict[str, float]:
+    """One untraced benchmark run in ``checkout``; exits unless it is correct."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {}
+    if proc.returncode != 0 or result.get("correct") is not True:
+        sys.stderr.write(f"bench_pairs: {checkout} is not correct on {workload} seed {seed} "
+                         f"(exit {proc.returncode})\n{proc.stderr}")
+        sys.exit(1)
+    return {name: result["metrics"][name]["value"] for name in metrics}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    better = end_to_end(sides["change"])
+    pairs: list[dict[str, dict[str, float]]] = []
+    for i in range(args.pairs):
+        pair = {}
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            pair[side] = run_once(sides[side], args.workload, args.seed, args.seconds, better)
+        pairs.append(pair)
+        record = {
+            "workload": args.workload,
+            "seed": args.seed,
+            "seconds": args.seconds,
+            "pairs": pairs,
+            "summary": summarise(pairs, better),
+        }
+        args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+        print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
+            f"{name} {pair['parent'][name]:.4g} -> {pair['change'][name]:.4g}" for name in better),
+            flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
