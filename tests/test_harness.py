@@ -399,6 +399,10 @@ class TestCli:
          "no values"),
         (["sweep", "--policy", "hyperbolic", "--km", "4", "--dm", "4", "--zipf-n", "100",
           "--zipf-s", "0.99", "--zipf-len", "100", "--integer-factors", ","], "no values"),
+        # an empty enumeration is an error, never an [OK] over nothing
+        (["check", "--policy", "lru", "--alphabet", "0"], "must be >= 1"),
+        (["check", "--policy", "lru", "--alphabet", "-3"], "must be >= 1"),
+        (["check", "--policy", "lru", "--max-len", "0"], "must be >= 1"),
         # the factor is printed in every report, so it is checked for every
         # policy and engine
         (["run", "--policy", "lru", "--km", "4", "--dm", "4", "--zipf-n", "100",
@@ -409,10 +413,6 @@ class TestCli:
         (["sweep", "--policy", "lru", "--km", "4", "--dm", "4", "--zipf-n", "100",
           "--zipf-s", "0.99", "--zipf-len", "100", "--sizes", "8,16", "--capacity", "512"],
          "capacity applies to the k_values axis only"),
-        # an empty enumeration is an error, never an [OK] over nothing
-        (["check", "--policy", "lru", "--alphabet", "0"], "must be >= 1"),
-        (["check", "--policy", "lru", "--alphabet", "-3"], "must be >= 1"),
-        (["check", "--policy", "lru", "--max-len", "0"], "must be >= 1"),
     ])
     def test_value_errors_become_error_lines(self, argv, message, capsys):
         assert main(argv) == 1
