@@ -3,13 +3,13 @@
 A cache region is one fixed array of ``d`` sets, each modelling one
 fixed-width switch register.  A set holds ``k`` elements (ways); each element
 is a key, a value and one SCN (sequence change number) metadata word, each
-of a fixed bit width.  The store keeps each set as field rows (a key row, a
-value row and an SCN row) and checks every field against its width, so a set
-always fits its ``k * element_width``-bit register.  Membership is one
-ternary (TCAM-style) comparison against the key row instead of a loop.  A way
-travels as a flat ``(key, value, scn)`` tuple whose entries line up with the
-field rows.  Each region of a multi-region cache is its own store, so an
-element only carries the SCN word of the region holding it.
+of a fixed bit width, which ``set_width`` counts.  A value is always the key
+truncated to its width, so the store keeps each set as two field rows, keys
+and SCNs, checked against their widths, and derives the value wherever an
+element is handed out.  Membership is one ternary (TCAM-style) comparison
+against the key row instead of a loop.  A way travels as a ``(key, scn)``
+pair.  Each region of a multi-region cache is its own store, so an element
+only carries the SCN word of the region holding it.
 
 Key 0 is reserved as the empty-way marker; live keys are always >= 1.
 """
@@ -24,15 +24,16 @@ MISS = -1
 # Longest ternary mask supported by the match stage; caps k * key_bits.
 TCAM_MASK_BITS = 2048
 
-# Position of the SCN word in a way tuple and in a set's field rows.
-SCN_FIELD = 2
+# Position of the SCN word in a way pair and in a set's field rows.
+SCN_FIELD = 1
 
 
 class CacheElement(NamedTuple):
     """One way as a named tuple: key, value and SCN metadata word.
 
     The store never holds elements; this is the type that ``peek_set``, an
-    engine's ``dump`` and ``FetchResult.evicted`` hand out.
+    engine's ``dump`` and ``FetchResult.evicted`` hand out, built by
+    ``RegisterStore.element`` with the value derived from the key.
     """
 
     key: int
@@ -109,10 +110,11 @@ class OpCounter:
 class RegisterStore:
     """Fixed array of ``d`` sets, each stored as field rows.
 
-    ``rows[h]`` is ``[keys, values, scns]``, each a list of ``k`` ints, way 0
-    first; the rows are the storage.  A lookup is one C-level search of the
-    key row, a whole-set read or write copies the rows, and a fold works on
-    the SCN row.  Field widths are checked where a value enters the store:
+    ``rows[h]`` is ``[keys, scns]``, each a list of ``k`` ints, way 0 first;
+    the rows are the storage, and a way's value is ``key & value_mask``.  A
+    lookup is one C-level search of the key row, a whole-set read or write
+    copies the rows, and a fold works on the SCN row.  Field widths are
+    checked where a field enters the store:
     ``ternary_lookup`` checks the probed key, ``write_way_field`` the SCN, and
     ``_check_rows`` (after every write with ``check_invariants``, and after
     every ``map_scn`` sweep) the whole set, with its distinct live keys.
@@ -132,22 +134,27 @@ class RegisterStore:
         self.layout = layout
         self.counter = counter if counter is not None else OpCounter()
         self.check_invariants = check_invariants
-        self._widths = (layout.key_bits, layout.value_bits, layout.scn_bits)
+        self._widths = (layout.key_bits, layout.scn_bits)
+        self.value_mask = (1 << layout.value_bits) - 1
         self.rows: list[list[list[int]]] = [
             [[0] * layout.k for _ in self._widths] for _ in range(layout.d)
         ]
 
+    def element(self, key: int, scn: int) -> CacheElement:
+        """The element of way ``(key, scn)``, with its derived value."""
+        return CacheElement(key, key & self.value_mask, scn)
+
     def peek_set(self, h: int) -> list[CacheElement]:
         """Set ``h`` as elements, way 0 first; bypasses operation accounting."""
-        return [CacheElement(*way) for way in zip(*self.rows[h])]
+        return [self.element(*way) for way in zip(*self.rows[h])]
 
     # -- whole-set access ---------------------------------------------------
 
     def read_set_raw(self, h: int) -> list[list[int]]:
         """Whole-set read returning (copies of) the set's field rows."""
         self.counter.register_reads += 1
-        keys, values, scns = self.rows[h]
-        return [keys[:], values[:], scns[:]]
+        keys, scns = self.rows[h]
+        return [keys[:], scns[:]]
 
     def write_set_raw(self, h: int, rows: list[list[int]]) -> None:
         """Whole-set write from field rows.
@@ -174,17 +181,17 @@ class RegisterStore:
 
     # -- targeted hot-path access (same accounting unit as whole-set ops) ----
 
-    def read_way(self, h: int, way: int) -> tuple[int, ...]:
-        """Read one way as a flat tuple; counts as the whole-set register read."""
+    def read_way(self, h: int, way: int) -> tuple[int, int]:
+        """Read one way as a ``(key, scn)`` pair; counts as the whole-set register read."""
         self.counter.register_reads += 1
-        keys, values, scns = self.rows[h]
-        return keys[way], values[way], scns[way]
+        keys, scns = self.rows[h]
+        return keys[way], scns[way]
 
     def write_way_field(self, h: int, way: int, scn: int) -> None:
         """Patch the SCN word of one way; counts as the whole-set register write.
 
-        Keys and values are only written with the whole set (write_set_raw),
-        which keeps the key row's distinct-key guarantee.
+        Keys are only written with the whole set (write_set_raw), which keeps
+        the key row's distinct-key guarantee.
         """
         width = self.layout.scn_bits
         if not 0 <= scn < 1 << width:
@@ -219,8 +226,11 @@ class RegisterStore:
         self.counter.extra_writes += self.layout.d
 
     def clone(self) -> "RegisterStore":
-        other = RegisterStore(self.layout, OpCounter(), self.check_invariants)
-        other.rows = [[row[:] for row in rows] for rows in self.rows]
+        """A copy with its own rows and a fresh counter."""
+        other = RegisterStore.__new__(RegisterStore)
+        other.__dict__.update(self.__dict__)
+        other.counter = OpCounter()
+        other.rows = [[keys[:], scns[:]] for keys, scns in self.rows]
         return other
 
     def _check_rows(self, h: int) -> None:
@@ -236,7 +246,7 @@ class RegisterStore:
                 or len(set(keys)) != len(keys)):
             seen: set[int] = set()
             for way in zip(*rows):
-                for name, x, width in zip(("key", "value", "scn"), way, self._widths):
+                for name, x, width in zip(("key", "scn"), way, self._widths):
                     if not 0 <= x < 1 << width:
                         raise StorageError(f"{name} {x} exceeds {width} bits")
                 key = way[0]

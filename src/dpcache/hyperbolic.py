@@ -188,14 +188,13 @@ class HyperbolicEngine(PolicyEngine):
         if tick >= self._halve_at:
             self._halve_times()
         store = self.store
-        element = store.read_way(h, way)
-        scn = element[SCN_FIELD]
+        key, scn = store.read_way(h, way)
         if scn & self.freq_max < self.freq_max:
             # the frequency sits in the low bits: +1 counts the hit
             store.write_way_field(h, way, scn + 1)
         else:
             store.writeback(h)
-        return FetchResult(True, element[1], None)
+        return FetchResult(True, key & store.value_mask, None)
 
     def _metric(self, rows: list[list[int]]) -> list[int]:
         """Integer priority scores of the ways, with two log lookups per way."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MISS, CacheElement, LayoutConfig, OpCounter, StorageError
+from .core import MISS, LayoutConfig, OpCounter, StorageError
 from .policies import DEFAULT_INTEGER_FACTOR, FetchResult, PolicyEngine, make_engine
 
 FILTER_NONE = "none"
@@ -181,16 +181,15 @@ class MultiRegionCache:
             return self.window.serve_hit(h_window, way_window)
 
         window, main = self.window, self.main
-        value = key & window.value_mask
-        window_victim, pending = window.insert_pending_raw(
-            h_window, (key, value, window._initial_scn()))
+        value = key & window.store.value_mask
+        window_victim, pending = window.insert_pending_raw(h_window, (key, window._initial_scn()))
         window.store.write_set_raw(h_window, pending)
         victim_key = window_victim[0]
         if not victim_key:
             return FetchResult(False, value, None)
 
         h2 = victim_key % main.layout.d
-        main_victim, pending = main.insert_pending_raw(h2, main.stamp(window_victim))
+        main_victim, pending = main.insert_pending_raw(h2, (victim_key, main._initial_scn()))
         main_victim_key = main_victim[0]
         if not main_victim_key:
             main.store.write_set_raw(h2, pending)
@@ -202,6 +201,6 @@ class MultiRegionCache:
             for row, x in zip(pending, main_victim):
                 row[0] = x
             main.store.write_set_raw(h2, pending)
-            return FetchResult(False, value, CacheElement(*window_victim))
+            return FetchResult(False, value, window.store.element(*window_victim))
         main.store.write_set_raw(h2, pending)
-        return FetchResult(False, value, CacheElement(*main_victim))
+        return FetchResult(False, value, main.store.element(*main_victim))

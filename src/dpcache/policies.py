@@ -7,8 +7,9 @@ through the remaining ways as a "candidate" with a fixed, unrolled sequence of
 compare-and-swap steps.  The element carried out of the last way is the
 victim; an all-zero victim means an empty way absorbed the insertion.
 
-Engines work on the store's field rows and flat way tuples internally and
-expose ``CacheElement`` values at their boundaries.
+Engines work on the store's key and SCN rows and ``(key, scn)`` way pairs
+internally.  At their boundaries they expose values and ``CacheElement``s
+whose value is derived, never stored: the key truncated to the value width.
 """
 
 from __future__ import annotations
@@ -68,8 +69,6 @@ class PolicyEngine:
         self.layout = layout
         self.d = layout.d
         self.store = RegisterStore(layout, counter, check_invariants)
-        # a miss serves the key itself, truncated to the value width
-        self.value_mask = (1 << layout.value_bits) - 1
         self.fold_observer: Callable[[int, int], None] | None = None
         self._scn_max = layout.max_scn()
 
@@ -90,28 +89,20 @@ class PolicyEngine:
 
     # -- shared machinery ----------------------------------------------------
 
-    def stamp(self, way: tuple[int, ...]) -> tuple[int, ...]:
-        """``way``'s key and value with a fresh initial SCN.
-
-        As given to an element admitted from the other region, whose SCN
-        from that region is dropped.
-        """
-        return way[:SCN_FIELD] + (self._initial_scn(),)
-
     def fetch(self, key: int) -> FetchResult:
         store = self.store
         h = key % self.d
         way = store.ternary_lookup(h, key)
         if way != MISS:
             return self.serve_hit(h, way)
-        value = key & self.value_mask
-        victim, rows = self.insert_pending_raw(h, (key, value, self._initial_scn()))
+        value = key & store.value_mask
+        victim, rows = self.insert_pending_raw(h, (key, self._initial_scn()))
         store.write_set_raw(h, rows)
         if victim[0]:
-            return FetchResult(False, value, CacheElement(*victim))
+            return FetchResult(False, value, store.element(*victim))
         return FetchResult(False, value, None)
 
-    def insert_pending_raw(self, h: int, way: tuple[int, ...]) -> tuple[tuple[int, ...], list[list[int]]]:
+    def insert_pending_raw(self, h: int, way: tuple[int, int]) -> tuple[tuple[int, int], list[list[int]]]:
         """Insert at way 0 and run the eviction fold; the set is not written.
 
         Returns (victim way, pending field rows).  The caller commits the
@@ -121,8 +112,8 @@ class PolicyEngine:
         (candidate and keys registers), which is accounted here.
 
         Only LFU defines ``_age`` and only hyperbolic ``_metric``; FIFO and
-        LRU fold over the SCN row with no hook call.  The key, value and SCN
-        rows are each rewritten by name.
+        LRU fold over the SCN row with no hook call.  The key and SCN rows
+        are each rewritten by name.
         """
         k = self.layout.k
         store = self.store
@@ -130,23 +121,21 @@ class PolicyEngine:
         counter.register_reads += 2 * k
         counter.register_writes += 2 * k
         rows = store.read_set_raw(h)
-        keys, values, scns = rows
+        keys, scns = rows
         if self._age is not None:
             self._age(rows)
         if k > 1:
             victim, skipped = self._fold(scns if self._metric is None else self._metric(rows))
         else:
             victim, skipped = 0, []
-        out = keys.pop(victim), values.pop(victim), scns.pop(victim)
+        out = keys.pop(victim), scns.pop(victim)
         keys.insert(0, way[0])
-        values.insert(0, way[1])
-        scns.insert(0, way[2])
+        scns.insert(0, way[1])
         # the shift put the candidate on each step that kept its element:
         # swap them back, the candidate moves on
         for s in skipped:
             t = s + 1
             keys[s], keys[t] = keys[t], keys[s]
-            values[s], values[t] = values[t], values[s]
             scns[s], scns[t] = scns[t], scns[s]
         return out, rows
 
@@ -205,9 +194,9 @@ class FifoEngine(PolicyEngine):
         return 0
 
     def serve_hit(self, h: int, way: int) -> FetchResult:
-        element = self.store.read_way(h, way)
+        key = self.store.read_way(h, way)[0]
         self.store.writeback(h)
-        return FetchResult(True, element[1], None)
+        return FetchResult(True, key & self.store.value_mask, None)
 
     def _fold(self, metric: list[int]) -> tuple[int, list[int]]:
         # unconditional swaps leave a pure shift: the last way exits
@@ -260,9 +249,9 @@ class LruEngine(PolicyEngine):
             scn = self.clock + 1
         self.clock = scn
         store = self.store
-        element = store.read_way(h, way)
+        key = store.read_way(h, way)[0]
         store.write_way_field(h, way, scn)
-        return FetchResult(True, element[1], None)
+        return FetchResult(True, key & store.value_mask, None)
 
 
 class LfuEngine(PolicyEngine):
@@ -290,13 +279,13 @@ class LfuEngine(PolicyEngine):
                 counts[way] = count - 1
 
     def serve_hit(self, h: int, way: int) -> FetchResult:
-        element = self.store.read_way(h, way)
-        scn = element[SCN_FIELD]
+        store = self.store
+        key, scn = store.read_way(h, way)
         if scn < self._scn_max:
-            self.store.write_way_field(h, way, scn + 1)
+            store.write_way_field(h, way, scn + 1)
         else:
-            self.store.writeback(h)
-        return FetchResult(True, element[1], None)
+            store.writeback(h)
+        return FetchResult(True, key & store.value_mask, None)
 
 
 def make_engine(

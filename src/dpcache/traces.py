@@ -53,6 +53,8 @@ class ZipfSpec:
     def __post_init__(self) -> None:
         if self.N < 1 or self.length < 1:
             raise ValueError("N and length must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         _check_exponent(self.s)
 
     def describe(self) -> str:

@@ -65,3 +65,22 @@ def test_eight_wins_in_ten_is_no_gain(tool):
     assert out["gain"] is False
     out = tool.summarise(pairs_of(parent, [200] * 9 + [100]), {"events_per_s": "higher"})
     assert out["events_per_s"]["gain"] is True
+
+
+@pytest.mark.parametrize("metric, better, parent, inside, outside", [
+    ("events_per_s", "higher", 100.0, 76.0, 74.0),
+    ("wall_s", "lower", 1.0, 1.24, 1.26),
+])
+def test_within_bound_allows_a_regression_up_to_the_bound(tool, metric, better, parent, inside,
+                                                          outside):
+    # bound 0.25: the change may be worse than the parent's median by 25% of it
+    def within(change, bounds):
+        out = tool.summarise(pairs_of([parent] * 10, [change] * 10, metric), {metric: better},
+                             bounds)
+        return out[metric]["within_bound"]
+
+    bounds = {metric: 0.25}
+    assert within(parent, bounds) is True
+    assert within(inside, bounds) is True
+    assert within(outside, bounds) is False
+    assert within(outside, {}) is None  # a metric without a bound

@@ -26,8 +26,8 @@ def long_division_mod(dividend_digits: str, divisor: int) -> int:
 
 
 def rows_of(elements: list[CacheElement]) -> list[list[int]]:
-    """Field rows ``[keys, values, scns]`` of decoded elements."""
-    return [list(row) for row in zip(*elements)]
+    """Field rows ``[keys, scns]`` of decoded elements."""
+    return [[e.key for e in elements], [e.scn for e in elements]]
 
 
 class TestLayoutConfig:
@@ -163,21 +163,21 @@ class TestRegisterStore:
     def test_write_read_roundtrip_example(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1)
         store = RegisterStore(lay)
-        elems = [CacheElement(3, 30, 2), CacheElement(0, 0, 0)]
+        elems = [CacheElement(3, 3, 2), CacheElement(0, 0, 0)]
         store.write_set_raw(0, rows_of(elems))
-        assert store.read_set_raw(0) == [[3, 0], [30, 0], [2, 0]]
+        assert store.read_set_raw(0) == [[3, 0], [2, 0]]
         assert store.peek_set(0) == elems
 
     def test_fresh_store_reads_empty(self):
         lay = LayoutConfig(k=3, d=2)
         store = RegisterStore(lay)
-        assert store.read_set_raw(0) == [[0] * 3] * 3
+        assert store.read_set_raw(0) == [[0] * 3] * 2
         assert store.peek_set(1) == [CacheElement(0, 0, 0)] * 3
 
     def test_field_width_violations(self):
         lay = LayoutConfig(key_bits=4, value_bits=4, scn_bits=4, k=1, d=1)
         checked = RegisterStore(lay, check_invariants=True)
-        for rows in ([[16], [0], [0]], [[1], [16], [0]], [[1], [0], [16]]):
+        for rows in ([[16], [0]], [[1], [16]]):
             with pytest.raises(StorageError):
                 checked.write_set_raw(0, rows)
 
@@ -189,7 +189,7 @@ class TestRegisterStore:
 
     def test_read_write_counting(self):
         store = RegisterStore(LayoutConfig(k=2, d=1))
-        store.write_set_raw(0, [[1, 0], [0, 0], [0, 0]])
+        store.write_set_raw(0, [[1, 0], [0, 0]])
         store.read_set_raw(0)
         assert store.counter.register_writes == 1
         assert store.counter.register_reads == 1
@@ -198,8 +198,8 @@ class TestRegisterStore:
         # the stored rows and the elements of a raw write
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=3, d=1)
         store = RegisterStore(lay)
-        elems = [CacheElement(3, 7, 1), CacheElement(0, 0, 0), CacheElement(11, 2, 4)]
-        rows = [[3, 0, 11], [7, 0, 2], [1, 0, 4]]
+        elems = [CacheElement(3, 3, 1), CacheElement(0, 0, 0), CacheElement(11, 11, 4)]
+        rows = [[3, 0, 11], [1, 0, 4]]
         assert rows_of(elems) == rows
         store.write_set_raw(0, rows)
         assert store.rows[0] == rows
@@ -209,60 +209,60 @@ class TestRegisterStore:
     def test_read_way_and_patch(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1)
         store = RegisterStore(lay, check_invariants=True)
-        store.write_set_raw(0, [[3, 5], [30, 50], [2, 7]])
-        assert store.read_way(0, 1) == (5, 50, 7)
+        store.write_set_raw(0, [[3, 5], [2, 7]])
+        assert store.read_way(0, 1) == (5, 7)
         store.write_way_field(0, 1, 9)
-        assert store.read_way(0, 1) == (5, 50, 9)
-        assert store.peek_set(0) == [CacheElement(3, 30, 2), CacheElement(5, 50, 9)]
+        assert store.read_way(0, 1) == (5, 9)
+        assert store.peek_set(0) == [CacheElement(3, 3, 2), CacheElement(5, 5, 9)]
         with pytest.raises(StorageError, match="^scn 256 exceeds 8 bits$"):
             store.write_way_field(0, 0, 256)
 
     def test_rows_follow_every_write_path(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=3, d=2)
         store = RegisterStore(lay)
-        rows = [[4, 0, 2], [1, 0, 9], [6, 0, 3]]
+        rows = [[4, 0, 2], [6, 0, 3]]
 
         def assert_rows(expected):
-            assert store.rows == [[[0] * 3] * 3, expected]
-            assert store.peek_set(1) == [CacheElement(*way) for way in zip(*expected)]
+            assert store.rows == [[[0] * 3] * 2, expected]
+            assert store.peek_set(1) == [CacheElement(key, key, scn) for key, scn in zip(*expected)]
 
         store.write_set_raw(1, rows)
         assert_rows(rows)
         store.write_way_field(1, 2, 5)
-        assert_rows([[4, 0, 2], [1, 0, 9], [6, 0, 5]])
+        assert_rows([[4, 0, 2], [6, 0, 5]])
         store.map_scn(lambda live: [s + 1 for s in live])
-        assert_rows([[4, 0, 2], [1, 0, 9], [7, 0, 6]])
-        rows = [[4, 8, 2], [1, 8, 9], [7, 8, 6]]
+        assert_rows([[4, 0, 2], [7, 0, 6]])
+        rows = [[4, 8, 2], [7, 8, 6]]
         store.write_set_raw(1, rows)
         assert_rows(rows)
         assert store.ternary_lookup(1, 2) == 2 and store.ternary_lookup(1, 3) == MISS
 
     def test_raw_row_is_copied_on_read_and_write(self):
         store = RegisterStore(LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1))
-        rows = [[7, 0], [1, 0], [1, 0]]
+        rows = [[7, 0], [1, 0]]
         store.write_set_raw(0, rows)
         rows[0][0] = 9
         pending = store.read_set_raw(0)
         for row in pending:
             row.insert(0, 0)
         pending[0][1] = 5
-        assert store.peek_set(0) == [CacheElement(7, 1, 1), CacheElement(0, 0, 0)]
+        assert store.peek_set(0) == [CacheElement(7, 7, 1), CacheElement(0, 0, 0)]
 
     def test_checked_raw_write_rejects_overwide_slice(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1)
         store = RegisterStore(lay, check_invariants=True)
         with pytest.raises(StorageError):
-            store.write_set_raw(0, [[1, 0], [1 << lay.value_bits, 0], [0, 0]])
+            store.write_set_raw(0, [[1, 0], [1 << lay.scn_bits, 0]])
         with pytest.raises(StorageError):
-            store.write_set_raw(0, [[3, 3], [0, 0], [0, 0]])  # one key twice in a set
+            store.write_set_raw(0, [[3, 3], [0, 0]])  # one key twice in a set
         with pytest.raises(AssertionError):
-            store.write_set_raw(0, [[1, 0], [0, 0]])  # the scn row is missing
+            store.write_set_raw(0, [[1, 0]])  # the scn row is missing
 
     def test_maintenance_access_is_validated_and_unaccounted(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=3)
         store = RegisterStore(lay)
-        store.rows[1] = [[3, 0], [30, 0], [2, 0]]
-        store.rows[2] = [[5, 6], [50, 60], [7, 4]]
+        store.rows[1] = [[3, 0], [2, 0]]
+        store.rows[2] = [[5, 6], [7, 4]]
         seen = []
 
         def bump(live):
@@ -271,20 +271,20 @@ class TestRegisterStore:
 
         store.map_scn(bump)
         assert seen == [[2], [7, 4]]  # empty set 0 and empty ways are skipped
-        assert store.peek_set(1) == [CacheElement(3, 30, 12), CacheElement(0, 0, 0)]
-        assert store.peek_set(2) == [CacheElement(5, 50, 17), CacheElement(6, 60, 14)]
+        assert store.peek_set(1) == [CacheElement(3, 3, 12), CacheElement(0, 0, 0)]
+        assert store.peek_set(2) == [CacheElement(5, 5, 17), CacheElement(6, 6, 14)]
         assert store.counter == OpCounter(extra_reads=3, extra_writes=3)
         with pytest.raises(StorageError):
             store.map_scn(lambda live: [256] * len(live))
 
-    @pytest.mark.parametrize("field, name", [(0, "key"), (1, "value"), (2, "scn")])
+    @pytest.mark.parametrize("field, name", [(0, "key"), (1, "scn")])
     @pytest.mark.parametrize("bad", ["negative", "overwide"])
     def test_check_rows_rejects_out_of_range_in_every_row(self, field, name, bad):
         lay = LayoutConfig(key_bits=6, value_bits=7, scn_bits=5, k=3, d=1)
         store = RegisterStore(lay)
-        width = (6, 7, 5)[field]
+        width = (6, 5)[field]
         x = -1 if bad == "negative" else 1 << width
-        store.rows[0] = [[4, 0, 9], [1, 0, 2], [3, 0, 4]]
+        store.rows[0] = [[4, 0, 9], [3, 0, 4]]
         store.rows[0][field][2] = x
         with pytest.raises(StorageError, match=f"^{name} {x} exceeds {width} bits$"):
             store._check_rows(0)
@@ -292,18 +292,33 @@ class TestRegisterStore:
     def test_check_rows_duplicates_and_empty_ways(self):
         lay = LayoutConfig(key_bits=6, value_bits=7, scn_bits=5, k=4, d=1)
         store = RegisterStore(lay)
-        store.rows[0] = [[0, 5, 0, 0], [0, 1, 0, 0], [0, 2, 0, 0]]
+        store.rows[0] = [[0, 5, 0, 0], [0, 2, 0, 0]]
         store._check_rows(0)  # several empty ways are not duplicates
-        store.rows[0] = [[5, 0, 5, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+        store.rows[0] = [[5, 0, 5, 0], [0, 0, 0, 0]]
         with pytest.raises(StorageError, match="^duplicate key 5 within one set$"):
             store._check_rows(0)
         # the first fault in way order is reported
-        store.rows[0] = [[5, 5, 0, 0], [0, 0, 0, 1 << 7], [0, 0, 0, 0]]
+        store.rows[0] = [[5, 5, 0, 0], [0, 0, 0, 1 << 5]]
         with pytest.raises(StorageError, match="^duplicate key 5"):
             store._check_rows(0)
-        store.rows[0] = [[5, 0, 0, 0], [0, 0, 0], [0, 0, 0, 0]]
+        store.rows[0] = [[5, 0, 0, 0], [0, 0, 0]]
         with pytest.raises(AssertionError, match="does not hold 4 ways"):
             store._check_rows(0)
+
+    def test_clone_has_own_rows_and_a_fresh_counter(self):
+        lay = LayoutConfig(key_bits=8, value_bits=4, scn_bits=8, k=2, d=2)
+        store = RegisterStore(lay, check_invariants=True)
+        store.write_set_raw(1, [[0x35, 0], [7, 0]])
+        other = store.clone()
+        assert other.counter == OpCounter() and other.counter is not store.counter
+        assert other.rows == store.rows and other.check_invariants
+        assert other.peek_set(1) == [CacheElement(0x35, 5, 7), CacheElement(0, 0, 0)]
+        other.write_way_field(1, 0, 9)
+        other.write_set_raw(0, [[1, 0], [1, 0]])
+        assert store.rows == [[[0, 0], [0, 0]], [[0x35, 0], [7, 0]]]
+        assert store.counter == OpCounter(register_writes=1)
+        with pytest.raises(StorageError):
+            other.write_way_field(1, 0, 256)
 
     def test_op_counter_reset(self):
         c = OpCounter(tcam_matches=3, register_reads=2, register_writes=1,

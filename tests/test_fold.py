@@ -23,10 +23,12 @@ from dpcache.policies import make_engine
 
 
 def pack(way, lay):
-    """Encode a flat way tuple as one element int (key in the lowest bits)."""
+    """Encode a ``(key, scn)`` way as one element int: key in the lowest bits,
+    then the value the key derives, then the SCN."""
+    key, scn = way
     widths = (lay.key_bits, lay.value_bits, lay.scn_bits)
     raw = shift = 0
-    for x, width in zip(way, widths):
+    for x, width in zip((key, key & ((1 << lay.value_bits) - 1), scn), widths):
         raw |= x << shift
         shift += width
     return raw
@@ -90,10 +92,10 @@ def fold_cases(draw):
     ways = []
     for key in keys[:k]:
         if draw(st.booleans()) and draw(st.booleans()):
-            ways.append((0, 0, 0))  # empty way
+            ways.append((0, 0))  # empty way
         else:
-            ways.append((key, draw(st.integers(0, 255)), draw(st.integers(0, scn_high))))
-    new = (keys[k], 7, draw(st.integers(0, scn_high)))
+            ways.append((key, draw(st.integers(0, scn_high))))
+    new = (keys[k], draw(st.integers(0, scn_high)))
     tick = draw(st.integers(0, 255))
     return k, policy, ways, new, tick
 
@@ -126,8 +128,8 @@ def test_fold_matches_unrolled_reference(case):
     engine.fold_observer = lambda a, b: pairs.append((a, b))
     extra_before = engine.store.counter.extra_reads
     victim, rows = engine.insert_pending_raw(0, new)
-    assert CacheElement(*victim) == unpack(expected_victim, lay)
-    assert [CacheElement(*way) for way in zip(*rows)] == [unpack(r, lay) for r in raws]
+    assert engine.store.element(*victim) == unpack(expected_victim, lay)
+    assert [engine.store.element(*way) for way in zip(*rows)] == [unpack(r, lay) for r in raws]
     assert pairs == expected_pairs
     if policy == "hyperbolic" and k > 1:
         assert engine.store.counter.extra_reads - extra_before == 2 * k
@@ -137,9 +139,9 @@ def test_fold_skips_a_kept_way_between_swaps():
     # metrics 5, 3, 4, 1: swaps at ways 1 and 3, way 2 keeps its element
     lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=4, d=1)
     engine = make_engine("lru", lay)
-    engine.store.write_set_raw(0, [[10, 11, 12, 13], [0] * 4, [5, 3, 4, 1]])
-    victim, rows = engine.insert_pending_raw(0, (20, 0, 9))
-    assert victim == (13, 0, 1)
+    engine.store.write_set_raw(0, [[10, 11, 12, 13], [5, 3, 4, 1]])
+    victim, rows = engine.insert_pending_raw(0, (20, 9))
+    assert victim == (13, 1)
     assert rows[0] == [20, 10, 12, 11]
 
 
@@ -158,7 +160,7 @@ def unpacked_rows(word, lay):
     """Field rows of a packed set word: the inverse of ``packed_word``."""
     mask = (1 << lay.element_width) - 1
     ways = [unpack((word >> (i * lay.element_width)) & mask, lay) for i in range(lay.k)]
-    return [list(row) for row in zip(*ways)]
+    return [[e.key for e in ways], [e.scn for e in ways]]
 
 
 def check_views(store):

@@ -413,6 +413,10 @@ class TestCli:
         (["sweep", "--policy", "lru", "--km", "4", "--dm", "4", "--zipf-n", "100",
           "--zipf-s", "0.99", "--zipf-len", "100", "--sizes", "8,16", "--capacity", "512"],
          "capacity applies to the k_values axis only"),
+        # the generator's own message would name no flag
+        (["sweep", "--policy", "lru", "--km", "4", "--dm", "4", "--zipf-n", "100",
+          "--zipf-s", "0.99", "--zipf-len", "50", "--sizes", "16,32", "--seed", "-1"],
+         "seed must be >= 0, got -1"),
     ])
     def test_value_errors_become_error_lines(self, argv, message, capsys):
         assert main(argv) == 1

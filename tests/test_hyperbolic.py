@@ -143,7 +143,7 @@ def scores(tick: int, *ways: tuple[int, int]) -> list[int]:
     eng = HyperbolicEngine(LayoutConfig(k=len(ways), d=1))
     eng.tick = tick
     scns = [eng._pack(freq, t) for freq, t in ways]
-    return eng._metric([list(range(1, len(ways) + 1)), [0] * len(ways), scns])
+    return eng._metric([list(range(1, len(ways) + 1)), scns])
 
 
 class TestPriorityScore:
@@ -198,8 +198,8 @@ class TestHyperbolicEngine:
         eng = HyperbolicEngine(LayoutConfig(k=2, d=1))
         eng.tick = 10
         scn = eng._pack(2, 4)
-        eng.store.write_set_raw(0, [[8, 9], [0, 0], [scn, scn]])
-        victim, _ = eng.insert_pending_raw(0, (7, 0, eng._pack(1, 10)))
+        eng.store.write_set_raw(0, [[8, 9], [scn, scn]])
+        victim, _ = eng.insert_pending_raw(0, (7, eng._pack(1, 10)))
         # candidate (old way 0, key 8) ties with way 1 (key 9): no swap
         assert victim[0] == 8
 
@@ -233,7 +233,7 @@ class TestHyperbolicEngine:
         eng = HyperbolicEngine(LayoutConfig(k=4, d=1))
         eng.tick = 1000
         times = [900, 500, 123, 7]
-        eng.store.write_set_raw(0, [[1, 2, 3, 4], [0] * 4, [eng._pack(1, t) for t in times]])
+        eng.store.write_set_raw(0, [[1, 2, 3, 4], [eng._pack(1, t) for t in times]])
         eng._halve_times()
         halved = [eng._unpack(e.scn)[1] for e in eng.dump()[0]]
         assert halved == [t >> 1 for t in times]
@@ -250,11 +250,11 @@ class TestHyperbolicEngine:
                           label="words")
         words[0] |= eng.freq_max  # one saturated frequency
         for h in range(2):
-            eng.store.rows[h] = [[4 * h + w + 1 for w in range(4)], [0] * 4, words[4 * h:4 * h + 4]]
+            eng.store.rows[h] = [[4 * h + w + 1 for w in range(4)], words[4 * h:4 * h + 4]]
         eng.tick = eng.log_table.max_scn - 1
         eng._halve_times()
         expected = [eng._pack(freq, t >> 1) for freq, t in map(eng._unpack, words)]
-        assert eng.store.rows[0][2] + eng.store.rows[1][2] == expected
+        assert eng.store.rows[0][1] + eng.store.rows[1][1] == expected
         assert eng._unpack(expected[0])[0] == eng.freq_max
 
     def test_table_size_follows_time_field(self):

@@ -51,7 +51,7 @@ class TestConfig:
         cache = make_cache(window=("lru", 2, 4), main=("hyperbolic", 4, 8), scn_bits=12)
         for engine, k in ((cache.window, 2), (cache.main, 4)):
             assert engine.layout.set_width == k * (32 + 32 + 12)
-            assert all(len(rows) == 3 for rows in engine.store.rows)
+            assert all(len(rows) == 2 for rows in engine.store.rows)
         assert cache.main.log_table.max_scn == 64
 
     def test_key_outside_universe_rejected(self):
@@ -270,7 +270,7 @@ class TestComposition:
                              universe=120, filter="none")
         for key in trace:
             full_sets = {
-                h for h, (keys, _, _) in enumerate(with_filter.main.store.rows)
+                h for h, (keys, _) in enumerate(with_filter.main.store.rows)
                 if all(keys)
             }
             window_before = with_filter.window.live_keys()

@@ -4,6 +4,7 @@ from collections import deque
 import pytest
 
 from dpcache.core import CacheElement, LayoutConfig, OpCounter, StorageError
+from dpcache.multiregion import MultiRegionCache, RegionSpec
 from dpcache.oracle import ReferenceCache
 from dpcache.policies import (
     POLICIES,
@@ -245,11 +246,31 @@ class TestBacking:
         assert eng.fetch(7).value == 7  # hit returns the cached value
 
     def test_truncation(self):
+        # no value is stored: hits, misses, dumps and evictions all derive it
         for policy in ["fifo", "lru", "lfu", "hyperbolic"]:
             eng = make_engine(policy, LayoutConfig(key_bits=16, value_bits=8, k=2, d=1))
             assert eng.fetch(0x1234).value == 0x34
             assert eng.fetch(0x1234) == (True, 0x34, None)
-            assert eng.store.rows[0][1][0] == 0x34
+            assert eng.dump()[0][0][:2] == (0x1234, 0x34)
+            assert eng.fetch(0x2345).evicted is None
+            evicted = eng.fetch(0x3456).evicted
+            assert evicted.key in (0x1234, 0x2345) and evicted.value == evicted.key & 0xFF
+            assert all(e.value == e.key & 0xFF for e in eng.dump()[0])
+
+        # two regions of one way each: key 1 is admitted to main and later
+        # displaced by 2; 3 is denied admission against the twice-hit 2
+        cache = MultiRegionCache(RegionSpec("fifo", 1, 1), RegionSpec("lru", 1, 1), 100)
+        mask = cache.main.store.value_mask
+        evicted = []
+        for key in [1, 2, 3, 2, 2, 4]:
+            r = cache.fetch(key)
+            assert r.value == key & mask
+            if r.evicted is not None:
+                assert r.evicted.value == r.evicted.key & mask
+                evicted.append(r.evicted.key)
+            for engine in (cache.window, cache.main):
+                assert all(e.value == e.key & mask for e in engine.dump()[0])
+        assert evicted == [1, 3]
 
 
 class TestKeyRange:

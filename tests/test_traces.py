@@ -95,6 +95,11 @@ class TestGenerateZipf:
         with pytest.raises(ValueError, match="positive and finite"):
             ZipfSpec(N=10, s=s, length=100, seed=1)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            ZipfSpec(N=10, s=1.0, length=100, seed=-1)
+        assert generate_zipf(ZipfSpec(N=10, s=1.0, length=100, seed=0)).seed == 0
+
 
 class TestParseTrace:
     def test_plain_first_seen_remap(self, tmp_path):

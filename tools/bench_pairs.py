@@ -17,7 +17,9 @@ metric, each side's median and quartiles (``statistics.quantiles`` with the
 inclusive method), the change's wins, losses and ties, and ``gain``: the
 change won at least nine tenths of the pairs (ties count for neither side)
 and its median is better than the parent's by more than the distance between
-the parent's quartiles.
+the parent's quartiles.  ``within_bound`` is the no-regression rule: the
+change's median is worse than the parent's by at most the metric's ``bound``
+in ``BENCHMARK.json``, as a fraction of the parent's median.
 """
 
 from __future__ import annotations
@@ -39,12 +41,16 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarise(pairs: list[dict[str, dict[str, float]]], better: dict[str, str]) -> dict[str, dict]:
-    """Per-metric medians, quartiles, wins and the gain rule over ``pairs``.
+def summarise(pairs: list[dict[str, dict[str, float]]], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict[str, dict]:
+    """Per-metric medians, quartiles, wins, the gain rule and the bound rule over ``pairs``.
 
     Each pair is ``{"parent": {metric: value}, "change": {metric: value}}``;
-    ``better`` maps each metric to ``"higher"`` or ``"lower"``.
+    ``better`` maps each metric to ``"higher"`` or ``"lower"`` and ``bounds``
+    to its allowed regression; ``within_bound`` is None for a metric without
+    a bound.
     """
+    bounds = bounds or {}
     summary = {}
     for metric, direction in better.items():
         sign = 1 if direction == "higher" else -1
@@ -55,6 +61,7 @@ def summarise(pairs: list[dict[str, dict[str, float]]], better: dict[str, str]) 
         losses = sum(gap < 0 for gap in gaps)
         base, new = quartiles(parent), quartiles(change)
         spread = base["q3"] - base["q1"]
+        bound = bounds.get(metric)
         summary[metric] = {
             "better": direction,
             "parent": base,
@@ -64,14 +71,18 @@ def summarise(pairs: list[dict[str, dict[str, float]]], better: dict[str, str]) 
             "losses": losses,
             "ties": len(pairs) - wins - losses,
             "gain": wins >= 0.9 * len(pairs) and sign * (new["median"] - base["median"]) > spread,
+            "within_bound": None if bound is None else
+            sign * (base["median"] - new["median"]) <= bound * abs(base["median"]),
         }
     return summary
 
 
-def end_to_end(checkout: Path) -> dict[str, str]:
-    """Each end-to-end metric of the benchmark and the direction that is better."""
+def end_to_end(checkout: Path) -> tuple[dict[str, str], dict[str, float]]:
+    """Each end-to-end metric of the benchmark: the direction that is better, and its bound."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    metrics = spec["end_to_end"]
+    return ({metric["name"]: metric["better"] for metric in metrics},
+            {metric["name"]: metric["bound"] for metric in metrics})
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, metrics) -> dict[str, float]:
@@ -104,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be >= 1")
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    better = end_to_end(sides["change"])
+    better, bounds = end_to_end(sides["change"])
     pairs: list[dict[str, dict[str, float]]] = []
     for i in range(args.pairs):
         pair = {}
@@ -116,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
             "seed": args.seed,
             "seconds": args.seconds,
             "pairs": pairs,
-            "summary": summarise(pairs, better),
+            "summary": summarise(pairs, better, bounds),
         }
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
         print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
