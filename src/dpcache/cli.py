@@ -88,8 +88,13 @@ def _cache_spec(args: argparse.Namespace) -> CacheSpec:
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     zipf = None
-    if args.trace is None:
-        if args.zipf_n is None or args.zipf_s is None or args.zipf_len is None:
+    synthetic = {"--zipf-n": args.zipf_n, "--zipf-s": args.zipf_s, "--zipf-len": args.zipf_len}
+    given = [flag for flag, value in synthetic.items() if value is not None]
+    if args.trace is not None:
+        if given:
+            raise ConfigError(f"{'/'.join(given)} cannot be combined with --trace")
+    else:
+        if len(given) < len(synthetic):
             raise ConfigError("give --trace or all of --zipf-n/--zipf-s/--zipf-len")
         zipf = ZipfSpec(N=args.zipf_n, s=args.zipf_s, length=args.zipf_len,
                         seed=args.seed)

@@ -116,8 +116,10 @@ class RegisterStore:
     copies the rows, and a fold works on the SCN row.  Field widths are
     checked where a field enters the store:
     ``ternary_lookup`` checks the probed key, ``write_way_field`` the SCN, and
-    ``_check_rows`` (after every write with ``check_invariants``, and after
-    every ``map_scn`` sweep) the whole set, with its distinct live keys.
+    ``_check_rows`` (after every ``map_scn`` sweep) the whole set, with its
+    distinct live keys.  A write is trusted beyond that; the tests
+    re-validate every written set through a store whose writes run
+    ``_check_rows``.
 
     ``read_set_raw``/``write_set_raw`` model whole-set register accesses and
     are the unit of the operation accounting.  ``read_way`` and
@@ -125,15 +127,9 @@ class RegisterStore:
     same one-read/one-write cost as the whole-set operation they stand in for.
     """
 
-    def __init__(
-        self,
-        layout: LayoutConfig,
-        counter: OpCounter | None = None,
-        check_invariants: bool = False,
-    ) -> None:
+    def __init__(self, layout: LayoutConfig, counter: OpCounter | None = None) -> None:
         self.layout = layout
         self.counter = counter if counter is not None else OpCounter()
-        self.check_invariants = check_invariants
         self._widths = (layout.key_bits, layout.scn_bits)
         self.value_mask = (1 << layout.value_bits) - 1
         self.rows: list[list[list[int]]] = [
@@ -159,13 +155,12 @@ class RegisterStore:
     def write_set_raw(self, h: int, rows: list[list[int]]) -> None:
         """Whole-set write from field rows.
 
-        Trusts the caller to preserve element invariants; with
-        ``check_invariants`` the set is fully re-validated.
+        Trusts the caller to preserve element invariants; the tests
+        re-validate every written set with ``_check_rows`` through a store
+        subclass (``tests/checked.py``).
         """
         self.counter.register_writes += 1
         self.rows[h] = [row[:] for row in rows]
-        if self.check_invariants:
-            self._check_rows(h)
 
     # -- ternary lookup -----------------------------------------------------
 
@@ -198,8 +193,6 @@ class RegisterStore:
             raise StorageError(f"scn {scn} exceeds {width} bits")
         self.counter.register_writes += 1
         self.rows[h][SCN_FIELD][way] = scn
-        if self.check_invariants:
-            self._check_rows(h)
 
     def writeback(self, h: int) -> None:
         """Unconditional set write-back with unchanged content."""

@@ -127,7 +127,8 @@ class MultiRegionCache:
 
     Both regions use one-word layouts of ``scn_bits``; ``integer_factor``
     applies to a hyperbolic region.  The filter's aging is fixed by the module
-    constants.
+    constants.  Both regions and the filter charge one ``OpCounter``,
+    ``counter``.
     """
 
     def __init__(
@@ -139,18 +140,15 @@ class MultiRegionCache:
         *,
         scn_bits: int = 32,
         integer_factor: object = DEFAULT_INTEGER_FACTOR,
-        counter: OpCounter | None = None,
-        check_invariants: bool = False,
     ) -> None:
         check_composition(filter, key_universe)
         self.key_universe = key_universe
-        self.counter = counter if counter is not None else OpCounter()
+        self.counter = OpCounter()
 
         def engine(spec: RegionSpec) -> PolicyEngine:
             return make_engine(
                 spec.policy, LayoutConfig(scn_bits=scn_bits, k=spec.k, d=spec.d),
-                counter=self.counter, check_invariants=check_invariants,
-                integer_factor=integer_factor,
+                counter=self.counter, integer_factor=integer_factor,
             )
 
         self.window = engine(window)

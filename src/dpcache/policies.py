@@ -60,15 +60,10 @@ class PolicyEngine:
 
     name = "base"
 
-    def __init__(
-        self,
-        layout: LayoutConfig,
-        counter: OpCounter | None = None,
-        check_invariants: bool = False,
-    ) -> None:
+    def __init__(self, layout: LayoutConfig, counter: OpCounter | None = None) -> None:
         self.layout = layout
         self.d = layout.d
-        self.store = RegisterStore(layout, counter, check_invariants)
+        self.store = RegisterStore(layout, counter)
         self.fold_observer: Callable[[int, int], None] | None = None
         self._scn_max = layout.max_scn()
 
@@ -292,7 +287,6 @@ def make_engine(
     policy: str,
     layout: LayoutConfig,
     counter: OpCounter | None = None,
-    check_invariants: bool = False,
     *,
     integer_factor: int | float | str | Fraction = DEFAULT_INTEGER_FACTOR,
 ) -> PolicyEngine:
@@ -315,5 +309,5 @@ def make_engine(
     except KeyError:
         raise ValueError(f"unknown policy {policy!r}") from None
     if cls is HyperbolicEngine:
-        return cls(layout, counter, check_invariants, integer_factor=integer_factor)
-    return cls(layout, counter, check_invariants)
+        return cls(layout, counter, integer_factor=integer_factor)
+    return cls(layout, counter)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from typing import Iterator
@@ -68,25 +68,21 @@ class Trace:
     ``keys`` is an ``array.array`` of unsigned keys: typecode ``'I'`` (4 bytes
     per event) while the key bound is below 2**32, ``'Q'`` (8 bytes) from
     there on; see ``key_typecode``.  Iterating it yields plain ints.
+    ``max_key`` bounds the keys: the universe ``N`` of a generated trace, the
+    number of distinct keys of a parsed one.
     """
 
     keys: array
     source: str
+    max_key: int
     seed: int | None = None
     generator: str | None = None
-    _max_key: int | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.keys)
-
-    @property
-    def max_key(self) -> int:
-        if self._max_key is None:
-            self._max_key = max(self.keys)
-        return self._max_key
 
 
 def key_typecode(max_key: int) -> str:
@@ -136,9 +132,9 @@ def generate_zipf(spec: ZipfSpec) -> Trace:
     return Trace(
         keys=keys,
         source=spec.describe(),
+        max_key=spec.N,
         seed=spec.seed,
         generator=GENERATOR_ID,
-        _max_key=spec.N,
     )
 
 
@@ -226,4 +222,4 @@ def parse_trace(path: str, format: str = FORMAT_PLAIN, key_column: str = "key") 
             keys.fromlist(block)
     if not keys:
         raise TraceFormatError(f"{path}: no events found")
-    return Trace(keys=keys, source=str(path), _max_key=len(ids))
+    return Trace(keys=keys, source=str(path), max_key=len(ids))

@@ -1,6 +1,7 @@
-"""Summary arithmetic of ``tools/bench_pairs.py`` on synthetic samples.
+"""Summary arithmetic and the benchmark comparison of ``tools/bench_pairs.py``.
 
-No benchmark run and no subprocess: ``summarise`` is fed pairs built here.
+No benchmark run and no subprocess: ``summarise`` is fed pairs built here,
+and the comparison of two checkouts reads trees built under ``tmp_path``.
 """
 
 import importlib.util
@@ -84,3 +85,41 @@ def test_within_bound_allows_a_regression_up_to_the_bound(tool, metric, better, 
     assert within(inside, bounds) is True
     assert within(outside, bounds) is False
     assert within(outside, {}) is None  # a metric without a bound
+
+
+def benchmark_tree(root, run_source="print('run')\n"):
+    """A checkout holding only what the benchmark comparison reads, and run outputs."""
+    (root / "bench" / "tests").mkdir(parents=True)
+    (root / "bench" / "_work").mkdir()
+    (root / "BENCHMARK.json").write_text('{"workloads": []}\n')
+    (root / "bench" / "run.py").write_text(run_source)
+    (root / "bench" / "tests" / "test_bench.py").write_text("def test(): pass\n")
+    (root / "bench" / "_work" / "out.json").write_text(f"{root.name}\n")
+    return root
+
+
+def test_identical_benchmarks_pass(tool, tmp_path):
+    parent, change = benchmark_tree(tmp_path / "parent"), benchmark_tree(tmp_path / "change")
+    digest, differing = tool.compare_benchmarks(parent, change)
+    assert differing == [] and len(digest) == 64
+    assert sorted(tool.benchmark_files(parent)) == [
+        "BENCHMARK.json", "bench/run.py", "bench/tests/test_bench.py"]
+
+
+def test_changed_run_script_is_named(tool, tmp_path, capsys):
+    parent = benchmark_tree(tmp_path / "parent")
+    change = benchmark_tree(tmp_path / "change", run_source="print('faster')\n")
+    assert tool.compare_benchmarks(parent, change)[1] == ["bench/run.py"]
+    out = tmp_path / "pairs.json"
+    assert tool.main(["--parent", str(parent), "--change", str(change),
+                      "--workload", "w", "--out", str(out)]) == 1
+    assert "differing: bench/run.py" in capsys.readouterr().err
+    assert not out.exists()  # stopped before the first run
+
+
+def test_run_outputs_and_bytecode_are_ignored(tool, tmp_path):
+    parent, change = benchmark_tree(tmp_path / "parent"), benchmark_tree(tmp_path / "change")
+    (change / "bench" / "_work" / "extra.log").write_text("only here\n")
+    (change / "bench" / "__pycache__").mkdir()
+    (change / "bench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(b"\0")
+    assert tool.compare_benchmarks(parent, change) == tool.compare_benchmarks(parent, parent)

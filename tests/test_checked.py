@@ -1,0 +1,79 @@
+"""The test helper ``checked`` re-validates every set a store writes.
+
+Run on a single-region engine and on both regions of a two-region cache: a
+duplicate live key or an overwide SCN written through ``write_set_raw`` is
+caught, so is a fault already in the rows when ``write_way_field`` patches
+the set, and a clone of a checked store writes only its own rows.  A plain
+store takes the same writes without a word, which is what leaves the check
+to the helper.
+"""
+
+import pytest
+
+from checked import CheckedStore, checked
+from dpcache.core import LayoutConfig, OpCounter, RegisterStore, StorageError
+from dpcache.multiregion import MultiRegionCache, RegionSpec
+from dpcache.policies import make_engine
+
+SCN_BITS = 8
+
+
+def store_of(target, check=True):
+    """The store of a fresh engine, or of one region of a fresh two-region cache."""
+    wrap = checked if check else (lambda cache: cache)
+    if target == "engine":
+        return wrap(make_engine("lru", LayoutConfig(scn_bits=SCN_BITS, k=2, d=2))).store
+    cache = wrap(MultiRegionCache(RegionSpec("lru", 2, 2), RegionSpec("fifo", 2, 2), 50,
+                                  scn_bits=SCN_BITS))
+    return getattr(cache, target).store
+
+
+TARGETS = ["engine", "window", "main"]
+FAULTS = [
+    ([[5, 5], [1, 2]], "^duplicate key 5 within one set$"),
+    ([[5, 6], [1 << SCN_BITS, 2]], f"^scn {1 << SCN_BITS} exceeds {SCN_BITS} bits$"),
+]
+
+
+@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("rows, message", FAULTS)
+def test_whole_set_write_is_revalidated(target, rows, message):
+    store = store_of(target)
+    assert type(store) is CheckedStore and "write_set_raw" not in vars(store)
+    with pytest.raises(StorageError, match=message):
+        store.write_set_raw(1, rows)
+    plain = store_of(target, check=False)
+    plain.write_set_raw(1, rows)  # a plain store trusts its caller
+    assert plain.rows[1] == rows
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_way_field_write_is_revalidated(target):
+    store = store_of(target)
+    store.write_way_field(0, 1, 3)
+    store.rows[0][0] = [7, 7]  # a fault no write put there
+    with pytest.raises(StorageError, match="^duplicate key 7 within one set$"):
+        store.write_way_field(0, 1, 4)
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_clone_writes_only_its_own_rows(target):
+    store = store_of(target)
+    store.write_set_raw(1, [[5, 0], [1, 0]])
+    counter = OpCounter(**vars(store.counter))
+    other = store.clone()
+    assert type(other) is RegisterStore and other.counter is not store.counter
+    other.write_set_raw(0, [[9, 0], [2, 0]])
+    other.write_way_field(1, 0, 3)
+    assert store.rows == [[[0, 0], [0, 0]], [[5, 0], [1, 0]]]
+    assert other.rows == [[[9, 0], [2, 0]], [[5, 0], [3, 0]]]
+    assert store.counter == counter
+    with pytest.raises(StorageError, match="^duplicate key 4"):
+        store.write_set_raw(0, [[4, 4], [0, 0]])  # the original is still checked
+
+
+def test_checked_covers_both_regions():
+    cache = checked(MultiRegionCache(RegionSpec("lru", 2, 2), RegionSpec("fifo", 2, 2), 50))
+    assert type(cache.window.store) is CheckedStore and type(cache.main.store) is CheckedStore
+    engine = make_engine("fifo", LayoutConfig(k=2, d=2))
+    assert checked(engine) is engine and type(engine.store) is CheckedStore

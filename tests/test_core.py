@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from checked import check_store
 from dpcache.core import (
     MISS,
     CacheElement,
@@ -176,13 +177,13 @@ class TestRegisterStore:
 
     def test_field_width_violations(self):
         lay = LayoutConfig(key_bits=4, value_bits=4, scn_bits=4, k=1, d=1)
-        checked = RegisterStore(lay, check_invariants=True)
+        checked = check_store(RegisterStore(lay))
         for rows in ([[16], [0]], [[1], [16]]):
             with pytest.raises(StorageError):
                 checked.write_set_raw(0, rows)
 
     def test_duplicate_live_keys_rejected(self):
-        store = RegisterStore(LayoutConfig(k=2, d=1), check_invariants=True)
+        store = check_store(RegisterStore(LayoutConfig(k=2, d=1)))
         rows = rows_of([CacheElement(5, 0, 0), CacheElement(5, 1, 1)])
         with pytest.raises(StorageError):
             store.write_set_raw(0, rows)
@@ -208,7 +209,7 @@ class TestRegisterStore:
 
     def test_read_way_and_patch(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1)
-        store = RegisterStore(lay, check_invariants=True)
+        store = check_store(RegisterStore(lay))
         store.write_set_raw(0, [[3, 5], [2, 7]])
         assert store.read_way(0, 1) == (5, 7)
         store.write_way_field(0, 1, 9)
@@ -250,7 +251,7 @@ class TestRegisterStore:
 
     def test_checked_raw_write_rejects_overwide_slice(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1)
-        store = RegisterStore(lay, check_invariants=True)
+        store = check_store(RegisterStore(lay))
         with pytest.raises(StorageError):
             store.write_set_raw(0, [[1, 0], [1 << lay.scn_bits, 0]])
         with pytest.raises(StorageError):
@@ -307,11 +308,11 @@ class TestRegisterStore:
 
     def test_clone_has_own_rows_and_a_fresh_counter(self):
         lay = LayoutConfig(key_bits=8, value_bits=4, scn_bits=8, k=2, d=2)
-        store = RegisterStore(lay, check_invariants=True)
+        store = check_store(RegisterStore(lay))
         store.write_set_raw(1, [[0x35, 0], [7, 0]])
         other = store.clone()
         assert other.counter == OpCounter() and other.counter is not store.counter
-        assert other.rows == store.rows and other.check_invariants
+        assert other.rows == store.rows
         assert other.peek_set(1) == [CacheElement(0x35, 5, 7), CacheElement(0, 0, 0)]
         other.write_way_field(1, 0, 9)
         other.write_set_raw(0, [[1, 0], [1, 0]])

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from checked import checked
 from dpcache.core import TCAM_MASK_BITS, LayoutConfig, LayoutError
 from dpcache.multiregion import MultiRegionCache, RegionSpec
 from dpcache.oracle import ReferenceCache, ReferenceMultiCache
@@ -58,7 +59,7 @@ class TestTcamLimit:
     @given(data=st.data())
     def test_matches_reference(self, policy, d, data):
         keys = data.draw(traces(128 * d, 16), label="keys")
-        engine = make_engine(policy, LayoutConfig(key_bits=16, k=128, d=d), check_invariants=True)
+        engine = checked(make_engine(policy, LayoutConfig(key_bits=16, k=128, d=d)))
         assert_same_stream(engine, ReferenceCache(policy, 128, d), keys)
 
     def test_eight_bit_keys_fill_256_ways_without_evicting(self):
@@ -89,7 +90,7 @@ class TestNarrowClock:
     def test_three_bit_clock_at_4_ways(self, d, data):
         # max SCN 7 with 4 ways: the clock rescales every 2 to 3 ticks
         keys = data.draw(traces(4 * d, 32), label="keys")
-        engine = make_engine("lru", LayoutConfig(scn_bits=3, k=4, d=d), check_invariants=True)
+        engine = checked(make_engine("lru", LayoutConfig(scn_bits=3, k=4, d=d)))
         assert_same_stream(engine, ReferenceCache("lru", 4, d), keys)
         assert engine.clock < 7
 
@@ -112,8 +113,7 @@ class TestTwoRegion:
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         keys = random_keys(seed, 10 * capacity + 400, 1, universe - 1)
         regions = RegionSpec(window, k_w, d_w), RegionSpec(main, k_m, d_m)
-        cache = MultiRegionCache(*regions, universe, "none", scn_bits=scn_bits,
-                                 check_invariants=True)
+        cache = checked(MultiRegionCache(*regions, universe, "none", scn_bits=scn_bits))
         rescales = {"window": 0, "main": 0}
         for region in rescales:
             store = getattr(cache, region).store

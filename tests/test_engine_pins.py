@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from checked import checked
 from dpcache.core import LayoutConfig
 from dpcache.multiregion import MultiRegionCache, RegionSpec
 from dpcache.policies import make_engine
@@ -59,14 +60,13 @@ def engine_clock(engine):
 
 
 def single_engine(policy, scn_bits, k, d):
-    return make_engine(policy, LayoutConfig(key_bits=8, value_bits=8, scn_bits=scn_bits, k=k, d=d),
-                       check_invariants=True)
+    return checked(make_engine(policy, LayoutConfig(key_bits=8, value_bits=8, scn_bits=scn_bits,
+                                                    k=k, d=d)))
 
 
 def multi_cache(window, main, use_filter, scn_bits):
-    return MultiRegionCache(RegionSpec(window, 2, 2), RegionSpec(main, 4, 4), UNIVERSE,
-                            "tinylfu" if use_filter else "none",
-                            scn_bits=scn_bits, check_invariants=True)
+    return checked(MultiRegionCache(RegionSpec(window, 2, 2), RegionSpec(main, 4, 4), UNIVERSE,
+                                    "tinylfu" if use_filter else "none", scn_bits=scn_bits))
 
 
 SINGLE_PINS = {

@@ -5,10 +5,10 @@ int: it threads the displaced way-0 element through ways 1..k-1 and swaps at
 every strictly smaller metric.  The engines now scan a metric row once and
 rebuild the field rows from the victim and the steps that kept their way;
 these tests pin that both give the same victim, the same set way by way and
-the same fold comparisons.  The replays at the end run whole engines with
-``check_invariants`` and, after every write, pack each set with this file's
-own packer: it fits the register's ``set_width`` bits and unpacks to the
-same rows.
+the same fold comparisons.  The replays at the end run whole engines whose
+stores re-validate every written set (``checked``) and, after every write,
+pack each set with this file's own packer: it fits the register's
+``set_width`` bits and unpacks to the same rows.
 """
 
 import random
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from checked import checked
 from dpcache.core import CacheElement, LayoutConfig
 from dpcache.multiregion import MultiRegionCache, RegionSpec
 from dpcache.policies import make_engine
@@ -106,7 +107,7 @@ def test_fold_matches_unrolled_reference(case):
     k, policy, ways, new, tick = case
     # 16-bit SCNs give hyperbolic an 8-bit insert time: a 256-entry log table
     lay = LayoutConfig(key_bits=16, value_bits=8, scn_bits=16, k=k, d=1)
-    engine = make_engine(policy, lay, check_invariants=True)
+    engine = checked(make_engine(policy, lay))
     engine.tick = tick
     engine.store.write_set_raw(0, [list(row) for row in zip(*ways)])
 
@@ -200,7 +201,7 @@ def trace(seed, length, universe):
 ])
 def test_k64_replay_keeps_views_in_step(policy, kwargs):
     lay = LayoutConfig(k=64, d=2, **kwargs)
-    engine = make_engine(policy, lay, check_invariants=True)
+    engine = checked(make_engine(policy, lay))
     writes = watch_writes(engine.store)
     clocks = []
     for key in trace(3, 600, 400):
@@ -213,8 +214,8 @@ def test_k64_replay_keeps_views_in_step(policy, kwargs):
 
 @pytest.mark.parametrize("flt", ["none", "tinylfu"])
 def test_two_region_replay_keeps_views_in_step(flt):
-    cache = MultiRegionCache(RegionSpec("lru", 4, 4), RegionSpec("lru", 8, 4), 200, flt,
-                             scn_bits=8, check_invariants=True)
+    cache = checked(MultiRegionCache(RegionSpec("lru", 4, 4), RegionSpec("lru", 8, 4), 200, flt,
+                                     scn_bits=8))
     writes = [watch_writes(cache.window.store), watch_writes(cache.main.store)]
     for key in trace(4, 1500, 199):
         cache.fetch(key)

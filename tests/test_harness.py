@@ -417,6 +417,12 @@ class TestCli:
         (["sweep", "--policy", "lru", "--km", "4", "--dm", "4", "--zipf-n", "100",
           "--zipf-s", "0.99", "--zipf-len", "50", "--sizes", "16,32", "--seed", "-1"],
          "seed must be >= 0, got -1"),
+        # a trace file and synthetic flags together: never a silently ignored flag
+        (["run", "--policy", "lru", "--km", "2", "--dm", "1", "--trace", "missing.trace",
+          "--zipf-n", "100", "--zipf-s", "0.99", "--zipf-len", "50"],
+         "--zipf-n/--zipf-s/--zipf-len cannot be combined with --trace"),
+        (["sweep", "--policy", "lru", "--km", "2", "--dm", "1", "--trace", "missing.trace",
+          "--zipf-s", "0.99", "--sizes", "2,4"], "--zipf-s cannot be combined with --trace"),
     ])
     def test_value_errors_become_error_lines(self, argv, message, capsys):
         assert main(argv) == 1

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from dpcache.core import OpCounter, StorageError
+from dpcache.core import StorageError
 from dpcache.multiregion import (
     COUNTER_CAP,
     CountingFilter,
@@ -325,8 +325,9 @@ class TestMultiOpAccounting:
                 assert c.register_writes <= budget
 
     def test_shared_counter_across_regions(self):
-        counter = OpCounter()
-        cache = MultiRegionCache(RegionSpec("fifo", 2, 1), RegionSpec("lru", 2, 1), 50,
-                                 counter=counter)
+        cache = MultiRegionCache(RegionSpec("fifo", 2, 1), RegionSpec("lru", 2, 1), 50)
+        counter = cache.counter
+        assert cache.window.store.counter is counter and cache.main.store.counter is counter
+        assert cache.filter.ops is counter
         cache.fetch(1)
         assert counter.tcam_matches == 2

@@ -3,6 +3,7 @@ from collections import deque
 
 import pytest
 
+from checked import checked
 from dpcache.core import CacheElement, LayoutConfig, OpCounter, StorageError
 from dpcache.multiregion import MultiRegionCache, RegionSpec
 from dpcache.oracle import ReferenceCache
@@ -177,7 +178,7 @@ class TestLru:
     def test_rescaling_preserves_exactness(self):
         # 6-bit SCN clock overflows every ~60 fetches; order must survive
         lay = LayoutConfig(scn_bits=6, k=3, d=2)
-        eng = make_engine("lru", lay, check_invariants=True)
+        eng = checked(make_engine("lru", lay))
         oracle = ListLru(3, 2)
         keys = random_trace(99, 5000, universe=20)
         assert replay(eng, keys) == replay_oracle(oracle, keys)

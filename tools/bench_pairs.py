@@ -5,6 +5,11 @@ Run from anywhere, with two checkouts of the repository:
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload lru-k64-zipf-miss --seed 1 --pairs 10 --seconds 20 --out pairs.json
 
+Before the first run, both checkouts must hold the same benchmark: the same
+``BENCHMARK.json`` and the same files under ``bench/`` (``bench/_work/`` and
+``__pycache__/`` aside), compared by sha256.  If they differ, the script names
+every differing path and exits with status 1.
+
 Each pair runs ``bench/run.py --trace 0`` once in each checkout, the parent
 first in even pairs and the change first in odd ones, so drift of the host's
 speed falls on both sides alike.  Every run must report ``correct: true``; the
@@ -12,7 +17,8 @@ first that does not stops the script with status 1.  The end-to-end metrics
 and the direction in which each is better are read from the change's
 ``BENCHMARK.json``.
 
-The JSON file, rewritten after every pair, holds each pair's metrics and, per
+The JSON file, rewritten after every pair, holds the benchmark's digest
+(``benchmark_sha256``), each pair's metrics and, per
 metric, each side's median and quartiles (``statistics.quantiles`` with the
 inclusive method), the change's wins, losses and ties, and ``gain``: the
 change won at least nine tenths of the pairs (ties count for neither side)
@@ -25,6 +31,7 @@ in ``BENCHMARK.json``, as a fraction of the parent's median.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -77,6 +84,30 @@ def summarise(pairs: list[dict[str, dict[str, float]]], better: dict[str, str],
     return summary
 
 
+def benchmark_files(checkout: Path) -> dict[str, str]:
+    """sha256 of ``BENCHMARK.json`` and of each file under ``bench/``, by relative path.
+
+    ``bench/_work/`` (run outputs) and ``__pycache__/`` directories are left out.
+    """
+    paths = [checkout / "BENCHMARK.json", *(checkout / "bench").rglob("*")]
+    hashes = {}
+    for path in paths:
+        rel = path.relative_to(checkout)
+        if rel.parts[:2] == ("bench", "_work") or "__pycache__" in rel.parts or path.is_dir():
+            continue
+        hashes[rel.as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return hashes
+
+
+def compare_benchmarks(parent: Path, change: Path) -> tuple[str, list[str]]:
+    """The digest of the parent's benchmark files and the paths whose hashes differ."""
+    ours, theirs = benchmark_files(parent), benchmark_files(change)
+    differing = sorted(path for path in ours.keys() | theirs.keys()
+                       if ours.get(path) != theirs.get(path))
+    listing = "".join(f"{path} {ours[path]}\n" for path in sorted(ours))
+    return hashlib.sha256(listing.encode()).hexdigest(), differing
+
+
 def end_to_end(checkout: Path) -> tuple[dict[str, str], dict[str, float]]:
     """Each end-to-end metric of the benchmark: the direction that is better, and its bound."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -115,6 +146,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be >= 1")
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    digest, differing = compare_benchmarks(sides["parent"], sides["change"])
+    if differing:
+        sys.stderr.write("bench_pairs: the checkouts run different benchmarks; differing: "
+                         + ", ".join(differing) + "\n")
+        return 1
     better, bounds = end_to_end(sides["change"])
     pairs: list[dict[str, dict[str, float]]] = []
     for i in range(args.pairs):
@@ -126,6 +162,7 @@ def main(argv: list[str] | None = None) -> int:
             "workload": args.workload,
             "seed": args.seed,
             "seconds": args.seconds,
+            "benchmark_sha256": digest,
             "pairs": pairs,
             "summary": summarise(pairs, better, bounds),
         }
