@@ -27,7 +27,6 @@ from .oracle import (
     exhaustive_check,
 )
 from .policies import (
-    FetchResult,
     FifoEngine,
     LfuEngine,
     LruEngine,

@@ -62,7 +62,8 @@ def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--zipf-n", type=int, help="synthetic universe size")
     parser.add_argument("--zipf-s", type=float, help="synthetic skew exponent")
     parser.add_argument("--zipf-len", type=int, help="synthetic trace length")
-    parser.add_argument("--seed", type=int, default=1, help="generator seed")
+    parser.add_argument("--seed", type=int,
+                        help="synthetic trace generator seed (default 1)")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -88,16 +89,17 @@ def _cache_spec(args: argparse.Namespace) -> CacheSpec:
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     zipf = None
-    synthetic = {"--zipf-n": args.zipf_n, "--zipf-s": args.zipf_s, "--zipf-len": args.zipf_len}
+    synthetic = {"--zipf-n": args.zipf_n, "--zipf-s": args.zipf_s,
+                 "--zipf-len": args.zipf_len, "--seed": args.seed}
     given = [flag for flag, value in synthetic.items() if value is not None]
     if args.trace is not None:
         if given:
             raise ConfigError(f"{'/'.join(given)} cannot be combined with --trace")
     else:
-        if len(given) < len(synthetic):
+        if None in (args.zipf_n, args.zipf_s, args.zipf_len):
             raise ConfigError("give --trace or all of --zipf-n/--zipf-s/--zipf-len")
         zipf = ZipfSpec(N=args.zipf_n, s=args.zipf_s, length=args.zipf_len,
-                        seed=args.seed)
+                        seed=1 if args.seed is None else args.seed)
     return ExperimentConfig(
         engine=args.engine,
         cache=_cache_spec(args),

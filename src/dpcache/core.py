@@ -31,9 +31,9 @@ SCN_FIELD = 1
 class CacheElement(NamedTuple):
     """One way as a named tuple: key, value and SCN metadata word.
 
-    The store never holds elements; this is the type that ``peek_set``, an
-    engine's ``dump`` and ``FetchResult.evicted`` hand out, built by
-    ``RegisterStore.element`` with the value derived from the key.
+    The store never holds elements; this is the type that ``peek_set`` and
+    an engine's ``dump`` hand out, built by ``RegisterStore.element`` with
+    the value derived from the key.
     """
 
     key: int

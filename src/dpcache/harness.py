@@ -186,7 +186,7 @@ def _replay_restricted(cache, keys: Sequence[int]) -> tuple[int, tuple[int, int,
     tot_t = tot_r = tot_w = 0
     for key in keys:
         counter.reset()
-        hit = fetch(key).hit
+        hit = fetch(key)[0]
         t = counter.tcam_matches
         r = counter.register_reads
         w = counter.register_writes

@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import SCN_FIELD, StorageError
-from .policies import DEFAULT_INTEGER_FACTOR, FetchResult, PolicyEngine
+from .policies import DEFAULT_INTEGER_FACTOR, PolicyEngine
 
 # Largest log table: an engine sizes its table to its insert-time field, up to
 # this many entries, the size the factor bounds below are calibrated for.
@@ -159,20 +159,13 @@ class HyperbolicEngine(PolicyEngine):
         self._halve_at = self.log_table.max_scn - 1
         self.tick = 0
 
-    # freq in the low half of the scn word, insert time in the high half
-    def _pack(self, freq: int, insert_time: int) -> int:
-        return freq | (insert_time << self.freq_bits)
-
-    def _unpack(self, scn_word: int) -> tuple[int, int]:
-        return scn_word & self.freq_max, scn_word >> self.freq_bits
-
     def _halve_times(self) -> None:
         """Right-shift the tick and every stored insert time by one."""
         self.tick >>= 1
         freq_max, freq_bits = self.freq_max, self.freq_bits
 
         def halve(live: list[int]) -> list[int]:
-            # _pack(freq, t >> 1) without unpacking: keep freq, shift the time half
+            # keep the frequency half, shift the insert-time half right by one
             return [(scn & freq_max) | (scn >> (freq_bits + 1) << freq_bits) for scn in live]
 
         self.store.map_scn(halve)
@@ -183,18 +176,18 @@ class HyperbolicEngine(PolicyEngine):
             self._halve_times()
         return 1 | self.tick << self.freq_bits
 
-    def serve_hit(self, h: int, way: int) -> FetchResult:
+    def serve_hit(self, h: int, way: int) -> tuple[bool, int | None]:
         self.tick = tick = self.tick + 1
         if tick >= self._halve_at:
             self._halve_times()
         store = self.store
-        key, scn = store.read_way(h, way)
+        _, scn = store.read_way(h, way)
         if scn & self.freq_max < self.freq_max:
             # the frequency sits in the low bits: +1 counts the hit
             store.write_way_field(h, way, scn + 1)
         else:
             store.writeback(h)
-        return FetchResult(True, key & store.value_mask, None)
+        return True, None
 
     def _metric(self, rows: list[list[int]]) -> list[int]:
         """Integer priority scores of the ways, with two log lookups per way."""

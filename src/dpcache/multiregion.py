@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MISS, LayoutConfig, OpCounter, StorageError
-from .policies import DEFAULT_INTEGER_FACTOR, FetchResult, PolicyEngine, make_engine
+from .policies import DEFAULT_INTEGER_FACTOR, PolicyEngine, make_engine
 
 FILTER_NONE = "none"
 FILTER_TINYLFU = "tinylfu"
@@ -162,7 +162,7 @@ class MultiRegionCache:
         else:
             self.filter = None
 
-    def fetch(self, key: int) -> FetchResult:
+    def fetch(self, key: int) -> tuple[bool, int | None]:
         if not 1 <= key < self.key_universe:
             raise StorageError(f"key {key} outside universe [1, {self.key_universe})")
         flt = self.filter
@@ -179,19 +179,18 @@ class MultiRegionCache:
             return self.window.serve_hit(h_window, way_window)
 
         window, main = self.window, self.main
-        value = key & window.store.value_mask
         window_victim, pending = window.insert_pending_raw(h_window, (key, window._initial_scn()))
         window.store.write_set_raw(h_window, pending)
         victim_key = window_victim[0]
         if not victim_key:
-            return FetchResult(False, value, None)
+            return False, None
 
         h2 = victim_key % main.layout.d
         main_victim, pending = main.insert_pending_raw(h2, (victim_key, main._initial_scn()))
         main_victim_key = main_victim[0]
         if not main_victim_key:
             main.store.write_set_raw(h2, pending)
-            return FetchResult(False, value, None)
+            return False, None
 
         if flt is not None and flt.count(main_victim_key) > flt.count(victim_key):
             # admission denied: the fold's victim keeps its slot at way 0 and
@@ -199,6 +198,6 @@ class MultiRegionCache:
             for row, x in zip(pending, main_victim):
                 row[0] = x
             main.store.write_set_raw(h2, pending)
-            return FetchResult(False, value, window.store.element(*window_victim))
+            return False, victim_key
         main.store.write_set_raw(h2, pending)
-        return FetchResult(False, value, main.store.element(*main_victim))
+        return False, main_victim_key

@@ -57,11 +57,6 @@ class ReferenceCache:
         self.seq = 0  # fetch counter: LFU recency + hyperbolic clock
         self.sets: list = [self._new_set() for _ in range(d)]
 
-    @classmethod
-    def full(cls, policy: str, capacity: int) -> "ReferenceCache":
-        """Fully associative cache: a single set holding `capacity` ways."""
-        return cls(policy, k=capacity, d=1)
-
     def fetch(self, key: int) -> tuple[bool, int | None]:
         if key < 1:
             raise ValueError("keys must be >= 1")
@@ -425,7 +420,7 @@ def exhaustive_check(
         for key in range(1, alphabet_size + 1):
             eng = engine.clone()
             ref = reference.clone()
-            hit_e = eng.fetch(key).hit
+            hit_e = eng.fetch(key)[0]
             hit_r = ref.fetch(key)[0]
             seq = path + (key,)
             checked += 1

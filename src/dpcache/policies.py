@@ -7,16 +7,18 @@ through the remaining ways as a "candidate" with a fixed, unrolled sequence of
 compare-and-swap steps.  The element carried out of the last way is the
 victim; an all-zero victim means an empty way absorbed the insertion.
 
-Engines work on the store's key and SCN rows and ``(key, scn)`` way pairs
-internally.  At their boundaries they expose values and ``CacheElement``s
-whose value is derived, never stored: the key truncated to the value width.
+Engines work on the store's key and SCN rows and ``(key, scn)`` way pairs.
+A fetch returns ``(hit, evicted_key)``, the shape the reference caches
+return: ``evicted_key`` is None on a hit and on a miss that an empty way
+absorbed.  ``dump`` hands out ``CacheElement``s, whose value is derived,
+never stored: the key truncated to the value width.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .core import (
     MISS,
@@ -33,18 +35,6 @@ DEFAULT_INTEGER_FACTOR = Fraction(100)
 
 # policy names every engine, reference and front end accepts (case-insensitively)
 POLICIES = ("fifo", "lru", "lfu", "hyperbolic")
-
-
-class FetchResult(NamedTuple):
-    """Outcome of one keyed access.
-
-    ``evicted`` is the element that fully left the cache this step, if any;
-    it is always None on a hit, and None on a miss that an empty way absorbed.
-    """
-
-    hit: bool
-    value: int
-    evicted: CacheElement | None
 
 
 class PolicyEngine:
@@ -72,7 +62,7 @@ class PolicyEngine:
     def _initial_scn(self) -> int:
         raise NotImplementedError
 
-    def serve_hit(self, h: int, way: int) -> FetchResult:
+    def serve_hit(self, h: int, way: int) -> tuple[bool, int | None]:
         raise NotImplementedError
 
     # Optional hooks, None unless a policy defines them:
@@ -84,18 +74,15 @@ class PolicyEngine:
 
     # -- shared machinery ----------------------------------------------------
 
-    def fetch(self, key: int) -> FetchResult:
+    def fetch(self, key: int) -> tuple[bool, int | None]:
         store = self.store
         h = key % self.d
         way = store.ternary_lookup(h, key)
         if way != MISS:
             return self.serve_hit(h, way)
-        value = key & store.value_mask
         victim, rows = self.insert_pending_raw(h, (key, self._initial_scn()))
         store.write_set_raw(h, rows)
-        if victim[0]:
-            return FetchResult(False, value, store.element(*victim))
-        return FetchResult(False, value, None)
+        return False, victim[0] or None
 
     def insert_pending_raw(self, h: int, way: tuple[int, int]) -> tuple[tuple[int, int], list[list[int]]]:
         """Insert at way 0 and run the eviction fold; the set is not written.
@@ -188,10 +175,11 @@ class FifoEngine(PolicyEngine):
     def _initial_scn(self) -> int:
         return 0
 
-    def serve_hit(self, h: int, way: int) -> FetchResult:
-        key = self.store.read_way(h, way)[0]
+    def serve_hit(self, h: int, way: int) -> tuple[bool, int | None]:
+        # a hit costs one set read and one write-back, and changes nothing
+        self.store.read_way(h, way)
         self.store.writeback(h)
-        return FetchResult(True, key & self.store.value_mask, None)
+        return True, None
 
     def _fold(self, metric: list[int]) -> tuple[int, list[int]]:
         # unconditional swaps leave a pure shift: the last way exits
@@ -236,7 +224,7 @@ class LruEngine(PolicyEngine):
         self.store.map_scn(ranks)
         self.clock = top
 
-    def serve_hit(self, h: int, way: int) -> FetchResult:
+    def serve_hit(self, h: int, way: int) -> tuple[bool, int | None]:
         # the clock tick of _initial_scn, inlined on the hit path
         scn = self.clock + 1
         if scn >= self._scn_max:
@@ -244,9 +232,10 @@ class LruEngine(PolicyEngine):
             scn = self.clock + 1
         self.clock = scn
         store = self.store
-        key = store.read_way(h, way)[0]
+        # the hit's modelled cost: one set read and one SCN write
+        store.read_way(h, way)
         store.write_way_field(h, way, scn)
-        return FetchResult(True, key & store.value_mask, None)
+        return True, None
 
 
 class LfuEngine(PolicyEngine):
@@ -273,14 +262,14 @@ class LfuEngine(PolicyEngine):
             if count > 1 and keys[way]:
                 counts[way] = count - 1
 
-    def serve_hit(self, h: int, way: int) -> FetchResult:
+    def serve_hit(self, h: int, way: int) -> tuple[bool, int | None]:
         store = self.store
-        key, scn = store.read_way(h, way)
+        _, scn = store.read_way(h, way)
         if scn < self._scn_max:
             store.write_way_field(h, way, scn + 1)
         else:
             store.writeback(h)
-        return FetchResult(True, key & store.value_mask, None)
+        return True, None
 
 
 def make_engine(

@@ -45,25 +45,21 @@ def verdict(number: str, ok: bool, detail: str) -> None:
     print(f"\n[{'PASS' if ok else 'FAIL'}] criterion {number}: {detail}")
 
 
-def engine_stream(engine, keys):
-    fetch = engine.fetch
-    return [fetch(key).hit for key in keys]
-
-
-def reference_stream(reference, keys):
-    fetch = reference.fetch
+def hit_stream(cache, keys):
+    """The hit/miss stream of an engine or a reference cache."""
+    fetch = cache.fetch
     return [fetch(key)[0] for key in keys]
 
 
 def _hit_ratio(engine, trace):
-    return sum(engine_stream(engine, trace.keys)) / len(trace.keys) * 100
+    return sum(hit_stream(engine, trace.keys)) / len(trace.keys) * 100
 
 
 def test_c01_lru_exactness(zipf_1m_trace):
     t0 = time.monotonic()
     eng = make_engine("lru", LayoutConfig(k=8, d=16))
     ref = ReferenceCache("lru", 8, 16)
-    big_equal = engine_stream(eng, zipf_1m_trace.keys) == reference_stream(
+    big_equal = hit_stream(eng, zipf_1m_trace.keys) == hit_stream(
         ref, zipf_1m_trace.keys)
     fixture_equal = {}
     for path in FIXTURES:
@@ -71,7 +67,7 @@ def test_c01_lru_exactness(zipf_1m_trace):
         eng = make_engine("lru", LayoutConfig(k=8, d=16))
         ref = ReferenceCache("lru", 8, 16)
         fixture_equal[os.path.basename(path)] = (
-            engine_stream(eng, keys) == reference_stream(ref, keys))
+            hit_stream(eng, keys) == hit_stream(ref, keys))
     elapsed = time.monotonic() - t0
     ok = big_equal and all(fixture_equal.values()) and elapsed < 30
     verdict("1", ok,
@@ -91,13 +87,13 @@ def test_c02_filterless_multiregion_exactness(zipf_1m_trace):
 
     results = {}
     cache, ref = build(zipf_1m_trace.max_key + 1)
-    results["zipf(1M)"] = (engine_stream(cache, zipf_1m_trace.keys)
-                           == reference_stream(ref, zipf_1m_trace.keys))
+    results["zipf(1M)"] = (hit_stream(cache, zipf_1m_trace.keys)
+                           == hit_stream(ref, zipf_1m_trace.keys))
     for path in FIXTURES:
         keys = parse_trace(path).keys
         cache, ref = build(max(keys) + 1)
         results[os.path.basename(path)] = (
-            engine_stream(cache, keys) == reference_stream(ref, keys))
+            hit_stream(cache, keys) == hit_stream(ref, keys))
     elapsed = time.monotonic() - t0
     ok = all(results.values()) and elapsed < 60
     verdict("2", ok, f"FIFO*LRU filterless exact equality: {results}, "
@@ -160,7 +156,7 @@ def test_c03_supplement_band_at_inferred_universe():
     ratios = {}
     for k in [8, 64]:
         eng = make_engine("lru", LayoutConfig(k=k, d=512 // k))
-        ratios[k] = sum(engine_stream(eng, trace.keys)) / len(trace.keys) * 100
+        ratios[k] = sum(hit_stream(eng, trace.keys)) / len(trace.keys) * 100
     print("\n[INFO] capacity-512 LRU on Zipf0.99 over 1000 keys: "
           + ", ".join(f"k={k}: {r:.2f}%" for k, r in ratios.items()))
     for r in ratios.values():
@@ -213,9 +209,9 @@ def test_c05_wtinylfu_proximity(desk_trace):
     universe = desk_trace.max_key + 1
     regions = RegionSpec("lru", 4, 16), RegionSpec("lru", 16, 16)
     cache = MultiRegionCache(*regions, universe, "tinylfu")
-    hits = sum(engine_stream(cache, desk_trace.keys))
+    hits = sum(hit_stream(cache, desk_trace.keys))
     ref = ReferenceMultiCache(*regions, universe, "tinylfu")
-    ref_hits = sum(reference_stream(ref, desk_trace.keys))
+    ref_hits = sum(hit_stream(ref, desk_trace.keys))
     n = len(desk_trace.keys)
     gap = abs(hits - ref_hits) / n * 100
     ok = gap <= 3.5
@@ -234,7 +230,7 @@ def test_c06_op_count_model():
         eng = make_engine(policy, LayoutConfig(k=k, d=d), counter=counter)
         for key in packets:
             counter.reset()
-            hit = eng.fetch(key).hit
+            hit = eng.fetch(key)[0]
             ops = (counter.tcam_matches, counter.register_reads,
                    counter.register_writes)
             if hit:
@@ -256,7 +252,7 @@ def test_c06_op_count_model():
     hit_region_ops = 0
     for key in packets:
         cache.counter.reset()
-        hit = cache.fetch(key).hit
+        hit = cache.fetch(key)[0]
         c = cache.counter
         if hit:
             assert (c.tcam_matches, c.register_reads, c.register_writes) == (2, 1, 1)
@@ -341,8 +337,8 @@ def test_c10_inclusion_sanity_on_fixtures():
         keys = parse_trace(path).keys
         hit_counts = []
         for capacity in [2**7, 2**8, 2**9, 2**10, 2**11]:
-            ref = ReferenceCache.full("lru", capacity)
-            hit_counts.append(sum(reference_stream(ref, keys)))
+            ref = ReferenceCache("lru", k=capacity, d=1)
+            hit_counts.append(sum(hit_stream(ref, keys)))
         monotone = hit_counts == sorted(hit_counts)
         ok &= monotone
         details.append(f"{os.path.basename(path)}: {hit_counts} "
@@ -353,7 +349,7 @@ def test_c10_inclusion_sanity_on_fixtures():
     if os.path.exists(oltp):
         keys = parse_trace(oltp).keys
         eng = make_engine("lru", LayoutConfig(k=16, d=2**11 // 16))
-        ratio = sum(engine_stream(eng, keys)) / len(keys) * 100
+        ratio = sum(hit_stream(eng, keys)) / len(keys) * 100
         ok &= abs(ratio - 42.39) <= 2.0
         details.append(f"external oltp at 2^11: {ratio:.2f}% (target 42.39+-2)")
     else:

@@ -85,7 +85,7 @@ class TestHashToSet:
             with pytest.raises(StorageError, match=f"^key {key} exceeds 8 bits$"):
                 engine.fetch(key)
         assert engine.live_keys() == set()
-        assert engine.fetch(255).hit is False and engine.fetch(255).hit
+        assert engine.fetch(255)[0] is False and engine.fetch(255)[0]
 
     def test_two_region_cache_rejects_key_wider_than_key_bits(self):
         # a universe past the default 32-bit keys reaches the ternary lookup

@@ -23,9 +23,7 @@ from dpcache.policies import make_engine
 
 def assert_same_stream(engine, oracle, keys):
     for i, key in enumerate(keys):
-        r = engine.fetch(key)
-        got = (r.hit, r.evicted.key if r.evicted else None)
-        assert got == oracle.fetch(key), f"event {i} (key {key}) diverges"
+        assert engine.fetch(key) == oracle.fetch(key), f"event {i} (key {key}) diverges"
 
 
 def random_keys(seed, length, lo, hi):
@@ -68,8 +66,8 @@ class TestTcamLimit:
         engine = make_engine("lru", LayoutConfig(key_bits=8, k=256, d=1))
         keys = list(range(1, 256))
         first = [engine.fetch(key) for key in keys]
-        assert not any(r.hit or r.evicted for r in first)
-        assert all(engine.fetch(key).hit for key in reversed(keys))
+        assert all(r == (False, None) for r in first)
+        assert all(engine.fetch(key)[0] for key in reversed(keys))
 
 
 class TestNarrowClock:

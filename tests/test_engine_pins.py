@@ -41,8 +41,8 @@ def stream_digest(cache, keys):
     """sha256 of the (hit, evicted key) stream, one ``hit:key;`` record per event."""
     digest = hashlib.sha256()
     for key in keys:
-        r = cache.fetch(key)
-        digest.update(f"{int(r.hit)}:{r.evicted.key if r.evicted else 0};".encode())
+        hit, evicted = cache.fetch(key)
+        digest.update(f"{int(hit)}:{evicted or 0};".encode())
     return digest.hexdigest()
 
 

@@ -318,6 +318,15 @@ class TestCli:
         assert out.startswith("engine,")
         assert "restricted,lru,0,0,4,4" in out
 
+    def test_synthetic_seed_defaults_to_one(self, capsys):
+        argv = ["run", "--policy", "lru", "--km", "4", "--dm", "4",
+                "--zipf-n", "200", "--zipf-s", "0.99", "--zipf-len", "1000"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--seed", "1"]) == 0
+        assert capsys.readouterr().out == default
+        assert ",1,1000," in default.splitlines()[1]
+
     def test_run_deterministic_outputs(self, tmp_path):
         argv = ["run", "--policy", "lfu", "--km", "2", "--dm", "2",
                 "--zipf-n", "100", "--zipf-s", "1.2", "--zipf-len", "500",
@@ -423,6 +432,12 @@ class TestCli:
          "--zipf-n/--zipf-s/--zipf-len cannot be combined with --trace"),
         (["sweep", "--policy", "lru", "--km", "2", "--dm", "1", "--trace", "missing.trace",
           "--zipf-s", "0.99", "--sizes", "2,4"], "--zipf-s cannot be combined with --trace"),
+        # a file trace has no seed to set
+        (["run", "--policy", "lru", "--km", "2", "--dm", "1", "--trace", "missing.trace",
+          "--seed", "7"], "--seed cannot be combined with --trace"),
+        (["sweep", "--policy", "lru", "--km", "2", "--dm", "1", "--trace", "missing.trace",
+          "--zipf-n", "100", "--seed", "7", "--sizes", "2,4"],
+         "--zipf-n/--seed cannot be combined with --trace"),
     ])
     def test_value_errors_become_error_lines(self, argv, message, capsys):
         assert main(argv) == 1

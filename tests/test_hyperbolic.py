@@ -142,7 +142,7 @@ def scores(tick: int, *ways: tuple[int, int]) -> list[int]:
     """Fold scores of (freq, insert_time) ways at ``tick``, as ``_metric`` gives them."""
     eng = HyperbolicEngine(LayoutConfig(k=len(ways), d=1))
     eng.tick = tick
-    scns = [eng._pack(freq, t) for freq, t in ways]
+    scns = [freq | t << eng.freq_bits for freq, t in ways]
     return eng._metric([list(range(1, len(ways) + 1)), scns])
 
 
@@ -184,22 +184,22 @@ class TestHyperbolicEngine:
     def test_fresh_insert_stamps_tick(self):
         eng = HyperbolicEngine(LayoutConfig(k=2, d=1))
         eng.fetch(5)
-        freq, t = eng._unpack(eng.dump()[0][0].scn)
-        assert (freq, t) == (1, eng.tick) == (1, 1)
+        scn = eng.dump()[0][0].scn
+        assert (scn & eng.freq_max, scn >> eng.freq_bits) == (1, eng.tick) == (1, 1)
 
     def test_eviction_agrees_with_exact_oracle(self):
         # exact priorities at the eviction step: p(1) = 3/4, p(2) = 1/1
         eng = HyperbolicEngine(LayoutConfig(k=2, d=1))
         results = [eng.fetch(key) for key in [1, 1, 1, 2, 3]]
-        assert results[-1].evicted.key == 1
+        assert results[-1] == (False, 1)
         assert Fraction(3, 4) < Fraction(1, 1)
 
     def test_equal_scores_do_not_swap(self):
         eng = HyperbolicEngine(LayoutConfig(k=2, d=1))
         eng.tick = 10
-        scn = eng._pack(2, 4)
+        scn = 2 | 4 << eng.freq_bits
         eng.store.write_set_raw(0, [[8, 9], [scn, scn]])
-        victim, _ = eng.insert_pending_raw(0, (7, eng._pack(1, 10)))
+        victim, _ = eng.insert_pending_raw(0, (7, 1 | 10 << eng.freq_bits))
         # candidate (old way 0, key 8) ties with way 1 (key 9): no swap
         assert victim[0] == 8
 
@@ -207,8 +207,8 @@ class TestHyperbolicEngine:
         eng = HyperbolicEngine(LayoutConfig(k=2, d=1))
         eng.fetch(5)
         eng.fetch(5)
-        freq, t = eng._unpack(eng.dump()[0][0].scn)
-        assert (freq, t) == (2, 1)
+        scn = eng.dump()[0][0].scn
+        assert (scn & eng.freq_max, scn >> eng.freq_bits) == (2, 1)
         assert eng.tick == 2
 
     def test_frequency_saturates(self):
@@ -216,8 +216,7 @@ class TestHyperbolicEngine:
         eng = HyperbolicEngine(lay)
         for _ in range(40):
             eng.fetch(3)
-        freq, _ = eng._unpack(eng.dump()[0][0].scn)
-        assert freq == 15
+        assert eng.dump()[0][0].scn & eng.freq_max == 15
 
     def test_tick_halving_keeps_clock_bounded(self):
         eng = HyperbolicEngine(LayoutConfig(scn_bits=12, k=2, d=2))  # 64-entry table
@@ -227,15 +226,15 @@ class TestHyperbolicEngine:
             for row in eng.dump():
                 for e in row:
                     if e.key:
-                        assert eng._unpack(e.scn)[1] <= eng.tick
+                        assert e.scn >> eng.freq_bits <= eng.tick
 
     def test_halving_preserves_lifetime_ranking(self):
         eng = HyperbolicEngine(LayoutConfig(k=4, d=1))
         eng.tick = 1000
         times = [900, 500, 123, 7]
-        eng.store.write_set_raw(0, [[1, 2, 3, 4], [eng._pack(1, t) for t in times]])
+        eng.store.write_set_raw(0, [[1, 2, 3, 4], [1 | t << eng.freq_bits for t in times]])
         eng._halve_times()
-        halved = [eng._unpack(e.scn)[1] for e in eng.dump()[0]]
+        halved = [e.scn >> eng.freq_bits for e in eng.dump()[0]]
         assert halved == [t >> 1 for t in times]
         assert sorted(halved, reverse=True) == halved
 
@@ -253,9 +252,11 @@ class TestHyperbolicEngine:
             eng.store.rows[h] = [[4 * h + w + 1 for w in range(4)], words[4 * h:4 * h + 4]]
         eng.tick = eng.log_table.max_scn - 1
         eng._halve_times()
-        expected = [eng._pack(freq, t >> 1) for freq, t in map(eng._unpack, words)]
+        # the reference layout: frequency in the low half, insert time above it
+        expected = [(w & eng.freq_max) | (w >> eng.freq_bits >> 1) << eng.freq_bits
+                    for w in words]
         assert eng.store.rows[0][1] + eng.store.rows[1][1] == expected
-        assert eng._unpack(expected[0])[0] == eng.freq_max
+        assert expected[0] & eng.freq_max == eng.freq_max
 
     def test_table_size_follows_time_field(self):
         # one entry per insert time, up to DEFAULT_MAX_SCN; the tick halves

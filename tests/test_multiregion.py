@@ -63,8 +63,11 @@ class TestConfig:
 
     def test_miss_serves_the_key(self):
         cache = make_cache(universe=100)
-        assert cache.fetch(42) == (False, 42, None)
-        assert cache.fetch(42) == (True, 42, None)
+        assert cache.fetch(42) == (False, None)
+        assert cache.fetch(42) == (True, None)
+        # the window holds the key, and the value derived from it
+        cached = [e for e in cache.window.dump()[42 % cache.window.d] if e.key == 42]
+        assert [e.value for e in cached] == [42]
 
 
 class TestCountingFilter:
@@ -143,22 +146,19 @@ class TestAdmission:
 
     def test_window_victim_admitted_on_higher_count(self):
         cache = self._primed(w_count=5, m_count=3)
-        result = cache.fetch(5)
-        assert result.evicted.key == 2
+        assert cache.fetch(5) == (False, 2)
         assert cache.main.live_keys() == {1, 4}
 
     def test_window_victim_rejected_on_lower_count(self):
         cache = self._primed(w_count=2, m_count=6)
         before = cache.main.live_keys()
-        result = cache.fetch(5)
-        assert result.evicted.key == 1
+        assert cache.fetch(5) == (False, 1)
         assert cache.main.live_keys() == before
 
     def test_tie_admits_window_victim(self):
         # strict > is required to restore the main victim
         cache = self._primed(w_count=4, m_count=4)
-        result = cache.fetch(5)
-        assert result.evicted.key == 2
+        assert cache.fetch(5) == (False, 2)
         assert cache.main.live_keys() == {1, 4}
 
     def test_filterless_evicts_main_victim_unconditionally(self):
@@ -167,8 +167,7 @@ class TestAdmission:
         assert cache.filter is None
         for key in [2, 4, 1, 3]:
             cache.fetch(key)
-        result = cache.fetch(5)
-        assert result.evicted.key == 2
+        assert cache.fetch(5) == (False, 2)
 
 
 class TestComposition:
@@ -190,8 +189,7 @@ class TestComposition:
     def test_exactly_one_region_serves_a_hit(self):
         cache = make_cache(universe=50)
         for key in random_trace(4, 800, 50):
-            r = cache.fetch(key)
-            if r.hit:
+            if cache.fetch(key)[0]:
                 live = cache.window.live_keys() | cache.main.live_keys()
                 assert key in live
 
@@ -204,7 +202,7 @@ class TestComposition:
         cache = make_cache(window=window, main=main, universe=400, filter="none")
         ref = ReferenceMultiCache(RegionSpec(*window), RegionSpec(*main), 400, "none")
         for key in random_trace(5, 6000, 400):
-            assert cache.fetch(key).hit == ref.fetch(key)[0]
+            assert cache.fetch(key)[0] == ref.fetch(key)[0]
 
     def test_main_lru_rescale_matches_reference_exactly(self):
         # 6-bit SCNs: the main region's LRU clock, kept in the main region's
@@ -215,10 +213,7 @@ class TestComposition:
         rescales = 0
         clock = cache.main.clock
         for key in random_trace(13, 5000, 120):
-            result = cache.fetch(key)
-            hit, evicted = ref.fetch(key)
-            assert result.hit == hit
-            assert (result.evicted.key if result.evicted else None) == evicted
+            assert cache.fetch(key) == ref.fetch(key)
             assert cache.main.live_keys() == ref.main.live_keys()
             assert cache.window.live_keys() == ref.window.live_keys()
             rescales += cache.main.clock < clock
@@ -240,21 +235,21 @@ class TestComposition:
             window_before = with_filter.window.live_keys()
             main_before = with_filter.main.live_keys()
             unfiltered_main_before = without.main.live_keys()
-            a = with_filter.fetch(key)
-            b = without.fetch(key)
+            a_hit, a_evicted = with_filter.fetch(key)
+            b_hit, b_evicted = without.fetch(key)
             departed = window_before - with_filter.window.live_keys()
-            if not a.hit and departed:
+            if not a_hit and departed:
                 victim = departed.pop()
                 contended = sum(1 for x in main_before if x % d == victim % d) == k
-                if (contended and a.evicted is not None and a.evicted.key == victim
-                        and b.evicted is not None and b.evicted.key != victim
-                        and b.evicted.key in unfiltered_main_before):
+                if (contended and a_evicted == victim
+                        and b_evicted is not None and b_evicted != victim
+                        and b_evicted in unfiltered_main_before):
                     rejected.append(step)
             if state_split is None and (
                     with_filter.window.live_keys() != without.window.live_keys()
                     or with_filter.main.live_keys() != without.main.live_keys()):
                 state_split = step
-            if a.hit != b.hit:
+            if a_hit != b_hit:
                 outcome_split = step
                 break
         assert outcome_split is not None, "the seeded trace no longer diverges"
@@ -295,8 +290,7 @@ class TestMultiOpAccounting:
             cache.fetch(key)
         assert 2 in cache.main.live_keys()
         cache.counter.reset()
-        r = cache.fetch(2)
-        assert r.hit
+        assert cache.fetch(2)[0]
         c = cache.counter
         assert (c.tcam_matches, c.register_reads, c.register_writes) == (2, 1, 1)
         assert c.extra_reads >= 1 and c.extra_writes >= 1  # filter counter
@@ -305,8 +299,7 @@ class TestMultiOpAccounting:
         cache = make_cache(window=("fifo", 2, 1), main=("lru", 2, 1), universe=100)
         cache.fetch(7)
         cache.counter.reset()
-        r = cache.fetch(7)
-        assert r.hit
+        assert cache.fetch(7)[0]
         c = cache.counter
         assert (c.tcam_matches, c.register_reads, c.register_writes) == (2, 1, 1)
 
@@ -317,9 +310,9 @@ class TestMultiOpAccounting:
         budget = 2 + 2 * k_w + 2 * k_m
         for key in random_trace(7, 400, 100):
             cache.counter.reset()
-            r = cache.fetch(key)
+            hit = cache.fetch(key)[0]
             c = cache.counter
-            if not r.hit:
+            if not hit:
                 assert c.tcam_matches == 2
                 assert c.register_reads <= budget
                 assert c.register_writes <= budget

@@ -24,7 +24,7 @@ def random_trace(seed, length, universe):
 
 class TestReferencePolicies:
     def test_full_lru_example(self):
-        cache = ReferenceCache.full("lru", 2)
+        cache = ReferenceCache("lru", k=2, d=1)
         assert replay(cache, [1, 2, 1, 3])[-1] == (False, 2)
 
     def test_kway_placement_contention(self):
@@ -35,29 +35,29 @@ class TestReferencePolicies:
         assert list(cache.sets[0]) == [2]
 
     def test_full_lfu_recency_tiebreak(self):
-        cache = ReferenceCache.full("lfu", 2)
+        cache = ReferenceCache("lfu", k=2, d=1)
         assert replay(cache, [1, 1, 2, 3])[-1] == (False, 2)
         assert cache.tie_seen is False  # freq 1 vs freq 2: unique minimum
 
     def test_lfu_tie_latches(self):
-        cache = ReferenceCache.full("lfu", 2)
+        cache = ReferenceCache("lfu", k=2, d=1)
         replay(cache, [1, 2, 3])
         assert cache.tie_seen is True
 
     def test_fifo_ignores_hits(self):
-        cache = ReferenceCache.full("fifo", 2)
+        cache = ReferenceCache("fifo", k=2, d=1)
         assert replay(cache, [1, 2, 1, 3]) == [
             (False, None), (False, None), (True, None), (False, 1)]
 
     def test_hyperbolic_exact_priorities(self):
-        cache = ReferenceCache.full("hyperbolic", 2)
+        cache = ReferenceCache("hyperbolic", k=2, d=1)
         results = replay(cache, [1, 1, 1, 2, 3])
         # at the eviction p(1) = 3/4 and p(2) = 1/1: key 1 goes
         assert results[-1] == (False, 1)
         assert Fraction(3, 4) < Fraction(1, 1)
 
     def test_hyperbolic_tie_latches(self):
-        cache = ReferenceCache.full("hyperbolic", 2)
+        cache = ReferenceCache("hyperbolic", k=2, d=1)
         # at the next fetch (tick 6): p(8) = 1/(6-4) = 2/(6-2) = p(9)
         cache.seq = 5
         cache.sets[0] = {8: [1, 4], 9: [2, 2]}
@@ -66,17 +66,21 @@ class TestReferencePolicies:
 
     @pytest.mark.parametrize("policy", ["fifo", "lru", "lfu", "hyperbolic"])
     def test_full_equals_kway_capacity_by_one_set(self, policy):
-        full = ReferenceCache.full(policy, 6)
-        kway = ReferenceCache(policy, k=6, d=1)
+        # keys that all land in set 0 of a 7-set cache see one fully
+        # associative set of 6 ways
+        full = ReferenceCache(policy, k=6, d=1)
+        kway = ReferenceCache(policy, k=6, d=7)
         keys = random_trace(21, 2500, universe=25)
-        assert replay(full, keys) == replay(kway, keys)
+        one_set = [(hit, evicted and evicted // 7) for hit, evicted in
+                   replay(kway, [7 * key for key in keys])]
+        assert replay(full, keys) == one_set
 
     def test_lru_inclusion_property(self):
         # classic stack property: every hit at capacity C is a hit at C' > C
         keys = random_trace(31, 4000, universe=60)
         streams = {}
         for capacity in [4, 8, 16, 32]:
-            cache = ReferenceCache.full("lru", capacity)
+            cache = ReferenceCache("lru", k=capacity, d=1)
             streams[capacity] = [cache.fetch(key)[0] for key in keys]
         for small, big in [(4, 8), (8, 16), (16, 32)]:
             assert all(not a or b for a, b in zip(streams[small], streams[big]))
@@ -93,7 +97,7 @@ class TestReferencePolicies:
         rng = random.Random(77)
         for _ in range(200):
             now = rng.randint(10, 60)
-            cache = ReferenceCache.full("hyperbolic", 5)
+            cache = ReferenceCache("hyperbolic", k=5, d=1)
             cache.seq = now
             state = {}
             for key in range(1, 6):
@@ -289,5 +293,5 @@ class TestPerPolicyClasses:
         with pytest.raises(ValueError, match="unknown reference policy"):
             ReferenceCache("mru", 2, 1)
         with pytest.raises(ValueError, match="unknown reference policy"):
-            ReferenceCache.full("arc", 4)
+            ReferenceCache("arc", k=4, d=1)
         assert ReferenceCache("LRU", 2, 1).policy == "lru"

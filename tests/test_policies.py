@@ -2,6 +2,8 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from checked import checked
 from dpcache.core import CacheElement, LayoutConfig, OpCounter, StorageError
@@ -86,16 +88,9 @@ class AgedCounterLfu:
         return False, evicted
 
 
-def replay(engine, keys):
-    out = []
-    for key in keys:
-        r = engine.fetch(key)
-        out.append((r.hit, r.evicted.key if r.evicted else None))
-    return out
-
-
-def replay_oracle(oracle, keys):
-    return [oracle.fetch(key) for key in keys]
+def replay(cache, keys):
+    """The (hit, evicted key) stream of an engine or an oracle."""
+    return [cache.fetch(key) for key in keys]
 
 
 def random_trace(seed, length, universe):
@@ -119,14 +114,13 @@ class TestFifo:
         eng = make_engine("fifo", LayoutConfig(k=2, d=1))
         replay(eng, [1, 2])
         before = [[row[:] for row in rows] for rows in eng.store.rows]
-        r = eng.fetch(1)
-        assert r.hit and eng.store.rows == before
+        assert eng.fetch(1)[0] and eng.store.rows == before
 
     def test_eviction_order_is_insertion_order(self):
         eng = make_engine("fifo", LayoutConfig(k=4, d=1))
         oracle = QueueFifo(4, 1)
         keys = [1, 2, 3, 4, 5]
-        assert replay(eng, keys) == replay_oracle(oracle, keys)
+        assert replay(eng, keys) == replay(oracle, keys)
         assert replay(eng, [6])[0] == (False, 2)
 
     @pytest.mark.parametrize("k,d", [(1, 1), (2, 2), (4, 3)])
@@ -134,7 +128,7 @@ class TestFifo:
         eng = make_engine("fifo", LayoutConfig(k=k, d=d))
         oracle = QueueFifo(k, d)
         keys = random_trace(11, 3000, universe=4 * k * d)
-        assert replay(eng, keys) == replay_oracle(oracle, keys)
+        assert replay(eng, keys) == replay(oracle, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +145,7 @@ class TestLru:
 
     def test_empty_way_absorbs_first_insert(self):
         eng = make_engine("lru", LayoutConfig(k=2, d=1))
-        r = eng.fetch(5)
-        assert (r.hit, r.evicted) == (False, None)
+        assert eng.fetch(5) == (False, None)
         assert eng.dump()[0][0] == CacheElement(5, 5, 1)
 
     def test_least_recent_evicted(self):
@@ -173,7 +166,7 @@ class TestLru:
         eng = make_engine("lru", LayoutConfig(k=k, d=d))
         oracle = ListLru(k, d)
         keys = random_trace(id(self) % 1000, 3000, universe=4 * k * d)
-        assert replay(eng, keys) == replay_oracle(oracle, keys)
+        assert replay(eng, keys) == replay(oracle, keys)
 
     def test_rescaling_preserves_exactness(self):
         # 6-bit SCN clock overflows every ~60 fetches; order must survive
@@ -181,7 +174,7 @@ class TestLru:
         eng = checked(make_engine("lru", lay))
         oracle = ListLru(3, 2)
         keys = random_trace(99, 5000, universe=20)
-        assert replay(eng, keys) == replay_oracle(oracle, keys)
+        assert replay(eng, keys) == replay(oracle, keys)
         assert eng.clock < 63
 
     def test_scn_bits_too_small_rejected(self):
@@ -222,11 +215,11 @@ class TestLfu:
         eng = make_engine("lfu", LayoutConfig(k=2, d=1))
         oracle = AgedCounterLfu(2, 1)
         keys = [1, 1, 2, 2, 2, 3, 2, 2, 3, 4]
-        assert replay(eng, keys) == replay_oracle(oracle, keys)
+        assert replay(eng, keys) == replay(oracle, keys)
 
     def test_reference_gap_on_desk_trace(self, desk_trace):
         eng = make_engine("lfu", LayoutConfig(k=8, d=16))
-        hits = sum(1 for key in desk_trace.keys if eng.fetch(key).hit)
+        hits = sum(1 for key in desk_trace.keys if eng.fetch(key)[0])
         ref = ReferenceCache("lfu", 8, 16)
         ref_hits = sum(1 for key in desk_trace.keys if ref.fetch(key)[0])
         gap = abs(hits - ref_hits) / len(desk_trace.keys) * 100
@@ -239,23 +232,24 @@ class TestLfu:
 
 
 class TestBacking:
-    """The value source: a miss serves the key truncated to the value width."""
+    """The value source: a cached value is the key truncated to the value width."""
 
     def test_identity_default(self):
         eng = make_engine("lru", LayoutConfig(k=2, d=1))
-        assert eng.fetch(7).value == 7
-        assert eng.fetch(7).value == 7  # hit returns the cached value
+        assert eng.fetch(7) == (False, None)
+        assert eng.fetch(7) == (True, None)
+        assert eng.dump()[0][0].value == 7  # the cached value is the key
 
     def test_truncation(self):
-        # no value is stored: hits, misses, dumps and evictions all derive it
+        # no value is stored: every dumped element derives it from its key
         for policy in ["fifo", "lru", "lfu", "hyperbolic"]:
             eng = make_engine(policy, LayoutConfig(key_bits=16, value_bits=8, k=2, d=1))
-            assert eng.fetch(0x1234).value == 0x34
-            assert eng.fetch(0x1234) == (True, 0x34, None)
+            assert eng.fetch(0x1234) == (False, None)
+            assert eng.fetch(0x1234) == (True, None)
             assert eng.dump()[0][0][:2] == (0x1234, 0x34)
-            assert eng.fetch(0x2345).evicted is None
-            evicted = eng.fetch(0x3456).evicted
-            assert evicted.key in (0x1234, 0x2345) and evicted.value == evicted.key & 0xFF
+            assert eng.fetch(0x2345) == (False, None)
+            hit, evicted = eng.fetch(0x3456)
+            assert not hit and evicted in (0x1234, 0x2345)
             assert all(e.value == e.key & 0xFF for e in eng.dump()[0])
 
         # two regions of one way each: key 1 is admitted to main and later
@@ -264,11 +258,9 @@ class TestBacking:
         mask = cache.main.store.value_mask
         evicted = []
         for key in [1, 2, 3, 2, 2, 4]:
-            r = cache.fetch(key)
-            assert r.value == key & mask
-            if r.evicted is not None:
-                assert r.evicted.value == r.evicted.key & mask
-                evicted.append(r.evicted.key)
+            _, out = cache.fetch(key)
+            if out is not None:
+                evicted.append(out)
             for engine in (cache.window, cache.main):
                 assert all(e.value == e.key & mask for e in engine.dump()[0])
         assert evicted == [1, 3]
@@ -295,8 +287,7 @@ class TestOpAccounting:
         eng = make_engine(policy, LayoutConfig(k=4, d=2), counter=counter)
         eng.fetch(3)
         counter.reset()
-        r = eng.fetch(3)
-        assert r.hit
+        assert eng.fetch(3)[0]
         assert (counter.tcam_matches, counter.register_reads,
                 counter.register_writes) == (1, 1, 1)
 
@@ -307,8 +298,7 @@ class TestOpAccounting:
         eng = make_engine(policy, LayoutConfig(k=k, d=2), counter=counter)
         for key in [1, 3, 5, 7, 9, 11]:
             counter.reset()
-            r = eng.fetch(key)
-            assert not r.hit
+            assert not eng.fetch(key)[0]
             assert counter.tcam_matches == 1
             assert counter.register_reads <= 1 + 2 * k
             assert counter.register_writes <= 1 + 2 * k
@@ -334,8 +324,7 @@ class TestHitPathIsolation:
             eng.fetch(key)
         before = eng.dump()[0]
         way = next(i for i, e in enumerate(before) if e.key == 2)
-        r = eng.fetch(2)
-        assert r.hit
+        assert eng.fetch(2)[0]
         after = eng.dump()[0]
         for i, (a, b) in enumerate(zip(before, after)):
             if i == way:
@@ -351,24 +340,58 @@ class TestFetchResultInvariants:
         eng = make_engine(policy, LayoutConfig(k=3, d=2))
         previous = set()
         for key in random_trace(5, 2000, universe=40):
-            r = eng.fetch(key)
+            hit, evicted = eng.fetch(key)
             live = eng.live_keys()
             departed = previous - live
             assert len(departed) <= 1
-            if r.hit:
-                assert r.evicted is None and departed == set()
-            elif r.evicted is not None:
-                assert departed == {r.evicted.key}
+            if hit:
+                assert evicted is None and departed == set()
+            elif evicted is not None:
+                assert departed == {evicted}
             else:
                 assert departed == set()
             previous = live
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_result_agrees_with_live_keys(self, data):
+        # 3- to 5-bit SCN words under skewed keys: the LRU clock rescales,
+        # LFU counts saturate and the hyperbolic tick halves
+        scn_bits = data.draw(st.integers(3, 5), label="scn_bits")
+        regions = [RegionSpec(data.draw(st.sampled_from(POLICIES), label="policy"),
+                              data.draw(st.integers(1, 4), label="k"),
+                              data.draw(st.integers(1, 3), label="d"))
+                   for _ in range(data.draw(st.sampled_from([1, 2]), label="regions"))]
+        capacity = sum(region.capacity for region in regions)
+        universe = data.draw(st.integers(capacity + 2, 3 * capacity + 2), label="universe")
+        if len(regions) == 1:
+            policy, k, d = regions[0].policy, regions[0].k, regions[0].d
+            cache = checked(make_engine(policy, LayoutConfig(scn_bits=scn_bits, k=k, d=d)))
+            live_keys = cache.live_keys
+        else:
+            cache = checked(MultiRegionCache(*regions, universe, "tinylfu", scn_bits=scn_bits))
+
+            def live_keys():
+                return cache.window.live_keys() | cache.main.live_keys()
+
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        before = live_keys()
+        for _ in range(60 * capacity):
+            key = 1 + int((universe - 2) * rng.random() ** 3)
+            hit, evicted = cache.fetch(key)
+            after = live_keys()
+            assert key in after
+            if evicted is not None:
+                assert evicted in before and evicted not in after
+            assert len(after) - len(before) == (not hit and evicted is None)
+            before = after
 
 
 class TestPolicyNames:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_engine_and_reference_build_every_name_in_any_case(self, policy):
         for name in (policy, policy.upper()):
-            assert make_engine(name, LayoutConfig(k=2, d=2)).fetch(1).hit is False
+            assert make_engine(name, LayoutConfig(k=2, d=2)).fetch(1)[0] is False
             assert ReferenceCache(name, 2, 2).policy == policy
 
     def test_other_names_are_rejected(self):

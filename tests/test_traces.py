@@ -184,7 +184,7 @@ class TestParseTrace:
         path = tmp_path / "t.trace"
         path.write_text("".join(f"{key}\n" for key in raw))
         mapped = parse_trace(str(path)).keys
-        a = ReferenceCache.full("lru", 8)
-        b = ReferenceCache.full("lru", 8)
+        a = ReferenceCache("lru", k=8, d=1)
+        b = ReferenceCache("lru", k=8, d=1)
         for rk, mk in zip(raw, mapped):
             assert a.fetch(rk)[0] == b.fetch(mk)[0]
