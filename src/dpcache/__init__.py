@@ -2,7 +2,6 @@
 
 from .core import (
     MISS,
-    CacheElement,
     LayoutConfig,
     LayoutError,
     OpCounter,

@@ -1,15 +1,15 @@
 """Register storage and bit-level primitives shared by every cache policy.
 
 A cache region is one fixed array of ``d`` sets, each modelling one
-fixed-width switch register.  A set holds ``k`` elements (ways); each element
+fixed-width switch register.  A set holds ``k`` ways; on a switch each way
 is a key, a value and one SCN (sequence change number) metadata word, each
 of a fixed bit width, which ``set_width`` counts.  A value is always the key
-truncated to its width, so the store keeps each set as two field rows, keys
-and SCNs, checked against their widths, and derives the value wherever an
-element is handed out.  Membership is one ternary (TCAM-style) comparison
-against the key row instead of a loop.  A way travels as a ``(key, scn)``
-pair.  Each region of a multi-region cache is its own store, so an element
-only carries the SCN word of the region holding it.
+truncated to its width, so nothing reads it, and the store keeps each set as
+two field rows, keys and SCNs, checked against their widths.  Membership is
+one ternary (TCAM-style) comparison against the key row instead of a loop.
+A way travels as a ``(key, scn)`` pair, the only form the store hands out.
+Each region of a multi-region cache is its own store, so a way only carries
+the SCN word of the region holding it.
 
 Key 0 is reserved as the empty-way marker; live keys are always >= 1.
 """
@@ -17,7 +17,7 @@ Key 0 is reserved as the empty-way marker; live keys are always >= 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 MISS = -1
 
@@ -26,19 +26,6 @@ TCAM_MASK_BITS = 2048
 
 # Position of the SCN word in a way pair and in a set's field rows.
 SCN_FIELD = 1
-
-
-class CacheElement(NamedTuple):
-    """One way as a named tuple: key, value and SCN metadata word.
-
-    The store never holds elements; this is the type that ``peek_set`` and
-    an engine's ``dump`` hand out, built by ``RegisterStore.element`` with
-    the value derived from the key.
-    """
-
-    key: int
-    value: int
-    scn: int
 
 
 class LayoutError(ValueError):
@@ -111,7 +98,7 @@ class RegisterStore:
     """Fixed array of ``d`` sets, each stored as field rows.
 
     ``rows[h]`` is ``[keys, scns]``, each a list of ``k`` ints, way 0 first;
-    the rows are the storage, and a way's value is ``key & value_mask``.  A
+    the rows are the storage, and a way is the pair ``(key, scn)``.  A
     lookup is one C-level search of the key row, a whole-set read or write
     copies the rows, and a fold works on the SCN row.  Field widths are
     checked where a field enters the store:
@@ -131,18 +118,13 @@ class RegisterStore:
         self.layout = layout
         self.counter = counter if counter is not None else OpCounter()
         self._widths = (layout.key_bits, layout.scn_bits)
-        self.value_mask = (1 << layout.value_bits) - 1
         self.rows: list[list[list[int]]] = [
             [[0] * layout.k for _ in self._widths] for _ in range(layout.d)
         ]
 
-    def element(self, key: int, scn: int) -> CacheElement:
-        """The element of way ``(key, scn)``, with its derived value."""
-        return CacheElement(key, key & self.value_mask, scn)
-
-    def peek_set(self, h: int) -> list[CacheElement]:
-        """Set ``h`` as elements, way 0 first; bypasses operation accounting."""
-        return [self.element(*way) for way in zip(*self.rows[h])]
+    def peek_set(self, h: int) -> list[tuple[int, int]]:
+        """Set ``h`` as ``(key, scn)`` ways, way 0 first; bypasses operation accounting."""
+        return list(zip(*self.rows[h]))
 
     # -- whole-set access ---------------------------------------------------
 

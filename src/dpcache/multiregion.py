@@ -187,17 +187,12 @@ class MultiRegionCache:
 
         h2 = victim_key % main.layout.d
         main_victim, pending = main.insert_pending_raw(h2, (victim_key, main._initial_scn()))
-        main_victim_key = main_victim[0]
-        if not main_victim_key:
-            main.store.write_set_raw(h2, pending)
-            return False, None
-
-        if flt is not None and flt.count(main_victim_key) > flt.count(victim_key):
+        evicted = main_victim[0]
+        if evicted and flt is not None and flt.count(evicted) > flt.count(victim_key):
             # admission denied: the fold's victim keeps its slot at way 0 and
             # the window victim is the element that leaves the cache
             for row, x in zip(pending, main_victim):
                 row[0] = x
-            main.store.write_set_raw(h2, pending)
-            return False, victim_key
+            evicted = victim_key
         main.store.write_set_raw(h2, pending)
-        return False, main_victim_key
+        return False, evicted or None

@@ -368,7 +368,7 @@ def has_metric_tie(
         reference.fetch(key)
         if policy == "lfu" and not found:
             for row in engine.dump():
-                scns = [e.scn for e in row if e.key]
+                scns = [scn for key, scn in row if key]
                 if len(scns) != len(set(scns)):
                     found = True
                     break
@@ -379,7 +379,7 @@ def _dump_states(engine: PolicyEngine, reference: ReferenceCache) -> str:
     rows = []
     for h, row in enumerate(engine.dump()):
         cells = ", ".join(
-            f"(key={e.key}, scn={e.scn})" if e.key else "(empty)" for e in row
+            f"(key={key}, scn={scn})" if key else "(empty)" for key, scn in row
         )
         rows.append(f"  engine set {h}: [{cells}]")
     rows.append(f"  reference sets: {[list(s) for s in reference.sets]}")

@@ -10,8 +10,8 @@ victim; an all-zero victim means an empty way absorbed the insertion.
 Engines work on the store's key and SCN rows and ``(key, scn)`` way pairs.
 A fetch returns ``(hit, evicted_key)``, the shape the reference caches
 return: ``evicted_key`` is None on a hit and on a miss that an empty way
-absorbed.  ``dump`` hands out ``CacheElement``s, whose value is derived,
-never stored: the key truncated to the value width.
+absorbed.  ``dump`` hands out the same ``(key, scn)`` ways; a way's value
+is the key truncated to the value width, so it is neither stored nor read.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import Callable
 from .core import (
     MISS,
     SCN_FIELD,
-    CacheElement,
     LayoutConfig,
     OpCounter,
     RegisterStore,
@@ -153,8 +152,8 @@ class PolicyEngine:
         del skipped[bisect_left(skipped, victim):]
         return victim, skipped
 
-    def dump(self) -> list[list[CacheElement]]:
-        """Every set as elements; bypasses operation accounting."""
+    def dump(self) -> list[list[tuple[int, int]]]:
+        """Every set as ``(key, scn)`` ways; bypasses operation accounting."""
         return [self.store.peek_set(h) for h in range(self.layout.d)]
 
     def live_keys(self) -> set[int]:

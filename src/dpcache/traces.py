@@ -193,7 +193,8 @@ def parse_trace(path: str, format: str = FORMAT_PLAIN, key_column: str = "key") 
     """Read a trace file and remap its keys to a dense 1-based space.
 
     ``plain`` and ``arc`` are one decimal key per line (blank lines skipped);
-    ``csv`` takes the key from the named header column.  Accepts LF or CRLF.
+    ``csv`` takes the key from the named header column, and a row whose key
+    cell is empty or missing is an error.  Accepts LF or CRLF.
     The file is streamed: memory holds the keys and the remap table, never
     the whole text.
     """
@@ -217,6 +218,8 @@ def parse_trace(path: str, format: str = FORMAT_PLAIN, key_column: str = "key") 
                     if mapped is None:
                         mapped = ids[raw] = len(ids) + 1
                     block.append(mapped)
+                elif format == FORMAT_CSV:
+                    raise TraceFormatError(f"{path}:{line_no}: empty key")
             if key_typecode(len(ids)) != keys.typecode:
                 keys = array(key_typecode(len(ids)), keys)
             keys.fromlist(block)

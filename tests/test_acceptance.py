@@ -51,6 +51,12 @@ def hit_stream(cache, keys):
     return [fetch(key)[0] for key in keys]
 
 
+def same_results(cache, ref, keys):
+    """Whether two caches return equal ``(hit, evicted_key)`` results on every key."""
+    fetch, ref_fetch = cache.fetch, ref.fetch
+    return all(fetch(key) == ref_fetch(key) for key in keys)
+
+
 def _hit_ratio(engine, trace):
     return sum(hit_stream(engine, trace.keys)) / len(trace.keys) * 100
 
@@ -59,19 +65,17 @@ def test_c01_lru_exactness(zipf_1m_trace):
     t0 = time.monotonic()
     eng = make_engine("lru", LayoutConfig(k=8, d=16))
     ref = ReferenceCache("lru", 8, 16)
-    big_equal = hit_stream(eng, zipf_1m_trace.keys) == hit_stream(
-        ref, zipf_1m_trace.keys)
+    big_equal = same_results(eng, ref, zipf_1m_trace.keys)
     fixture_equal = {}
     for path in FIXTURES:
         keys = parse_trace(path).keys
         eng = make_engine("lru", LayoutConfig(k=8, d=16))
         ref = ReferenceCache("lru", 8, 16)
-        fixture_equal[os.path.basename(path)] = (
-            hit_stream(eng, keys) == hit_stream(ref, keys))
+        fixture_equal[os.path.basename(path)] = same_results(eng, ref, keys)
     elapsed = time.monotonic() - t0
     ok = big_equal and all(fixture_equal.values()) and elapsed < 30
     verdict("1", ok,
-            f"LRU restricted==reference streams: zipf(1M)={big_equal}, "
+            f"LRU restricted==reference (hit, evicted) results: zipf(1M)={big_equal}, "
             f"fixtures={fixture_equal}, runtime={elapsed:.1f}s (<30s)")
     assert big_equal and all(fixture_equal.values())
     assert elapsed < 30
@@ -87,13 +91,11 @@ def test_c02_filterless_multiregion_exactness(zipf_1m_trace):
 
     results = {}
     cache, ref = build(zipf_1m_trace.max_key + 1)
-    results["zipf(1M)"] = (hit_stream(cache, zipf_1m_trace.keys)
-                           == hit_stream(ref, zipf_1m_trace.keys))
+    results["zipf(1M)"] = same_results(cache, ref, zipf_1m_trace.keys)
     for path in FIXTURES:
         keys = parse_trace(path).keys
         cache, ref = build(max(keys) + 1)
-        results[os.path.basename(path)] = (
-            hit_stream(cache, keys) == hit_stream(ref, keys))
+        results[os.path.basename(path)] = same_results(cache, ref, keys)
     elapsed = time.monotonic() - t0
     ok = all(results.values()) and elapsed < 60
     verdict("2", ok, f"FIFO*LRU filterless exact equality: {results}, "

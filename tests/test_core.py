@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from checked import check_store
 from dpcache.core import (
     MISS,
-    CacheElement,
     LayoutConfig,
     LayoutError,
     OpCounter,
@@ -26,9 +25,9 @@ def long_division_mod(dividend_digits: str, divisor: int) -> int:
     return remainder
 
 
-def rows_of(elements: list[CacheElement]) -> list[list[int]]:
-    """Field rows ``[keys, scns]`` of decoded elements."""
-    return [[e.key for e in elements], [e.scn for e in elements]]
+def rows_of(ways: list[tuple[int, int]]) -> list[list[int]]:
+    """Field rows ``[keys, scns]`` of ``(key, scn)`` ways."""
+    return [[key for key, _ in ways], [scn for _, scn in ways]]
 
 
 class TestLayoutConfig:
@@ -164,16 +163,16 @@ class TestRegisterStore:
     def test_write_read_roundtrip_example(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1)
         store = RegisterStore(lay)
-        elems = [CacheElement(3, 3, 2), CacheElement(0, 0, 0)]
-        store.write_set_raw(0, rows_of(elems))
+        ways = [(3, 2), (0, 0)]
+        store.write_set_raw(0, rows_of(ways))
         assert store.read_set_raw(0) == [[3, 0], [2, 0]]
-        assert store.peek_set(0) == elems
+        assert store.peek_set(0) == ways
 
     def test_fresh_store_reads_empty(self):
         lay = LayoutConfig(k=3, d=2)
         store = RegisterStore(lay)
         assert store.read_set_raw(0) == [[0] * 3] * 2
-        assert store.peek_set(1) == [CacheElement(0, 0, 0)] * 3
+        assert store.peek_set(1) == [(0, 0)] * 3
 
     def test_field_width_violations(self):
         lay = LayoutConfig(key_bits=4, value_bits=4, scn_bits=4, k=1, d=1)
@@ -184,7 +183,7 @@ class TestRegisterStore:
 
     def test_duplicate_live_keys_rejected(self):
         store = check_store(RegisterStore(LayoutConfig(k=2, d=1)))
-        rows = rows_of([CacheElement(5, 0, 0), CacheElement(5, 1, 1)])
+        rows = rows_of([(5, 0), (5, 1)])
         with pytest.raises(StorageError):
             store.write_set_raw(0, rows)
 
@@ -196,16 +195,25 @@ class TestRegisterStore:
         assert store.counter.register_reads == 1
 
     def test_raw_path_equals_typed_path(self):
-        # the stored rows and the elements of a raw write
+        # the stored rows and the ways of a raw write
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=3, d=1)
         store = RegisterStore(lay)
-        elems = [CacheElement(3, 3, 1), CacheElement(0, 0, 0), CacheElement(11, 11, 4)]
+        ways = [(3, 1), (0, 0), (11, 4)]
         rows = [[3, 0, 11], [1, 0, 4]]
-        assert rows_of(elems) == rows
+        assert rows_of(ways) == rows
         store.write_set_raw(0, rows)
         assert store.rows[0] == rows
         assert store.read_set_raw(0) == rows
-        assert store.peek_set(0) == elems
+        assert store.peek_set(0) == ways
+
+    def test_peek_set_is_the_zipped_rows_and_charges_nothing(self):
+        store = RegisterStore(LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=3, d=2))
+        store.write_set_raw(1, [[4, 0, 2], [6, 0, 3]])
+        store.counter.reset()
+        for h in range(2):
+            assert store.peek_set(h) == list(zip(*store.rows[h]))
+        assert store.peek_set(1) == [(4, 6), (0, 0), (2, 3)]
+        assert store.counter == OpCounter()
 
     def test_read_way_and_patch(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1)
@@ -214,7 +222,7 @@ class TestRegisterStore:
         assert store.read_way(0, 1) == (5, 7)
         store.write_way_field(0, 1, 9)
         assert store.read_way(0, 1) == (5, 9)
-        assert store.peek_set(0) == [CacheElement(3, 3, 2), CacheElement(5, 5, 9)]
+        assert store.peek_set(0) == [(3, 2), (5, 9)]
         with pytest.raises(StorageError, match="^scn 256 exceeds 8 bits$"):
             store.write_way_field(0, 0, 256)
 
@@ -225,7 +233,7 @@ class TestRegisterStore:
 
         def assert_rows(expected):
             assert store.rows == [[[0] * 3] * 2, expected]
-            assert store.peek_set(1) == [CacheElement(key, key, scn) for key, scn in zip(*expected)]
+            assert store.peek_set(1) == list(zip(*expected))
 
         store.write_set_raw(1, rows)
         assert_rows(rows)
@@ -247,7 +255,7 @@ class TestRegisterStore:
         for row in pending:
             row.insert(0, 0)
         pending[0][1] = 5
-        assert store.peek_set(0) == [CacheElement(7, 7, 1), CacheElement(0, 0, 0)]
+        assert store.peek_set(0) == [(7, 1), (0, 0)]
 
     def test_checked_raw_write_rejects_overwide_slice(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1)
@@ -272,8 +280,8 @@ class TestRegisterStore:
 
         store.map_scn(bump)
         assert seen == [[2], [7, 4]]  # empty set 0 and empty ways are skipped
-        assert store.peek_set(1) == [CacheElement(3, 3, 12), CacheElement(0, 0, 0)]
-        assert store.peek_set(2) == [CacheElement(5, 5, 17), CacheElement(6, 6, 14)]
+        assert store.peek_set(1) == [(3, 12), (0, 0)]
+        assert store.peek_set(2) == [(5, 17), (6, 14)]
         assert store.counter == OpCounter(extra_reads=3, extra_writes=3)
         with pytest.raises(StorageError):
             store.map_scn(lambda live: [256] * len(live))
@@ -313,7 +321,7 @@ class TestRegisterStore:
         other = store.clone()
         assert other.counter == OpCounter() and other.counter is not store.counter
         assert other.rows == store.rows
-        assert other.peek_set(1) == [CacheElement(0x35, 5, 7), CacheElement(0, 0, 0)]
+        assert other.peek_set(1) == [(0x35, 7), (0, 0)]
         other.write_way_field(1, 0, 9)
         other.write_set_raw(0, [[1, 0], [1, 0]])
         assert store.rows == [[[0, 0], [0, 0]], [[0x35, 0], [7, 0]]]

@@ -47,10 +47,14 @@ def stream_digest(cache, keys):
 
 
 def state_digest(engine):
-    """sha256 of every set's ways in way order, one ``key,value,scn;`` record per way."""
+    """sha256 of every set's ways in way order, one ``key,value,scn;`` record per way.
+
+    The value is the key truncated to the value width, as a switch would hold it.
+    """
+    mask = (1 << engine.layout.value_bits) - 1
     digest = hashlib.sha256()
     for ways in engine.dump():
-        digest.update("".join(f"{e.key},{e.value},{e.scn};" for e in ways).encode() + b"|")
+        digest.update("".join(f"{key},{key & mask},{scn};" for key, scn in ways).encode() + b"|")
     return digest.hexdigest()
 
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from checked import checked
-from dpcache.core import CacheElement, LayoutConfig
+from dpcache.core import LayoutConfig
 from dpcache.multiregion import MultiRegionCache, RegionSpec
 from dpcache.policies import make_engine
 
@@ -36,12 +36,14 @@ def pack(way, lay):
 
 
 def unpack(raw, lay):
+    """Decode an element int to its ``(key, scn)`` way."""
     widths = (lay.key_bits, lay.value_bits, lay.scn_bits)
     way = []
     for width in widths:
         way.append(raw & ((1 << width) - 1))
         raw >>= width
-    return CacheElement(*way)
+    key, _, scn = way
+    return key, scn
 
 
 def reference_fold(raws, metric, observer):
@@ -129,8 +131,8 @@ def test_fold_matches_unrolled_reference(case):
     engine.fold_observer = lambda a, b: pairs.append((a, b))
     extra_before = engine.store.counter.extra_reads
     victim, rows = engine.insert_pending_raw(0, new)
-    assert engine.store.element(*victim) == unpack(expected_victim, lay)
-    assert [engine.store.element(*way) for way in zip(*rows)] == [unpack(r, lay) for r in raws]
+    assert victim == unpack(expected_victim, lay)
+    assert list(zip(*rows)) == [unpack(r, lay) for r in raws]
     assert pairs == expected_pairs
     if policy == "hyperbolic" and k > 1:
         assert engine.store.counter.extra_reads - extra_before == 2 * k
@@ -161,7 +163,7 @@ def unpacked_rows(word, lay):
     """Field rows of a packed set word: the inverse of ``packed_word``."""
     mask = (1 << lay.element_width) - 1
     ways = [unpack((word >> (i * lay.element_width)) & mask, lay) for i in range(lay.k)]
-    return [[e.key for e in ways], [e.scn for e in ways]]
+    return [[key for key, _ in ways], [scn for _, scn in ways]]
 
 
 def check_views(store):

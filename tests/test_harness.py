@@ -366,6 +366,22 @@ class TestCli:
                      "--alphabet", "2", "--max-len", "4"]) == 0
         assert "[OK]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["check", "--policy", "lfu", "--k", "2", "--d", "1", "--alphabet", "4", "--max-len", "6"],
+         "[OK] lfu k=2 d=1 alphabet=4 len<=6: 3924 sequences, 2112 divergent, 0 unexplained\n"
+         "first divergence: [1, 1, 2, 2, 3, 1]\n"
+         "  engine set 0: [(key=3, scn=1), (key=1, scn=2)]\n"
+         "  reference sets: [[2, 1]]\n"),
+        (["check", "--policy", "hyperbolic", "--k", "3", "--d", "1", "--alphabet", "4", "--max-len", "7"],
+         "[OK] hyperbolic k=3 d=1 alphabet=4 len<=7: 21652 sequences, 384 divergent, 0 unexplained\n"
+         "first divergence: [1, 1, 2, 3, 4, 1]\n"
+         "  engine set 0: [(key=4, scn=327681), (key=3, scn=262145), (key=1, scn=65539)]\n"
+         "  reference sets: [[3, 4, 1]]\n"),
+    ], ids=["lfu", "hyperbolic"])
+    def test_check_prints_the_first_divergence(self, argv, expected, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
     def test_missing_trace_flags_error(self, capsys):
         code = main(["run", "--policy", "lru"])
         assert code == 1

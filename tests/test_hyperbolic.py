@@ -184,7 +184,7 @@ class TestHyperbolicEngine:
     def test_fresh_insert_stamps_tick(self):
         eng = HyperbolicEngine(LayoutConfig(k=2, d=1))
         eng.fetch(5)
-        scn = eng.dump()[0][0].scn
+        _, scn = eng.dump()[0][0]
         assert (scn & eng.freq_max, scn >> eng.freq_bits) == (1, eng.tick) == (1, 1)
 
     def test_eviction_agrees_with_exact_oracle(self):
@@ -207,7 +207,7 @@ class TestHyperbolicEngine:
         eng = HyperbolicEngine(LayoutConfig(k=2, d=1))
         eng.fetch(5)
         eng.fetch(5)
-        scn = eng.dump()[0][0].scn
+        _, scn = eng.dump()[0][0]
         assert (scn & eng.freq_max, scn >> eng.freq_bits) == (2, 1)
         assert eng.tick == 2
 
@@ -216,7 +216,7 @@ class TestHyperbolicEngine:
         eng = HyperbolicEngine(lay)
         for _ in range(40):
             eng.fetch(3)
-        assert eng.dump()[0][0].scn & eng.freq_max == 15
+        assert eng.dump()[0][0][1] & eng.freq_max == 15
 
     def test_tick_halving_keeps_clock_bounded(self):
         eng = HyperbolicEngine(LayoutConfig(scn_bits=12, k=2, d=2))  # 64-entry table
@@ -224,9 +224,9 @@ class TestHyperbolicEngine:
             eng.fetch(key)
             assert eng.tick < 63
             for row in eng.dump():
-                for e in row:
-                    if e.key:
-                        assert e.scn >> eng.freq_bits <= eng.tick
+                for key, scn in row:
+                    if key:
+                        assert scn >> eng.freq_bits <= eng.tick
 
     def test_halving_preserves_lifetime_ranking(self):
         eng = HyperbolicEngine(LayoutConfig(k=4, d=1))
@@ -234,7 +234,7 @@ class TestHyperbolicEngine:
         times = [900, 500, 123, 7]
         eng.store.write_set_raw(0, [[1, 2, 3, 4], [1 | t << eng.freq_bits for t in times]])
         eng._halve_times()
-        halved = [e.scn >> eng.freq_bits for e in eng.dump()[0]]
+        halved = [scn >> eng.freq_bits for _, scn in eng.dump()[0]]
         assert halved == [t >> 1 for t in times]
         assert sorted(halved, reverse=True) == halved
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from checked import checked
-from dpcache.core import CacheElement, LayoutConfig, OpCounter, StorageError
+from dpcache.core import LayoutConfig, OpCounter, StorageError
 from dpcache.multiregion import MultiRegionCache, RegionSpec
 from dpcache.oracle import ReferenceCache
 from dpcache.policies import (
@@ -146,7 +146,7 @@ class TestLru:
     def test_empty_way_absorbs_first_insert(self):
         eng = make_engine("lru", LayoutConfig(k=2, d=1))
         assert eng.fetch(5) == (False, None)
-        assert eng.dump()[0][0] == CacheElement(5, 5, 1)
+        assert eng.dump()[0][0] == (5, 1)
 
     def test_least_recent_evicted(self):
         eng = make_engine("lru", LayoutConfig(k=3, d=1))
@@ -158,7 +158,7 @@ class TestLru:
         for i, key in enumerate([1, 2, 1, 1, 3], start=1):
             eng.fetch(key)
             assert eng.clock == i
-        scns = [e.scn for row in eng.dump() for e in row if e.key]
+        scns = [scn for row in eng.dump() for key, scn in row if key]
         assert all(s <= eng.clock for s in scns)
 
     @pytest.mark.parametrize("k,d", [(1, 1), (2, 1), (3, 2), (8, 4)])
@@ -196,7 +196,7 @@ class TestLfu:
     def test_fresh_insert_has_count_one(self):
         eng = make_engine("lfu", LayoutConfig(k=2, d=1))
         eng.fetch(5)
-        assert eng.dump()[0][0].scn == 1
+        assert eng.dump()[0][0][1] == 1
 
     def test_aging_floors_hot_key_rival(self):
         eng = make_engine("lfu", LayoutConfig(k=2, d=1))
@@ -207,7 +207,7 @@ class TestLfu:
         lay = LayoutConfig(scn_bits=3, k=2, d=1)
         eng = make_engine("lfu", lay)
         replay(eng, [1] * 20)
-        assert eng.dump()[0][0].scn == 7
+        assert eng.dump()[0][0][1] == 7
 
     def test_matches_counter_oracle(self):
         # tie-free sequence: the fold's positional tie-break never engages,
@@ -232,37 +232,32 @@ class TestLfu:
 
 
 class TestBacking:
-    """The value source: a cached value is the key truncated to the value width."""
+    """Keys wider than the value field: no value is stored or read."""
 
     def test_identity_default(self):
         eng = make_engine("lru", LayoutConfig(k=2, d=1))
         assert eng.fetch(7) == (False, None)
         assert eng.fetch(7) == (True, None)
-        assert eng.dump()[0][0].value == 7  # the cached value is the key
 
     def test_truncation(self):
-        # no value is stored: every dumped element derives it from its key
+        # a key wider than the value field hits and evicts like any other
         for policy in ["fifo", "lru", "lfu", "hyperbolic"]:
             eng = make_engine(policy, LayoutConfig(key_bits=16, value_bits=8, k=2, d=1))
             assert eng.fetch(0x1234) == (False, None)
             assert eng.fetch(0x1234) == (True, None)
-            assert eng.dump()[0][0][:2] == (0x1234, 0x34)
+            assert eng.dump()[0][0][0] == 0x1234
             assert eng.fetch(0x2345) == (False, None)
             hit, evicted = eng.fetch(0x3456)
             assert not hit and evicted in (0x1234, 0x2345)
-            assert all(e.value == e.key & 0xFF for e in eng.dump()[0])
 
         # two regions of one way each: key 1 is admitted to main and later
         # displaced by 2; 3 is denied admission against the twice-hit 2
         cache = MultiRegionCache(RegionSpec("fifo", 1, 1), RegionSpec("lru", 1, 1), 100)
-        mask = cache.main.store.value_mask
         evicted = []
         for key in [1, 2, 3, 2, 2, 4]:
             _, out = cache.fetch(key)
             if out is not None:
                 evicted.append(out)
-            for engine in (cache.window, cache.main):
-                assert all(e.value == e.key & mask for e in engine.dump()[0])
         assert evicted == [1, 3]
 
 
@@ -323,13 +318,13 @@ class TestHitPathIsolation:
         for key in [1, 2, 3]:
             eng.fetch(key)
         before = eng.dump()[0]
-        way = next(i for i, e in enumerate(before) if e.key == 2)
+        way = next(i for i, (key, _) in enumerate(before) if key == 2)
         assert eng.fetch(2)[0]
         after = eng.dump()[0]
         for i, (a, b) in enumerate(zip(before, after)):
             if i == way:
-                assert (a.key, a.value) == (b.key, b.value)
-                assert a.scn != b.scn
+                assert a[0] == b[0]
+                assert a[1] != b[1]
             else:
                 assert a == b
 

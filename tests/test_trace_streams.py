@@ -97,8 +97,9 @@ def whole_text_parse(path: str, format: str, key_column: str = "key"):
             raise TraceFormatError(f"{path}: missing key column {key_column!r}")
         for line_no, row in enumerate(reader, start=2):
             cell = (row.get(key_column) or "").strip()
-            if cell:
-                keys.append(parse_key(cell, line_no))
+            if not cell:
+                raise TraceFormatError(f"{path}:{line_no}: empty key")
+            keys.append(parse_key(cell, line_no))
     else:
         for line_no, line in enumerate(text.splitlines(), start=1):
             line = line.strip()

@@ -117,6 +117,17 @@ class TestParseTrace:
         path.write_text("block,op\n17,r\n17,w\n3,r\n")
         assert parse_trace(str(path), format="csv", key_column="block").keys.tolist() == [1, 1, 2]
 
+    @pytest.mark.parametrize("text, row", [
+        ("id,key\n1,10\n2,\n3,10\n4\n", 3),  # an empty cell
+        ("id,key\n1,10\n\n3,10\n4\n", 4),  # a missing cell; the blank row is skipped
+        ("id,key\n1, \n2,x\n", 2),  # the first fault in row order is reported
+    ])
+    def test_csv_row_without_a_key_rejected(self, tmp_path, text, row):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(TraceFormatError, match=rf":{row}: empty key$"):
+            parse_trace(str(path), format="csv")
+
     def test_zero_key_remapped_live(self, tmp_path):
         path = tmp_path / "t.trace"
         path.write_text("0\n0\n8\n")
