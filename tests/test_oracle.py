@@ -11,6 +11,7 @@ from dpcache.oracle import (
     exhaustive_check,
     has_metric_tie,
 )
+from dpcache.traces import ZipfSpec, generate_zipf
 
 
 def replay(cache, keys):
@@ -247,6 +248,26 @@ GOLDEN_PAIRS = {
 }
 
 
+# Sets wider than 4 ways that fill and evict: 400 Zipf(0.8) keys over at
+# most 64 ways per set.  Each pair runs with the filter, window (4, 4) and
+# main (16, 4).
+WIDE_KEYS = list(generate_zipf(ZipfSpec(N=400, s=0.8, length=20_000, seed=4343)))
+WIDE_SINGLE = {
+    ("fifo", 64, 1): ("23e52b015fd75fc8fa63bdba57fabb1919693879d4d299b27f3d37c866342860", False),
+    ("fifo", 16, 4): ("ee79ba05c2c1c1e5fde20d9ebe589a5bf9b3728e074087c9507edc6dc58b9ba2", False),
+    ("lru", 64, 1): ("bb6dff5482f4ad370bbb2972f1f3ca40309fab0248755ae071fa1138411112ea", False),
+    ("lru", 16, 4): ("68f8ecdd498db3c007342de71948f4d688f8dd214944e00e81a9ff1c0340c9aa", False),
+    ("lfu", 64, 1): ("4d3fb7af3b30857cfff3d9982237431e34b5212c4039c437997883e62c1aa500", True),
+    ("lfu", 16, 4): ("a0fe53e6f2a95f87ddce20e2de8d267e16a15a7bf6c4634290e648ae51e84195", True),
+    ("hyperbolic", 64, 1): ("f66f7b118126f867f73aeaabb6ac05ecc781622fc68dccfacae1b8212d2ac25d", True),
+    ("hyperbolic", 16, 4): ("3daeb5aed4cbd437eec63046fef154ff8a49fdb3fdf1448a4e047ba85d3a1740", True),
+}
+WIDE_PAIRS = {
+    ("lru", "lfu"): ("df3edae50347e8e242357ae3575960d6fe661a4bdcc88790d5be530ae2e684a2", False, True),
+    ("fifo", "hyperbolic"): ("185fd1fcbf9fe57bd76dce172f64c1063ddcff3e47e4db46c86e5e0d37daebcf", False, True),
+}
+
+
 class TestGolden:
     @pytest.mark.parametrize("policy, k, d", sorted(GOLDEN_SINGLE))
     def test_single_region_stream(self, policy, k, d):
@@ -255,6 +276,17 @@ class TestGolden:
     @pytest.mark.parametrize("window, main, use_filter", sorted(GOLDEN_PAIRS))
     def test_two_region_stream(self, window, main, use_filter):
         assert golden_multi(window, main, use_filter) == GOLDEN_PAIRS[window, main, use_filter]
+
+    @pytest.mark.parametrize("policy, k, d", sorted(WIDE_SINGLE))
+    def test_wide_set_stream(self, policy, k, d):
+        cache = ReferenceCache(policy, k, d)
+        assert (stream_digest(cache, WIDE_KEYS), cache.tie_seen) == WIDE_SINGLE[policy, k, d]
+
+    @pytest.mark.parametrize("window, main", sorted(WIDE_PAIRS))
+    def test_wide_set_filtered_pair(self, window, main):
+        cache = ReferenceMultiCache(RegionSpec(window, 4, 4), RegionSpec(main, 16, 4), 401)
+        assert ((stream_digest(cache, WIDE_KEYS), cache.window.tie_seen, cache.main.tie_seen)
+                == WIDE_PAIRS[window, main])
 
     def test_golden_covers_every_pairing(self):
         assert len(GOLDEN_SINGLE) == len(POLICIES) * len(GOLDEN_GEOMETRIES)
