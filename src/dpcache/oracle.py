@@ -1,10 +1,10 @@
 """Unrestricted reference caches with exact arithmetic.
 
 These are the textbook implementations the restricted engines are validated
-against: per-set move-to-front LRU, per-set FIFO queues, perfect LFU with
-least-recently-used tie-breaking, and hyperbolic priorities compared as exact
-rationals (cross multiplication, never floating division).  Each policy is
-its own subclass of `ReferenceCache`, so no per-event code branches on the
+against: per-set move-to-front LRU, per-set insertion-order FIFO, perfect LFU
+with least-recently-used tie-breaking, and hyperbolic priorities compared as
+exact rationals (cross multiplication, never floating division).  Each policy
+is its own subclass of `ReferenceCache`, so no per-event code branches on the
 policy name.  Fully associative behaviour is the k = capacity, d = 1 special
 case.
 
@@ -16,7 +16,7 @@ verifies that every divergence is explained by a metric tie.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +32,16 @@ class ReferenceCache:
     """Exact k-way set-associative cache, one of fifo/lru/lfu/hyperbolic.
 
     ``ReferenceCache(policy, k, d)`` builds the policy's own subclass.
-    ``fetch`` returns (hit, evicted_key).  ``tie_seen`` latches whenever an
-    eviction decision had more than one metric-minimal candidate (LFU equal
-    frequencies, hyperbolic equal exact priorities).  The base ``fetch`` runs
-    the per-policy hooks (``_touch``, ``victim``, ``_remove``, ``_place``),
-    which ``ReferenceMultiCache`` also composes; FIFO and LRU override it with
-    one body over their queue.
+    ``fetch`` returns (hit, evicted_key).  Every policy answers to three
+    hooks: ``_touch(h, key)`` serves a hit and is False on a miss,
+    ``victim(h)`` names the key set ``h`` would evict now, and ``_insert(h,
+    key)`` places a missed key, evicting that victim when the set is full,
+    and returns the victim.  The base ``fetch`` runs them, and
+    ``ReferenceMultiCache`` composes them; LRU serves ``fetch`` in one body
+    over its ordered set.  ``tie_seen`` latches when the key an eviction
+    picks shares the minimal metric with another key of its set (LFU equal
+    frequencies, hyperbolic equal exact priorities); a tie between keys that
+    a strictly smaller one beats does not count.
     """
 
     policy: str
@@ -66,22 +70,12 @@ class ReferenceCache:
             return True, None
         return False, self._insert(h, key)
 
-    def _insert(self, h: int, key: int) -> int | None:
-        victim = self.victim(h)
-        if victim is not None:
-            self._remove(h, victim)
-        self._place(h, key)
-        return victim
-
     def victim(self, h: int) -> int | None:
         """The key this set would evict now, or None while it has room."""
         s = self.sets[h]
         if len(s) < self.k:
             return None
         return self._victim_of(s)
-
-    def _remove(self, h: int, key: int) -> None:
-        del self.sets[h][key]
 
     def live_keys(self) -> set[int]:
         return {k for s in self.sets for k in s}
@@ -95,41 +89,34 @@ class ReferenceCache:
         return other
 
 
-class _FifoReference(ReferenceCache):
-    """Per-set insertion-order queues; hits change nothing."""
+class _OrderedReference(ReferenceCache):
+    """Sets of keys in eviction order: a miss on a full set evicts the first."""
+
+    _new_set = _copy_set = OrderedDict
+
+    def _victim_of(self, s: OrderedDict) -> int:
+        return next(iter(s))
+
+    def _insert(self, h: int, key: int) -> int | None:
+        s = self.sets[h]
+        victim = s.popitem(last=False)[0] if len(s) >= self.k else None
+        s[key] = None
+        return victim
+
+
+class _FifoReference(_OrderedReference):
+    """Keys in insertion order; hits change nothing."""
 
     policy = "fifo"
-    _new_set = _copy_set = deque
-
-    def fetch(self, key: int) -> tuple[bool, int | None]:
-        if key < 1:
-            raise ValueError("keys must be >= 1")
-        self.seq += 1
-        s = self.sets[key % self.d]
-        if key in s:
-            return True, None
-        victim = s.popleft() if len(s) >= self.k else None
-        s.append(key)
-        return False, victim
 
     def _touch(self, h: int, key: int) -> bool:
         return key in self.sets[h]
 
-    def _victim_of(self, s: deque) -> int:
-        return s[0]
 
-    def _remove(self, h: int, key: int) -> None:
-        self.sets[h].remove(key)
-
-    def _place(self, h: int, key: int) -> None:
-        self.sets[h].append(key)
-
-
-class _LruReference(ReferenceCache):
-    """Per-set move-to-front lists, least recent first."""
+class _LruReference(_OrderedReference):
+    """Keys in access order: a hit moves its key to the back."""
 
     policy = "lru"
-    _new_set = _copy_set = OrderedDict
 
     def fetch(self, key: int) -> tuple[bool, int | None]:
         if key < 1:
@@ -150,12 +137,6 @@ class _LruReference(ReferenceCache):
         s.move_to_end(key)
         return True
 
-    def _victim_of(self, s: OrderedDict) -> int:
-        return next(iter(s))
-
-    def _place(self, h: int, key: int) -> None:
-        self.sets[h][key] = None
-
 
 class _RecordReference(ReferenceCache):
     """Sets of ``key -> [freq, tick]`` records; a new key starts at freq 1."""
@@ -166,8 +147,12 @@ class _RecordReference(ReferenceCache):
     def _copy_set(s: dict) -> dict:
         return {k: list(v) for k, v in s.items()}
 
-    def _place(self, h: int, key: int) -> None:
+    def _insert(self, h: int, key: int) -> int | None:
+        victim = self.victim(h)
+        if victim is not None:
+            del self.sets[h][victim]
         self.sets[h][key] = [1, self.seq]
+        return victim
 
 
 class _LfuReference(_RecordReference):
@@ -207,6 +192,7 @@ class _HyperbolicReference(_RecordReference):
         now = self.seq
         best_key = None
         best_n = best_life = 0
+        tied = False  # whether the running minimum is shared
         for key, (n, t) in s.items():
             life = now - t
             if best_key is None:
@@ -216,8 +202,11 @@ class _HyperbolicReference(_RecordReference):
             rhs = best_n * life
             if lhs < rhs:
                 best_key, best_n, best_life = key, n, life
+                tied = False
             elif lhs == rhs:
-                self.tie_seen = True
+                tied = True
+        if tied:
+            self.tie_seen = True
         return best_key
 
 
@@ -281,15 +270,11 @@ class ReferenceMultiCache:
             return False, None
         h2 = window_victim % self.main.d
         main_victim = self.main.victim(h2)
-        if main_victim is None:
-            self.main._place(h2, window_victim)
-            return False, None
-        if self.use_filter and counts[main_victim] > counts[window_victim]:
+        if (main_victim is not None and self.use_filter
+                and counts[main_victim] > counts[window_victim]):
             # admission denied; the window victim leaves the cache entirely
             return False, window_victim
-        self.main._remove(h2, main_victim)
-        self.main._place(h2, window_victim)
-        return False, main_victim
+        return False, self.main._insert(h2, window_victim)
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +314,9 @@ class ExhaustiveReport:
         )
 
 
-def _small_layout(k: int, d: int) -> LayoutConfig:
-    return LayoutConfig(key_bits=16, value_bits=16, scn_bits=32, k=k, d=d)
-
-
 def _fresh_engine(policy: str, k: int, d: int, integer_factor) -> PolicyEngine:
-    return make_engine(policy, _small_layout(k, d), integer_factor=integer_factor)
+    layout = LayoutConfig(key_bits=16, value_bits=16, scn_bits=32, k=k, d=d)
+    return make_engine(policy, layout, integer_factor=integer_factor)
 
 
 def has_metric_tie(

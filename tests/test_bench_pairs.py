@@ -87,6 +87,27 @@ def test_within_bound_allows_a_regression_up_to_the_bound(tool, metric, better, 
     assert within(outside, {}) is None  # a metric without a bound
 
 
+@pytest.mark.parametrize("metric, better", [("events_per_s", "higher"), ("wall_s", "lower")])
+def test_parent_spread_wider_than_the_bound_is_unresolved(tool, metric, better):
+    # quartiles 80 and 120 around a median of 100: a spread of 40% against a 25% bound
+    wide = [80, 80, 80, 120, 120, 120, 100, 100, 100, 100]
+    narrow = [99, 101] * 5
+    sign = 1 if better == "higher" else -1
+
+    def unresolved(parent, change, bounds={metric: 0.25}):
+        out = tool.summarise(pairs_of(parent, change, metric), {metric: better}, bounds)
+        return out[metric]["unresolved"]
+
+    assert tool.quartiles(wide) == {"q1": 85.0, "median": 100.0, "q3": 115.0}
+    assert unresolved(wide, wide) is True
+    assert unresolved(wide, [100 - sign * 30] * 10) is True  # worse, but inside the spread
+    assert unresolved(wide, [100 + sign * 19] * 10) is True  # better than 7 of 10 runs
+    assert unresolved(wide, [100 + sign * 30] * 10) is False  # better than every parent run
+    assert unresolved(wide, wide, {metric: 0.5}) is False
+    assert unresolved(narrow, [70] * 10) is False
+    assert unresolved(wide, wide, {}) is None  # a metric without a bound
+
+
 def benchmark_tree(root, run_source="print('run')\n"):
     """A checkout holding only what the benchmark comparison reads, and run outputs."""
     (root / "bench" / "tests").mkdir(parents=True)

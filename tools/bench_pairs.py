@@ -25,7 +25,11 @@ change won at least nine tenths of the pairs (ties count for neither side)
 and its median is better than the parent's by more than the distance between
 the parent's quartiles.  ``within_bound`` is the no-regression rule: the
 change's median is worse than the parent's by at most the metric's ``bound``
-in ``BENCHMARK.json``, as a fraction of the parent's median.
+in ``BENCHMARK.json``, as a fraction of the parent's median.  A metric is
+``unresolved`` when the parent's own runs spread wider than that bound (the
+distance between its quartiles, as a fraction of its median), unless every
+run of the change is better than every run of the parent: such a metric
+cannot show a regression of the bound's size either way.
 """
 
 from __future__ import annotations
@@ -54,8 +58,8 @@ def summarise(pairs: list[dict[str, dict[str, float]]], better: dict[str, str],
 
     Each pair is ``{"parent": {metric: value}, "change": {metric: value}}``;
     ``better`` maps each metric to ``"higher"`` or ``"lower"`` and ``bounds``
-    to its allowed regression; ``within_bound`` is None for a metric without
-    a bound.
+    to its allowed regression; ``within_bound`` and ``unresolved`` are None
+    for a metric without a bound.
     """
     bounds = bounds or {}
     summary = {}
@@ -69,6 +73,7 @@ def summarise(pairs: list[dict[str, dict[str, float]]], better: dict[str, str],
         base, new = quartiles(parent), quartiles(change)
         spread = base["q3"] - base["q1"]
         bound = bounds.get(metric)
+        beats_every_parent_run = min(sign * c for c in change) > max(sign * p for p in parent)
         summary[metric] = {
             "better": direction,
             "parent": base,
@@ -80,6 +85,8 @@ def summarise(pairs: list[dict[str, dict[str, float]]], better: dict[str, str],
             "gain": wins >= 0.9 * len(pairs) and sign * (new["median"] - base["median"]) > spread,
             "within_bound": None if bound is None else
             sign * (base["median"] - new["median"]) <= bound * abs(base["median"]),
+            "unresolved": None if bound is None else
+            spread > bound * abs(base["median"]) and not beats_every_parent_run,
         }
     return summary
 
