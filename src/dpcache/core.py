@@ -99,19 +99,17 @@ class RegisterStore:
 
     ``rows[h]`` is ``[keys, scns]``, each a list of ``k`` ints, way 0 first;
     the rows are the storage, and a way is the pair ``(key, scn)``.  A
-    lookup is one C-level search of the key row, a whole-set read or write
-    copies the rows, and a fold works on the SCN row.  Field widths are
-    checked where a field enters the store:
-    ``ternary_lookup`` checks the probed key, ``write_way_field`` the SCN, and
-    ``_check_rows`` (after every ``map_scn`` sweep) the whole set, with its
-    distinct live keys.  A write is trusted beyond that; the tests
-    re-validate every written set through a store whose writes run
-    ``_check_rows``.
+    lookup is one C-level search of the key row.  Field widths are checked
+    where a field enters the store: ``ternary_lookup`` checks the probed
+    key, ``write_way_field`` the SCN, and ``_check_rows`` (after every
+    ``map_scn`` sweep) the whole set, with its distinct live keys.
 
     ``read_set_raw``/``write_set_raw`` model whole-set register accesses and
-    are the unit of the operation accounting.  ``read_way`` and
-    ``write_way_field`` are targeted accessors for hot paths; they carry the
-    same one-read/one-write cost as the whole-set operation they stand in for.
+    are the unit of the operation accounting: a miss edits the set's own
+    rows in place between them, and every set read is written back in the
+    same fetch.  ``read_way`` and ``write_way_field`` are targeted accessors
+    for hot paths; they carry the same one-read/one-write cost as the
+    whole-set operation they stand in for.
     """
 
     def __init__(self, layout: LayoutConfig, counter: OpCounter | None = None) -> None:
@@ -129,20 +127,19 @@ class RegisterStore:
     # -- whole-set access ---------------------------------------------------
 
     def read_set_raw(self, h: int) -> list[list[int]]:
-        """Whole-set read returning (copies of) the set's field rows."""
+        """Whole-set read: the set's own field rows, for the caller to edit in place."""
         self.counter.register_reads += 1
-        keys, scns = self.rows[h]
-        return [keys[:], scns[:]]
+        return self.rows[h]
 
     def write_set_raw(self, h: int, rows: list[list[int]]) -> None:
-        """Whole-set write from field rows.
+        """Whole-set write: ``rows`` becomes set ``h``, without a copy.
 
         Trusts the caller to preserve element invariants; the tests
-        re-validate every written set with ``_check_rows`` through a store
-        subclass (``tests/checked.py``).
+        re-validate every written set, and check that every read is written
+        back, through a store subclass (``tests/checked.py``).
         """
         self.counter.register_writes += 1
-        self.rows[h] = [row[:] for row in rows]
+        self.rows[h] = rows
 
     # -- ternary lookup -----------------------------------------------------
 

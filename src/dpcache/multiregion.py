@@ -179,20 +179,20 @@ class MultiRegionCache:
             return self.window.serve_hit(h_window, way_window)
 
         window, main = self.window, self.main
-        window_victim, pending = window.insert_pending_raw(h_window, (key, window._initial_scn()))
-        window.store.write_set_raw(h_window, pending)
+        window_victim, rows = window.insert_pending_raw(h_window, (key, window._initial_scn()))
+        window.store.write_set_raw(h_window, rows)
         victim_key = window_victim[0]
         if not victim_key:
             return False, None
 
         h2 = victim_key % main.layout.d
-        main_victim, pending = main.insert_pending_raw(h2, (victim_key, main._initial_scn()))
+        main_victim, rows = main.insert_pending_raw(h2, (victim_key, main._initial_scn()))
         evicted = main_victim[0]
         if evicted and flt is not None and flt.count(evicted) > flt.count(victim_key):
             # admission denied: the fold's victim keeps its slot at way 0 and
             # the window victim is the element that leaves the cache
-            for row, x in zip(pending, main_victim):
+            for row, x in zip(rows, main_victim):
                 row[0] = x
             evicted = victim_key
-        main.store.write_set_raw(h2, pending)
+        main.store.write_set_raw(h2, rows)
         return False, evicted or None

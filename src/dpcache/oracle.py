@@ -35,8 +35,8 @@ class ReferenceCache:
     ``fetch`` returns (hit, evicted_key).  Every policy answers to three
     hooks: ``_touch(h, key)`` serves a hit and is False on a miss,
     ``victim(h)`` names the key set ``h`` would evict now, and ``_insert(h,
-    key)`` places a missed key, evicting that victim when the set is full,
-    and returns the victim.  The base ``fetch`` runs them, and
+    key, victim)`` places a missed key after evicting that victim, and
+    returns it.  The base ``fetch`` runs them, and
     ``ReferenceMultiCache`` composes them; LRU serves ``fetch`` in one body
     over its ordered set.  ``tie_seen`` latches when the key an eviction
     picks shares the minimal metric with another key of its set (LFU equal
@@ -68,7 +68,7 @@ class ReferenceCache:
         h = key % self.d
         if self._touch(h, key):
             return True, None
-        return False, self._insert(h, key)
+        return False, self._insert(h, key, self.victim(h))
 
     def victim(self, h: int) -> int | None:
         """The key this set would evict now, or None while it has room."""
@@ -97,9 +97,10 @@ class _OrderedReference(ReferenceCache):
     def _victim_of(self, s: OrderedDict) -> int:
         return next(iter(s))
 
-    def _insert(self, h: int, key: int) -> int | None:
+    def _insert(self, h: int, key: int, victim: int | None) -> int | None:
         s = self.sets[h]
-        victim = s.popitem(last=False)[0] if len(s) >= self.k else None
+        if victim is not None:
+            del s[victim]
         s[key] = None
         return victim
 
@@ -147,11 +148,11 @@ class _RecordReference(ReferenceCache):
     def _copy_set(s: dict) -> dict:
         return {k: list(v) for k, v in s.items()}
 
-    def _insert(self, h: int, key: int) -> int | None:
-        victim = self.victim(h)
+    def _insert(self, h: int, key: int, victim: int | None) -> int | None:
+        s = self.sets[h]
         if victim is not None:
-            del self.sets[h][victim]
-        self.sets[h][key] = [1, self.seq]
+            del s[victim]
+        s[key] = [1, self.seq]
         return victim
 
 
@@ -265,7 +266,8 @@ class ReferenceMultiCache:
         if self.window._touch(key % self.window.d, key):
             return True, None
 
-        window_victim = self.window._insert(key % self.window.d, key)
+        h = key % self.window.d
+        window_victim = self.window._insert(h, key, self.window.victim(h))
         if window_victim is None:
             return False, None
         h2 = window_victim % self.main.d
@@ -274,7 +276,7 @@ class ReferenceMultiCache:
                 and counts[main_victim] > counts[window_victim]):
             # admission denied; the window victim leaves the cache entirely
             return False, window_victim
-        return False, self.main._insert(h2, window_victim)
+        return False, self.main._insert(h2, window_victim, main_victim)
 
 
 # ---------------------------------------------------------------------------

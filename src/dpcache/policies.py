@@ -7,7 +7,7 @@ through the remaining ways as a "candidate" with a fixed, unrolled sequence of
 compare-and-swap steps.  The element carried out of the last way is the
 victim; an all-zero victim means an empty way absorbed the insertion.
 
-Engines work on the store's key and SCN rows and ``(key, scn)`` way pairs.
+A miss edits the set's own key and SCN rows in place and writes them back.
 A fetch returns ``(hit, evicted_key)``, the shape the reference caches
 return: ``evicted_key`` is None on a hit and on a miss that an empty way
 absorbed.  ``dump`` hands out the same ``(key, scn)`` ways; a way's value
@@ -84,11 +84,11 @@ class PolicyEngine:
         return False, victim[0] or None
 
     def insert_pending_raw(self, h: int, way: tuple[int, int]) -> tuple[tuple[int, int], list[list[int]]]:
-        """Insert at way 0 and run the eviction fold; the set is not written.
+        """Insert at way 0 and run the eviction fold in the set's own rows.
 
-        Returns (victim way, pending field rows).  The caller commits the
-        pending rows with ``write_set_raw`` — split out so an admission filter
-        can overrule the fold before the single end-of-pipeline set write.
+        Returns (victim way, the edited field rows).  The caller commits the
+        rows with ``write_set_raw`` — split out so an admission filter can
+        overrule the fold before the single end-of-pipeline set write.
         Each of the k fold/insert steps reads and writes auxiliary registers
         (candidate and keys registers), which is accounted here.
 

@@ -3,20 +3,43 @@
 ``checked(cache)`` takes an engine or a two-region cache and makes each of
 its stores run ``_check_rows`` on the set after every ``write_set_raw`` and
 ``write_way_field``: field widths, row shape and distinct live keys, the
-checks a production store leaves to its callers.  The store's class is
-swapped for ``CheckedStore``, so nothing is bound in the store's own
-``__dict__``, and ``RegisterStore.clone``, which copies that dict into a
-plain ``RegisterStore``, gives a clone that writes only its own rows.
+checks a production store leaves to its callers.  A checked store also
+fails when a set handed out by ``read_set_raw`` is not committed by
+``write_set_raw`` before its next ``ternary_lookup`` or ``read_set_raw``:
+a read hands out the set's own rows, so a miss that skipped its write would
+leave every row as it should be and show only in the write count.  The
+store's class is swapped for ``CheckedStore``, so no method is bound in the
+store's own ``__dict__``, and ``RegisterStore.clone``, which copies that
+dict into a plain ``RegisterStore``, gives a clone that writes only its own
+rows.
 """
 
 from dpcache.core import RegisterStore
 
 
 class CheckedStore(RegisterStore):
-    """A ``RegisterStore`` whose every set write is followed by ``_check_rows``."""
+    """A ``RegisterStore`` whose every set write is followed by ``_check_rows``,
+    and whose every whole-set read is written back before the next access."""
+
+    unwritten = None  # the set read by ``read_set_raw`` and not yet written
+
+    def _check_written(self):
+        if self.unwritten is not None:
+            raise AssertionError(f"set {self.unwritten} was read and not written back")
+
+    def ternary_lookup(self, h, key):
+        self._check_written()
+        return super().ternary_lookup(h, key)
+
+    def read_set_raw(self, h):
+        self._check_written()
+        self.unwritten = h
+        return super().read_set_raw(h)
 
     def write_set_raw(self, h, rows):
         super().write_set_raw(h, rows)
+        if h == self.unwritten:
+            self.unwritten = None
         self._check_rows(h)
 
     def write_way_field(self, h, way, scn):

@@ -3,17 +3,18 @@
 Run on a single-region engine and on both regions of a two-region cache: a
 duplicate live key or an overwide SCN written through ``write_set_raw`` is
 caught, so is a fault already in the rows when ``write_way_field`` patches
-the set, and a clone of a checked store writes only its own rows.  A plain
-store takes the same writes without a word, which is what leaves the check
-to the helper.
+the set, and so is a set read that is not written back before the store's
+next lookup or read; a clone of a checked store writes only its own rows.
+A plain store takes the same writes without a word, which is what leaves
+the check to the helper.
 """
 
 import pytest
 
 from checked import CheckedStore, checked
-from dpcache.core import LayoutConfig, OpCounter, RegisterStore, StorageError
+from dpcache.core import MISS, LayoutConfig, OpCounter, RegisterStore, StorageError
 from dpcache.multiregion import MultiRegionCache, RegionSpec
-from dpcache.policies import make_engine
+from dpcache.policies import POLICIES, make_engine
 
 SCN_BITS = 8
 
@@ -77,3 +78,36 @@ def test_checked_covers_both_regions():
     assert type(cache.window.store) is CheckedStore and type(cache.main.store) is CheckedStore
     engine = make_engine("fifo", LayoutConfig(k=2, d=2))
     assert checked(engine) is engine and type(engine.store) is CheckedStore
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_read_must_be_written_back_before_the_next_access(target):
+    store = store_of(target)
+    rows = store.read_set_raw(1)
+    assert rows is store.rows[1]
+    store.write_set_raw(0, [[3, 0], [1, 0]])  # a write to another set commits nothing
+    unwritten = "^set 1 was read and not written back$"
+    with pytest.raises(AssertionError, match=unwritten):
+        store.ternary_lookup(1, 5)
+    with pytest.raises(AssertionError, match=unwritten):
+        store.read_set_raw(0)
+    store.write_set_raw(1, rows)
+    assert store.ternary_lookup(1, 5) == MISS
+    store.write_set_raw(0, store.read_set_raw(0))
+    plain = store_of(target, check=False)
+    plain.read_set_raw(1)
+    assert plain.read_set_raw(1) is plain.rows[1]  # a plain store trusts its caller
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_miss_without_its_write_fails_the_next_fetch(policy):
+    engine = checked(make_engine(policy, LayoutConfig(scn_bits=SCN_BITS, k=2, d=2)))
+    engine.fetch(3)
+    engine.insert_pending_raw(1, (5, engine._initial_scn()))  # a fetch's miss, write left out
+    with pytest.raises(AssertionError, match="^set 1 was read and not written back$"):
+        engine.fetch(3)
+    cache = checked(MultiRegionCache(RegionSpec(policy, 2, 2), RegionSpec(policy, 2, 2), 50,
+                                     scn_bits=SCN_BITS))
+    cache.main.insert_pending_raw(0, (4, cache.main._initial_scn()))
+    with pytest.raises(AssertionError, match="^set 0 was read and not written back$"):
+        cache.fetch(7)

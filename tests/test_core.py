@@ -246,16 +246,21 @@ class TestRegisterStore:
         assert_rows(rows)
         assert store.ternary_lookup(1, 2) == 2 and store.ternary_lookup(1, 3) == MISS
 
-    def test_raw_row_is_copied_on_read_and_write(self):
-        store = RegisterStore(LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1))
+    def test_raw_rows_are_the_set_on_read_and_write(self):
+        # a miss is one read-modify-write of the register: no copy either way
+        store = RegisterStore(LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=2))
         rows = [[7, 0], [1, 0]]
         store.write_set_raw(0, rows)
-        rows[0][0] = 9
-        pending = store.read_set_raw(0)
-        for row in pending:
-            row.insert(0, 0)
-        pending[0][1] = 5
-        assert store.peek_set(0) == [(7, 1), (0, 0)]
+        assert store.rows[0] is rows
+        rows[0][1] = 9
+        assert store.peek_set(0) == [(7, 1), (9, 0)]
+        got = store.read_set_raw(0)
+        assert got is rows and store.read_set_raw(1) is store.rows[1]
+        got[1][1] = 5
+        assert store.peek_set(0) == [(7, 1), (9, 5)]
+        store.write_set_raw(0, got)
+        assert store.rows[0] is rows and store.peek_set(0) == [(7, 1), (9, 5)]
+        assert store.counter == OpCounter(register_reads=2, register_writes=2)
 
     def test_checked_raw_write_rejects_overwide_slice(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1)

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from checked import checked
 from dpcache.core import StorageError
 from dpcache.multiregion import (
     COUNTER_CAP,
@@ -316,6 +317,36 @@ class TestMultiOpAccounting:
                 assert c.tcam_matches == 2
                 assert c.register_reads <= budget
                 assert c.register_writes <= budget
+
+    @pytest.mark.parametrize("flt", ["none", "tinylfu"])
+    @pytest.mark.parametrize("policy, scn_bits", [
+        ("fifo", 4), ("lru", 4), ("lfu", 3), ("hyperbolic", 6),
+    ])
+    def test_miss_costs_exactly_one_read_modify_write_per_region(self, policy, scn_bits, flt):
+        # the window's set read and write with its 2k_w fold steps, and the
+        # main region's when a window victim contends; the SCN widths are
+        # narrow enough that LRU rescales and hyperbolic halves in the trace
+        k_w, k_m = 2, 4
+        cache = checked(make_cache(window=(policy, k_w, 2), main=(policy, k_m, 2),
+                                   universe=40, filter=flt, scn_bits=scn_bits))
+        contests = 0
+        clocks = []
+        for key in random_trace(23, 800, 40):
+            before = cache.window.live_keys()
+            cache.counter.reset()
+            hit = cache.fetch(key)[0]
+            c = cache.counter
+            clocks.append(getattr(cache.main, "tick", getattr(cache.main, "clock", 0)))
+            if hit:
+                continue
+            cost = 1 + 2 * k_w
+            if before - cache.window.live_keys():
+                contests += 1  # a key left the window for the main region
+                cost += 1 + 2 * k_m
+            assert (c.tcam_matches, c.register_reads, c.register_writes) == (2, cost, cost)
+        assert contests > 100
+        if policy in ("lru", "hyperbolic"):
+            assert any(b < a for a, b in zip(clocks, clocks[1:])), "no maintenance sweep ran"
 
     def test_shared_counter_across_regions(self):
         cache = MultiRegionCache(RegionSpec("fifo", 2, 1), RegionSpec("lru", 2, 1), 50)

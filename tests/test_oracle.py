@@ -296,6 +296,24 @@ class TestGolden:
         assert ((stream_digest(cache, WIDE_KEYS), cache.window.tie_seen, cache.main.tie_seen)
                 == WIDE_PAIRS[window, main])
 
+    @pytest.mark.parametrize("window, main", sorted(WIDE_PAIRS))
+    def test_one_main_scan_per_admission_contest(self, window, main, monkeypatch):
+        # with an ordered window, only the main region's victim scans are
+        # counted; a fetch evicts exactly when its window victim contends
+        # for a full main set, admitted or denied
+        cache = ReferenceMultiCache(RegionSpec(window, 4, 4), RegionSpec(main, 16, 4), 401)
+        scan = type(cache.main)._victim_of
+        scans = []
+
+        def counted(self, s):
+            scans.append(len(s))
+            return scan(self, s)
+
+        monkeypatch.setattr(type(cache.main), "_victim_of", counted)
+        evictions = sum(cache.fetch(key)[1] is not None for key in WIDE_KEYS)
+        assert evictions > 5000
+        assert scans == [16] * evictions
+
     def test_golden_covers_every_pairing(self):
         assert len(GOLDEN_SINGLE) == len(POLICIES) * len(GOLDEN_GEOMETRIES)
         assert len(GOLDEN_PAIRS) == 2 * len(POLICIES) ** 2

@@ -298,6 +298,29 @@ class TestOpAccounting:
             assert counter.register_reads <= 1 + 2 * k
             assert counter.register_writes <= 1 + 2 * k
 
+    # SCN widths narrow enough that LRU rescales, LFU counts saturate and
+    # hyperbolic halves its insert times within the trace
+    NARROW_SCN_BITS = {"fifo": 4, "lru": 4, "lfu": 3, "hyperbolic": 6}
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_miss_costs_exactly_one_read_modify_write(self, policy):
+        # one lookup, the set read and write, and 2k fold/insert reads and writes
+        k = 4
+        counter = OpCounter()
+        eng = checked(make_engine(policy, LayoutConfig(scn_bits=self.NARROW_SCN_BITS[policy],
+                                                       k=k, d=2), counter=counter))
+        clocks, misses = [], 0
+        for key in random.Random(19).choices(range(1, 25), k=600):
+            counter.reset()
+            if not eng.fetch(key)[0]:
+                misses += 1
+                assert (counter.tcam_matches, counter.register_reads,
+                        counter.register_writes) == (1, 1 + 2 * k, 1 + 2 * k)
+            clocks.append(getattr(eng, "tick", getattr(eng, "clock", 0)))
+        assert misses > 100
+        if policy in ("lru", "hyperbolic"):
+            assert any(b < a for a, b in zip(clocks, clocks[1:])), "no maintenance sweep ran"
+
     @pytest.mark.parametrize("policy", ["lru", "lfu", "hyperbolic"])
     def test_fold_runs_exactly_k_minus_1_steps(self, policy):
         k = 5
