@@ -8,6 +8,7 @@ truncated to its width, so nothing reads it, and the store keeps each set as
 two field rows, keys and SCNs, checked against their widths.  Membership is
 one ternary (TCAM-style) comparison against the key row instead of a loop.
 A way travels as a ``(key, scn)`` pair, the only form the store hands out.
+A hit reads one way and writes its SCN word back, changed or not.
 Each region of a multi-region cache is its own store, so a way only carries
 the SCN word of the region holding it.
 
@@ -108,8 +109,9 @@ class RegisterStore:
     are the unit of the operation accounting: a miss edits the set's own
     rows in place between them, and every set read is written back in the
     same fetch.  ``read_way`` and ``write_way_field`` are targeted accessors
-    for hot paths; they carry the same one-read/one-write cost as the
-    whole-set operation they stand in for.
+    for the hit path; they carry the same one-read/one-write cost as the
+    whole-set operation they stand in for.  Every hit is that pair, even one
+    that changes nothing (FIFO, a saturated count): it writes its SCN back.
     """
 
     def __init__(self, layout: LayoutConfig, counter: OpCounter | None = None) -> None:
@@ -172,10 +174,6 @@ class RegisterStore:
             raise StorageError(f"scn {scn} exceeds {width} bits")
         self.counter.register_writes += 1
         self.rows[h][SCN_FIELD][way] = scn
-
-    def writeback(self, h: int) -> None:
-        """Unconditional set write-back with unchanged content."""
-        self.counter.register_writes += 1
 
     # -- maintenance --------------------------------------------------------
 

@@ -170,24 +170,18 @@ class HyperbolicEngine(PolicyEngine):
 
         self.store.map_scn(halve)
 
-    def _initial_scn(self) -> int:
+    def _tick(self) -> None:
         self.tick = tick = self.tick + 1
         if tick >= self._halve_at:
             self._halve_times()
+
+    def _initial_scn(self) -> int:
+        self._tick()
         return 1 | self.tick << self.freq_bits
 
-    def serve_hit(self, h: int, way: int) -> tuple[bool, int | None]:
-        self.tick = tick = self.tick + 1
-        if tick >= self._halve_at:
-            self._halve_times()
-        store = self.store
-        _, scn = store.read_way(h, way)
-        if scn & self.freq_max < self.freq_max:
-            # the frequency sits in the low bits: +1 counts the hit
-            store.write_way_field(h, way, scn + 1)
-        else:
-            store.writeback(h)
-        return True, None
+    def _hit_scn(self, scn: int) -> int:
+        # the frequency sits in the low bits: +1 counts the hit, short of saturation
+        return scn + 1 if scn & self.freq_max < self.freq_max else scn
 
     def _metric(self, rows: list[list[int]]) -> list[int]:
         """Integer priority scores of the ways, with two log lookups per way."""

@@ -386,9 +386,14 @@ def exhaustive_check(
     """
     if alphabet_size < 1 or max_len < 1:
         raise ValueError("alphabet_size and max_len must be >= 1")
-    nodes = sum(alphabet_size**j for j in range(1, max_len + 1))
-    if nodes > _MAX_ENUMERATION_NODES:
-        raise ValueError(f"enumeration of {nodes} sequences is too large")
+    # summed level by level, so a huge max_len stops at the first level past the limit
+    nodes, level = 0, 1
+    for _ in range(max_len):
+        level *= alphabet_size
+        nodes += level
+        if nodes > _MAX_ENUMERATION_NODES:
+            raise ValueError(f"enumeration of more than {_MAX_ENUMERATION_NODES} "
+                             "sequences is too large")
 
     checked = 0
     divergent = 0

@@ -1,11 +1,14 @@
 """Single-region cache engines built from the insert-at-way-0 + fold pattern.
 
 Every policy shares the same restricted shape: membership is decided by one
-ternary comparison, a hit updates at most the hit element's metadata word, and
+ternary comparison, a hit rewrites only the hit element's metadata word, and
 a miss inserts the new element at way 0 and threads the displaced element
 through the remaining ways as a "candidate" with a fixed, unrolled sequence of
 compare-and-swap steps.  The element carried out of the last way is the
 victim; an all-zero victim means an empty way absorbed the insertion.
+
+One fetch path and one hit path serve all four policies, which differ only
+in how they set the SCN word; ``PolicyEngine`` lists the five hooks that say it.
 
 A miss edits the set's own key and SCN rows in place and writes them back.
 A fetch returns ``(hit, evicted_key)``, the shape the reference caches
@@ -37,10 +40,10 @@ POLICIES = ("fifo", "lru", "lfu", "hyperbolic")
 
 
 class PolicyEngine:
-    """Base engine: storage wiring, the fetch skeleton and the fold driver.
+    """Base engine: storage wiring, the fetch skeleton, the hit path and the fold driver.
 
-    Subclasses define how metadata is initialised and refreshed on a hit, and
-    the metric row the eviction fold compares (by default the SCN row).
+    Subclasses make no store call on a fetch; their hooks only say how the
+    SCN is set on an insert and on a hit, and what row the fold compares.
 
     ``fold_observer``, when set, receives the two metric values of every fold
     comparison; it exists for divergence analysis and costs one branch per
@@ -58,20 +61,37 @@ class PolicyEngine:
 
     # -- policy hooks --------------------------------------------------------
 
+    # _initial_scn() is an inserted element's SCN, _hit_scn(scn) the SCN a hit
+    # writes over ``scn``.
     def _initial_scn(self) -> int:
         raise NotImplementedError
 
-    def serve_hit(self, h: int, way: int) -> tuple[bool, int | None]:
+    def _hit_scn(self, scn: int) -> int:
         raise NotImplementedError
 
     # Optional hooks, None unless a policy defines them:
+    # _tick() advances the clock once per hit or insertion, before the set is
+    # read (LRU, hyperbolic); _initial_scn calls it;
     # _age(rows) adjusts the set read for an insertion before the fold (LFU);
     # _metric(rows) returns the per-way values the fold carries the minimum of,
     # in place of the SCN row (hyperbolic).
+    _tick: Callable[[], None] | None = None
     _age: Callable[[list[list[int]]], None] | None = None
     _metric: Callable[[list[list[int]]], list[int]] | None = None
 
     # -- shared machinery ----------------------------------------------------
+
+    def serve_hit(self, h: int, way: int) -> tuple[bool, int | None]:
+        """One set read and one SCN write; a hit that changes nothing writes the SCN back.
+
+        The clock ticks before the read, since a sweep it fires rewrites the SCN.
+        """
+        if self._tick is not None:
+            self._tick()
+        store = self.store
+        _, scn = store.read_way(h, way)
+        store.write_way_field(h, way, self._hit_scn(scn))
+        return True, None
 
     def fetch(self, key: int) -> tuple[bool, int | None]:
         store = self.store
@@ -167,18 +187,15 @@ class PolicyEngine:
 
 
 class FifoEngine(PolicyEngine):
-    """First-in-first-out: hits are read-only, the fold shifts unconditionally."""
+    """First-in-first-out: a hit writes its SCN back unchanged, the fold shifts unconditionally."""
 
     name = "fifo"
 
     def _initial_scn(self) -> int:
         return 0
 
-    def serve_hit(self, h: int, way: int) -> tuple[bool, int | None]:
-        # a hit costs one set read and one write-back, and changes nothing
-        self.store.read_way(h, way)
-        self.store.writeback(h)
-        return True, None
+    def _hit_scn(self, scn: int) -> int:
+        return scn
 
     def _fold(self, metric: list[int]) -> tuple[int, list[int]]:
         # unconditional swaps leave a pure shift: the last way exits
@@ -190,7 +207,7 @@ class LruEngine(PolicyEngine):
 
     Every fetch consumes exactly one clock tick; the fold carries out the
     minimum-SCN element, which with unique timestamps is exactly the least
-    recently used one.  When the clock nears the SCN field limit, all stored
+    recently used one.  When the clock reaches the SCN field limit, all stored
     timestamps are compressed to dense per-set ranks (order-preserving) and
     the clock restarts just above them.
     """
@@ -203,13 +220,17 @@ class LruEngine(PolicyEngine):
             raise StorageError("scn_bits too small to rescale an LRU clock")
         self.clock = 0
 
-    def _initial_scn(self) -> int:
-        scn = self.clock + 1
-        if scn >= self._scn_max:
+    def _tick(self) -> None:
+        self.clock = clock = self.clock + 1
+        if clock >= self._scn_max:
             self._rescale()
-            scn = self.clock + 1
-        self.clock = scn
-        return scn
+
+    def _initial_scn(self) -> int:
+        self._tick()
+        return self.clock
+
+    def _hit_scn(self, scn: int) -> int:
+        return self.clock
 
     def _rescale(self) -> None:
         top = 0
@@ -221,27 +242,14 @@ class LruEngine(PolicyEngine):
             return [rank[s] for s in live]
 
         self.store.map_scn(ranks)
-        self.clock = top
-
-    def serve_hit(self, h: int, way: int) -> tuple[bool, int | None]:
-        # the clock tick of _initial_scn, inlined on the hit path
-        scn = self.clock + 1
-        if scn >= self._scn_max:
-            self._rescale()
-            scn = self.clock + 1
-        self.clock = scn
-        store = self.store
-        # the hit's modelled cost: one set read and one SCN write
-        store.read_way(h, way)
-        store.write_way_field(h, way, scn)
-        return True, None
+        self.clock = top + 1
 
 
 class LfuEngine(PolicyEngine):
     """Least-frequently-used with in-place aging.
 
     The SCN word holds a saturating access count.  A hit increments only the
-    hit element's count (the hit path has the same shape as LRU's).  When an
+    hit element's count, and writes a saturated count back unchanged.  When an
     insertion touches a set, every pre-existing live element's count is
     decremented by 1 (floored at 1) as part of the whole-set rewrite, so the
     count tracks recent rather than lifetime frequency.  The fold carries out
@@ -261,14 +269,8 @@ class LfuEngine(PolicyEngine):
             if count > 1 and keys[way]:
                 counts[way] = count - 1
 
-    def serve_hit(self, h: int, way: int) -> tuple[bool, int | None]:
-        store = self.store
-        _, scn = store.read_way(h, way)
-        if scn < self._scn_max:
-            store.write_way_field(h, way, scn + 1)
-        else:
-            store.writeback(h)
-        return True, None
+    def _hit_scn(self, scn: int) -> int:
+        return scn + 1 if scn < self._scn_max else scn
 
 
 def make_engine(

@@ -7,14 +7,16 @@ checks a production store leaves to its callers.  A checked store also
 fails when a set handed out by ``read_set_raw`` is not committed by
 ``write_set_raw`` before its next ``ternary_lookup`` or ``read_set_raw``:
 a read hands out the set's own rows, so a miss that skipped its write would
-leave every row as it should be and show only in the write count.  The
+leave every row as it should be and show only in the write count.  A read
+left open by the last fetch of a replay has no later access to fail it, so
+``assert_written(cache)`` checks for one after the replay.  The
 store's class is swapped for ``CheckedStore``, so no method is bound in the
 store's own ``__dict__``, and ``RegisterStore.clone``, which copies that
 dict into a plain ``RegisterStore``, gives a clone that writes only its own
 rows.
 """
 
-from dpcache.core import RegisterStore
+from dpcache.core import SCN_FIELD, RegisterStore
 
 
 class CheckedStore(RegisterStore):
@@ -22,6 +24,7 @@ class CheckedStore(RegisterStore):
     and whose every whole-set read is written back before the next access."""
 
     unwritten = None  # the set read by ``read_set_raw`` and not yet written
+    unchanged_writes = 0  # ``write_way_field`` calls that left their SCN as it was
 
     def _check_written(self):
         if self.unwritten is not None:
@@ -43,6 +46,7 @@ class CheckedStore(RegisterStore):
         self._check_rows(h)
 
     def write_way_field(self, h, way, scn):
+        self.unchanged_writes += scn == self.rows[h][SCN_FIELD][way]
         super().write_way_field(h, way, scn)
         self._check_rows(h)
 
@@ -53,8 +57,20 @@ def check_store(store):
     return store
 
 
+def stores(cache):
+    """The store of an engine, or both region stores of a two-region cache."""
+    return [engine.store for engine in
+            ((cache.window, cache.main) if hasattr(cache, "window") else (cache,))]
+
+
 def checked(cache):
-    """Check the store of an engine, or both region stores of a two-region cache; returns it."""
-    for engine in (cache.window, cache.main) if hasattr(cache, "window") else (cache,):
-        check_store(engine.store)
+    """Check every store of an engine or a two-region cache; returns the cache."""
+    for store in stores(cache):
+        check_store(store)
     return cache
+
+
+def assert_written(cache):
+    """Fail if a checked cache has a set read by ``read_set_raw`` and not yet written back."""
+    for store in stores(cache):
+        store._check_written()

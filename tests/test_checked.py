@@ -4,14 +4,15 @@ Run on a single-region engine and on both regions of a two-region cache: a
 duplicate live key or an overwide SCN written through ``write_set_raw`` is
 caught, so is a fault already in the rows when ``write_way_field`` patches
 the set, and so is a set read that is not written back before the store's
-next lookup or read; a clone of a checked store writes only its own rows.
+next lookup or read, or, through ``assert_written``, before the replay ends;
+a clone of a checked store writes only its own rows.
 A plain store takes the same writes without a word, which is what leaves
 the check to the helper.
 """
 
 import pytest
 
-from checked import CheckedStore, checked
+from checked import CheckedStore, assert_written, checked
 from dpcache.core import MISS, LayoutConfig, OpCounter, RegisterStore, StorageError
 from dpcache.multiregion import MultiRegionCache, RegionSpec
 from dpcache.policies import POLICIES, make_engine
@@ -111,3 +112,20 @@ def test_a_miss_without_its_write_fails_the_next_fetch(policy):
     cache.main.insert_pending_raw(0, (4, cache.main._initial_scn()))
     with pytest.raises(AssertionError, match="^set 0 was read and not written back$"):
         cache.fetch(7)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_miss_without_its_write_on_the_last_event_is_caught(policy):
+    engine = checked(make_engine(policy, LayoutConfig(scn_bits=SCN_BITS, k=2, d=2)))
+    engine.fetch(3)
+    assert_written(engine)
+    engine.insert_pending_raw(1, (5, engine._initial_scn()))  # the last miss, write left out
+    with pytest.raises(AssertionError, match="^set 1 was read and not written back$"):
+        assert_written(engine)
+    cache = checked(MultiRegionCache(RegionSpec(policy, 2, 2), RegionSpec(policy, 2, 2), 50,
+                                     scn_bits=SCN_BITS))
+    cache.fetch(7)
+    assert_written(cache)
+    cache.main.insert_pending_raw(0, (4, cache.main._initial_scn()))
+    with pytest.raises(AssertionError, match="^set 0 was read and not written back$"):
+        assert_written(cache)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checked import checked
+from checked import assert_written, checked
 from dpcache.core import TCAM_MASK_BITS, LayoutConfig, LayoutError
 from dpcache.multiregion import MultiRegionCache, RegionSpec
 from dpcache.oracle import ReferenceCache, ReferenceMultiCache
@@ -59,6 +59,7 @@ class TestTcamLimit:
         keys = data.draw(traces(128 * d, 16), label="keys")
         engine = checked(make_engine(policy, LayoutConfig(key_bits=16, k=128, d=d)))
         assert_same_stream(engine, ReferenceCache(policy, 128, d), keys)
+        assert_written(engine)
 
     def test_eight_bit_keys_fill_256_ways_without_evicting(self):
         # 8-bit keys also reach the limit at k=256, but only keys 1..255 exist
@@ -90,6 +91,7 @@ class TestNarrowClock:
         keys = data.draw(traces(4 * d, 32), label="keys")
         engine = checked(make_engine("lru", LayoutConfig(scn_bits=3, k=4, d=d)))
         assert_same_stream(engine, ReferenceCache("lru", 4, d), keys)
+        assert_written(engine)
         assert engine.clock < 7
 
 
@@ -124,6 +126,7 @@ class TestTwoRegion:
             store.map_scn = counted
         oracle = ReferenceMultiCache(*regions, universe, "none")
         assert_same_stream(cache, oracle, keys)
+        assert_written(cache)
         if scn_bits < 32:
             for region, policy in (("window", window), ("main", main)):
                 assert (rescales[region] > 0) == (policy == "lru"), region

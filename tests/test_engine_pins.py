@@ -271,24 +271,24 @@ def test_pins_cover_every_case():
     assert SINGLE_STATE_PINS.keys() == SINGLE_PINS.keys()
 
 
-@pytest.mark.parametrize("policy", ["lru", "lfu", "hyperbolic"])
+@pytest.mark.parametrize("policy", POLICIES)
 def test_narrow_widths_fire_maintenance(policy):
     """At 4-bit SCNs the pinned streams run the rare paths: a sweep for the
-    LRU rescale and the hyperbolic halving, a write-back in place of the
-    count update for a saturated LFU or hyperbolic frequency."""
+    LRU rescale and the hyperbolic halving, and a hit that writes its SCN back
+    unchanged for FIFO and for a saturated LFU or hyperbolic frequency."""
     engine = single_engine(policy, 4, 4, 4)
-    calls = {"map_scn": 0, "writeback": 0}
-    for name in calls:
-        inner = getattr(engine.store, name)
+    store = engine.store
+    sweeps = 0
+    sweep = store.map_scn
 
-        def counted(*args, _name=name, _inner=inner):
-            calls[_name] += 1
-            return _inner(*args)
+    def counted(remap):
+        nonlocal sweeps
+        sweeps += 1
+        sweep(remap)
 
-        setattr(engine.store, name, counted)
+    store.map_scn = counted
     for key in KEYS:
         engine.fetch(key)
-    if policy != "lfu":
-        assert calls["map_scn"] > 10
-    if policy != "lru":
-        assert calls["writeback"] > 10
+    assert (sweeps > 10) == (policy in ("lru", "hyperbolic"))
+    # an LRU hit writes the clock, which is above every stored SCN
+    assert (store.unchanged_writes > 10) == (policy != "lru")

@@ -1,4 +1,5 @@
 import json
+import time
 from dataclasses import replace
 
 import pytest
@@ -460,6 +461,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    def test_huge_check_is_an_error_line_at_once(self, capsys):
+        start = time.perf_counter()
+        assert main(["check", "--policy", "lru", "--alphabet", "3", "--max-len", "100000"]) == 1
+        assert time.perf_counter() - start < 10
+        assert capsys.readouterr().err == \
+            "error: enumeration of more than 5000000 sequences is too large\n"
 
     def test_unbuildable_zipf_universe_is_an_error_line(self, monkeypatch, capsys):
         # stands in for the 37.3 GiB rank table of N = 5e9; nothing is allocated

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checked import checked
+from checked import assert_written, checked
 from dpcache.core import LayoutConfig
 from dpcache.oracle import ReferenceCache
 from dpcache.policies import make_engine
@@ -47,3 +47,6 @@ def test_sets_decompose_into_single_set_caches(cache, policy, data):
     parts = [make(policy, k, 1) for _ in range(d)]
     for i, key in enumerate(keys):
         assert whole.fetch(key) == parts[key % d].fetch(key), f"event {i} (key {key})"
+    if cache != "reference":
+        for part in [whole, *parts]:
+            assert_written(part)

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from checked import checked
+from checked import assert_written, checked, stores
 from dpcache.core import StorageError
 from dpcache.multiregion import (
     COUNTER_CAP,
@@ -304,48 +304,48 @@ class TestMultiOpAccounting:
         c = cache.counter
         assert (c.tcam_matches, c.register_reads, c.register_writes) == (2, 1, 1)
 
-    def test_miss_stays_within_composite_budget(self):
-        k_w, k_m = 2, 3
-        cache = make_cache(window=("fifo", k_w, 2), main=("lru", k_m, 2),
-                           universe=100)
-        budget = 2 + 2 * k_w + 2 * k_m
-        for key in random_trace(7, 400, 100):
-            cache.counter.reset()
-            hit = cache.fetch(key)[0]
-            c = cache.counter
-            if not hit:
-                assert c.tcam_matches == 2
-                assert c.register_reads <= budget
-                assert c.register_writes <= budget
+    # (window, main, universe, scn_bits): both regions of one policy at SCN
+    # widths narrow enough that LRU rescales, LFU counts saturate and
+    # hyperbolic halves in the trace, and a FIFO window before an LRU main
+    # region of another width at 32-bit SCNs
+    SHAPES = [pytest.param((policy, 2, 2), (policy, 4, 2), 40, scn_bits, id=f"{policy}-{scn_bits}")
+              for policy, scn_bits in [("fifo", 4), ("lru", 4), ("lfu", 3), ("hyperbolic", 6)]]
+    SHAPES.append(pytest.param(("fifo", 2, 2), ("lru", 3, 2), 100, 32, id="fifo-lru-32"))
 
     @pytest.mark.parametrize("flt", ["none", "tinylfu"])
-    @pytest.mark.parametrize("policy, scn_bits", [
-        ("fifo", 4), ("lru", 4), ("lfu", 3), ("hyperbolic", 6),
-    ])
-    def test_miss_costs_exactly_one_read_modify_write_per_region(self, policy, scn_bits, flt):
-        # the window's set read and write with its 2k_w fold steps, and the
-        # main region's when a window victim contends; the SCN widths are
-        # narrow enough that LRU rescales and hyperbolic halves in the trace
-        k_w, k_m = 2, 4
-        cache = checked(make_cache(window=(policy, k_w, 2), main=(policy, k_m, 2),
-                                   universe=40, filter=flt, scn_bits=scn_bits))
+    @pytest.mark.parametrize("window, main, universe, scn_bits", SHAPES)
+    def test_miss_costs_exactly_one_read_modify_write_per_region(self, window, main, universe,
+                                                                  scn_bits, flt):
+        # a miss: the window's set read and write with its 2k_w fold steps,
+        # and the main region's when a window victim contends; a hit: two
+        # lookups, one read and one write, also where it writes its SCN back
+        # unchanged (FIFO, a saturated count)
+        k_w, k_m = window[1], main[1]
+        cache = checked(make_cache(window=window, main=main, universe=universe, filter=flt,
+                                   scn_bits=scn_bits))
         contests = 0
         clocks = []
-        for key in random_trace(23, 800, 40):
+        rng = random.Random(23)
+        # skewed towards key 1, so that hot counts saturate
+        for key in [1 + int((universe - 1) * rng.random() ** 3) for _ in range(800)]:
             before = cache.window.live_keys()
             cache.counter.reset()
             hit = cache.fetch(key)[0]
             c = cache.counter
             clocks.append(getattr(cache.main, "tick", getattr(cache.main, "clock", 0)))
             if hit:
+                assert (c.tcam_matches, c.register_reads, c.register_writes) == (2, 1, 1)
                 continue
             cost = 1 + 2 * k_w
             if before - cache.window.live_keys():
                 contests += 1  # a key left the window for the main region
                 cost += 1 + 2 * k_m
             assert (c.tcam_matches, c.register_reads, c.register_writes) == (2, cost, cost)
+        assert_written(cache)
         assert contests > 100
-        if policy in ("lru", "hyperbolic"):
+        unchanged = sum(store.unchanged_writes for store in stores(cache))
+        assert (unchanged > 10) == (window[0] != "lru")
+        if main[0] in ("lru", "hyperbolic") and scn_bits < 32:
             assert any(b < a for a, b in zip(clocks, clocks[1:])), "no maintenance sweep ran"
 
     def test_shared_counter_across_regions(self):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,16 @@ class TestExhaustiveCheck:
     def test_enumeration_size_guard(self):
         with pytest.raises(ValueError):
             exhaustive_check("lru", alphabet_size=50, max_len=8)
+
+    @pytest.mark.parametrize("alphabet_size, max_len", [(3, 100_000), (1, 10**9)])
+    def test_huge_enumeration_is_refused_at_once(self, alphabet_size, max_len):
+        # the size is summed only until it passes the limit: a full sum of
+        # 3**100000 or of 10**9 ones runs for minutes
+        start = time.perf_counter()
+        too_large = "^enumeration of more than 5000000 sequences is too large$"
+        with pytest.raises(ValueError, match=too_large):
+            exhaustive_check("lru", alphabet_size=alphabet_size, max_len=max_len)
+        assert time.perf_counter() - start < 10
 
     @pytest.mark.parametrize("alphabet_size, max_len", [(0, 6), (-3, 6), (3, 0)])
     def test_empty_enumeration_rejected(self, alphabet_size, max_len):
