@@ -286,6 +286,19 @@ class TestOpAccounting:
         assert (counter.tcam_matches, counter.register_reads,
                 counter.register_writes) == (1, 1, 1)
 
+    @pytest.mark.parametrize("policy", ["fifo", "lru", "lfu", "hyperbolic"])
+    def test_miss_within_fold_budget(self, policy):
+        # at the default 32-bit SCN width, which the narrow-width test below
+        # does not run: one lookup, the set read and write, and 2k fold steps
+        k = 4
+        counter = OpCounter()
+        eng = make_engine(policy, LayoutConfig(k=k, d=2), counter=counter)
+        for key in [1, 3, 5, 7, 9, 11]:
+            counter.reset()
+            assert not eng.fetch(key)[0]
+            assert (counter.tcam_matches, counter.register_reads,
+                    counter.register_writes) == (1, 1 + 2 * k, 1 + 2 * k)
+
     # SCN widths narrow enough that LRU rescales, LFU counts saturate and
     # hyperbolic halves its insert times within the trace
     NARROW_SCN_BITS = {"fifo": 4, "lru": 4, "lfu": 3, "hyperbolic": 6}
