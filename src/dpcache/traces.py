@@ -14,9 +14,10 @@ from __future__ import annotations
 import csv
 import math
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice
 from typing import Iterator
 
 import numpy as np
@@ -189,40 +190,69 @@ def _parse_key(text: str, line_no: int, path: str) -> int:
     return key
 
 
+def _parse_lines(cells: list[str], first: int, path: str, format: str) -> list[int]:
+    """The raw keys of one block, line by line.
+
+    Skips a blank line (an error in a CSV trace) and names the first bad one.
+    """
+    raws = []
+    for line_no, cell in enumerate(cells, first):
+        cell = cell.strip()
+        if cell:
+            raws.append(_parse_key(cell, line_no, path))
+        elif format == FORMAT_CSV:
+            raise TraceFormatError(f"{path}:{line_no}: empty key")
+    return raws
+
+
+def _block_keys(cells: list[str], first: int, path: str, format: str) -> list[int]:
+    """The raw keys of one block: one ``map(int)`` when every cell is a key.
+
+    ``int`` skips the whitespace around a cell that ``str.strip`` does, except
+    ``\\x1c``-``\\x1f``, on which it raises.  Such a cell, or a blank,
+    non-numeric or out-of-range one, sends the block to ``_parse_lines``.
+    """
+    try:
+        raws = list(map(int, cells))
+    except ValueError:
+        return _parse_lines(cells, first, path, format)
+    if raws and (min(raws) < 0 or max(raws) >= (1 << 64)):
+        return _parse_lines(cells, first, path, format)
+    return raws
+
+
 def parse_trace(path: str, format: str = FORMAT_PLAIN, key_column: str = "key") -> Trace:
     """Read a trace file and remap its keys to a dense 1-based space.
 
     ``plain`` and ``arc`` are one decimal key per line (blank lines skipped);
     ``csv`` takes the key from the named header column, and a row whose key
-    cell is empty or missing is an error.  Accepts LF or CRLF.
-    The file is streamed: memory holds the keys and the remap table, never
-    the whole text.
+    cell is empty or missing is an error.  Accepts LF or CRLF, and a UTF-8
+    byte-order mark.  The file is streamed: memory holds the keys and the
+    remap table, never the whole text.  Each block of lines is converted with
+    one ``map(int)`` and remapped with one ``map`` over the remap table, whose
+    missing keys take the next dense id; only a block with a blank or bad line
+    is parsed line by line.
     """
     if format not in (FORMAT_PLAIN, FORMAT_CSV, FORMAT_ARC):
         raise TraceFormatError(f"unknown trace format {format!r}")
-    ids: dict[int, int] = {}  # raw key -> dense id, in first-seen order
-    get = ids.get
+    ids = defaultdict(count(1).__next__)  # raw key -> dense id, in first-seen order
+    remap = ids.__getitem__
     keys = array(key_typecode(0))
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        if format == FORMAT_CSV:
-            blocks = _csv_blocks(fh, key_column, path)
-        else:
-            blocks = _line_blocks(fh)
-        for first, cells in blocks:
-            block = []
-            for line_no, cell in enumerate(cells, first):
-                cell = cell.strip()
-                if cell:
-                    raw = _parse_key(cell, line_no, path)
-                    mapped = get(raw)
-                    if mapped is None:
-                        mapped = ids[raw] = len(ids) + 1
-                    block.append(mapped)
-                elif format == FORMAT_CSV:
-                    raise TraceFormatError(f"{path}:{line_no}: empty key")
-            if key_typecode(len(ids)) != keys.typecode:
-                keys = array(key_typecode(len(ids)), keys)
-            keys.fromlist(block)
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            if format == FORMAT_CSV:
+                blocks = _csv_blocks(fh, key_column, path)
+            else:
+                blocks = _line_blocks(fh)
+            for first, cells in blocks:
+                block = list(map(remap, _block_keys(cells, first, path, format)))
+                if key_typecode(len(ids)) != keys.typecode:
+                    keys = array(key_typecode(len(ids)), keys)
+                keys.fromlist(block)
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(
+            f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x}: {exc.reason})"
+        ) from None
     if not keys:
         raise TraceFormatError(f"{path}: no events found")
     return Trace(keys=keys, source=str(path), max_key=len(ids))

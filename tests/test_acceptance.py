@@ -238,9 +238,7 @@ def test_c06_op_count_model():
             if hit:
                 assert ops == (1, 1, 1), f"{policy} hit cost {ops}"
             else:
-                assert counter.tcam_matches == 1
-                assert counter.register_reads <= 1 + 2 * k
-                assert counter.register_writes <= 1 + 2 * k
+                assert ops == (1, 1 + 2 * k, 1 + 2 * k), f"{policy} miss cost {ops}"
             # documented per-policy extras: hyperbolic log lookups (<=2 per
             # fold participant) plus the occasional d-set halving sweep
             if policy == "hyperbolic":
@@ -253,16 +251,18 @@ def test_c06_op_count_model():
     flt = cache.filter
     hit_region_ops = 0
     for key in packets:
+        window_size = len(cache.window.live_keys())
         cache.counter.reset()
         hit = cache.fetch(key)[0]
         c = cache.counter
+        ops = (c.tcam_matches, c.register_reads, c.register_writes)
         if hit:
-            assert (c.tcam_matches, c.register_reads, c.register_writes) == (2, 1, 1)
+            assert ops == (2, 1, 1)
             hit_region_ops += 1
+        elif len(cache.window.live_keys()) > window_size:
+            assert ops == (2, 1 + 2 * 4, 1 + 2 * 4)  # the window absorbed the miss
         else:
-            assert c.tcam_matches == 2
-            assert c.register_reads <= 2 + 2 * 4 + 2 * 8
-            assert c.register_writes <= 2 + 2 * 4 + 2 * 8
+            assert ops == (2, 2 + 2 * 4 + 2 * 8, 2 + 2 * 4 + 2 * 8)  # its victim met main
         # filter extras: one count bump, up to one aging slice, and at most
         # two admission-comparison reads per packet
         assert c.extra_reads <= 1 + 2 + flt.step_size
@@ -270,7 +270,8 @@ def test_c06_op_count_model():
     ok = hit_region_ops > 0
     verdict("6", True,
             "hit cost exactly (1 TCAM, 1 read, 1 write) per region model; "
-            "miss within (1, 1+2k, 1+2k); multi-region hit (2, 1, 1); "
+            "miss exactly (1, 1+2k, 1+2k); multi-region hit (2, 1, 1), miss "
+            "(2, 1+2k_w, 1+2k_w) or (2, 2+2k_w+2k_m, 2+2k_w+2k_m); "
             "extras bounded per policy over 100k packets x 5 caches")
     assert ok
 

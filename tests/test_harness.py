@@ -6,7 +6,7 @@ import pytest
 
 from dpcache import harness, traces
 from dpcache.cli import main
-from dpcache.core import LayoutError
+from dpcache.core import LayoutConfig, LayoutError
 from dpcache.harness import (
     CacheSpec,
     ConfigError,
@@ -16,6 +16,7 @@ from dpcache.harness import (
     run_sweep,
 )
 from dpcache.hyperbolic import _build_entries
+from dpcache.policies import LruEngine
 from dpcache.traces import ZipfSpec
 
 
@@ -54,10 +55,24 @@ class TestRunExperiment:
         path = plain_trace(tmp_path, [1, 1])
         cfg = ExperimentConfig(engine="restricted", cache=single(), trace_path=path)
         report = run_experiment(cfg)
-        # one miss (fold budget) and one hit (exactly 1/1/1); maxes reflect the miss
-        assert report.max_tcam == 1
-        assert report.max_reads <= 1 + 2 * 2
-        assert report.max_writes <= 1 + 2 * 2
+        # one miss, exactly (1, 1 + 2k, 1 + 2k), and one hit, exactly (1, 1, 1)
+        assert (report.max_tcam, report.max_reads, report.max_writes) == (1, 1 + 2 * 2, 1 + 2 * 2)
+        assert (report.total_tcam, report.total_reads, report.total_writes) == (2, 2 + 2 * 2, 2 + 2 * 2)
+
+    @pytest.mark.parametrize("on_hit, extra_reads, key", [(True, 1, 7), (False, -1, 3)],
+                             ids=["hit-one-read-too-many", "miss-one-read-too-few"])
+    def test_a_packet_off_its_exact_cost_names_its_key(self, on_hit, extra_reads, key):
+        class MisChargingLru(LruEngine):
+            def fetch(self, key):
+                result = super().fetch(key)
+                if result[0] == on_hit:
+                    self.store.counter.register_reads += extra_reads
+                return result
+
+        # 3 and 7 miss, the second 7 hits
+        cache = MisChargingLru(LayoutConfig(k=2, d=1))
+        with pytest.raises(AssertionError, match=rf"cost .* on key {key}$"):
+            harness._replay_restricted(cache, [3, 7, 7])
 
     def test_reference_reports_no_ops(self, tmp_path):
         path = plain_trace(tmp_path, [1, 2, 3])
@@ -394,6 +409,13 @@ class TestCli:
         code = main(["run", "--policy", "lru", "--trace", str(bad)])
         assert code == 1
         assert "non-numeric" in capsys.readouterr().err
+
+    def test_non_utf8_trace_error_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.trace"
+        bad.write_bytes(b"5\n\xff6\n")
+        code = main(["run", "--policy", "lru", "--trace", str(bad)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (byte 0xff: invalid start byte)\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["check", "--policy", "lru", "--alphabet", "10", "--max-len", "8"],

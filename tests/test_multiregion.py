@@ -314,8 +314,7 @@ class TestMultiOpAccounting:
 
     @pytest.mark.parametrize("flt", ["none", "tinylfu"])
     @pytest.mark.parametrize("window, main, universe, scn_bits", SHAPES)
-    def test_miss_costs_exactly_one_read_modify_write_per_region(self, window, main, universe,
-                                                                  scn_bits, flt):
+    def test_exact_hit_and_miss_costs(self, window, main, universe, scn_bits, flt):
         # a miss: the window's set read and write with its 2k_w fold steps,
         # and the main region's when a window victim contends; a hit: two
         # lookups, one read and one write, also where it writes its SCN back

@@ -304,7 +304,7 @@ class TestOpAccounting:
     NARROW_SCN_BITS = {"fifo": 4, "lru": 4, "lfu": 3, "hyperbolic": 6}
 
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_miss_costs_exactly_one_read_modify_write(self, policy):
+    def test_exact_hit_and_miss_costs(self, policy):
         # a miss: one lookup, the set read and write, and 2k fold/insert reads
         # and writes; a hit: one lookup, one read and one write, also where it
         # writes its SCN back unchanged (FIFO, a saturated count)

@@ -199,6 +199,34 @@ def test_csv_rows_may_end_in_a_bare_cr(tmp_path):
     assert parse_trace(str(path), format="csv").keys.tolist() == [1, 2, 1]
 
 
+def test_fallback_block_shares_the_ids_of_the_clean_blocks(tmp_path):
+    # three blocks of four 3-character lines; the middle one holds a blank
+    # line, so only it is parsed line by line.  Keys repeat across all three,
+    # the second and fourth distinct keys are new in the middle block, where
+    # the 'Q' threshold (moved down to 3 ids) falls, and the fifth is new in
+    # the last block, so its id shows whether the fallback's ids advanced the
+    # shared counter
+    path = tmp_path / "t.trace"
+    path.write_text("10\n20\n10\n20\n" "30\n  \n20\n40\n" "50\n10\n30\n50\n")
+    with mock.patch.object(traces, "key_typecode", lambda n: "I" if n < 3 else "Q"), \
+            mock.patch.object(traces, "_BLOCK_CHARS", 12), \
+            mock.patch.object(traces, "_parse_lines", wraps=traces._parse_lines) as by_line:
+        trace = parse_trace(str(path))
+    assert [call.args[1] for call in by_line.call_args_list] == [5]  # the middle block only
+    assert trace.keys.typecode == "Q"
+    assert (trace.keys.tolist(), trace.max_key) == whole_text_parse(str(path), "plain")
+    assert trace.keys.tolist() == [1, 2, 1, 2, 3, 2, 4, 5, 1, 3, 5]
+
+
+def test_a_cell_int_refuses_but_strip_clears_is_parsed_line_by_line(tmp_path):
+    # str.strip removes the unit separator "\x1f" and int does not, so the
+    # block falls back, and the cell still parses as the line parser reads it
+    path = tmp_path / "t.trace"
+    path.write_text("5\n\x1f6\x1f\n5\n")
+    trace = parse_trace(str(path))
+    assert (trace.keys.tolist(), trace.max_key) == whole_text_parse(str(path), "plain") == ([1, 2, 1], 2)
+
+
 # -- memory ------------------------------------------------------------------
 
 def traced_peak_mb(fn) -> float:

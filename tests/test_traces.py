@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -154,6 +155,22 @@ class TestParseTrace:
         path = tmp_path / "bad.trace"
         path.write_text("1\nfoo\n")
         with pytest.raises(TraceFormatError, match=r":2:"):
+            parse_trace(str(path))
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        path = tmp_path / "bom.trace"
+        path.write_bytes(b"\xef\xbb\xbf5\n6\n5\n")
+        assert parse_trace(str(path)).keys.tolist() == [1, 2, 1]
+
+    def test_byte_order_mark_is_not_part_of_the_first_csv_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfkey,op\n17,r\n3,w\n17,r\n")
+        assert parse_trace(str(path), format="csv").keys.tolist() == [1, 2, 1]
+
+    def test_non_utf8_text_rejected_with_the_path(self, tmp_path):
+        path = tmp_path / "latin1.trace"
+        path.write_bytes(b"5\n\xff6\n")
+        with pytest.raises(TraceFormatError, match=rf"^{re.escape(str(path))}: not UTF-8 text"):
             parse_trace(str(path))
 
     def test_empty_file_rejected(self, tmp_path):
