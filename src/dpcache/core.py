@@ -6,7 +6,9 @@ is a key, a value and one SCN (sequence change number) metadata word, each
 of a fixed bit width, which ``set_width`` counts.  A value is always the key
 truncated to its width, so nothing reads it, and the store keeps each set as
 two field rows, keys and SCNs, checked against their widths.  Membership is
-one ternary (TCAM-style) comparison against the key row instead of a loop.
+one ternary (TCAM-style) comparison, whose cost does not grow with ``k``: the
+store keeps each set's live keys in a hash set beside its rows, so a miss is
+one hash probe and a hit one search of the key row for its way.
 A way travels as a ``(key, scn)`` pair, the only form the store hands out.
 A hit reads one way and writes its SCN word back, changed or not.
 Each region of a multi-region cache is its own store, so a way only carries
@@ -99,11 +101,14 @@ class RegisterStore:
     """Fixed array of ``d`` sets, each stored as field rows.
 
     ``rows[h]`` is ``[keys, scns]``, each a list of ``k`` ints, way 0 first;
-    the rows are the storage, and a way is the pair ``(key, scn)``.  A
-    lookup is one C-level search of the key row.  Field widths are checked
-    where a field enters the store: ``ternary_lookup`` checks the probed
-    key, ``write_way_field`` the SCN, and ``_check_rows`` (after every
-    ``map_scn`` sweep) the whole set, with its distinct live keys.
+    the rows are the storage, and a way is the pair ``(key, scn)``.
+    ``members[h]`` indexes set ``h``'s live keys, always
+    ``set(rows[h][0]) - {0}``; only ``write_set_raw`` and ``clone`` change
+    it.  A lookup that misses is one probe of it, and one that hits searches
+    the key row once for the way.  Field widths are checked where a field
+    enters the store: ``ternary_lookup`` checks the probed key,
+    ``write_way_field`` the SCN, and ``_check_rows`` (after every ``map_scn``
+    sweep) the whole set, with its distinct live keys.
 
     ``read_set_raw``/``write_set_raw`` model whole-set register accesses and
     are the unit of the operation accounting: a miss edits the set's own
@@ -121,6 +126,11 @@ class RegisterStore:
         self.rows: list[list[list[int]]] = [
             [[0] * layout.k for _ in self._widths] for _ in range(layout.d)
         ]
+        self.members: list[set[int]] = [set() for _ in range(layout.d)]
+
+    def live_keys(self) -> set[int]:
+        """Every live key of every set; bypasses operation accounting."""
+        return set().union(*self.members)
 
     def peek_set(self, h: int) -> list[tuple[int, int]]:
         """Set ``h`` as ``(key, scn)`` ways, way 0 first; bypasses operation accounting."""
@@ -133,15 +143,31 @@ class RegisterStore:
         self.counter.register_reads += 1
         return self.rows[h]
 
-    def write_set_raw(self, h: int, rows: list[list[int]]) -> None:
+    def write_set_raw(self, h: int, rows: list[list[int]], victim: int | None = None) -> None:
         """Whole-set write: ``rows`` becomes set ``h``, without a copy.
 
+        ``victim`` commits a miss's in-place edit of the set's own rows: it
+        is the key the edit took out (0 for an empty way), and the key at way
+        0 is the one that entered, so the key index changes by those two keys
+        and no key row is scanned.  An admission overrule, which puts the
+        fold's victim back at way 0, passes the refused candidate: it leaves,
+        and the fold's victim re-enters.  Without ``victim`` the key index of
+        set ``h`` is rebuilt from ``rows``.
+
         Trusts the caller to preserve element invariants; the tests
-        re-validate every written set, and check that every read is written
-        back, through a store subclass (``tests/checked.py``).
+        re-validate every written set and its key index, and check that
+        every read is written back, through a store subclass
+        (``tests/checked.py``).
         """
         self.counter.register_writes += 1
         self.rows[h] = rows
+        if victim is None:
+            members = self.members[h] = set(rows[0])
+            members.discard(0)
+        else:
+            members = self.members[h]
+            members.discard(victim)
+            members.add(rows[0][0])
 
     # -- ternary lookup -----------------------------------------------------
 
@@ -152,8 +178,9 @@ class RegisterStore:
         if key >> self.layout.key_bits:
             raise StorageError(f"key {key} exceeds {self.layout.key_bits} bits")
         self.counter.tcam_matches += 1
-        keys = self.rows[h][0]
-        return keys.index(key) if key in keys else MISS
+        if key in self.members[h]:
+            return self.rows[h][0].index(key)
+        return MISS
 
     # -- targeted hot-path access (same accounting unit as whole-set ops) ----
 
@@ -196,11 +223,12 @@ class RegisterStore:
         self.counter.extra_writes += self.layout.d
 
     def clone(self) -> "RegisterStore":
-        """A copy with its own rows and a fresh counter."""
+        """A copy with its own rows, key index and a fresh counter."""
         other = RegisterStore.__new__(RegisterStore)
         other.__dict__.update(self.__dict__)
         other.counter = OpCounter()
         other.rows = [[keys[:], scns[:]] for keys, scns in self.rows]
+        other.members = [members.copy() for members in self.members]
         return other
 
     def _check_rows(self, h: int) -> None:

@@ -180,8 +180,8 @@ class MultiRegionCache:
 
         window, main = self.window, self.main
         window_victim, rows = window.insert_pending_raw(h_window, (key, window._initial_scn()))
-        window.store.write_set_raw(h_window, rows)
         victim_key = window_victim[0]
+        window.store.write_set_raw(h_window, rows, victim_key)
         if not victim_key:
             return False, None
 
@@ -194,5 +194,7 @@ class MultiRegionCache:
             for row, x in zip(rows, main_victim):
                 row[0] = x
             evicted = victim_key
-        main.store.write_set_raw(h2, rows)
+        # the set's key index loses ``evicted`` and gains the key at way 0:
+        # the window victim, or after an overrule the fold's victim put back
+        main.store.write_set_raw(h2, rows, evicted)
         return False, evicted or None

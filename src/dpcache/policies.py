@@ -100,8 +100,9 @@ class PolicyEngine:
         if way != MISS:
             return self.serve_hit(h, way)
         victim, rows = self.insert_pending_raw(h, (key, self._initial_scn()))
-        store.write_set_raw(h, rows)
-        return False, victim[0] or None
+        victim_key = victim[0]
+        store.write_set_raw(h, rows, victim_key)
+        return False, victim_key or None
 
     def insert_pending_raw(self, h: int, way: tuple[int, int]) -> tuple[tuple[int, int], list[list[int]]]:
         """Insert at way 0 and run the eviction fold in the set's own rows.
@@ -177,7 +178,7 @@ class PolicyEngine:
         return [self.store.peek_set(h) for h in range(self.layout.d)]
 
     def live_keys(self) -> set[int]:
-        return {key for rows in self.store.rows for key in rows[0] if key}
+        return self.store.live_keys()
 
     def clone(self):
         other = self.__class__.__new__(self.__class__)

@@ -17,7 +17,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, islice
+from itertools import count
 from typing import Iterator
 
 import numpy as np
@@ -167,15 +167,28 @@ def _line_blocks(fh) -> Iterator[tuple[int, list[str]]]:
 def _csv_blocks(fh, key_column: str, path: str) -> Iterator[tuple[int, list[str]]]:
     """Blocks of the key cells of a CSV trace, each with its first row number.
 
-    The header is row 1; blank rows are skipped and not numbered.
+    The header is row 1; blank rows are skipped and not numbered.  A row the
+    ``csv`` module cannot read (a cell over its field size limit) raises
+    ``TraceFormatError`` naming that row, once the rows before it are handed
+    out, so a fault in an earlier row is still the one reported.
     """
     reader = csv.DictReader(fh)
-    if reader.fieldnames is None or key_column not in reader.fieldnames:
-        raise TraceFormatError(f"{path}: missing key column {key_column!r}")
-    row_no = 2
-    while rows := list(islice(reader, _BLOCK_ROWS)):
-        yield row_no, [row.get(key_column) or "" for row in rows]
-        row_no += len(rows)
+    row_no = 1
+    cells: list[str] = []
+    try:
+        if reader.fieldnames is None or key_column not in reader.fieldnames:
+            raise TraceFormatError(f"{path}: missing key column {key_column!r}")
+        row_no = 2
+        for row in reader:
+            cells.append(row.get(key_column) or "")
+            if len(cells) == _BLOCK_ROWS:
+                yield row_no, cells
+                row_no += len(cells)
+                cells = []
+    except csv.Error as exc:
+        yield row_no, cells
+        raise TraceFormatError(f"{path}:{row_no + len(cells)}: {exc}") from None
+    yield row_no, cells
 
 
 def _parse_key(text: str, line_no: int, path: str) -> int:

@@ -3,17 +3,20 @@
 ``checked(cache)`` takes an engine or a two-region cache and makes each of
 its stores run ``_check_rows`` on the set after every ``write_set_raw`` and
 ``write_way_field``: field widths, row shape and distinct live keys, the
-checks a production store leaves to its callers.  A checked store also
-fails when a set handed out by ``read_set_raw`` is not committed by
-``write_set_raw`` before its next ``ternary_lookup`` or ``read_set_raw``:
-a read hands out the set's own rows, so a miss that skipped its write would
-leave every row as it should be and show only in the write count.  A read
-left open by the last fetch of a replay has no later access to fail it, so
-``assert_written(cache)`` checks for one after the replay.  The
-store's class is swapped for ``CheckedStore``, so no method is bound in the
-store's own ``__dict__``, and ``RegisterStore.clone``, which copies that
-dict into a plain ``RegisterStore``, gives a clone that writes only its own
-rows.
+checks a production store leaves to its callers.  After the same writes it
+checks the set's key index, ``members[h] == set(rows[h][0]) - {0}``, which a
+miss's write updates by the key it names and the key at way 0 alone.
+
+A checked store also fails when a set handed out by ``read_set_raw`` is not
+committed by ``write_set_raw`` before its next ``ternary_lookup`` or
+``read_set_raw``: a read hands out the set's own rows, so a miss that
+skipped its write would leave every row as it should be and show only in
+the write count.  A read left open by the last fetch of a replay has no
+later access to fail it, so ``assert_written(cache)`` checks for one after
+the replay.  The store's class is swapped for ``CheckedStore``, so no method
+is bound in the store's own ``__dict__``, and ``RegisterStore.clone``, which
+copies that dict into a plain ``RegisterStore``, gives a clone that writes
+only its own rows.
 """
 
 from dpcache.core import SCN_FIELD, RegisterStore
@@ -39,16 +42,24 @@ class CheckedStore(RegisterStore):
         self.unwritten = h
         return super().read_set_raw(h)
 
-    def write_set_raw(self, h, rows):
-        super().write_set_raw(h, rows)
+    def write_set_raw(self, h, rows, victim=None):
+        super().write_set_raw(h, rows, victim)
         if h == self.unwritten:
             self.unwritten = None
         self._check_rows(h)
+        self._check_members(h)
 
     def write_way_field(self, h, way, scn):
         self.unchanged_writes += scn == self.rows[h][SCN_FIELD][way]
         super().write_way_field(h, way, scn)
         self._check_rows(h)
+        self._check_members(h)
+
+    def _check_members(self, h):
+        live = set(self.rows[h][0]) - {0}
+        if self.members[h] != live:
+            raise AssertionError(f"set {h} indexes keys {sorted(self.members[h])}, "
+                                 f"its key row holds {sorted(live)}")
 
 
 def check_store(store):

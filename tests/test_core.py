@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checked import check_store
+from checked import CheckedStore, assert_written, check_store, checked, stores
 from dpcache.core import (
     MISS,
     LayoutConfig,
@@ -11,8 +13,8 @@ from dpcache.core import (
     RegisterStore,
     StorageError,
 )
-from dpcache.multiregion import MultiRegionCache, RegionSpec
-from dpcache.policies import make_engine
+from dpcache.multiregion import FILTER_NONE, FILTER_TINYLFU, MultiRegionCache, RegionSpec
+from dpcache.policies import POLICIES, make_engine
 
 
 def long_division_mod(dividend_digits: str, divisor: int) -> int:
@@ -340,3 +342,123 @@ class TestRegisterStore:
         c.reset()
         assert (c.tcam_matches, c.register_reads, c.register_writes,
                 c.extra_reads, c.extra_writes) == (0, 0, 0, 0, 0)
+
+
+class ScanCheckedStore(CheckedStore):
+    """A checked store whose every lookup is also answered by a scan of the key row."""
+
+    def ternary_lookup(self, h, key):
+        way = super().ternary_lookup(h, key)
+        keys = self.rows[h][0]
+        assert way == (keys.index(key) if key in keys else MISS), f"set {h}, key {key}"
+        return way
+
+
+def scan_checked(cache):
+    """Check every store of ``cache`` and compare each of its lookups with a scan."""
+    for store in stores(checked(cache)):
+        store.__class__ = ScanCheckedStore
+    return cache
+
+
+def replay(cache, keys):
+    """Replay ``keys``; the number of misses whose main-region admission was overruled.
+
+    An overruled miss evicts the window's victim, the only way a key that sat
+    in the window before the fetch leaves the cache.
+    """
+    overrules = 0
+    window = getattr(cache, "window", None)
+    for key in keys:
+        before = window.live_keys() if window is not None else set()
+        _, evicted = cache.fetch(key)
+        overrules += evicted in before
+    assert_written(cache)
+    return overrules
+
+
+def row_keys(engine):
+    return {key for rows in engine.store.rows for key in rows[0] if key}
+
+
+class TestKeyIndex:
+    """Each store's per-set index of live keys answers every lookup as a scan
+    of the key row would, through misses, overrules, clones and whole-set writes."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_engine_lookups_match_a_key_row_scan(self, policy, data):
+        # three-bit clocks rescale (LRU) or halve (hyperbolic) every few ticks
+        scn_bits = data.draw(st.integers(3, 6), label="scn_bits")
+        k = data.draw(st.sampled_from([1, 2, 4]), label="k")
+        d = data.draw(st.integers(1, 3), label="d")
+        keys = data.draw(st.lists(st.integers(1, 3 * k * d), max_size=150), label="keys")
+        engine = scan_checked(make_engine(policy, LayoutConfig(scn_bits=scn_bits, k=k, d=d)))
+        replay(engine, keys)
+        assert engine.live_keys() == row_keys(engine)
+
+    @pytest.mark.parametrize("filter", [FILTER_NONE, FILTER_TINYLFU])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_two_region_lookups_match_a_key_row_scan(self, filter, data):
+        scn_bits = data.draw(st.integers(4, 6), label="scn_bits")
+        regions = [RegionSpec(data.draw(st.sampled_from(POLICIES), label=f"{name} policy"),
+                              data.draw(st.sampled_from([1, 2, 4]), label=f"{name} k"),
+                              data.draw(st.integers(1, 3), label=f"{name} d"))
+                   for name in ("window", "main")]
+        universe = 3 * sum(region.capacity for region in regions) + 2
+        keys = data.draw(st.lists(st.integers(1, universe - 1), max_size=200), label="keys")
+        cache = scan_checked(MultiRegionCache(*regions, universe, filter, scn_bits=scn_bits))
+        overrules = replay(cache, keys)
+        assert filter == FILTER_TINYLFU or overrules == 0
+        for engine in (cache.window, cache.main):
+            assert engine.live_keys() == row_keys(engine)
+
+    def test_the_filter_overrules_admissions_in_the_replay(self):
+        # the two-region replay above reaches the overrule: a skewed trace
+        # refuses window victims many times over
+        rng = random.Random(7)
+        keys = [min(int(rng.paretovariate(1.0)), 60) for _ in range(3000)]
+        regions = RegionSpec("lru", 2, 2), RegionSpec("lfu", 4, 2)
+        cache = scan_checked(MultiRegionCache(*regions, 61, FILTER_TINYLFU, scn_bits=5))
+        assert replay(cache, keys) > 100
+        cache = scan_checked(MultiRegionCache(*regions, 61, FILTER_NONE, scn_bits=5))
+        assert replay(cache, keys) == 0
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_a_clones_misses_leave_the_original_lookups_unchanged(self, policy):
+        engine = checked(make_engine(policy, LayoutConfig(scn_bits=8, k=4, d=2)))
+        for key in range(1, 9):
+            engine.fetch(key)
+        store = engine.store
+        probes = range(1, 17)
+        before = [store.ternary_lookup(key % 2, key) for key in probes]
+        assert MISS not in before[:8] and before[8:] == [MISS] * 8
+        other = engine.clone()
+        for key in range(9, 17):
+            hit, evicted = other.fetch(key)
+            assert not hit and evicted is not None  # every miss evicts a key
+        assert other.live_keys() != set(range(1, 9))
+        assert [store.ternary_lookup(key % 2, key) for key in probes] == before
+        assert engine.live_keys() == set(range(1, 9))
+
+    def test_a_whole_set_write_replaces_the_set_index(self):
+        engine = checked(make_engine("lru", LayoutConfig(scn_bits=8, k=3, d=2)))
+        for key in (2, 4, 6, 1):
+            engine.fetch(key)
+        store = engine.store
+        # key 7 sits outside set 7 % 2: the index is per set, not per hash
+        store.write_set_raw(0, [[8, 0, 7], [1, 0, 2]])
+        assert [store.ternary_lookup(0, key) for key in (2, 4, 6)] == [MISS] * 3
+        assert store.ternary_lookup(0, 8) == 0 and store.ternary_lookup(0, 7) == 2
+        assert store.ternary_lookup(1, 1) == 0  # the other set keeps its index
+        assert engine.live_keys() == {1, 7, 8}
+        # the set's own rows, edited in place and written back whole
+        rows = store.read_set_raw(0)
+        rows[0][1:] = [12, 0]
+        rows[1][1:] = [3, 0]
+        store.write_set_raw(0, rows)
+        assert store.ternary_lookup(0, 12) == 1 and store.ternary_lookup(0, 7) == MISS
+        assert engine.fetch(8)[0] and engine.fetch(2) == (False, None)
+        assert engine.live_keys() == {1, 2, 8, 12}

@@ -417,6 +417,14 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (byte 0xff: invalid start byte)\n"
 
+    def test_csv_cell_over_the_field_limit_is_an_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "big.csv"
+        bad.write_text("key\n" + "9" * 200_000 + "\n")
+        code = main(["run", "--policy", "lru", "--trace", str(bad), "--trace-format", "csv"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}:2: field larger than field limit (131072)\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["check", "--policy", "lru", "--alphabet", "10", "--max-len", "8"],
          "too large"),

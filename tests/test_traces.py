@@ -173,6 +173,20 @@ class TestParseTrace:
         with pytest.raises(TraceFormatError, match=rf"^{re.escape(str(path))}: not UTF-8 text"):
             parse_trace(str(path))
 
+    def test_csv_cell_over_the_field_limit_names_its_row(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("op,key\nr,5\n\nr," + "7" * 200_000 + "\nr,6\n")
+        with pytest.raises(TraceFormatError, match=rf"^{re.escape(str(path))}:3: "
+                           r"field larger than field limit \(131072\)$"):
+            parse_trace(str(path), format="csv")
+        path.write_text("op," + "k" * 200_000 + "\nr,5\n")  # the header is row 1
+        with pytest.raises(TraceFormatError, match=rf"^{re.escape(str(path))}:1: field larger"):
+            parse_trace(str(path), format="csv")
+        # a fault in an earlier row of the same block is still the one reported
+        path.write_text("op,key\nr,\nr," + "7" * 200_000 + "\n")
+        with pytest.raises(TraceFormatError, match=r":2: empty key$"):
+            parse_trace(str(path), format="csv")
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.trace"
         path.write_text("\n\n")
