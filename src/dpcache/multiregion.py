@@ -6,6 +6,10 @@ evicted unconditionally.  With the filter, the candidate admitted at main way
 0 is compared against the main fold's victim by recent access frequency, and
 the main victim is restored (overwriting the newcomer) if it has the strictly
 higher count — so a rejected window victim is the element that actually leaves.
+The restored victim keeps way 0, the newcomer's slot: an LRU main orders its
+ways by SCN, so nothing changes there, but in a FIFO main way 0 is the newest
+slot, so an oldest element that wins a contest gets a second chance where
+the reference composition keeps it oldest.
 
 Each region keeps its own register arrays with one SCN word per element, so
 an element carries only the metadata of the region holding it: a window
@@ -16,8 +20,9 @@ de-amortized fashion: every ``n`` accesses a fixed-size slice of the counter
 array is halved in cyclic order, so that a full halving pass completes once
 per ``W`` accesses without ever pausing a packet for a full sweep.  The aging
 constants are fixed here for both this cache and the reference composition
-(``oracle.ReferenceMultiCache``): W = 16 x the total capacity, n = 16, and
-counters saturate at 2**15 - 1.
+(``oracle.ReferenceMultiCache``): W = 16 x the total capacity, n = 16 (n = W
+in the reference, which halves every counter at once), and counters saturate
+at 2**15 - 1.
 """
 
 from __future__ import annotations
@@ -64,12 +69,14 @@ def check_composition(filter: str, key_universe: int) -> None:
 
 
 class CountingFilter:
-    """Explicit per-key frequency counters with de-amortized halving.
+    """Explicit per-key frequency counters, a slice halved every ``stride`` accesses.
 
-    ``counters`` is a ``uint32`` numpy array, halved a slice at a time by
-    ``age_step``.  The per-packet ``record_access`` and ``count`` read and
-    write the same buffer through a memoryview, which yields plain ints and
-    skips numpy's per-element scalar boxing.
+    ``age_step`` halves the next ``ceil(key_universe * stride / aging_window)``
+    counters in cyclic order.  The default stride is the sliced schedule a
+    switch runs; ``stride=aging_window`` is the batch one, which halves them all.
+    ``counters`` is a ``uint32`` numpy array.  The per-packet ``record_access``
+    and ``count`` read and write the same buffer through a memoryview, which
+    yields plain ints and skips numpy's per-element scalar boxing.
     """
 
     def __init__(
@@ -77,19 +84,21 @@ class CountingFilter:
         key_universe: int,
         aging_window: int,
         counter: OpCounter | None = None,
+        *,
+        stride: int = AGING_STRIDE,
     ) -> None:
-        if aging_window <= AGING_STRIDE:
-            raise ValueError(f"aging_window must exceed the aging stride {AGING_STRIDE}")
+        if aging_window < stride:
+            raise ValueError(f"aging_window must be at least the aging stride {stride}")
         self.key_universe = key_universe
         self.aging_window = aging_window
-        self.aging_stride = AGING_STRIDE
+        self.aging_stride = stride
         self.counter_cap = COUNTER_CAP
         self.counters = np.zeros(key_universe, dtype=np.uint32)
         self._counts = memoryview(self.counters)
         self.access_counter = 0
         self.cursor = 0
         # counters halved per aging step
-        self.step_size = -(-key_universe * AGING_STRIDE // aging_window)
+        self.step_size = -(-key_universe * stride // aging_window)
         self.ops = counter if counter is not None else OpCounter()
 
     def record_access(self, key: int) -> None:

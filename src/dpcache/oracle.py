@@ -19,10 +19,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import LayoutConfig
-from .multiregion import COUNTER_CAP, FILTER_TINYLFU, RegionSpec, aging_window, check_composition
+from .multiregion import FILTER_TINYLFU, CountingFilter, RegionSpec, aging_window, check_composition
 from .policies import DEFAULT_INTEGER_FACTOR, PolicyEngine, make_engine
 
 _MAX_ENUMERATION_NODES = 5_000_000
@@ -219,13 +217,12 @@ class ReferenceMultiCache:
     """Unrestricted window x main composition with the counting filter.
 
     Takes the regions and the filter name of ``MultiRegionCache``; with
-    filter "none" every window victim is admitted.
-
-    Aging here is the original batch scheme: all counters are halved at once
-    every ``aging_window`` accesses.  This intentionally differs from the
-    restricted engine's de-amortized slicing so the admission behaviour of the
-    two schemes can be compared; the window length and the counter cap are
-    the restricted cache's own (``multiregion.aging_window``, ``COUNTER_CAP``).
+    filter "none" ``filter`` is None and every window victim is admitted.
+    With "tinylfu" it is the restricted cache's ``CountingFilter`` on the
+    batch schedule (``stride`` = the aging window), which halves every
+    counter at once, so that c05 weighs the sliced schedule against it; with
+    a sliced-schedule filter in its place, this is an exact oracle of the
+    filtered cache with an LRU main region.
     """
 
     def __init__(
@@ -238,26 +235,19 @@ class ReferenceMultiCache:
         check_composition(filter, key_universe)
         self.window = ReferenceCache(window.policy, window.k, window.d)
         self.main = ReferenceCache(main.policy, main.k, main.d)
-        self.use_filter = filter == FILTER_TINYLFU
         self.key_universe = key_universe
-        self.aging_window = aging_window(window.capacity + main.capacity)
-        self.counter_cap = COUNTER_CAP
-        self.counters = np.zeros(key_universe, dtype=np.uint32)
-        # per-packet reads and writes go through a view of the same buffer
-        self._counts = memoryview(self.counters)
-        self.access_counter = 0
+        if filter == FILTER_TINYLFU:
+            epoch = aging_window(window.capacity + main.capacity)
+            self.filter: CountingFilter | None = CountingFilter(key_universe, epoch, stride=epoch)
+        else:
+            self.filter = None
 
     def fetch(self, key: int) -> tuple[bool, int | None]:
         if not 1 <= key < self.key_universe:
             raise ValueError(f"key {key} outside universe")
-        counts = self._counts
-        if self.use_filter:
-            c = counts[key]
-            if c < self.counter_cap:
-                counts[key] = c + 1
-            self.access_counter += 1
-            if self.access_counter % self.aging_window == 0:
-                self.counters >>= 1
+        flt = self.filter
+        if flt is not None:
+            flt.record_access(key)
 
         self.main.seq += 1
         self.window.seq += 1
@@ -272,8 +262,8 @@ class ReferenceMultiCache:
             return False, None
         h2 = window_victim % self.main.d
         main_victim = self.main.victim(h2)
-        if (main_victim is not None and self.use_filter
-                and counts[main_victim] > counts[window_victim]):
+        if (main_victim is not None and flt is not None
+                and flt.count(main_victim) > flt.count(window_victim)):
             # admission denied; the window victim leaves the cache entirely
             return False, window_victim
         return False, self.main._insert(h2, window_victim, main_victim)

@@ -1,11 +1,12 @@
 """Whole engines against their exact oracles at the edges of the layout.
 
 Random traces replay through restricted FIFO and LRU engines and through
-`ReferenceCache`, and through the filterless two-region cache and
-`ReferenceMultiCache`; every event's (hit, evicted key) must agree.  The
-layouts sit where the restricted model is tightest: ternary masks at exactly
-the 2048-bit limit, single-set and multi-set geometry, and SCN clocks narrow
-enough that LRU rescales every few ticks to every few hundred.
+`ReferenceCache`, and through the two-region cache and `ReferenceMultiCache`,
+filtered with an LRU main region and filterless otherwise; every event's
+(hit, evicted key) must agree.  The layouts sit where the restricted model is
+tightest: ternary masks at exactly the 2048-bit limit, single-set and
+multi-set geometry, and SCN clocks narrow enough that LRU rescales every few
+ticks to every few hundred.
 """
 
 import random
@@ -16,9 +17,19 @@ from hypothesis import strategies as st
 
 from checked import assert_written, checked
 from dpcache.core import TCAM_MASK_BITS, LayoutConfig, LayoutError
-from dpcache.multiregion import MultiRegionCache, RegionSpec
+from dpcache.multiregion import CountingFilter, MultiRegionCache, RegionSpec
 from dpcache.oracle import ReferenceCache, ReferenceMultiCache
 from dpcache.policies import make_engine
+from dpcache.traces import ZipfSpec, generate_zipf
+
+
+def sliced_reference(window, main, universe, flt):
+    """``ReferenceMultiCache`` with its filter, if any, on the restricted
+    cache's sliced aging schedule in place of the batch one."""
+    oracle = ReferenceMultiCache(window, main, universe, flt)
+    if oracle.filter is not None:
+        oracle.filter = CountingFilter(universe, oracle.filter.aging_window)
+    return oracle
 
 
 def assert_same_stream(engine, oracle, keys):
@@ -96,15 +107,23 @@ class TestNarrowClock:
 
 
 class TestTwoRegion:
-    """The filterless window + main cache against ``ReferenceMultiCache`` for
-    every FIFO/LRU pairing.  At 4- and 5-bit SCNs each LRU region's own clock
-    rescales every few to few dozen of its ticks."""
+    """The window + main cache against ``ReferenceMultiCache`` for every
+    FIFO/LRU pairing.  At 4- and 5-bit SCNs each LRU region's own clock
+    rescales every few to few dozen of its ticks.
+
+    With an LRU main the filtered cache is drawn too, against a reference
+    whose filter ages on the restricted cache's sliced schedule.  FIFO mains
+    run filterless only: a denied admission puts the main victim back at way
+    0, the newest slot of a FIFO main, where the reference keeps it oldest
+    (``TestAdmission`` in ``test_multiregion.py``)."""
 
     @pytest.mark.parametrize("window", ["fifo", "lru"])
     @pytest.mark.parametrize("main", ["fifo", "lru"])
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_matches_reference(self, window, main, data):
+        flt = data.draw(st.sampled_from(["none", "tinylfu"] if main == "lru" else ["none"]),
+                        label="filter")
         k_w, d_w = data.draw(st.sampled_from([(1, 1), (2, 1), (4, 2)]), label="window k, d")
         k_m, d_m = data.draw(st.sampled_from([(2, 1), (4, 1), (4, 3), (8, 2)]), label="main k, d")
         scn_bits = data.draw(st.sampled_from([4, 5, 32]), label="scn_bits")
@@ -113,7 +132,7 @@ class TestTwoRegion:
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         keys = random_keys(seed, 10 * capacity + 400, 1, universe - 1)
         regions = RegionSpec(window, k_w, d_w), RegionSpec(main, k_m, d_m)
-        cache = checked(MultiRegionCache(*regions, universe, "none", scn_bits=scn_bits))
+        cache = checked(MultiRegionCache(*regions, universe, flt, scn_bits=scn_bits))
         rescales = {"window": 0, "main": 0}
         for region in rescales:
             store = getattr(cache, region).store
@@ -124,9 +143,27 @@ class TestTwoRegion:
                 _sweep(remap)
 
             store.map_scn = counted
-        oracle = ReferenceMultiCache(*regions, universe, "none")
+        oracle = sliced_reference(*regions, universe, flt)
         assert_same_stream(cache, oracle, keys)
         assert_written(cache)
         if scn_bits < 32:
             for region, policy in (("window", window), ("main", main)):
                 assert (rescales[region] > 0) == (policy == "lru"), region
+
+    @pytest.mark.parametrize("window", ["fifo", "lru"])
+    def test_only_the_sliced_schedule_is_exact(self, window):
+        # c05's geometry on a Zipf trace: the batch reference, which halves
+        # every counter at once, decides some admissions differently
+        regions = RegionSpec(window, 4, 16), RegionSpec("lru", 16, 16)
+        trace = generate_zipf(ZipfSpec(N=2000, s=0.8, length=20_000, seed=1))
+        universe = trace.max_key + 1
+        cache = checked(MultiRegionCache(*regions, universe, "tinylfu", scn_bits=6))
+        sliced = sliced_reference(*regions, universe, "tinylfu")
+        batch = ReferenceMultiCache(*regions, universe, "tinylfu")
+        differences = 0
+        for i, key in enumerate(trace):
+            result = cache.fetch(key)
+            assert result == sliced.fetch(key), f"event {i} (key {key}) diverges"
+            differences += result != batch.fetch(key)
+        assert_written(cache)
+        assert differences > 1000

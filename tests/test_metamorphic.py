@@ -8,9 +8,20 @@ for the restricted engines at every SCN width: the LRU clock is shared by
 the sets, but a rescale keeps each set's order.  Hyperbolic is left out:
 its tick counts every fetch of the region, so a set's priorities depend on
 how many fetches the other sets received.
+
+Key renaming: permuting the keys inside each residue class ``key % d``
+leaves the stream unchanged, once each evicted key is mapped back through
+the permutation.  No decision reads a key's value, only its set.  It holds
+for all four single-region policies, restricted and reference, and for the
+two-region cache with residues mod lcm(d_w, d_m): filterless, restricted
+and reference, and for the reference with its filter on the batch schedule,
+which halves every counter at once.  The restricted filter's sliced
+schedule halves its counters in key order, so with it the relation fails
+(the README says by how much).
 """
 
 import random
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +29,9 @@ from hypothesis import strategies as st
 
 from checked import assert_written, checked
 from dpcache.core import LayoutConfig
-from dpcache.oracle import ReferenceCache
-from dpcache.policies import make_engine
+from dpcache.multiregion import MultiRegionCache, RegionSpec
+from dpcache.oracle import ReferenceCache, ReferenceMultiCache
+from dpcache.policies import POLICIES, make_engine
 
 
 def restricted(scn_bits):
@@ -50,3 +62,69 @@ def test_sets_decompose_into_single_set_caches(cache, policy, data):
     if cache != "reference":
         for part in [whole, *parts]:
             assert_written(part)
+
+
+def renaming(universe, modulus, rng):
+    """A random permutation of the keys 1..universe-1 that keeps each key's
+    residue mod ``modulus``, as a dict."""
+    perm = {}
+    for residue in range(modulus):
+        keys = list(range(residue or modulus, universe, modulus))
+        renamed = keys[:]
+        rng.shuffle(renamed)
+        perm.update(zip(keys, renamed))
+    return perm
+
+
+def assert_renaming_invariant(make, keys, perm):
+    """Replay ``keys`` and their renamed copy through two caches from ``make``."""
+    plain, renamed = make(), make()
+    back = {new: old for old, new in perm.items()}
+    for i, key in enumerate(keys):
+        hit, evicted = renamed.fetch(perm[key])
+        assert plain.fetch(key) == (hit, back.get(evicted)), f"event {i} (key {key})"
+    for cache in (plain, renamed):
+        if not isinstance(cache, (ReferenceCache, ReferenceMultiCache)):
+            assert_written(cache)
+
+
+@pytest.mark.parametrize("cache", ["reference", "scn32", "scn6"])
+@pytest.mark.parametrize("policy", POLICIES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_renaming_keys_within_sets_changes_nothing(cache, policy, data):
+    k = data.draw(st.integers(1, 8), label="k")
+    d = data.draw(st.integers(1, 6), label="d")
+    universe = data.draw(st.integers(k * d + 1, 3 * k * d + 8), label="universe")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    keys = [int(universe ** rng.random()) for _ in range(20 * k * d + 200)]
+    perm = renaming(universe, d, rng)
+    assert_renaming_invariant(lambda: CACHES[cache](policy, k, d), keys, perm)
+
+
+@pytest.mark.parametrize("scn_bits, flt", [(None, "none"), (32, "none"), (6, "none"),
+                                           (None, "tinylfu")],
+                         ids=["reference", "scn32", "scn6", "reference-tinylfu"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_renaming_keys_within_two_region_sets_changes_nothing(scn_bits, flt, data):
+    # scn_bits None is the reference; its filter ages on the batch schedule,
+    # which every trace here reaches: it is at least 20 x the capacity, and
+    # a halving comes every 16 x
+    policies = st.sampled_from(POLICIES)
+    window = RegionSpec(data.draw(policies, label="window"), data.draw(st.integers(1, 3)),
+                        data.draw(st.integers(1, 4), label="d_w"))
+    main = RegionSpec(data.draw(policies, label="main"), data.draw(st.integers(1, 4)),
+                      data.draw(st.integers(1, 4), label="d_m"))
+    capacity = window.capacity + main.capacity
+    universe = data.draw(st.integers(capacity + 2, 3 * capacity + 8), label="universe")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    keys = [int(universe ** rng.random()) for _ in range(20 * capacity + 200)]
+    perm = renaming(universe, lcm(window.d, main.d), rng)
+
+    def make():
+        if scn_bits is None:
+            return ReferenceMultiCache(window, main, universe, flt)
+        return checked(MultiRegionCache(window, main, universe, flt, scn_bits=scn_bits))
+
+    assert_renaming_invariant(make, keys, perm)

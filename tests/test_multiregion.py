@@ -36,8 +36,8 @@ class TestConfig:
         for window, main in [(("fifo", 4, 16), ("lru", 16, 16)), (("lru", 1, 1), ("lru", 1, 1))]:
             cache = make_cache(window=window, main=main, universe=10)
             ref = ReferenceMultiCache(RegionSpec(*window), RegionSpec(*main), 10)
-            assert cache.filter.aging_window == ref.aging_window
-            assert cache.filter.counter_cap == ref.counter_cap
+            assert cache.filter.aging_window == ref.filter.aging_window
+            assert cache.filter.counter_cap == ref.filter.counter_cap
 
     @pytest.mark.parametrize("build", [MultiRegionCache, ReferenceMultiCache])
     @pytest.mark.parametrize("universe, filter, message", [
@@ -121,6 +121,24 @@ class TestCountingFilter:
         assert type(f.count(7)) is int and f.count(7) == cap
         assert list(f.counters) == [half] * 6 + [cap] * 4
 
+    def test_batch_schedule_halves_every_counter_on_the_window_access(self):
+        f = CountingFilter(10, 60, stride=60)
+        assert (f.step_size, f.key_universe) == (10, 10)
+        f.counters[:] = counts = [8] * 10
+        for i in range(59):
+            f.record_access(1 + i % 9)
+            counts[1 + i % 9] += 1
+        assert list(f.counters) == counts and f.cursor == 0
+        f.record_access(3)  # the 60th access halves all 10 counters at once
+        counts[3] += 1
+        assert list(f.counters) == [c >> 1 for c in counts] and f.cursor == 0
+
+    def test_window_shorter_than_the_stride_rejected(self):
+        with pytest.raises(ValueError, match="aging stride 16$"):
+            CountingFilter(10, 15)
+        with pytest.raises(ValueError, match="aging stride 60$"):
+            CountingFilter(10, 59, stride=60)
+
     def test_wraparound_slice(self):
         f = CountingFilter(10, 60)  # step = ceil(10*16/60) = 3
         assert f.step_size == 3
@@ -131,17 +149,17 @@ class TestCountingFilter:
 
 
 class TestAdmission:
-    def _primed(self, w_count, m_count):
+    def _primed(self, w_count, m_count, main="lru", build=make_cache):
         # main holds keys 2 (victim-to-be) and 4; window holds 1 and 3;
         # next miss on 5 pushes window victim 1 toward main
-        cache = make_cache(window=("fifo", 2, 1), main=("lru", 2, 1), universe=100)
+        cache = build(window=("fifo", 2, 1), main=(main, 2, 1), universe=100)
         for key in [2, 4, 1, 3]:
             cache.fetch(key)
         assert cache.main.live_keys() == {2, 4}
         assert cache.window.live_keys() == {1, 3}
         cache.filter.counters[:] = 0
         cache.filter.counters[1] = w_count
-        main_victim = 2  # LRU-older of the two main residents
+        main_victim = 2  # the older of the two main residents
         cache.filter.counters[main_victim] = m_count
         return cache
 
@@ -161,6 +179,24 @@ class TestAdmission:
         cache = self._primed(w_count=4, m_count=4)
         assert cache.fetch(5) == (False, 2)
         assert cache.main.live_keys() == {1, 4}
+
+    def test_denied_admission_puts_a_fifo_victim_at_the_newest_way(self):
+        # the fold's victim is put back at way 0, which in a FIFO main is the
+        # newest slot: the reference keeps key 2 oldest, the restricted cache
+        # makes key 4 the oldest, so the next admitted key evicts another key
+        def reference(window, main, universe):
+            return ReferenceMultiCache(RegionSpec(*window), RegionSpec(*main), universe)
+
+        cache = self._primed(w_count=2, m_count=6, main="fifo")
+        ref = self._primed(w_count=2, m_count=6, main="fifo", build=reference)
+        assert [key for key, _ in cache.main.dump()[0]] == [4, 2]
+        assert cache.fetch(5) == ref.fetch(5) == (False, 1)
+        assert [key for key, _ in cache.main.dump()[0]] == [2, 4]
+        assert list(ref.main.sets[0]) == [2, 4]  # oldest first
+        for flt in (cache.filter, ref.filter):
+            flt.counters[3] = 9  # window victim 3 wins the next contest
+        assert cache.fetch(6) == (False, 4)
+        assert ref.fetch(6) == (False, 2)
 
     def test_filterless_evicts_main_victim_unconditionally(self):
         cache = make_cache(window=("fifo", 2, 1), main=("lru", 2, 1),
@@ -285,25 +321,6 @@ class TestComposition:
 
 
 class TestMultiOpAccounting:
-    def test_main_hit_costs_two_tcam_one_rw(self):
-        cache = make_cache(window=("fifo", 2, 1), main=("lru", 2, 1), universe=100)
-        for key in [2, 4, 1, 3]:
-            cache.fetch(key)
-        assert 2 in cache.main.live_keys()
-        cache.counter.reset()
-        assert cache.fetch(2)[0]
-        c = cache.counter
-        assert (c.tcam_matches, c.register_reads, c.register_writes) == (2, 1, 1)
-        assert c.extra_reads >= 1 and c.extra_writes >= 1  # filter counter
-
-    def test_window_hit_costs_two_tcam_one_rw(self):
-        cache = make_cache(window=("fifo", 2, 1), main=("lru", 2, 1), universe=100)
-        cache.fetch(7)
-        cache.counter.reset()
-        assert cache.fetch(7)[0]
-        c = cache.counter
-        assert (c.tcam_matches, c.register_reads, c.register_writes) == (2, 1, 1)
-
     # (window, main, universe, scn_bits): both regions of one policy at SCN
     # widths narrow enough that LRU rescales, LFU counts saturate and
     # hyperbolic halves in the trace, and a FIFO window before an LRU main
@@ -316,13 +333,15 @@ class TestMultiOpAccounting:
     @pytest.mark.parametrize("window, main, universe, scn_bits", SHAPES)
     def test_exact_hit_and_miss_costs(self, window, main, universe, scn_bits, flt):
         # a miss: the window's set read and write with its 2k_w fold steps,
-        # and the main region's when a window victim contends; a hit: two
-        # lookups, one read and one write, also where it writes its SCN back
-        # unchanged (FIFO, a saturated count)
+        # and the main region's when a window victim contends; a hit in
+        # either region: two lookups, one read and one write, also where it
+        # writes its SCN back unchanged (FIFO, a saturated count); with the
+        # filter, every packet also reads and writes a counter
         k_w, k_m = window[1], main[1]
         cache = checked(make_cache(window=window, main=main, universe=universe, filter=flt,
                                    scn_bits=scn_bits))
         contests = 0
+        hits = {"window": 0, "main": 0}
         clocks = []
         rng = random.Random(23)
         # skewed towards key 1, so that hot counts saturate
@@ -331,8 +350,11 @@ class TestMultiOpAccounting:
             cache.counter.reset()
             hit = cache.fetch(key)[0]
             c = cache.counter
+            if flt == "tinylfu":
+                assert c.extra_reads >= 1 and c.extra_writes >= 1
             clocks.append(getattr(cache.main, "tick", getattr(cache.main, "clock", 0)))
             if hit:
+                hits["window" if key in before else "main"] += 1
                 assert (c.tcam_matches, c.register_reads, c.register_writes) == (2, 1, 1)
                 continue
             cost = 1 + 2 * k_w
@@ -342,6 +364,7 @@ class TestMultiOpAccounting:
             assert (c.tcam_matches, c.register_reads, c.register_writes) == (2, cost, cost)
         assert_written(cache)
         assert contests > 100
+        assert all(hits.values()), hits
         unchanged = sum(store.unchanged_writes for store in stores(cache))
         assert (unchanged > 10) == (window[0] != "lru")
         if main[0] in ("lru", "hyperbolic") and scn_bits < 32:

@@ -123,12 +123,16 @@ class TestReferenceMulti:
     def test_batch_halving(self):
         # capacity 2: the epoch is 16 x 2 = 32 accesses
         cache = ReferenceMultiCache(RegionSpec("fifo", 1, 1), RegionSpec("lru", 1, 1), 50)
-        assert cache.aging_window == 32
+        assert cache.filter.aging_window == 32
         for _ in range(31):
             cache.fetch(7)
-        assert cache.counters[7] == 31
+        assert cache.filter.counters[7] == 31
         cache.fetch(7)  # 32nd access triggers the halve-all
-        assert cache.counters[7] == 16
+        assert cache.filter.counters[7] == 16
+
+    def test_filterless_reference_has_no_filter(self):
+        cache = ReferenceMultiCache(RegionSpec("fifo", 1, 1), RegionSpec("lru", 1, 1), 50, "none")
+        assert cache.filter is None
 
     def test_live_keys_disjoint_regions(self):
         cache = ReferenceMultiCache(RegionSpec("fifo", 2, 2), RegionSpec("lru", 2, 2), 60)
