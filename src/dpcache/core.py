@@ -10,7 +10,8 @@ one ternary (TCAM-style) comparison, whose cost does not grow with ``k``: the
 store keeps each set's live keys in a hash set beside its rows, so a miss is
 one hash probe and a hit one search of the key row for its way.
 A way travels as a ``(key, scn)`` pair, the only form the store hands out.
-A hit reads one way and writes its SCN word back, changed or not.
+A hit reads one way and writes its SCN word back, changed or not.  No packet
+sweeps the region: a set is normalised when a packet next reaches it.
 Each region of a multi-region cache is its own store, so a way only carries
 the SCN word of the region holding it.
 
@@ -79,8 +80,8 @@ class OpCounter:
     ``tcam_matches``, ``register_reads`` and ``register_writes`` track the
     core match/set operations.  ``extra_reads``/``extra_writes`` track
     policy-specific auxiliary structures (log lookup table, admission-filter
-    counters, maintenance sweeps) which sit outside the per-packet set-access
-    cost model.
+    counters) which sit outside the per-packet set-access cost model.
+    Maintenance runs inside a set access and charges nothing.
     """
 
     tcam_matches: int = 0
@@ -107,8 +108,13 @@ class RegisterStore:
     it.  A lookup that misses is one probe of it, and one that hits searches
     the key row once for the way.  Field widths are checked where a field
     enters the store: ``ternary_lookup`` checks the probed key,
-    ``write_way_field`` the SCN, and ``_check_rows`` (after every ``map_scn``
-    sweep) the whole set, with its distinct live keys.
+    ``write_way_field`` the SCN, and ``_check_rows`` (after every
+    ``normalise``) the whole set, with its distinct live keys.
+
+    ``epochs[h]`` is the engine epoch set ``h`` was last normalised at: an
+    engine that reads a stale set has ``normalise`` rewrite it first, in the
+    same access.  ``peak_live``, the most live keys any set has held, rises
+    in ``write_set_raw``; no key is ever deleted, so it is the most held now.
 
     ``read_set_raw``/``write_set_raw`` model whole-set register accesses and
     are the unit of the operation accounting: a miss edits the set's own
@@ -127,6 +133,8 @@ class RegisterStore:
             [[0] * layout.k for _ in self._widths] for _ in range(layout.d)
         ]
         self.members: list[set[int]] = [set() for _ in range(layout.d)]
+        self.epochs = [0] * layout.d
+        self.peak_live = 0
 
     def live_keys(self) -> set[int]:
         """Every live key of every set; bypasses operation accounting."""
@@ -168,6 +176,8 @@ class RegisterStore:
             members = self.members[h]
             members.discard(victim)
             members.add(rows[0][0])
+        if not victim and len(members) > self.peak_live:
+            self.peak_live = len(members)
 
     # -- ternary lookup -----------------------------------------------------
 
@@ -202,25 +212,15 @@ class RegisterStore:
         self.counter.register_writes += 1
         self.rows[h][SCN_FIELD][way] = scn
 
-    # -- maintenance --------------------------------------------------------
+    # -- lazy maintenance ---------------------------------------------------
 
-    def map_scn(self, remap: Callable[[list[int]], list[int]]) -> None:
-        """Sweep every set, replacing the live entries of its SCN row.
-
-        ``remap`` receives a set's live entries (ways holding a key) in way
-        order and returns their replacements.  Every rewritten set is
-        re-validated.  The sweep reads and writes each set once outside the
-        per-packet cost model, charged as extra ops.
-        """
-        for h, rows in enumerate(self.rows):
-            live = [way for way, key in enumerate(rows[0]) if key]
-            if live:
-                row = rows[SCN_FIELD]
-                for way, x in zip(live, remap([row[way] for way in live])):
-                    row[way] = x
-                self._check_rows(h)
-        self.counter.extra_reads += self.layout.d
-        self.counter.extra_writes += self.layout.d
+    def normalise(self, h: int, epoch: int, rebase: Callable[[list[int], int], list[int]]) -> None:
+        """Bring set ``h`` to ``epoch`` through ``rebase(scns, missed epochs)``, and
+        re-validate it; part of the caller's set access, so it charges nothing."""
+        rows = self.rows[h]
+        rows[SCN_FIELD] = rebase(rows[SCN_FIELD], epoch - self.epochs[h])
+        self.epochs[h] = epoch
+        self._check_rows(h)
 
     def clone(self) -> "RegisterStore":
         """A copy with its own rows, key index and a fresh counter."""
@@ -229,19 +229,24 @@ class RegisterStore:
         other.counter = OpCounter()
         other.rows = [[keys[:], scns[:]] for keys, scns in self.rows]
         other.members = [members.copy() for members in self.members]
+        other.epochs = self.epochs[:]
         return other
 
     def _check_rows(self, h: int) -> None:
         """Re-validate set ``h``: row shape, field widths, unique keys.
 
-        Raises for the first fault in way order.
+        ``min``/``max`` of each row and a distinct-key count decide whether
+        there is a fault; a way-order scan then raises for the first one.
         """
         rows = self.rows[h]
-        if len(rows) != len(self._widths) or any(len(row) != self.layout.k for row in rows):
-            raise AssertionError(f"set {h} does not hold {self.layout.k} ways of every field")
-        keys = [key for key in rows[0] if key]
-        if (any(min(row) < 0 or max(row) >> width for row, width in zip(rows, self._widths))
-                or len(set(keys)) != len(keys)):
+        k = self.layout.k
+        if len(rows) != 2 or len(rows[0]) != k or len(rows[1]) != k:
+            raise AssertionError(f"set {h} does not hold {k} ways of every field")
+        keys, scns = rows
+        key_bits, scn_bits = self._widths
+        empty = keys.count(0)
+        if (min(keys) < 0 or max(keys) >> key_bits or min(scns) < 0 or max(scns) >> scn_bits
+                or len(set(keys)) - (empty > 0) != k - empty):
             seen: set[int] = set()
             for way in zip(*rows):
                 for name, x, width in zip(("key", "scn"), way, self._widths):

@@ -140,8 +140,8 @@ class HyperbolicEngine(PolicyEngine):
     saturating) and an insert-time half (high bits).  The log table has one
     entry per insert time, ``min(DEFAULT_MAX_SCN, 2**time_bits)`` in all.  A
     global tick advances once per touch; when it reaches the table size minus
-    one the tick and every stored insert time are halved by right shift, which
-    preserves lifetime order.
+    one it is halved by right shift; a set's insert times are shifted right
+    once per missed halving when a packet next reads it, keeping lifetime order.
     """
 
     name = "hyperbolic"
@@ -159,21 +159,17 @@ class HyperbolicEngine(PolicyEngine):
         self._halve_at = self.log_table.max_scn - 1
         self.tick = 0
 
-    def _halve_times(self) -> None:
-        """Right-shift the tick and every stored insert time by one."""
-        self.tick >>= 1
-        freq_max, freq_bits = self.freq_max, self.freq_bits
-
-        def halve(live: list[int]) -> list[int]:
-            # keep the frequency half, shift the insert-time half right by one
-            return [(scn & freq_max) | (scn >> (freq_bits + 1) << freq_bits) for scn in live]
-
-        self.store.map_scn(halve)
-
     def _tick(self) -> None:
         self.tick = tick = self.tick + 1
         if tick >= self._halve_at:
-            self._halve_times()
+            self.tick = tick >> 1
+            self.epoch += 1
+
+    def _rebase(self, scns: list[int], missed: int) -> list[int]:
+        # each missed halving shifts the insert-time half right; time_bits of them clear it
+        freq_max, freq_bits = self.freq_max, self.freq_bits
+        shift = freq_bits + min(missed, self.time_bits)
+        return [(scn & freq_max) | (scn >> shift << freq_bits) for scn in scns]
 
     def _initial_scn(self) -> int:
         self._tick()

@@ -8,7 +8,7 @@ compare-and-swap steps.  The element carried out of the last way is the
 victim; an all-zero victim means an empty way absorbed the insertion.
 
 One fetch path and one hit path serve all four policies, which differ only
-in how they set the SCN word; ``PolicyEngine`` lists the five hooks that say it.
+in how they set the SCN word; ``PolicyEngine`` lists the six hooks that say it.
 
 A miss edits the set's own key and SCN rows in place and writes them back.
 A fetch returns ``(hit, evicted_key)``, the shape the reference caches
@@ -23,14 +23,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable
 
-from .core import (
-    MISS,
-    SCN_FIELD,
-    LayoutConfig,
-    OpCounter,
-    RegisterStore,
-    StorageError,
-)
+from .core import MISS, SCN_FIELD, LayoutConfig, OpCounter, RegisterStore, StorageError
 
 # hyperbolic integer factor default, shared by make_engine and the hyperbolic module
 DEFAULT_INTEGER_FACTOR = Fraction(100)
@@ -58,6 +51,7 @@ class PolicyEngine:
         self.store = RegisterStore(layout, counter)
         self.fold_observer: Callable[[int, int], None] | None = None
         self._scn_max = layout.max_scn()
+        self.epoch = 0
 
     # -- policy hooks --------------------------------------------------------
 
@@ -71,11 +65,13 @@ class PolicyEngine:
 
     # Optional hooks, None unless a policy defines them:
     # _tick() advances the clock once per hit or insertion, before the set is
-    # read (LRU, hyperbolic); _initial_scn calls it;
+    # read (LRU, hyperbolic); _initial_scn calls it, and a restart bumps ``epoch``;
+    # _rebase(scns, missed) returns a stale set's SCN row after ``missed`` epochs;
     # _age(rows) adjusts the set read for an insertion before the fold (LFU);
     # _metric(rows) returns the per-way values the fold carries the minimum of,
     # in place of the SCN row (hyperbolic).
     _tick: Callable[[], None] | None = None
+    _rebase: Callable[[list[int], int], list[int]] | None = None
     _age: Callable[[list[list[int]]], None] | None = None
     _metric: Callable[[list[list[int]]], list[int]] | None = None
 
@@ -84,11 +80,13 @@ class PolicyEngine:
     def serve_hit(self, h: int, way: int) -> tuple[bool, int | None]:
         """One set read and one SCN write; a hit that changes nothing writes the SCN back.
 
-        The clock ticks before the read, since a sweep it fires rewrites the SCN.
+        The clock ticks before the read, and a set it left stale is normalised.
         """
+        store = self.store
         if self._tick is not None:
             self._tick()
-        store = self.store
+            if store.epochs[h] != self.epoch:
+                store.normalise(h, self.epoch, self._rebase)
         _, scn = store.read_way(h, way)
         store.write_way_field(h, way, self._hit_scn(scn))
         return True, None
@@ -123,6 +121,8 @@ class PolicyEngine:
         counter.register_reads += 2 * k
         counter.register_writes += 2 * k
         rows = store.read_set_raw(h)
+        if store.epochs[h] != self.epoch:
+            store.normalise(h, self.epoch, self._rebase)
         keys, scns = rows
         if self._age is not None:
             self._age(rows)
@@ -174,8 +174,12 @@ class PolicyEngine:
         return victim, skipped
 
     def dump(self) -> list[list[tuple[int, int]]]:
-        """Every set as ``(key, scn)`` ways; bypasses operation accounting."""
-        return [self.store.peek_set(h) for h in range(self.layout.d)]
+        """Every set as ``(key, scn)`` ways, normalised first; bypasses operation accounting."""
+        store = self.store
+        for h, epoch in enumerate(store.epochs):
+            if epoch != self.epoch:
+                store.normalise(h, self.epoch, self._rebase)
+        return [store.peek_set(h) for h in range(self.layout.d)]
 
     def live_keys(self) -> set[int]:
         return self.store.live_keys()
@@ -208,9 +212,9 @@ class LruEngine(PolicyEngine):
 
     Every fetch consumes exactly one clock tick; the fold carries out the
     minimum-SCN element, which with unique timestamps is exactly the least
-    recently used one.  When the clock reaches the SCN field limit, all stored
-    timestamps are compressed to dense per-set ranks (order-preserving) and
-    the clock restarts just above them.
+    recently used one.  At the SCN field limit the clock restarts one above the
+    most live keys of any set; each set's timestamps become dense ranks
+    (order-preserving) when a packet next reads it, below every new one.
     """
 
     name = "lru"
@@ -224,7 +228,8 @@ class LruEngine(PolicyEngine):
     def _tick(self) -> None:
         self.clock = clock = self.clock + 1
         if clock >= self._scn_max:
-            self._rescale()
+            self.epoch += 1
+            self.clock = self.store.peak_live + 1
 
     def _initial_scn(self) -> int:
         self._tick()
@@ -233,17 +238,11 @@ class LruEngine(PolicyEngine):
     def _hit_scn(self, scn: int) -> int:
         return self.clock
 
-    def _rescale(self) -> None:
-        top = 0
-
-        def ranks(live: list[int]) -> list[int]:
-            nonlocal top
-            rank = {s: r for r, s in enumerate(sorted(set(live)), start=1)}
-            top = max(top, len(rank))
-            return [rank[s] for s in live]
-
-        self.store.map_scn(ranks)
-        self.clock = top + 1
+    def _rebase(self, scns: list[int], missed: int) -> list[int]:
+        # ranks of ranks are the same ranks, so one pass covers any number of
+        # missed epochs; an empty way's 0 ranks 0
+        rank = {s: r for r, s in enumerate(sorted({0, *scns}))}
+        return [rank[s] for s in scns]
 
 
 class LfuEngine(PolicyEngine):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,22 @@ def long_division_mod(dividend_digits: str, divisor: int) -> int:
 def rows_of(ways: list[tuple[int, int]]) -> list[list[int]]:
     """Field rows ``[keys, scns]`` of ``(key, scn)`` ways."""
     return [[key for key, _ in ways], [scn for _, scn in ways]]
+
+
+def first_fault(keys, scns, widths):
+    """The message of a set's first fault in way order, or None: a field out
+    of its width, or a live key already seen in an earlier way."""
+    seen = set()
+    for way in zip(keys, scns):
+        for name, x, width in zip(("key", "scn"), way, widths):
+            if not 0 <= x < 1 << width:
+                return f"{name} {x} exceeds {width} bits"
+        key = way[0]
+        if key in seen:
+            return f"duplicate key {key} within one set"
+        if key:
+            seen.add(key)
+    return None
 
 
 class TestLayoutConfig:
@@ -241,8 +258,6 @@ class TestRegisterStore:
         assert_rows(rows)
         store.write_way_field(1, 2, 5)
         assert_rows([[4, 0, 2], [6, 0, 5]])
-        store.map_scn(lambda live: [s + 1 for s in live])
-        assert_rows([[4, 0, 2], [7, 0, 6]])
         rows = [[4, 8, 2], [7, 8, 6]]
         store.write_set_raw(1, rows)
         assert_rows(rows)
@@ -274,24 +289,30 @@ class TestRegisterStore:
         with pytest.raises(AssertionError):
             store.write_set_raw(0, [[1, 0]])  # the scn row is missing
 
-    def test_maintenance_access_is_validated_and_unaccounted(self):
+    def test_normalise_rewrites_one_set_validated_and_unaccounted(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=3)
         store = RegisterStore(lay)
         store.rows[1] = [[3, 0], [2, 0]]
         store.rows[2] = [[5, 6], [7, 4]]
+        store.epochs[2] = 1
         seen = []
 
-        def bump(live):
-            seen.append(live)
-            return [s + 10 for s in live]
+        def bump(scns, missed):
+            seen.append((scns[:], missed))
+            return [s + 10 * missed for s in scns]
 
-        store.map_scn(bump)
-        assert seen == [[2], [7, 4]]  # empty set 0 and empty ways are skipped
-        assert store.peek_set(1) == [(3, 12), (0, 0)]
-        assert store.peek_set(2) == [(5, 17), (6, 14)]
-        assert store.counter == OpCounter(extra_reads=3, extra_writes=3)
-        with pytest.raises(StorageError):
-            store.map_scn(lambda live: [256] * len(live))
+        store.normalise(2, 3, bump)
+        assert seen == [([7, 4], 2)]  # the row, and the epochs the set missed
+        assert store.peek_set(2) == [(5, 27), (6, 24)]
+        assert store.peek_set(1) == [(3, 2), (0, 0)]  # no other set is touched
+        assert store.epochs == [0, 0, 3]
+        assert store.counter == OpCounter()
+        with pytest.raises(StorageError, match="^scn 256 exceeds 8 bits$"):
+            store.normalise(1, 1, lambda scns, missed: [256] * len(scns))
+        with pytest.raises(StorageError, match="^duplicate key 5 within one set$"):
+            store.rows[0] = [[5, 5], [0, 0]]
+            store.normalise(0, 1, lambda scns, missed: scns)
+        assert store.counter == OpCounter()
 
     @pytest.mark.parametrize("field, name", [(0, "key"), (1, "scn")])
     @pytest.mark.parametrize("bad", ["negative", "overwide"])
@@ -320,6 +341,25 @@ class TestRegisterStore:
         store.rows[0] = [[5, 0, 0, 0], [0, 0, 0]]
         with pytest.raises(AssertionError, match="does not hold 4 ways"):
             store._check_rows(0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(k=st.integers(1, 8), data=st.data())
+    def test_check_rows_agrees_with_a_way_order_scan(self, k, data):
+        """``_check_rows`` raises exactly when a way-order scan finds a fault,
+        with that scan's first fault: its whole-row decision misses none."""
+        widths = (6, 5)
+        keys = data.draw(st.lists(st.one_of(st.just(0), st.integers(1, 4), st.integers(-2, -1),
+                                            st.integers(62, 65)), min_size=k, max_size=k))
+        scns = data.draw(st.lists(st.one_of(st.integers(0, 31), st.integers(-2, -1),
+                                            st.integers(31, 33)), min_size=k, max_size=k))
+        store = RegisterStore(LayoutConfig(key_bits=6, value_bits=7, scn_bits=5, k=k, d=1))
+        store.rows[0] = [keys, scns]
+        fault = first_fault(keys, scns, widths)
+        if fault is None:
+            store._check_rows(0)
+        else:
+            with pytest.raises(StorageError, match=f"^{re.escape(fault)}$"):
+                store._check_rows(0)
 
     def test_clone_has_own_rows_and_a_fresh_counter(self):
         lay = LayoutConfig(key_bits=8, value_bits=4, scn_bits=8, k=2, d=2)

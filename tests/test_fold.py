@@ -186,7 +186,7 @@ def watch_writes(store):
             check_views(store)
         return write
 
-    for name in ("write_set_raw", "write_way_field", "map_scn"):
+    for name in ("write_set_raw", "write_way_field"):
         setattr(store, name, checked(getattr(store, name)))
     return writes
 

@@ -233,7 +233,9 @@ class TestHyperbolicEngine:
         eng.tick = 1000
         times = [900, 500, 123, 7]
         eng.store.write_set_raw(0, [[1, 2, 3, 4], [1 | t << eng.freq_bits for t in times]])
-        eng._halve_times()
+        eng.tick = eng._halve_at - 1
+        eng._tick()  # reaches the halving point
+        assert eng.tick == eng._halve_at >> 1
         halved = [scn >> eng.freq_bits for _, scn in eng.dump()[0]]
         assert halved == [t >> 1 for t in times]
         assert sorted(halved, reverse=True) == halved
@@ -250,8 +252,9 @@ class TestHyperbolicEngine:
         words[0] |= eng.freq_max  # one saturated frequency
         for h in range(2):
             eng.store.rows[h] = [[4 * h + w + 1 for w in range(4)], words[4 * h:4 * h + 4]]
-        eng.tick = eng.log_table.max_scn - 1
-        eng._halve_times()
+        eng.tick = eng._halve_at - 1
+        eng._tick()  # reaches the halving point
+        eng.dump()  # normalises both sets
         # the reference layout: frequency in the low half, insert time above it
         expected = [(w & eng.freq_max) | (w >> eng.freq_bits >> 1) << eng.freq_bits
                     for w in words]

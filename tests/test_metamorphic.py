@@ -18,6 +18,10 @@ and reference, and for the reference with its filter on the batch schedule,
 which halves every counter at once.  The restricted filter's sliced
 schedule halves its counters in key order, so with it the relation fails
 (the README says by how much).
+
+Both single-region relations also hold at the ternary mask limit, 128 ways
+of 16-bit keys, at 8-bit SCNs: there the LRU clock restarts at least every
+2**8 - 1 - 129 ticks and the hyperbolic tick halves every 15.
 """
 
 import random
@@ -64,6 +68,47 @@ def test_sets_decompose_into_single_set_caches(cache, policy, data):
             assert_written(part)
 
 
+def clock_falls(cache, keys):
+    """Replay ``keys``; the results, and how often the LRU clock or hyperbolic tick fell."""
+    def clock():
+        return getattr(cache, "clock", getattr(cache, "tick", 0))
+
+    results, falls, last = [], 0, clock()
+    for key in keys:
+        results.append(cache.fetch(key))
+        falls += clock() < last
+        last = clock()
+    return results, falls
+
+
+# k * key_bits = 128 * 16 = 2048, the ternary mask limit
+TCAM_K = 128
+
+
+def tcam_limit_keys(seed, d):
+    """Skewed keys over three times the capacity: hits, and misses that evict."""
+    rng = random.Random(seed)
+    universe = 3 * TCAM_K * d
+    return [1 + int((universe - 1) * rng.random() ** 3) for _ in range(8 * TCAM_K * d)]
+
+
+@pytest.mark.parametrize("policy", ["fifo", "lru", "lfu"])
+@settings(max_examples=5, deadline=None)
+@given(d=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+def test_sets_decompose_at_the_tcam_limit(policy, d, seed):
+    keys = tcam_limit_keys(seed, d)
+    make = restricted(8)
+    whole = make(policy, TCAM_K, d)
+    parts = [make(policy, TCAM_K, 1) for _ in range(d)]
+    results, falls = clock_falls(whole, keys)
+    for i, key in enumerate(keys):
+        assert results[i] == parts[key % d].fetch(key), f"event {i} (key {key})"
+    assert any(evicted for _, evicted in results)
+    assert (falls > 0) == (policy == "lru")
+    for part in [whole, *parts]:
+        assert_written(part)
+
+
 def renaming(universe, modulus, rng):
     """A random permutation of the keys 1..universe-1 that keeps each key's
     residue mod ``modulus``, as a dict."""
@@ -100,6 +145,24 @@ def test_renaming_keys_within_sets_changes_nothing(cache, policy, data):
     keys = [int(universe ** rng.random()) for _ in range(20 * k * d + 200)]
     perm = renaming(universe, d, rng)
     assert_renaming_invariant(lambda: CACHES[cache](policy, k, d), keys, perm)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@settings(max_examples=5, deadline=None)
+@given(d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_renaming_keys_within_sets_changes_nothing_at_the_tcam_limit(policy, d, seed):
+    keys = tcam_limit_keys(seed, d)
+    perm = renaming(3 * TCAM_K * d, d, random.Random(seed))
+    plain, renamed = restricted(8)(policy, TCAM_K, d), restricted(8)(policy, TCAM_K, d)
+    results, falls = clock_falls(renamed, [perm[key] for key in keys])
+    back = {new: old for old, new in perm.items()}
+    for i, key in enumerate(keys):
+        hit, evicted = results[i]
+        assert plain.fetch(key) == (hit, back.get(evicted)), f"event {i} (key {key})"
+    assert any(evicted for _, evicted in results)
+    assert (falls > 0) == (policy in ("lru", "hyperbolic"))
+    for cache in (plain, renamed):
+        assert_written(cache)
 
 
 @pytest.mark.parametrize("scn_bits, flt", [(None, "none"), (32, "none"), (6, "none"),
