@@ -11,7 +11,8 @@ case.
 `exhaustive_check` enumerates every key sequence up to a length bound and
 compares hit/miss streams between a restricted engine and its reference; for
 the policies whose restricted form is approximate (LFU, hyperbolic) it also
-verifies that every divergence is explained by a metric tie.
+asks `has_metric_tie` to explain each divergence, which cannot fail yet: it
+has found a tie in every sequence tried (ROADMAP item 14).
 """
 
 from __future__ import annotations
@@ -324,7 +325,8 @@ def has_metric_tie(
     (for hyperbolic, scores within one quantisation unit of each other, which
     is the zone where integer scores can disagree with the exact ratios), two
     live elements of one set holding equal counts after any LFU access, and a
-    non-unique metric minimum at any reference eviction.
+    non-unique metric minimum at any reference eviction.  It has returned
+    True for every LFU and hyperbolic sequence tried (ROADMAP item 14).
     """
     engine = _fresh_engine(policy, k, d, integer_factor)
     reference = ReferenceCache(policy, k, d)
@@ -372,7 +374,9 @@ def exhaustive_check(
 
     Sequences are explored as a prefix tree, so each prefix is evaluated once;
     once a prefix diverges, every extension is divergent as well and the
-    subtree is counted without being walked.
+    subtree is counted without being walked.  Every figure counts sequences.
+    For LFU and hyperbolic, ``untagged_divergences`` has not yet been seen
+    above 0, since ``has_metric_tie`` ties every sequence (ROADMAP item 14).
     """
     if alphabet_size < 1 or max_len < 1:
         raise ValueError("alphabet_size and max_len must be >= 1")
@@ -385,31 +389,27 @@ def exhaustive_check(
             raise ValueError(f"enumeration of more than {_MAX_ENUMERATION_NODES} "
                              "sequences is too large")
 
-    checked = 0
     divergent = 0
     untagged = 0
     first_divergence: tuple[int, ...] | None = None
     first_dump: str | None = None
 
-    def subtree_count(depth: int) -> int:
-        return sum(alphabet_size**j for j in range(0, max_len - depth + 1))
-
     def walk(engine: PolicyEngine, reference: ReferenceCache, path: tuple[int, ...]) -> None:
-        nonlocal checked, divergent, untagged, first_divergence, first_dump
+        nonlocal divergent, untagged, first_divergence, first_dump
         for key in range(1, alphabet_size + 1):
             eng = engine.clone()
             ref = reference.clone()
             hit_e = eng.fetch(key)[0]
             hit_r = ref.fetch(key)[0]
             seq = path + (key,)
-            checked += 1
             if hit_e != hit_r:
                 # every extension of a divergent prefix diverges too; a tie
                 # seen while replaying the prefix is seen by every extension,
-                # so the prefix alone is classified
-                divergent += subtree_count(len(seq))
+                # so the prefix alone is classified for its whole subtree
+                subtree = sum(alphabet_size**j for j in range(max_len - len(seq) + 1))
+                divergent += subtree
                 if not has_metric_tie(policy, k, d, seq, integer_factor):
-                    untagged += 1
+                    untagged += subtree
                 if first_divergence is None:
                     first_divergence = seq
                     first_dump = _dump_states(eng, ref)
@@ -424,7 +424,7 @@ def exhaustive_check(
         d=d,
         alphabet_size=alphabet_size,
         max_len=max_len,
-        sequences_checked=checked,
+        sequences_checked=nodes,
         divergent_sequences=divergent,
         untagged_divergences=untagged,
         first_divergence=first_divergence,

@@ -31,6 +31,7 @@ FORMAT_ARC = "arc"
 _ZIPF_CHUNK = 1 << 16  # uniform draws per chunk of a generated trace
 _BLOCK_CHARS = 1 << 16  # characters read per block of a parsed trace
 _BLOCK_ROWS = 1 << 12  # rows per block of a parsed CSV trace
+KEY_LIMIT = 1 << 32  # keys are stored as 4-byte unsigned ints
 
 
 class TraceFormatError(ValueError):
@@ -54,6 +55,8 @@ class ZipfSpec:
     def __post_init__(self) -> None:
         if self.N < 1 or self.length < 1:
             raise ValueError("N and length must be >= 1")
+        if self.N >= KEY_LIMIT:
+            raise ValueError(f"N must be below {KEY_LIMIT}, got {self.N}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         _check_exponent(self.s)
@@ -66,9 +69,8 @@ class ZipfSpec:
 class Trace:
     """A replayable sequence of keyed accesses plus its provenance.
 
-    ``keys`` is an ``array.array`` of unsigned keys: typecode ``'I'`` (4 bytes
-    per event) while the key bound is below 2**32, ``'Q'`` (8 bytes) from
-    there on; see ``key_typecode``.  Iterating it yields plain ints.
+    ``keys`` is an ``array('I')``, 4 bytes per event, so ``ZipfSpec`` refuses
+    ``N >= KEY_LIMIT`` and ``parse_trace`` a file of that many distinct keys.
     ``max_key`` bounds the keys: the universe ``N`` of a generated trace, the
     number of distinct keys of a parsed one.
     """
@@ -78,17 +80,6 @@ class Trace:
     max_key: int
     seed: int | None = None
     generator: str | None = None
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.keys)
-
-
-def key_typecode(max_key: int) -> str:
-    """The narrowest ``array`` typecode that holds keys up to ``max_key``."""
-    return "I" if max_key < (1 << 32) else "Q"
 
 
 @lru_cache(maxsize=8)
@@ -122,14 +113,13 @@ def generate_zipf(spec: ZipfSpec) -> Trace:
     cdf = _zipf_cdf(spec.N, float(spec.s))
     total = cdf[-1]
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    keys = array(key_typecode(spec.N))
-    dtype = np.dtype(keys.typecode)
+    keys = array("I")
     for start in range(0, spec.length, _ZIPF_CHUNK):
         draws = rng.random(min(_ZIPF_CHUNK, spec.length - start))
         draws *= total
         ranks = np.searchsorted(cdf, draws, side="left")
         ranks += 1
-        keys.frombytes(ranks.astype(dtype).tobytes())
+        keys.frombytes(ranks.astype(np.uint32).tobytes())
     return Trace(
         keys=keys,
         source=spec.describe(),
@@ -244,13 +234,14 @@ def parse_trace(path: str, format: str = FORMAT_PLAIN, key_column: str = "key") 
     remap table, never the whole text.  Each block of lines is converted with
     one ``map(int)`` and remapped with one ``map`` over the remap table, whose
     missing keys take the next dense id; only a block with a blank or bad line
-    is parsed line by line.
+    is parsed line by line.  A block that brings the distinct keys to
+    ``KEY_LIMIT`` raises ``TraceFormatError``.
     """
     if format not in (FORMAT_PLAIN, FORMAT_CSV, FORMAT_ARC):
         raise TraceFormatError(f"unknown trace format {format!r}")
     ids = defaultdict(count(1).__next__)  # raw key -> dense id, in first-seen order
     remap = ids.__getitem__
-    keys = array(key_typecode(0))
+    keys = array("I")
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             if format == FORMAT_CSV:
@@ -259,8 +250,8 @@ def parse_trace(path: str, format: str = FORMAT_PLAIN, key_column: str = "key") 
                 blocks = _line_blocks(fh)
             for first, cells in blocks:
                 block = list(map(remap, _block_keys(cells, first, path, format)))
-                if key_typecode(len(ids)) != keys.typecode:
-                    keys = array(key_typecode(len(ids)), keys)
+                if len(ids) >= KEY_LIMIT:
+                    raise TraceFormatError(f"{path}: more than {KEY_LIMIT - 1} distinct keys")
                 keys.fromlist(block)
     except UnicodeDecodeError as exc:
         raise TraceFormatError(

@@ -158,7 +158,7 @@ class TestTwoRegion:
         sliced = sliced_reference(*regions, universe, "tinylfu")
         batch = ReferenceMultiCache(*regions, universe, "tinylfu")
         differences = 0
-        for i, key in enumerate(trace):
+        for i, key in enumerate(trace.keys):
             result = cache.fetch(key)
             assert result == sliced.fetch(key), f"event {i} (key {key}) diverges"
             differences += result != batch.fetch(key)

@@ -74,6 +74,37 @@ class TestRunExperiment:
         with pytest.raises(AssertionError, match=rf"cost .* on key {key}$"):
             harness._replay_restricted(cache, [3, 7, 7])
 
+    def test_two_region_operation_totals(self):
+        # a twin of the cache classifies each packet as c06 does: a miss grows
+        # the window's live keys when the window absorbs it, and otherwise its
+        # window victim meets the main region, admitted or not
+        k_w, k_m = 2, 4
+        cfg = ExperimentConfig(
+            engine="restricted",
+            cache=CacheSpec(policy="lru", k=k_m, d=4, window_policy="fifo",
+                            k_w=k_w, d_w=2, filter="tinylfu"),
+            zipf=ZipfSpec(N=200, s=0.9, length=3000, seed=12),
+        )
+        trace = harness.load_trace(cfg)
+        twin = harness.build_cache(cfg, trace)
+        hits = absorbed = reached_main = 0
+        for key in trace.keys:
+            window_size = len(twin.window.live_keys())
+            if twin.fetch(key)[0]:
+                hits += 1
+            elif len(twin.window.live_keys()) > window_size:
+                absorbed += 1
+            else:
+                reached_main += 1
+        assert hits and absorbed and reached_main
+        report = run_experiment(cfg, trace)
+        assert report.hits == hits
+        assert report.total_tcam == 2 * report.events
+        reads = hits + absorbed * (1 + 2 * k_w) + reached_main * (2 + 2 * k_w + 2 * k_m)
+        assert report.total_reads == report.total_writes == reads
+        assert (report.max_tcam, report.max_reads, report.max_writes) == \
+            (2, 2 + 2 * k_w + 2 * k_m, 2 + 2 * k_w + 2 * k_m)
+
     def test_reference_reports_no_ops(self, tmp_path):
         path = plain_trace(tmp_path, [1, 2, 3])
         cfg = ExperimentConfig(engine="reference", cache=single(), trace_path=path)
@@ -384,12 +415,12 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, expected", [
         (["check", "--policy", "lfu", "--k", "2", "--d", "1", "--alphabet", "4", "--max-len", "6"],
-         "[OK] lfu k=2 d=1 alphabet=4 len<=6: 3924 sequences, 2112 divergent, 0 unexplained\n"
+         "[OK] lfu k=2 d=1 alphabet=4 len<=6: 5460 sequences, 2112 divergent, 0 unexplained\n"
          "first divergence: [1, 1, 2, 2, 3, 1]\n"
          "  engine set 0: [(key=3, scn=1), (key=1, scn=2)]\n"
          "  reference sets: [[2, 1]]\n"),
         (["check", "--policy", "hyperbolic", "--k", "3", "--d", "1", "--alphabet", "4", "--max-len", "7"],
-         "[OK] hyperbolic k=3 d=1 alphabet=4 len<=7: 21652 sequences, 384 divergent, 0 unexplained\n"
+         "[OK] hyperbolic k=3 d=1 alphabet=4 len<=7: 21844 sequences, 384 divergent, 0 unexplained\n"
          "first divergence: [1, 1, 2, 3, 4, 1]\n"
          "  engine set 0: [(key=4, scn=327681), (key=3, scn=262145), (key=1, scn=65539)]\n"
          "  reference sets: [[3, 4, 1]]\n"),
@@ -500,14 +531,24 @@ class TestCli:
             "error: enumeration of more than 5000000 sequences is too large\n"
 
     def test_unbuildable_zipf_universe_is_an_error_line(self, monkeypatch, capsys):
-        # stands in for the 37.3 GiB rank table of N = 5e9; nothing is allocated
+        # stands in for the 29.8 GiB rank table of N = 4e9; nothing is allocated
         def out_of_memory(N, s):
-            raise MemoryError("Unable to allocate 37.3 GiB for an array with shape "
-                              "(5000000000,) and data type float64")
+            raise MemoryError("Unable to allocate 29.8 GiB for an array with shape "
+                              "(4000000000,) and data type float64")
 
         monkeypatch.setattr(traces, "_zipf_cdf", out_of_memory)
         assert main(["run", "--policy", "lru", "--km", "4", "--dm", "4",
-                     "--zipf-n", "5000000000", "--zipf-s", "0.99", "--zipf-len", "10"]) == 1
+                     "--zipf-n", "4000000000", "--zipf-s", "0.99", "--zipf-len", "10"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "37.3 GiB" in err
+        assert err.startswith("error: ") and "29.8 GiB" in err
         assert "Traceback" not in err
+
+    def test_key_universe_of_two_to_the_32_is_an_error_line(self, monkeypatch, capsys):
+        # refused before any rank table is built
+        def no_table(N, s):
+            raise AssertionError(f"built a rank table of {N} keys")
+
+        monkeypatch.setattr(traces, "_zipf_cdf", no_table)
+        assert main(["run", "--policy", "lru", "--km", "4", "--dm", "4",
+                     "--zipf-n", "4294967296", "--zipf-s", "0.99", "--zipf-len", "10"]) == 1
+        assert capsys.readouterr().err == "error: N must be below 4294967296, got 4294967296\n"

@@ -124,16 +124,17 @@ def test_lazy_normalisation_matches_the_eager_sweep_at_the_tcam_limit(policy, sc
     assert_lazy_matches_eager(policy, layout, skewed_keys(rng, 1500 * d, 200 * d))
 
 
-@pytest.mark.parametrize("scn_bits", [4, 6])
+@pytest.mark.parametrize("scn_bits, k", [pytest.param(4, 4, id="4"), pytest.param(6, 4, id="6"),
+                                         pytest.param(4, 1, id="4-k1")])
 @pytest.mark.parametrize("policy", POLICIES)
-def test_no_packet_charges_region_wide_extra_ops(policy, scn_bits):
+def test_no_packet_charges_region_wide_extra_ops(policy, scn_bits, k):
     """Clock restarts fire, and no packet pays for a sweep of the region: FIFO,
     LRU and LFU charge no extra op, and hyperbolic only its 2k log lookups on
-    a miss."""
+    a miss, none at k = 1, where the fold is skipped."""
     engine = checked(make_engine(policy, LayoutConfig(key_bits=8, value_bits=8,
-                                                      scn_bits=scn_bits, k=4, d=4)))
+                                                      scn_bits=scn_bits, k=k, d=4)))
     counter = engine.store.counter
-    extra_on_miss = 2 * engine.layout.k if policy == "hyperbolic" else 0
+    extra_on_miss = (2 * k if k > 1 else 0) if policy == "hyperbolic" else 0
     restarts = 0
     for i, key in enumerate(skewed_keys(random.Random(2718), 3000, 61)):
         clock = engine_clock(engine)

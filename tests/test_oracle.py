@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dpcache import oracle
 from dpcache.multiregion import RegionSpec
 from dpcache.oracle import (
     ReferenceCache,
@@ -155,6 +156,18 @@ class TestExhaustiveCheck:
         assert report.untagged_divergences == 0
         assert report.passed
 
+    def test_sequences_checked_counts_the_subtrees_it_skips(self):
+        # 4 + 16 + ... + 4**7 = 21,844 sequences, divergent subtrees included
+        report = exhaustive_check("lfu", k=2, d=1, alphabet_size=4, max_len=7)
+        assert report.sequences_checked == 21_844
+        assert "21844 sequences, 9936 divergent, 0 unexplained" in report.summary()
+
+    def test_unexplained_divergences_count_whole_subtrees(self, monkeypatch):
+        # with no tie ever found, every divergent sequence is unexplained
+        monkeypatch.setattr(oracle, "has_metric_tie", lambda *args: False)
+        report = exhaustive_check("lfu", k=2, d=1, alphabet_size=4, max_len=7)
+        assert report.untagged_divergences == report.divergent_sequences == 9_936
+
     def test_divergence_reporting_fields(self):
         report = exhaustive_check("lfu", k=2, d=1, alphabet_size=4, max_len=6)
         if report.divergent_sequences:
@@ -274,7 +287,7 @@ GOLDEN_PAIRS = {
 # Sets wider than 4 ways that fill and evict: 400 Zipf(0.8) keys over at
 # most 64 ways per set.  Each pair runs with the filter, window (4, 4) and
 # main (16, 4).
-WIDE_KEYS = list(generate_zipf(ZipfSpec(N=400, s=0.8, length=20_000, seed=4343)))
+WIDE_KEYS = generate_zipf(ZipfSpec(N=400, s=0.8, length=20_000, seed=4343)).keys.tolist()
 WIDE_SINGLE = {
     ("fifo", 64, 1): ("23e52b015fd75fc8fa63bdba57fabb1919693879d4d299b27f3d37c866342860", False),
     ("fifo", 16, 4): ("ee79ba05c2c1c1e5fde20d9ebe589a5bf9b3728e074087c9507edc6dc58b9ba2", False),

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import random
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -50,27 +51,30 @@ def keys_digest(keys) -> str:
 @pytest.mark.parametrize("n, length", sorted(ZIPF_PINS))
 def test_generate_zipf_stream_pinned(n, length):
     trace = generate_zipf(ZipfSpec(N=n, s=0.99, length=length, seed=11))
-    assert len(trace) == length
+    assert len(trace.keys) == length
     assert keys_digest(trace.keys) == ZIPF_PINS[n, length]
 
 
 def test_key_storage_is_four_bytes_below_two_to_the_32():
-    assert traces.key_typecode(2**32 - 1) == "I"
-    assert traces.key_typecode(2**32) == "Q"
     trace = generate_zipf(ZipfSpec(N=1000, s=0.99, length=100, seed=1))
     assert trace.keys.typecode == "I" and trace.keys.itemsize == 4
 
 
-def test_parsed_keys_widen_when_the_ids_need_it(tmp_path):
-    # with the 'Q' threshold moved down to 3 ids, the third distinct key,
-    # met in the second block, widens the keys parsed so far
+def test_parse_refuses_the_block_that_brings_key_limit_distinct_keys(tmp_path):
+    # with the limit moved down to 3, two distinct keys parse, and the third,
+    # met in the second block, is refused there, naming the file
     path = tmp_path / "t.trace"
-    path.write_text("70\n80\n70\n90\n80\n")
-    with mock.patch.object(traces, "key_typecode", lambda n: "I" if n < 3 else "Q"), \
-            mock.patch.object(traces, "_BLOCK_CHARS", 6):
+    path.write_text("70\n80\n70\n")
+    with mock.patch.object(traces, "KEY_LIMIT", 3):
         trace = parse_trace(str(path))
-    assert trace.keys.typecode == "Q"
-    assert trace.keys.tolist() == [1, 2, 1, 3, 2]
+    assert (trace.keys.typecode, trace.keys.tolist(), trace.max_key) == ("I", [1, 2, 1], 2)
+    path.write_text("70\n80\n70\n90\n80\n")
+    with mock.patch.object(traces, "KEY_LIMIT", 3), \
+            mock.patch.object(traces, "_BLOCK_CHARS", 6), \
+            mock.patch.object(traces, "_block_keys", wraps=traces._block_keys) as by_block:
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path))}: more than 2 distinct keys$"):
+            parse_trace(str(path))
+    assert [call.args[1] for call in by_block.call_args_list] == [1, 3]
 
 
 # -- the whole-text parser the streaming one replaces ------------------------
@@ -202,18 +206,15 @@ def test_csv_rows_may_end_in_a_bare_cr(tmp_path):
 def test_fallback_block_shares_the_ids_of_the_clean_blocks(tmp_path):
     # three blocks of four 3-character lines; the middle one holds a blank
     # line, so only it is parsed line by line.  Keys repeat across all three,
-    # the second and fourth distinct keys are new in the middle block, where
-    # the 'Q' threshold (moved down to 3 ids) falls, and the fifth is new in
-    # the last block, so its id shows whether the fallback's ids advanced the
-    # shared counter
+    # the third and fourth distinct keys are new in the middle block, and the
+    # fifth is new in the last block, so its id shows whether the fallback's
+    # ids advanced the shared counter
     path = tmp_path / "t.trace"
     path.write_text("10\n20\n10\n20\n" "30\n  \n20\n40\n" "50\n10\n30\n50\n")
-    with mock.patch.object(traces, "key_typecode", lambda n: "I" if n < 3 else "Q"), \
-            mock.patch.object(traces, "_BLOCK_CHARS", 12), \
+    with mock.patch.object(traces, "_BLOCK_CHARS", 12), \
             mock.patch.object(traces, "_parse_lines", wraps=traces._parse_lines) as by_line:
         trace = parse_trace(str(path))
     assert [call.args[1] for call in by_line.call_args_list] == [5]  # the middle block only
-    assert trace.keys.typecode == "Q"
     assert (trace.keys.tolist(), trace.max_key) == whole_text_parse(str(path), "plain")
     assert trace.keys.tolist() == [1, 2, 1, 2, 3, 2, 4, 5, 1, 3, 5]
 
@@ -257,5 +258,5 @@ def test_parse_trace_peak_memory(tmp_path):
     traces._zipf_cdf.cache_clear()
     result = []
     peak = traced_peak_mb(lambda: result.append(parse_trace(str(path))))
-    assert len(result[0]) == 200_000 and result[0].max_key == 50_000
+    assert len(result[0].keys) == 200_000 and result[0].max_key == 50_000
     assert peak <= 12, f"parse_trace peaked at {peak:.1f} MB"

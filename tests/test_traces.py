@@ -83,13 +83,18 @@ class TestGenerateZipf:
         assert trace.generator == "numpy-pcg64"
         assert trace.seed == 4
         assert "zipf" in trace.source
-        assert len(list(trace)) == 10
+        assert len(trace.keys) == 10
 
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError):
             ZipfSpec(N=0, s=1.0, length=10, seed=1)
         with pytest.raises(ValueError):
             ZipfSpec(N=10, s=0.0, length=10, seed=1)
+
+    def test_rejects_a_universe_of_two_to_the_32_keys(self):
+        with pytest.raises(ValueError, match=r"^N must be below 4294967296, got 4294967296$"):
+            ZipfSpec(N=2**32, s=0.99, length=10, seed=1)
+        assert ZipfSpec(N=2**32 - 1, s=0.99, length=10, seed=1).N == 2**32 - 1
 
     @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_exponent(self, s):
