@@ -154,13 +154,11 @@ class RegisterStore:
     def write_set_raw(self, h: int, rows: list[list[int]], victim: int | None = None) -> None:
         """Whole-set write: ``rows`` becomes set ``h``, without a copy.
 
-        ``victim`` commits a miss's in-place edit of the set's own rows: it
-        is the key the edit took out (0 for an empty way), and the key at way
-        0 is the one that entered, so the key index changes by those two keys
-        and no key row is scanned.  An admission overrule, which puts the
-        fold's victim back at way 0, passes the refused candidate: it leaves,
-        and the fold's victim re-enters.  Without ``victim`` the key index of
-        set ``h`` is rebuilt from ``rows``.
+        ``victim`` commits a miss (``PolicyEngine.admit``): it is the key that
+        left the set (0 for an empty way), and the key at way 0 entered it.
+        After an admission overrule these are the refused candidate and the
+        fold's victim, put back.  The key index changes by those two keys and
+        no key row is scanned; without ``victim`` it is rebuilt from ``rows``.
 
         Trusts the caller to preserve element invariants; the tests
         re-validate every written set and its key index, and check that

@@ -1,11 +1,13 @@
 """Two-region cache (window + main) with an optional counting admission filter.
 
 New keys enter the window region; the window's eviction victim contends for a
-slot in the main region.  Without a filter the main region's own victim is
-evicted unconditionally.  With the filter, the candidate admitted at main way
-0 is compared against the main fold's victim by recent access frequency, and
-the main victim is restored (overwriting the newcomer) if it has the strictly
-higher count — so a rejected window victim is the element that actually leaves.
+slot in the main region.  Each region takes a key through its engine's
+``admit``.  Without a filter the main region's own victim is evicted
+unconditionally.  With the filter, ``admit`` runs the contest: the candidate
+admitted at main way 0 is compared against the main fold's victim by recent
+access frequency, and the main victim is restored (overwriting the newcomer)
+if it has the strictly higher count — so a rejected window victim is the
+element that actually leaves.
 The restored victim keeps way 0, the newcomer's slot: an LRU main orders its
 ways by SCN, so nothing changes there, but in a FIFO main way 0 is the newest
 slot, so an oldest element that wins a contest gets a second chance where
@@ -163,11 +165,8 @@ class MultiRegionCache:
         self.window = engine(window)
         self.main = engine(main)
         if filter == FILTER_TINYLFU:
-            self.filter: CountingFilter | None = CountingFilter(
-                key_universe,
-                aging_window(window.capacity + main.capacity),
-                counter=self.counter,
-            )
+            epoch = aging_window(window.capacity + main.capacity)
+            self.filter: CountingFilter | None = CountingFilter(key_universe, epoch, counter=self.counter)
         else:
             self.filter = None
 
@@ -178,32 +177,21 @@ class MultiRegionCache:
         if flt is not None:
             flt.record_access(key)
 
-        h_main = key % self.main.layout.d
-        h_window = key % self.window.layout.d
-        way_main = self.main.store.ternary_lookup(h_main, key)
-        way_window = self.window.store.ternary_lookup(h_window, key)
-        if way_main != MISS:
-            return self.main.serve_hit(h_main, way_main)
-        if way_window != MISS:
-            return self.window.serve_hit(h_window, way_window)
-
         window, main = self.window, self.main
-        window_victim, rows = window.insert_pending_raw(h_window, (key, window._initial_scn()))
-        victim_key = window_victim[0]
-        window.store.write_set_raw(h_window, rows, victim_key)
-        if not victim_key:
-            return False, None
+        h_main = key % main.d
+        h_window = key % window.d
+        way_main = main.store.ternary_lookup(h_main, key)
+        way_window = window.store.ternary_lookup(h_window, key)
+        if way_main != MISS:
+            return main.serve_hit(h_main, way_main)
+        if way_window != MISS:
+            return window.serve_hit(h_window, way_window)
 
-        h2 = victim_key % main.layout.d
-        main_victim, rows = main.insert_pending_raw(h2, (victim_key, main._initial_scn()))
-        evicted = main_victim[0]
-        if evicted and flt is not None and flt.count(evicted) > flt.count(victim_key):
-            # admission denied: the fold's victim keeps its slot at way 0 and
-            # the window victim is the element that leaves the cache
-            for row, x in zip(rows, main_victim):
-                row[0] = x
-            evicted = victim_key
-        # the set's key index loses ``evicted`` and gains the key at way 0:
-        # the window victim, or after an overrule the fold's victim put back
-        main.store.write_set_raw(h2, rows, evicted)
-        return False, evicted or None
+        victim = window.admit(h_window, key)
+        if victim is None:
+            return False, None
+        return False, main.admit(victim % main.d, victim, None if flt is None else self._rejects)
+
+    def _rejects(self, candidate: int, incumbent: int) -> bool:
+        """The admission contest: the main victim stays on a strictly higher count."""
+        return self.filter.count(incumbent) > self.filter.count(candidate)

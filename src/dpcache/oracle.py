@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import LayoutConfig
 from .multiregion import FILTER_TINYLFU, CountingFilter, RegionSpec, aging_window, check_composition
@@ -34,9 +35,9 @@ class ReferenceCache:
     ``fetch`` returns (hit, evicted_key).  Every policy answers to three
     hooks: ``_touch(h, key)`` serves a hit and is False on a miss,
     ``victim(h)`` names the key set ``h`` would evict now, and ``_insert(h,
-    key, victim)`` places a missed key after evicting that victim, and
-    returns it.  The base ``fetch`` runs them, and
-    ``ReferenceMultiCache`` composes them; LRU serves ``fetch`` in one body
+    key, victim)`` places a missed key after evicting that victim.  The miss
+    path, ``admit``, runs the last two; the base ``fetch`` and both regions
+    of ``ReferenceMultiCache`` call it, and LRU serves ``fetch`` in one body
     over its ordered set.  ``tie_seen`` latches when the key an eviction
     picks shares the minimal metric with another key of its set (LFU equal
     frequencies, hyperbolic equal exact priorities); a tie between keys that
@@ -67,7 +68,16 @@ class ReferenceCache:
         h = key % self.d
         if self._touch(h, key):
             return True, None
-        return False, self._insert(h, key, self.victim(h))
+        return False, self.admit(h, key)
+
+    def admit(self, h: int, key: int, rejects: Callable[[int, int], bool] | None = None) -> int | None:
+        """The miss path: return the key that leaves set ``h``, or None.  A full set
+        whose ``rejects(key, victim)`` holds is left as it was, and ``key`` leaves."""
+        victim = self.victim(h)
+        if victim is not None and rejects is not None and rejects(key, victim):
+            return key
+        self._insert(h, key, victim)
+        return victim
 
     def victim(self, h: int) -> int | None:
         """The key this set would evict now, or None while it has room."""
@@ -96,12 +106,11 @@ class _OrderedReference(ReferenceCache):
     def _victim_of(self, s: OrderedDict) -> int:
         return next(iter(s))
 
-    def _insert(self, h: int, key: int, victim: int | None) -> int | None:
+    def _insert(self, h: int, key: int, victim: int | None) -> None:
         s = self.sets[h]
         if victim is not None:
             del s[victim]
         s[key] = None
-        return victim
 
 
 class _FifoReference(_OrderedReference):
@@ -147,12 +156,11 @@ class _RecordReference(ReferenceCache):
     def _copy_set(s: dict) -> dict:
         return {k: list(v) for k, v in s.items()}
 
-    def _insert(self, h: int, key: int, victim: int | None) -> int | None:
+    def _insert(self, h: int, key: int, victim: int | None) -> None:
         s = self.sets[h]
         if victim is not None:
             del s[victim]
         s[key] = [1, self.seq]
-        return victim
 
 
 class _LfuReference(_RecordReference):
@@ -245,29 +253,24 @@ class ReferenceMultiCache:
 
     def fetch(self, key: int) -> tuple[bool, int | None]:
         if not 1 <= key < self.key_universe:
-            raise ValueError(f"key {key} outside universe")
+            raise ValueError(f"key {key} outside universe [1, {self.key_universe})")
         flt = self.filter
         if flt is not None:
             flt.record_access(key)
 
-        self.main.seq += 1
-        self.window.seq += 1
-        if self.main._touch(key % self.main.d, key):
+        window, main = self.window, self.main
+        main.seq += 1
+        window.seq += 1
+        if main._touch(key % main.d, key) or window._touch(key % window.d, key):
             return True, None
-        if self.window._touch(key % self.window.d, key):
-            return True, None
-
-        h = key % self.window.d
-        window_victim = self.window._insert(h, key, self.window.victim(h))
-        if window_victim is None:
+        victim = window.admit(key % window.d, key)
+        if victim is None:
             return False, None
-        h2 = window_victim % self.main.d
-        main_victim = self.main.victim(h2)
-        if (main_victim is not None and flt is not None
-                and flt.count(main_victim) > flt.count(window_victim)):
-            # admission denied; the window victim leaves the cache entirely
-            return False, window_victim
-        return False, self.main._insert(h2, window_victim, main_victim)
+        return False, main.admit(victim % main.d, victim, None if flt is None else self._rejects)
+
+    def _rejects(self, candidate: int, incumbent: int) -> bool:
+        """The admission contest: the main victim stays on a strictly higher count."""
+        return self.filter.count(incumbent) > self.filter.count(candidate)
 
 
 # ---------------------------------------------------------------------------

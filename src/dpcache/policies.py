@@ -7,8 +7,9 @@ through the remaining ways as a "candidate" with a fixed, unrolled sequence of
 compare-and-swap steps.  The element carried out of the last way is the
 victim; an all-zero victim means an empty way absorbed the insertion.
 
-One fetch path and one hit path serve all four policies, which differ only
-in how they set the SCN word; ``PolicyEngine`` lists the six hooks that say it.
+One fetch path, one hit path and one miss path (``admit``) serve all four
+policies, which differ only in how they set the SCN word; ``PolicyEngine``
+lists the six hooks that say it.
 
 A miss edits the set's own key and SCN rows in place and writes them back.
 A fetch returns ``(hit, evicted_key)``, the shape the reference caches
@@ -33,7 +34,7 @@ POLICIES = ("fifo", "lru", "lfu", "hyperbolic")
 
 
 class PolicyEngine:
-    """Base engine: storage wiring, the fetch skeleton, the hit path and the fold driver.
+    """Base engine: storage wiring, the fetch skeleton, the hit and miss paths, the fold driver.
 
     Subclasses make no store call on a fetch; their hooks only say how the
     SCN is set on an insert and on a hit, and what row the fold compares.
@@ -92,24 +93,34 @@ class PolicyEngine:
         return True, None
 
     def fetch(self, key: int) -> tuple[bool, int | None]:
-        store = self.store
         h = key % self.d
-        way = store.ternary_lookup(h, key)
+        way = self.store.ternary_lookup(h, key)
         if way != MISS:
             return self.serve_hit(h, way)
+        return False, self.admit(h, key)
+
+    def admit(self, h: int, key: int, rejects: Callable[[int, int], bool] | None = None) -> int | None:
+        """The one miss path: insert ``key`` into set ``h``, return the key that leaves or None.
+
+        If the fold carries out a live key and ``rejects(key, victim)`` holds,
+        the victim goes back to way 0 and ``key`` leaves instead; one
+        ``write_set_raw`` commits the set either way.
+        """
         victim, rows = self.insert_pending_raw(h, (key, self._initial_scn()))
-        victim_key = victim[0]
-        store.write_set_raw(h, rows, victim_key)
-        return False, victim_key or None
+        evicted = victim[0]
+        if evicted and rejects is not None and rejects(key, evicted):
+            rows[0][0], rows[SCN_FIELD][0] = victim
+            evicted = key
+        self.store.write_set_raw(h, rows, evicted)
+        return evicted or None
 
     def insert_pending_raw(self, h: int, way: tuple[int, int]) -> tuple[tuple[int, int], list[list[int]]]:
         """Insert at way 0 and run the eviction fold in the set's own rows.
 
-        Returns (victim way, the edited field rows).  The caller commits the
-        rows with ``write_set_raw`` — split out so an admission filter can
-        overrule the fold before the single end-of-pipeline set write.
-        Each of the k fold/insert steps reads and writes auxiliary registers
-        (candidate and keys registers), which is accounted here.
+        Returns (victim way, the edited field rows), which ``admit`` commits
+        with ``write_set_raw``.  Each of the k fold/insert steps reads and
+        writes auxiliary registers (candidate and keys registers), which is
+        accounted here.
 
         Only LFU defines ``_age`` and only hyperbolic ``_metric``; FIFO and
         LRU fold over the SCN row with no hook call.  The key and SCN rows

@@ -250,13 +250,14 @@ def test_c06_op_count_model():
 
     cache = MultiRegionCache(RegionSpec("fifo", 4, 4), RegionSpec("lru", 8, 8), 513, "tinylfu")
     flt = cache.filter
-    hit_region_ops = 0
+    hit_region_ops = contests = age_steps = 0
     for key in packets:
         window_size = len(cache.window.live_keys())
         cache.counter.reset()
-        hit = cache.fetch(key)[0]
+        hit, evicted = cache.fetch(key)
         c = cache.counter
         ops = (c.tcam_matches, c.register_reads, c.register_writes)
+        contest = False
         if hit:
             assert ops == (2, 1, 1)
             hit_region_ops += 1
@@ -264,17 +265,24 @@ def test_c06_op_count_model():
             assert ops == (2, 1 + 2 * 4, 1 + 2 * 4)  # the window absorbed the miss
         else:
             assert ops == (2, 2 + 2 * 4 + 2 * 8, 2 + 2 * 4 + 2 * 8)  # its victim met main
-        # filter extras: one count bump, up to one aging slice, and at most
-        # two admission-comparison reads per packet
-        assert c.extra_reads <= 1 + 2 + flt.step_size
-        assert c.extra_writes <= 1 + flt.step_size
-    ok = hit_region_ops > 0
-    verdict("6", True,
+            # a key left: the window victim contested the main fold's victim
+            contest = evicted is not None
+        aged = flt.access_counter % flt.aging_stride == 0
+        contests += contest
+        age_steps += aged
+        # filter extras: one count bump, two counter reads per admission
+        # contest, and one aging slice every aging_stride packets
+        assert (c.extra_reads, c.extra_writes) == (
+            1 + 2 * contest + flt.step_size * aged, 1 + flt.step_size * aged)
+    ok = hit_region_ops > 0 and contests > 0 and age_steps > 0
+    verdict("6", ok,
             "hit cost exactly (1 TCAM, 1 read, 1 write) per region model; "
             "miss exactly (1, 1+2k, 1+2k); multi-region hit (2, 1, 1), miss "
             "(2, 1+2k_w, 1+2k_w) or (2, 2+2k_w+2k_m, 2+2k_w+2k_m); "
-            "extras exact per policy over 100k packets x 4 engines, filter "
-            "extras bounded on the two-region cache")
+            "extras exact per policy over 100k packets x 4 engines; filter "
+            f"extras exact on the two-region cache, reads 1 + 2*[contest] + "
+            f"{flt.step_size}*[age step], writes 1 + {flt.step_size}*[age step] "
+            f"({contests} contests, {age_steps} age steps)")
     assert ok
 
 

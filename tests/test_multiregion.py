@@ -40,13 +40,16 @@ class TestConfig:
             assert cache.filter.counter_cap == ref.filter.counter_cap
 
     @pytest.mark.parametrize("build", [MultiRegionCache, ReferenceMultiCache])
-    @pytest.mark.parametrize("universe, filter, message", [
-        (100, "bogus", "^unknown filter 'bogus'$"),
-        (1, "none", "^key_universe must cover at least one live key$"),
-    ], ids=["filter", "universe"])
-    def test_both_compositions_reject_the_same_input(self, build, universe, filter, message):
+    @pytest.mark.parametrize("universe, filter, key, message", [
+        (100, "bogus", 1, "^unknown filter 'bogus'$"),
+        (1, "none", 1, "^key_universe must cover at least one live key$"),
+        (100, "tinylfu", 0, r"^key 0 outside universe \[1, 100\)$"),
+        (100, "tinylfu", 100, r"^key 100 outside universe \[1, 100\)$"),
+    ], ids=["filter", "universe", "key-0", "key-universe"])
+    def test_both_compositions_reject_the_same_input(self, build, universe, filter, key, message):
+        # a bad filter or universe fails the build; a key outside [1, universe) the fetch
         with pytest.raises(ValueError, match=message):
-            build(RegionSpec("lru", 2, 1), RegionSpec("lru", 2, 1), universe, filter)
+            build(RegionSpec("lru", 2, 1), RegionSpec("lru", 2, 1), universe, filter).fetch(key)
 
     def test_each_region_keeps_one_scn_word_per_element(self):
         cache = make_cache(window=("lru", 2, 4), main=("hyperbolic", 4, 8), scn_bits=12)

@@ -120,6 +120,51 @@ class TestReferencePolicies:
                 Fraction(state[ranked][0], now - state[ranked][1])
 
 
+class TestReferenceAdmit:
+    """``admit`` is the reference's miss path, refused as the two-region cache refuses."""
+
+    POLICIES = ["fifo", "lru", "lfu", "hyperbolic"]
+
+    def full_set(self, policy):
+        cache = ReferenceCache(policy, k=3, d=1)
+        replay(cache, [1, 2, 3, 1, 3])
+        return cache
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_refusal_leaves_the_set_and_its_order(self, policy):
+        cache = self.full_set(policy)
+        before = repr(cache.sets[0])  # keys in order, with their records
+        victim = cache.victim(0)
+        asked = []
+
+        def refuse(candidate, incumbent):
+            asked.append((candidate, incumbent))
+            return True
+
+        assert cache.admit(0, 9, refuse) == 9
+        assert asked == [(9, victim)]
+        assert repr(cache.sets[0]) == before
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_acceptance_is_the_fetch_miss(self, policy):
+        cache = self.full_set(policy)
+        twin = cache.clone()
+        expected = twin.fetch(9)[1]
+        assert expected is not None
+        assert cache.admit(0, 9, lambda candidate, incumbent: False) == expected
+        assert list(cache.sets[0]) == list(twin.sets[0])
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_a_set_with_room_asks_nothing(self, policy):
+        cache = ReferenceCache(policy, k=3, d=1)
+
+        def refuse(candidate, incumbent):
+            raise AssertionError("the set has room")
+
+        assert cache.admit(0, 4, refuse) is None
+        assert list(cache.sets[0]) == [4]
+
+
 class TestReferenceMulti:
     def test_batch_halving(self):
         # capacity 2: the epoch is 16 x 2 = 32 accesses

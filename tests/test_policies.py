@@ -343,6 +343,66 @@ class TestOpAccounting:
         assert comparisons == []
 
 
+class TestAdmit:
+    """``admit(h, key, rejects)`` is every miss: ``fetch`` calls it with no
+    ``rejects``, and a two-region cache's main region with its contest."""
+
+    K = 4
+
+    def full_set(self, policy):
+        # keys 2, 4, 6 and 8 fill set 0; hits on 2 and 6 spread the SCNs
+        counter = OpCounter()
+        eng = checked(make_engine(policy, LayoutConfig(k=self.K, d=2), counter=counter))
+        for key in [2, 4, 6, 8, 2, 6]:
+            eng.fetch(key)
+        return eng, counter
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_refusal_puts_the_fold_victim_back_at_way_0(self, policy):
+        k = self.K
+        eng, counter = self.full_set(policy)
+        twin = eng.clone()
+        victim = twin.fetch(10)[1]  # the key an accepting miss evicts
+        before = eng.live_keys()
+        asked = []
+
+        def refuse(candidate, incumbent):
+            asked.append((candidate, incumbent))
+            return True
+
+        counter.reset()
+        assert eng.admit(0, 10, refuse) == 10
+        assert asked == [(10, victim)]
+        assert (counter.tcam_matches, counter.register_reads,
+                counter.register_writes) == (0, 1 + 2 * k, 1 + 2 * k)
+        assert_written(eng)
+        assert eng.live_keys() == before
+        assert eng.store.members[0] == set(eng.store.rows[0][0]) - {0}
+        ways, folded = eng.store.peek_set(0), twin.store.peek_set(0)
+        # the fold ran as on the accepting miss; only way 0 holds the victim
+        assert ways[0][0] == victim and ways[1:] == folded[1:]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_acceptance_is_the_fetch_miss(self, policy):
+        eng, _ = self.full_set(policy)
+        twin = eng.clone()
+        expected = twin.fetch(10)[1]
+        assert expected is not None
+        assert eng.admit(0, 10, lambda candidate, incumbent: False) == expected
+        assert_written(eng)
+        assert eng.dump() == twin.dump()
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_an_empty_way_asks_nothing(self, policy):
+        eng, _ = self.full_set(policy)
+
+        def refuse(candidate, incumbent):
+            raise AssertionError("no live key left the set")
+
+        assert eng.admit(1, 1, refuse) is None
+        assert 1 in eng.live_keys()
+
+
 class TestHitPathIsolation:
     @pytest.mark.parametrize("policy", ["lru", "lfu"])
     def test_hit_touches_only_the_hit_elements_scn(self, policy):
