@@ -9,9 +9,10 @@ two field rows, keys and SCNs, checked against their widths.  Membership is
 one ternary (TCAM-style) comparison, whose cost does not grow with ``k``: the
 store keeps each set's live keys in a hash set beside its rows, so a miss is
 one hash probe and a hit one search of the key row for its way.
-A way travels as a ``(key, scn)`` pair, the only form the store hands out.
-A hit reads one way and writes its SCN word back, changed or not.  No packet
-sweeps the region: a set is normalised when a packet next reaches it.
+A miss edits a set's rows in place and commits them with one write naming
+the key that left.  A hit reads one ``(key, scn)`` way and writes its SCN
+word back, changed or not.  No packet sweeps the region: a set is
+normalised when a packet next reaches it.
 Each region of a multi-region cache is its own store, so a way only carries
 the SCN word of the region holding it.
 
@@ -104,17 +105,18 @@ class RegisterStore:
     ``rows[h]`` is ``[keys, scns]``, each a list of ``k`` ints, way 0 first;
     the rows are the storage, and a way is the pair ``(key, scn)``.
     ``members[h]`` indexes set ``h``'s live keys, always
-    ``set(rows[h][0]) - {0}``; only ``write_set_raw`` and ``clone`` change
-    it.  A lookup that misses is one probe of it, and one that hits searches
-    the key row once for the way.  Field widths are checked where a field
-    enters the store: ``ternary_lookup`` checks the probed key,
-    ``write_way_field`` the SCN, and ``_check_rows`` (after every
-    ``normalise``) the whole set, with its distinct live keys.
+    ``set(rows[h][0]) - {0}``; a miss's ``write_set_raw`` swaps two keys in
+    it, and ``clone`` copies it.  A lookup that misses is one probe of it,
+    and one that hits searches the key row once for the way.  Field widths
+    are checked where a field enters the store: ``ternary_lookup`` checks
+    the probed key, ``write_way_field`` the SCN, and ``_check_rows`` (after
+    every ``normalise``) the whole set, with its distinct live keys.
 
     ``epochs[h]`` is the engine epoch set ``h`` was last normalised at: an
     engine that reads a stale set has ``normalise`` rewrite it first, in the
     same access.  ``peak_live``, the most live keys any set has held, rises
-    in ``write_set_raw``; no key is ever deleted, so it is the most held now.
+    when an empty way takes a miss; no key is ever deleted, so it is the
+    most held now.
 
     ``read_set_raw``/``write_set_raw`` model whole-set register accesses and
     are the unit of the operation accounting: a miss edits the set's own
@@ -151,29 +153,20 @@ class RegisterStore:
         self.counter.register_reads += 1
         return self.rows[h]
 
-    def write_set_raw(self, h: int, rows: list[list[int]], victim: int | None = None) -> None:
-        """Whole-set write: ``rows`` becomes set ``h``, without a copy.
+    def write_set_raw(self, h: int, victim: int) -> None:
+        """Whole-set write: commit set ``h`` as ``read_set_raw`` handed it out and a miss edited it.
 
-        ``victim`` commits a miss (``PolicyEngine.admit``): it is the key that
-        left the set (0 for an empty way), and the key at way 0 entered it.
-        After an admission overrule these are the refused candidate and the
-        fold's victim, put back.  The key index changes by those two keys and
-        no key row is scanned; without ``victim`` it is rebuilt from ``rows``.
-
-        Trusts the caller to preserve element invariants; the tests
-        re-validate every written set and its key index, and check that
-        every read is written back, through a store subclass
-        (``tests/checked.py``).
+        ``victim`` is the key that left (0 for an empty way) and the key at
+        way 0 the one that entered; after an admission overrule they are the
+        refused candidate and the fold's victim, put back.  The key index
+        changes by those two keys.  The caller keeps the set's invariants;
+        the tests re-validate every written set and its index, and check that
+        every read is written back, through ``tests/checked.py``.
         """
         self.counter.register_writes += 1
-        self.rows[h] = rows
-        if victim is None:
-            members = self.members[h] = set(rows[0])
-            members.discard(0)
-        else:
-            members = self.members[h]
-            members.discard(victim)
-            members.add(rows[0][0])
+        members = self.members[h]
+        members.discard(victim)
+        members.add(self.rows[h][0][0])
         if not victim and len(members) > self.peak_live:
             self.peak_live = len(members)
 

@@ -391,6 +391,9 @@ def exhaustive_check(
         if nodes > _MAX_ENUMERATION_NODES:
             raise ValueError(f"enumeration of more than {_MAX_ENUMERATION_NODES} "
                              "sequences is too large")
+    engine = _fresh_engine(policy, k, d, integer_factor)
+    if alphabet_size >> engine.layout.key_bits:
+        raise ValueError(f"alphabet_size {alphabet_size} exceeds {engine.layout.key_bits}-bit keys")
 
     divergent = 0
     untagged = 0
@@ -420,7 +423,7 @@ def exhaustive_check(
             if len(seq) < max_len:
                 walk(eng, ref, seq)
 
-    walk(_fresh_engine(policy, k, d, integer_factor), ReferenceCache(policy, k, d), ())
+    walk(engine, ReferenceCache(policy, k, d), ())
     return ExhaustiveReport(
         policy=policy,
         k=k,

@@ -11,11 +11,12 @@ One fetch path, one hit path and one miss path (``admit``) serve all four
 policies, which differ only in how they set the SCN word; ``PolicyEngine``
 lists the six hooks that say it.
 
-A miss edits the set's own key and SCN rows in place and writes them back.
-A fetch returns ``(hit, evicted_key)``, the shape the reference caches
-return: ``evicted_key`` is None on a hit and on a miss that an empty way
-absorbed.  ``dump`` hands out the same ``(key, scn)`` ways; a way's value
-is the key truncated to the value width, so it is neither stored nor read.
+A miss edits the set's own key and SCN rows in place, and one
+``write_set_raw`` naming the key that left commits them.  A fetch returns
+``(hit, evicted_key)``, the shape the reference caches return:
+``evicted_key`` is None on a hit and on a miss that an empty way absorbed.
+``dump`` hands out the same ``(key, scn)`` ways; a way's value is the key
+truncated to the value width, so it is neither stored nor read.
 """
 
 from __future__ import annotations
@@ -103,24 +104,24 @@ class PolicyEngine:
         """The one miss path: insert ``key`` into set ``h``, return the key that leaves or None.
 
         If the fold carries out a live key and ``rejects(key, victim)`` holds,
-        the victim goes back to way 0 and ``key`` leaves instead; one
-        ``write_set_raw`` commits the set either way.
+        the victim goes back to way 0 of the set's rows and ``key`` leaves
+        instead; one ``write_set_raw`` commits the set either way.
         """
-        victim, rows = self.insert_pending_raw(h, (key, self._initial_scn()))
-        evicted = victim[0]
+        evicted, scn = self.insert_pending_raw(h, key, self._initial_scn())
         if evicted and rejects is not None and rejects(key, evicted):
-            rows[0][0], rows[SCN_FIELD][0] = victim
+            keys, scns = self.store.rows[h]
+            keys[0], scns[0] = evicted, scn
             evicted = key
-        self.store.write_set_raw(h, rows, evicted)
+        self.store.write_set_raw(h, evicted)
         return evicted or None
 
-    def insert_pending_raw(self, h: int, way: tuple[int, int]) -> tuple[tuple[int, int], list[list[int]]]:
-        """Insert at way 0 and run the eviction fold in the set's own rows.
+    def insert_pending_raw(self, h: int, key: int, scn: int) -> tuple[int, int]:
+        """Insert ``(key, scn)`` at way 0 and run the eviction fold in the set's own rows.
 
-        Returns (victim way, the edited field rows), which ``admit`` commits
-        with ``write_set_raw``.  Each of the k fold/insert steps reads and
-        writes auxiliary registers (candidate and keys registers), which is
-        accounted here.
+        Returns the ``(key, scn)`` way carried out; ``admit`` commits the
+        edited set with ``write_set_raw``.  Each of the k fold/insert steps
+        reads and writes auxiliary registers (candidate and keys registers),
+        which is accounted here.
 
         Only LFU defines ``_age`` and only hyperbolic ``_metric``; FIFO and
         LRU fold over the SCN row with no hook call.  The key and SCN rows
@@ -142,15 +143,15 @@ class PolicyEngine:
         else:
             victim, skipped = 0, []
         out = keys.pop(victim), scns.pop(victim)
-        keys.insert(0, way[0])
-        scns.insert(0, way[1])
+        keys.insert(0, key)
+        scns.insert(0, scn)
         # the shift put the candidate on each step that kept its element:
         # swap them back, the candidate moves on
         for s in skipped:
             t = s + 1
             keys[s], keys[t] = keys[t], keys[s]
             scns[s], scns[t] = scns[t], scns[s]
-        return out, rows
+        return out
 
     def _fold(self, metric: list[int]) -> tuple[int, list[int]]:
         """The unrolled compare-and-swap fold over old ways 0..k-1.

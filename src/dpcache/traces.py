@@ -38,7 +38,10 @@ class TraceFormatError(ValueError):
     """Raised for malformed trace files."""
 
 
-def _check_exponent(s: float) -> None:
+def _check_zipf(N: int, s: float) -> None:
+    """The universe and exponent checks ``ZipfSpec`` and ``zipf_frequency`` share."""
+    if N >= KEY_LIMIT:
+        raise ValueError(f"N must be below {KEY_LIMIT}, got {N}")
     if not 0 < s < math.inf:
         raise ValueError(f"s must be positive and finite, got {s}")
 
@@ -55,11 +58,9 @@ class ZipfSpec:
     def __post_init__(self) -> None:
         if self.N < 1 or self.length < 1:
             raise ValueError("N and length must be >= 1")
-        if self.N >= KEY_LIMIT:
-            raise ValueError(f"N must be below {KEY_LIMIT}, got {self.N}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        _check_exponent(self.s)
+        _check_zipf(self.N, self.s)
 
     def describe(self) -> str:
         return f"zipf(N={self.N},s={self.s},len={self.length})"
@@ -96,7 +97,7 @@ def zipf_frequency(N: int, l: int, s: float) -> float:
     """Probability of the rank-``l`` key under the rank-frequency law."""
     if not 1 <= l <= N:
         raise ValueError(f"rank {l} outside [1, {N}]")
-    _check_exponent(s)
+    _check_zipf(N, s)
     s = float(s)
     return float(l) ** -s / float(_zipf_cdf(N, s)[-1])
 

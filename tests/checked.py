@@ -6,6 +6,7 @@ its stores run ``_check_rows`` on the set after every ``write_set_raw`` and
 checks a production store leaves to its callers.  After the same writes it
 checks the set's key index, ``members[h] == set(rows[h][0]) - {0}``, which a
 miss's write updates by the key it names and the key at way 0 alone.
+``load_set`` installs a fixture set, with its index, in any store.
 
 A checked store also fails when a set handed out by ``read_set_raw`` is not
 committed by ``write_set_raw`` before its next ``ternary_lookup`` or
@@ -42,8 +43,8 @@ class CheckedStore(RegisterStore):
         self.unwritten = h
         return super().read_set_raw(h)
 
-    def write_set_raw(self, h, rows, victim=None):
-        super().write_set_raw(h, rows, victim)
+    def write_set_raw(self, h, victim):
+        super().write_set_raw(h, victim)
         if h == self.unwritten:
             self.unwritten = None
         self._check_rows(h)
@@ -60,6 +61,20 @@ class CheckedStore(RegisterStore):
         if self.members[h] != live:
             raise AssertionError(f"set {h} indexes keys {sorted(self.members[h])}, "
                                  f"its key row holds {sorted(live)}")
+
+
+def load_set(store, h, rows):
+    """Install the fixture ``rows`` as set ``h`` with its key index and ``peak_live``; returns them.
+
+    A store takes no set from outside, so tests install one here, charging
+    nothing; a checked store re-validates the set.
+    """
+    store.rows[h] = rows
+    store.members[h] = set(rows[0]) - {0}
+    store.peak_live = max(store.peak_live, len(store.members[h]))
+    if isinstance(store, CheckedStore):
+        store._check_rows(h)
+    return rows
 
 
 def check_store(store):

@@ -1,18 +1,19 @@
 """The test helper ``checked`` re-validates every set a store writes.
 
 Run on a single-region engine and on both regions of a two-region cache: a
-duplicate live key or an overwide SCN written through ``write_set_raw`` is
-caught, so is a fault already in the rows when ``write_way_field`` patches
-the set, and so is a set read that is not written back before the store's
-next lookup or read, or, through ``assert_written``, before the replay ends;
-a clone of a checked store writes only its own rows.
+duplicate live key or an overwide SCN that an in-place edit of the rows
+``read_set_raw`` handed out leaves there is caught when ``write_set_raw``
+commits them, so is a fault already in the rows when ``write_way_field``
+patches the set, and so is a set read that is not written back before the
+store's next lookup or read, or, through ``assert_written``, before the
+replay ends; a clone of a checked store writes only its own rows.
 A plain store takes the same writes without a word, which is what leaves
 the check to the helper.
 """
 
 import pytest
 
-from checked import CheckedStore, assert_written, checked
+from checked import CheckedStore, assert_written, checked, load_set
 from dpcache.core import MISS, LayoutConfig, OpCounter, RegisterStore, StorageError
 from dpcache.multiregion import MultiRegionCache, RegionSpec
 from dpcache.policies import POLICIES, make_engine
@@ -42,10 +43,14 @@ FAULTS = [
 def test_whole_set_write_is_revalidated(target, rows, message):
     store = store_of(target)
     assert type(store) is CheckedStore and "write_set_raw" not in vars(store)
+    got = store.read_set_raw(1)
+    got[0][:], got[1][:] = rows  # a miss's in-place edit puts the fault in
     with pytest.raises(StorageError, match=message):
-        store.write_set_raw(1, rows)
+        store.write_set_raw(1, 0)
     plain = store_of(target, check=False)
-    plain.write_set_raw(1, rows)  # a plain store trusts its caller
+    got = plain.read_set_raw(1)
+    got[0][:], got[1][:] = rows
+    plain.write_set_raw(1, 0)  # a plain store trusts its caller
     assert plain.rows[1] == rows
 
 
@@ -61,17 +66,21 @@ def test_way_field_write_is_revalidated(target):
 @pytest.mark.parametrize("target", TARGETS)
 def test_clone_writes_only_its_own_rows(target):
     store = store_of(target)
-    store.write_set_raw(1, [[5, 0], [1, 0]])
+    load_set(store, 1, [[5, 0], [1, 0]])
     counter = OpCounter(**vars(store.counter))
     other = store.clone()
     assert type(other) is RegisterStore and other.counter is not store.counter
-    other.write_set_raw(0, [[9, 0], [2, 0]])
+    rows = other.read_set_raw(0)
+    rows[0][0], rows[1][0] = 9, 2
+    other.write_set_raw(0, 0)
     other.write_way_field(1, 0, 3)
     assert store.rows == [[[0, 0], [0, 0]], [[5, 0], [1, 0]]]
     assert other.rows == [[[9, 0], [2, 0]], [[5, 0], [3, 0]]]
     assert store.counter == counter
+    rows = store.read_set_raw(0)
+    rows[0][:] = [4, 4]
     with pytest.raises(StorageError, match="^duplicate key 4"):
-        store.write_set_raw(0, [[4, 4], [0, 0]])  # the original is still checked
+        store.write_set_raw(0, 0)  # the original is still checked
 
 
 def test_checked_covers_both_regions():
@@ -86,15 +95,19 @@ def test_read_must_be_written_back_before_the_next_access(target):
     store = store_of(target)
     rows = store.read_set_raw(1)
     assert rows is store.rows[1]
-    store.write_set_raw(0, [[3, 0], [1, 0]])  # a write to another set commits nothing
+    store.rows[0][0][0] = 3
+    store.write_set_raw(0, 0)  # a write to another set commits nothing
     unwritten = "^set 1 was read and not written back$"
     with pytest.raises(AssertionError, match=unwritten):
         store.ternary_lookup(1, 5)
     with pytest.raises(AssertionError, match=unwritten):
         store.read_set_raw(0)
-    store.write_set_raw(1, rows)
-    assert store.ternary_lookup(1, 5) == MISS
-    store.write_set_raw(0, store.read_set_raw(0))
+    rows[0][0], rows[1][0] = 5, 1
+    store.write_set_raw(1, 0)
+    assert store.ternary_lookup(1, 5) == 0 and store.ternary_lookup(1, 7) == MISS
+    store.read_set_raw(0)
+    store.write_set_raw(0, 3)  # key 3 left and re-entered: the set is unchanged
+    assert store.ternary_lookup(0, 3) == 0
     plain = store_of(target, check=False)
     plain.read_set_raw(1)
     assert plain.read_set_raw(1) is plain.rows[1]  # a plain store trusts its caller
@@ -104,12 +117,12 @@ def test_read_must_be_written_back_before_the_next_access(target):
 def test_a_miss_without_its_write_fails_the_next_fetch(policy):
     engine = checked(make_engine(policy, LayoutConfig(scn_bits=SCN_BITS, k=2, d=2)))
     engine.fetch(3)
-    engine.insert_pending_raw(1, (5, engine._initial_scn()))  # a fetch's miss, write left out
+    engine.insert_pending_raw(1, 5, engine._initial_scn())  # a fetch's miss, write left out
     with pytest.raises(AssertionError, match="^set 1 was read and not written back$"):
         engine.fetch(3)
     cache = checked(MultiRegionCache(RegionSpec(policy, 2, 2), RegionSpec(policy, 2, 2), 50,
                                      scn_bits=SCN_BITS))
-    cache.main.insert_pending_raw(0, (4, cache.main._initial_scn()))
+    cache.main.insert_pending_raw(0, 4, cache.main._initial_scn())
     with pytest.raises(AssertionError, match="^set 0 was read and not written back$"):
         cache.fetch(7)
 
@@ -119,13 +132,13 @@ def test_a_miss_without_its_write_on_the_last_event_is_caught(policy):
     engine = checked(make_engine(policy, LayoutConfig(scn_bits=SCN_BITS, k=2, d=2)))
     engine.fetch(3)
     assert_written(engine)
-    engine.insert_pending_raw(1, (5, engine._initial_scn()))  # the last miss, write left out
+    engine.insert_pending_raw(1, 5, engine._initial_scn())  # the last miss, write left out
     with pytest.raises(AssertionError, match="^set 1 was read and not written back$"):
         assert_written(engine)
     cache = checked(MultiRegionCache(RegionSpec(policy, 2, 2), RegionSpec(policy, 2, 2), 50,
                                      scn_bits=SCN_BITS))
     cache.fetch(7)
     assert_written(cache)
-    cache.main.insert_pending_raw(0, (4, cache.main._initial_scn()))
+    cache.main.insert_pending_raw(0, 4, cache.main._initial_scn())
     with pytest.raises(AssertionError, match="^set 0 was read and not written back$"):
         assert_written(cache)

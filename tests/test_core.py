@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checked import CheckedStore, assert_written, check_store, checked, stores
+from checked import CheckedStore, assert_written, check_store, checked, load_set, stores
 from dpcache.core import (
     MISS,
     LayoutConfig,
@@ -118,7 +118,7 @@ class TestTernary:
     def test_match_examples(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=3, d=1)
         store = RegisterStore(lay)
-        store.write_set_raw(0, [[7, 0, 9], [0, 0, 0], [0, 0, 0]])
+        load_set(store, 0, [[7, 0, 9], [0, 0, 0]])
         assert store.ternary_lookup(0, 9) == 2
         assert store.ternary_lookup(0, 3) == MISS
 
@@ -127,7 +127,7 @@ class TestTernary:
         # others are not
         key_bits = 8
         store = RegisterStore(LayoutConfig(key_bits=key_bits, value_bits=8, scn_bits=8, k=4, d=1))
-        store.write_set_raw(0, [[5, 6, 7, 8], [0] * 4, [0] * 4])
+        load_set(store, 0, [[5, 6, 7, 8], [0] * 4])
         assert store.ternary_lookup(0, 5) == 0
         rep = sum(5 << (i * key_bits) for i in range(4))
         keys_word = sum(key << (i * key_bits) for i, key in enumerate(store.rows[0][0]))
@@ -166,7 +166,7 @@ class TestTernary:
             seen.add(key)
             entry.append(key)
         store = RegisterStore(LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=len(entry), d=1))
-        store.write_set_raw(0, [entry, [0] * len(entry), [0] * len(entry)])
+        load_set(store, 0, [entry, [0] * len(entry)])
         got = store.ternary_lookup(0, probe)
         expected = next((i for i, key in enumerate(entry) if key == probe), MISS)
         assert got == expected
@@ -183,9 +183,12 @@ class TestRegisterStore:
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1)
         store = RegisterStore(lay)
         ways = [(3, 2), (0, 0)]
-        store.write_set_raw(0, rows_of(ways))
-        assert store.read_set_raw(0) == [[3, 0], [2, 0]]
-        assert store.peek_set(0) == ways
+        load_set(store, 0, rows_of(ways))
+        rows = store.read_set_raw(0)
+        assert rows == [[3, 0], [2, 0]]
+        rows[0][:], rows[1][:] = [4, 3], [5, 2]  # a miss inserts key 4 at way 0
+        store.write_set_raw(0, 0)
+        assert store.peek_set(0) == [(4, 5)] + ways[:1]
 
     def test_fresh_store_reads_empty(self):
         lay = LayoutConfig(k=3, d=2)
@@ -195,21 +198,28 @@ class TestRegisterStore:
 
     def test_field_width_violations(self):
         lay = LayoutConfig(key_bits=4, value_bits=4, scn_bits=4, k=1, d=1)
-        checked = check_store(RegisterStore(lay))
-        for rows in ([[16], [0]], [[1], [16]]):
-            with pytest.raises(StorageError):
-                checked.write_set_raw(0, rows)
+        for key, scn, field in ((16, 0, "key"), (1, 16, "scn")):
+            checked = check_store(RegisterStore(lay))
+            rows = checked.read_set_raw(0)
+            rows[0][0], rows[1][0] = key, scn
+            with pytest.raises(StorageError, match=f"^{field} 16 exceeds 4 bits$"):
+                checked.write_set_raw(0, 0)
 
     def test_duplicate_live_keys_rejected(self):
         store = check_store(RegisterStore(LayoutConfig(k=2, d=1)))
-        rows = rows_of([(5, 0), (5, 1)])
-        with pytest.raises(StorageError):
-            store.write_set_raw(0, rows)
+        load_set(store, 0, rows_of([(5, 0), (0, 0)]))
+        rows = store.read_set_raw(0)
+        rows[0][:], rows[1][:] = [5, 5], [1, 0]  # a miss inserts 5 beside itself
+        with pytest.raises(StorageError, match="^duplicate key 5 within one set$"):
+            store.write_set_raw(0, 0)
 
     def test_read_write_counting(self):
         store = RegisterStore(LayoutConfig(k=2, d=1))
-        store.write_set_raw(0, [[1, 0], [0, 0]])
-        store.read_set_raw(0)
+        load_set(store, 0, [[1, 0], [0, 0]])  # a fixture charges nothing
+        assert store.counter == OpCounter()
+        rows = store.read_set_raw(0)
+        rows[0][:] = [2, 1]
+        store.write_set_raw(0, 0)
         assert store.counter.register_writes == 1
         assert store.counter.register_reads == 1
 
@@ -220,15 +230,14 @@ class TestRegisterStore:
         ways = [(3, 1), (0, 0), (11, 4)]
         rows = [[3, 0, 11], [1, 0, 4]]
         assert rows_of(ways) == rows
-        store.write_set_raw(0, rows)
+        load_set(store, 0, rows)
         assert store.rows[0] == rows
         assert store.read_set_raw(0) == rows
         assert store.peek_set(0) == ways
 
     def test_peek_set_is_the_zipped_rows_and_charges_nothing(self):
         store = RegisterStore(LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=3, d=2))
-        store.write_set_raw(1, [[4, 0, 2], [6, 0, 3]])
-        store.counter.reset()
+        load_set(store, 1, [[4, 0, 2], [6, 0, 3]])
         for h in range(2):
             assert store.peek_set(h) == list(zip(*store.rows[h]))
         assert store.peek_set(1) == [(4, 6), (0, 0), (2, 3)]
@@ -237,7 +246,7 @@ class TestRegisterStore:
     def test_read_way_and_patch(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1)
         store = check_store(RegisterStore(lay))
-        store.write_set_raw(0, [[3, 5], [2, 7]])
+        load_set(store, 0, [[3, 5], [2, 7]])
         assert store.read_way(0, 1) == (5, 7)
         store.write_way_field(0, 1, 9)
         assert store.read_way(0, 1) == (5, 9)
@@ -254,40 +263,42 @@ class TestRegisterStore:
             assert store.rows == [[[0] * 3] * 2, expected]
             assert store.peek_set(1) == list(zip(*expected))
 
-        store.write_set_raw(1, rows)
+        load_set(store, 1, rows)
         assert_rows(rows)
         store.write_way_field(1, 2, 5)
         assert_rows([[4, 0, 2], [6, 0, 5]])
-        rows = [[4, 8, 2], [7, 8, 6]]
-        store.write_set_raw(1, rows)
-        assert_rows(rows)
-        assert store.ternary_lookup(1, 2) == 2 and store.ternary_lookup(1, 3) == MISS
+        got = store.read_set_raw(1)
+        got[0][:], got[1][:] = [8, 4, 2], [7, 6, 5]  # a miss fills the empty way
+        store.write_set_raw(1, 0)
+        assert_rows([[8, 4, 2], [7, 6, 5]])
+        assert store.ternary_lookup(1, 2) == 2 and store.ternary_lookup(1, 8) == 0
+        assert store.ternary_lookup(1, 3) == MISS
 
     def test_raw_rows_are_the_set_on_read_and_write(self):
         # a miss is one read-modify-write of the register: no copy either way
         store = RegisterStore(LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=2))
-        rows = [[7, 0], [1, 0]]
-        store.write_set_raw(0, rows)
-        assert store.rows[0] is rows
-        rows[0][1] = 9
-        assert store.peek_set(0) == [(7, 1), (9, 0)]
+        rows = load_set(store, 0, [[7, 0], [1, 0]])
         got = store.read_set_raw(0)
         assert got is rows and store.read_set_raw(1) is store.rows[1]
-        got[1][1] = 5
-        assert store.peek_set(0) == [(7, 1), (9, 5)]
-        store.write_set_raw(0, got)
-        assert store.rows[0] is rows and store.peek_set(0) == [(7, 1), (9, 5)]
-        assert store.counter == OpCounter(register_reads=2, register_writes=2)
+        got[0][:], got[1][:] = [9, 7], [5, 1]  # a miss inserts key 9 at way 0
+        assert store.peek_set(0) == [(9, 5), (7, 1)]
+        store.write_set_raw(0, 0)
+        assert store.rows[0] is rows and store.peek_set(0) == [(9, 5), (7, 1)]
+        assert store.members[0] == {7, 9} and store.ternary_lookup(0, 9) == 0
+        assert store.counter == OpCounter(tcam_matches=1, register_reads=2, register_writes=1)
 
     def test_checked_raw_write_rejects_overwide_slice(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=1)
-        store = check_store(RegisterStore(lay))
-        with pytest.raises(StorageError):
-            store.write_set_raw(0, [[1, 0], [1 << lay.scn_bits, 0]])
-        with pytest.raises(StorageError):
-            store.write_set_raw(0, [[3, 3], [0, 0]])  # one key twice in a set
-        with pytest.raises(AssertionError):
-            store.write_set_raw(0, [[1, 0]])  # the scn row is missing
+        edits = [
+            (StorageError, "^scn 256 exceeds 8 bits$", [[1, 0], [1 << lay.scn_bits, 0]]),
+            (StorageError, "^duplicate key 3 within one set$", [[3, 3], [0, 0]]),
+            (AssertionError, "does not hold 2 ways", [[1, 0]]),  # the scn row is missing
+        ]
+        for error, message, fault in edits:
+            store = check_store(RegisterStore(lay))
+            store.read_set_raw(0)[:] = fault  # the set's own rows, edited in place
+            with pytest.raises(error, match=message):
+                store.write_set_raw(0, 0)
 
     def test_normalise_rewrites_one_set_validated_and_unaccounted(self):
         lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=2, d=3)
@@ -364,15 +375,18 @@ class TestRegisterStore:
     def test_clone_has_own_rows_and_a_fresh_counter(self):
         lay = LayoutConfig(key_bits=8, value_bits=4, scn_bits=8, k=2, d=2)
         store = check_store(RegisterStore(lay))
-        store.write_set_raw(1, [[0x35, 0], [7, 0]])
+        load_set(store, 1, [[0x35, 0], [7, 0]])
         other = store.clone()
         assert other.counter == OpCounter() and other.counter is not store.counter
-        assert other.rows == store.rows
+        assert other.rows == store.rows and other.members == store.members
         assert other.peek_set(1) == [(0x35, 7), (0, 0)]
         other.write_way_field(1, 0, 9)
-        other.write_set_raw(0, [[1, 0], [1, 0]])
+        rows = other.read_set_raw(0)
+        rows[0][0], rows[1][0] = 1, 1
+        other.write_set_raw(0, 0)
         assert store.rows == [[[0, 0], [0, 0]], [[0x35, 0], [7, 0]]]
-        assert store.counter == OpCounter(register_writes=1)
+        assert store.members == [set(), {0x35}] and other.members == [{1}, {0x35}]
+        assert store.counter == OpCounter()
         with pytest.raises(StorageError):
             other.write_way_field(1, 0, 256)
 
@@ -489,16 +503,82 @@ class TestKeyIndex:
             engine.fetch(key)
         store = engine.store
         # key 7 sits outside set 7 % 2: the index is per set, not per hash
-        store.write_set_raw(0, [[8, 0, 7], [1, 0, 2]])
+        load_set(store, 0, [[8, 0, 7], [1, 0, 2]])
         assert [store.ternary_lookup(0, key) for key in (2, 4, 6)] == [MISS] * 3
         assert store.ternary_lookup(0, 8) == 0 and store.ternary_lookup(0, 7) == 2
         assert store.ternary_lookup(1, 1) == 0  # the other set keeps its index
         assert engine.live_keys() == {1, 7, 8}
-        # the set's own rows, edited in place and written back whole
+        # the set's own rows, edited in place as a miss that evicts 7 does
         rows = store.read_set_raw(0)
-        rows[0][1:] = [12, 0]
-        rows[1][1:] = [3, 0]
-        store.write_set_raw(0, rows)
-        assert store.ternary_lookup(0, 12) == 1 and store.ternary_lookup(0, 7) == MISS
+        rows[0][:] = [12, 8, 0]
+        rows[1][:] = [3, 1, 0]
+        store.write_set_raw(0, 7)
+        assert store.ternary_lookup(0, 12) == 0 and store.ternary_lookup(0, 7) == MISS
         assert engine.fetch(8)[0] and engine.fetch(2) == (False, None)
         assert engine.live_keys() == {1, 2, 8, 12}
+
+
+class TestPeakLive:
+    """``RegisterStore.peak_live``, the most live keys any set has held: a miss
+    raises it only when an empty way absorbed the key, and the LRU clock
+    restarts one above it."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_rises_only_when_an_empty_way_absorbs_a_miss(self, policy):
+        engine = checked(make_engine(policy, LayoutConfig(scn_bits=8, k=3, d=2)))
+        store = engine.store
+        peaks = []
+        for key in (2, 4, 1, 2, 6, 8, 3, 10, 5, 7, 9):
+            peak = store.peak_live
+            hit, evicted = engine.fetch(key)
+            if hit or evicted is not None:
+                assert store.peak_live == peak, key  # a hit or an eviction
+            else:
+                assert store.peak_live == max(peak, len(store.members[key % 2])), key
+            peaks.append(store.peak_live)
+        assert peaks == [1, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3]
+        assert store.peak_live == max(map(len, store.members))
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_stays_put_on_an_admission_overrule(self, policy):
+        engine = checked(make_engine(policy, LayoutConfig(scn_bits=8, k=2, d=1)))
+        engine.fetch(1)
+        engine.fetch(2)
+        before = engine.dump()
+        asked = []
+
+        def rejects(key, victim):
+            asked.append((key, victim))
+            return True
+
+        assert engine.admit(0, 3, rejects) == 3
+        [(key, victim)] = asked
+        assert key == 3 and engine.live_keys() == {1, 2} and engine.store.peak_live == 2
+        # the victim is back at way 0 with its own SCN word
+        assert engine.dump()[0][0] == next(way for way in before[0] if way[0] == victim)
+        assert_written(engine)
+
+    def test_is_copied_by_clone(self):
+        engine = checked(make_engine("lru", LayoutConfig(scn_bits=8, k=4, d=2)))
+        for key in (2, 4, 1):
+            engine.fetch(key)
+        other = engine.clone()
+        assert other.store.peak_live == engine.store.peak_live == 2
+        other.fetch(6)
+        assert other.store.peak_live == 3 and engine.store.peak_live == 2
+
+    def test_the_lru_clock_restarts_one_above_it(self):
+        # 4-bit SCNs: the clock restarts at its 15th tick
+        engine = checked(make_engine("lru", LayoutConfig(scn_bits=4, k=4, d=2)))
+        for tick, key in enumerate([2, 4] * 7 + [2], start=1):
+            engine.fetch(key)
+            assert (engine.epoch, engine.clock) == ((0, tick) if tick < 15 else (1, 3))
+        restarts = 0
+        rng = random.Random(3)
+        for _ in range(300):
+            peak, epoch = engine.store.peak_live, engine.epoch
+            engine.fetch(rng.randint(1, 12))
+            if engine.epoch != epoch:
+                restarts += 1
+                assert engine.clock == peak + 1
+        assert restarts > 20 and engine.store.peak_live == 4

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checked import checked
+from checked import checked, load_set
 from dpcache.core import LayoutConfig
 from dpcache.multiregion import MultiRegionCache, RegionSpec
 from dpcache.policies import make_engine
@@ -111,7 +111,7 @@ def test_fold_matches_unrolled_reference(case):
     lay = LayoutConfig(key_bits=16, value_bits=8, scn_bits=16, k=k, d=1)
     engine = checked(make_engine(policy, lay))
     engine.tick = tick
-    engine.store.write_set_raw(0, [list(row) for row in zip(*ways)])
+    load_set(engine.store, 0, [list(row) for row in zip(*ways)])
 
     raws = [pack(way, lay) for way in ways]
     if policy == "lfu":
@@ -130,9 +130,9 @@ def test_fold_matches_unrolled_reference(case):
     pairs = []
     engine.fold_observer = lambda a, b: pairs.append((a, b))
     extra_before = engine.store.counter.extra_reads
-    victim, rows = engine.insert_pending_raw(0, new)
+    victim = engine.insert_pending_raw(0, *new)
     assert victim == unpack(expected_victim, lay)
-    assert list(zip(*rows)) == [unpack(r, lay) for r in raws]
+    assert engine.store.peek_set(0) == [unpack(r, lay) for r in raws]
     assert pairs == expected_pairs
     if policy == "hyperbolic" and k > 1:
         assert engine.store.counter.extra_reads - extra_before == 2 * k
@@ -142,10 +142,9 @@ def test_fold_skips_a_kept_way_between_swaps():
     # metrics 5, 3, 4, 1: swaps at ways 1 and 3, way 2 keeps its element
     lay = LayoutConfig(key_bits=8, value_bits=8, scn_bits=8, k=4, d=1)
     engine = make_engine("lru", lay)
-    engine.store.write_set_raw(0, [[10, 11, 12, 13], [5, 3, 4, 1]])
-    victim, rows = engine.insert_pending_raw(0, (20, 9))
-    assert victim == (13, 1)
-    assert rows[0] == [20, 10, 12, 11]
+    load_set(engine.store, 0, [[10, 11, 12, 13], [5, 3, 4, 1]])
+    assert engine.insert_pending_raw(0, 20, 9) == (13, 1)
+    assert engine.store.rows[0][0] == [20, 10, 12, 11]
 
 
 # -- invariant replays ------------------------------------------------------

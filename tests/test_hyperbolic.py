@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from checked import load_set
 from dpcache.core import LayoutConfig
 from dpcache.hyperbolic import (
     DEFAULT_MAX_SCN,
@@ -198,10 +199,10 @@ class TestHyperbolicEngine:
         eng = HyperbolicEngine(LayoutConfig(k=2, d=1))
         eng.tick = 10
         scn = 2 | 4 << eng.freq_bits
-        eng.store.write_set_raw(0, [[8, 9], [scn, scn]])
-        victim, _ = eng.insert_pending_raw(0, (7, 1 | 10 << eng.freq_bits))
+        load_set(eng.store, 0, [[8, 9], [scn, scn]])
+        victim, _ = eng.insert_pending_raw(0, 7, 1 | 10 << eng.freq_bits)
         # candidate (old way 0, key 8) ties with way 1 (key 9): no swap
-        assert victim[0] == 8
+        assert victim == 8
 
     def test_hit_increments_frequency_only(self):
         eng = HyperbolicEngine(LayoutConfig(k=2, d=1))
@@ -232,7 +233,7 @@ class TestHyperbolicEngine:
         eng = HyperbolicEngine(LayoutConfig(k=4, d=1))
         eng.tick = 1000
         times = [900, 500, 123, 7]
-        eng.store.write_set_raw(0, [[1, 2, 3, 4], [1 | t << eng.freq_bits for t in times]])
+        load_set(eng.store, 0, [[1, 2, 3, 4], [1 | t << eng.freq_bits for t in times]])
         eng.tick = eng._halve_at - 1
         eng._tick()  # reaches the halving point
         assert eng.tick == eng._halve_at >> 1
