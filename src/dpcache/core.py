@@ -76,10 +76,11 @@ class LayoutConfig:
 
 @dataclass
 class OpCounter:
-    """Per-packet operation accountant.
+    """Running operation counts: a packet costs their change across its fetch.
 
-    ``tcam_matches``, ``register_reads`` and ``register_writes`` track the
-    core match/set operations.  ``extra_reads``/``extra_writes`` track
+    ``tcam_matches``, ``register_reads`` and ``register_writes`` count the
+    core match/set operations; ``reset`` zeroes every count, and the replay
+    never calls it.  ``extra_reads``/``extra_writes`` count
     policy-specific auxiliary structures (log lookup table, admission-filter
     counters) which sit outside the per-packet set-access cost model.
     Maintenance runs inside a set access and charges nothing.

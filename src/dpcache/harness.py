@@ -181,7 +181,11 @@ def build_cache(config: ExperimentConfig, trace: Trace):
 
 
 def _replay_restricted(cache, keys: Sequence[int]) -> tuple[int, tuple[int, int, int], tuple[int, int, int]]:
-    """Replay and assert the exact cost of every packet (see the module docstring)."""
+    """Replay and assert the exact cost of every packet (see the module docstring).
+
+    A packet's cost is the change in the counter's running values across its
+    fetch.  Every packet is checked to cost (T, r, r), so the maxima are (T, max r, max r).
+    """
     regions = [cache.window, cache.main] if isinstance(cache, MultiRegionCache) else [cache]
     # the two-region cache's engines share one counter
     counter: OpCounter = regions[0].store.counter
@@ -189,15 +193,13 @@ def _replay_restricted(cache, keys: Sequence[int]) -> tuple[int, tuple[int, int,
     # a miss reads and writes each region it reaches in order, window first
     miss_costs = list(accumulate(1 + 2 * region.layout.k for region in regions))
     fetch = cache.fetch
-    hits = 0
-    max_t = max_r = max_w = 0
-    tot_t = tot_r = tot_w = 0
+    t0, r0, w0 = last_t, last_r, last_w = counter.tcam_matches, counter.register_reads, counter.register_writes
+    hits = max_r = 0
     for key in keys:
-        counter.reset()
         hit = fetch(key)[0]
-        t = counter.tcam_matches
-        r = counter.register_reads
-        w = counter.register_writes
+        now_t, now_r, now_w = counter.tcam_matches, counter.register_reads, counter.register_writes
+        t, r, w = now_t - last_t, now_r - last_r, now_w - last_w
+        last_t, last_r, last_w = now_t, now_r, now_w
         if hit:
             hits += 1
             if t != tcam_cost or r != 1 or w != 1:
@@ -208,16 +210,10 @@ def _replay_restricted(cache, keys: Sequence[int]) -> tuple[int, tuple[int, int,
             raise AssertionError(
                 f"miss cost ({t},{r},{w}) is not ({tcam_cost},c,c) for c in {miss_costs} on key {key}"
             )
-        if t > max_t:
-            max_t = t
-        if r > max_r:
+        elif r > max_r:
             max_r = r
-        if w > max_w:
-            max_w = w
-        tot_t += t
-        tot_r += r
-        tot_w += w
-    return hits, (tot_t, tot_r, tot_w), (max_t, max_r, max_w)
+    max_r = max_r or min(hits, 1)  # no miss: a hit's one read, or none without packets
+    return hits, (last_t - t0, last_r - r0, last_w - w0), (tcam_cost if max_r else 0, max_r, max_r)
 
 
 def run_experiment(config: ExperimentConfig, trace: Trace | None = None) -> ExperimentReport:

@@ -92,8 +92,9 @@ class LogTable:
     ``entries[x] = floor(log2(x) * integer_factor)`` for 1 <= x < max_scn.
     Index 0 is defined as 0 (live frequencies are >= 1 and lifetimes are
     clamped >= 1, so it is only reached by empty ways, whose score must sit at
-    the bottom).  Lookups at or beyond ``max_scn`` saturate to the last entry.
-    ``max_scn`` lies in [2, DEFAULT_MAX_SCN].
+    the bottom).  ``lookup`` takes x >= 0; x >= ``max_scn`` saturates to the last
+    entry.  It indexes ``entries``, so a negative x counts from the end, and one
+    below -max_scn gets the last entry.  ``max_scn`` lies in [2, DEFAULT_MAX_SCN].
     """
 
     def __init__(self, max_scn: int = DEFAULT_MAX_SCN,
@@ -106,9 +107,10 @@ class LogTable:
         self.entries = _build_entries(max_scn, factor)
 
     def lookup(self, x: int) -> int:
-        if x >= self.max_scn:
+        try:
+            return self.entries[x]
+        except IndexError:
             return self.entries[-1]
-        return self.entries[x]
 
     def memory_bits(self, index_bits: int | None = None) -> int:
         """Storage cost model: (value width + index width) per entry."""

@@ -135,7 +135,8 @@ class _LruReference(_OrderedReference):
         if key in s:
             s.move_to_end(key)
             return True, None
-        victim = s.popitem(last=False)[0] if len(s) >= self.k else None
+        # positional: popitem(last=False) takes OrderedDict's slower keyword path
+        victim = s.popitem(False)[0] if len(s) >= self.k else None
         s[key] = None
         return False, victim
 

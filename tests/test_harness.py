@@ -1,6 +1,7 @@
 import json
 import time
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -16,8 +17,9 @@ from dpcache.harness import (
     run_sweep,
 )
 from dpcache.hyperbolic import _build_entries
-from dpcache.policies import LruEngine
-from dpcache.traces import ZipfSpec
+from dpcache.multiregion import MultiRegionCache, RegionSpec
+from dpcache.policies import POLICIES, LruEngine, make_engine
+from dpcache.traces import ZipfSpec, generate_zipf
 
 
 def plain_trace(tmp_path, keys, name="t.trace"):
@@ -157,6 +159,63 @@ class TestRunExperiment:
     def test_window_policy_and_region_come_together(self, window):
         with pytest.raises(ConfigError, match="window"):
             single(**window).validate()
+
+
+def recount(cache, keys):
+    """Per-packet accounting by zeroing the counter before every fetch: the
+    replay's hits, cost totals and cost maxima must equal these."""
+    counter = (cache.window if isinstance(cache, MultiRegionCache) else cache).store.counter
+    hits = 0
+    totals, maxima = [0, 0, 0], [0, 0, 0]
+    for key in keys:
+        counter.reset()
+        hits += cache.fetch(key)[0]
+        cost = (counter.tcam_matches, counter.register_reads, counter.register_writes)
+        totals = [a + b for a, b in zip(totals, cost)]
+        maxima = [max(a, b) for a, b in zip(maxima, cost)]
+    return hits, tuple(totals), tuple(maxima)
+
+
+ACCOUNTING_KEYS = generate_zipf(ZipfSpec(N=300, s=0.9, length=4000, seed=28)).keys.tolist()
+K_W, K_M = 2, 4
+
+
+def single_region(policy):
+    return make_engine(policy, LayoutConfig(k=K_M, d=4))
+
+
+def two_region(k_w=K_W, d_w=2):
+    return MultiRegionCache(RegionSpec("lru", k_w, d_w), RegionSpec("lru", K_M, 4), 301, "tinylfu")
+
+
+CACHES = pytest.mark.parametrize("build", [partial(single_region, p) for p in POLICIES] + [two_region],
+                                 ids=[*POLICIES, "two-region"])
+
+
+class TestReplayAccounting:
+    @CACHES
+    @pytest.mark.parametrize("keys", [ACCOUNTING_KEYS, [5] * 10, []],
+                             ids=["zipf", "one-key", "empty"])
+    def test_replay_equals_the_recount(self, build, keys):
+        expected = recount(build(), keys)
+        assert harness._replay_restricted(build(), keys) == expected
+
+    @CACHES
+    @pytest.mark.parametrize("keys", [ACCOUNTING_KEYS, [5] * 10], ids=["zipf", "one-key"])
+    def test_replay_on_a_used_counter(self, build, keys):
+        # a second replay on the same cache counts only its own packets; with
+        # one key, every packet of the second replay hits
+        cache, twin = build(), build()
+        half = len(keys) // 2
+        for part in (keys[:half], keys[half:]):
+            assert harness._replay_restricted(cache, part) == recount(twin, part)
+
+    def test_no_miss_reaches_the_main_region(self):
+        # four keys in one window set of four ways: the window absorbs every miss
+        keys = [1, 2, 3, 4] * 5
+        result = harness._replay_restricted(two_region(4, 1), keys)
+        assert result[2] == (2, 1 + 2 * 4, 1 + 2 * 4)
+        assert result == recount(two_region(4, 1), keys)
 
 
 class TestRunSweep:

@@ -67,6 +67,16 @@ class TestLogTable:
         assert table.lookup(64) == table.entries[63]
         assert table.lookup(10**9) == table.entries[63]
 
+    @pytest.mark.parametrize("max_scn, factor", [(2, 1), (64, 100), (2048, Fraction(61, 7))])
+    def test_lookup_domain(self, max_scn, factor):
+        # the engine looks up frequencies >= 0 and lifetimes clamped to >= 1
+        table = LogTable(max_scn, factor)
+        last = log2_fixed(max_scn - 1, Fraction(factor)) if max_scn > 2 else 0
+        assert table.lookup(0) == 0
+        assert table.lookup(max_scn - 1) == table.lookup(max_scn) == table.lookup(2**32) == last
+        assert [table.lookup(x) for x in range(3 * max_scn)] == \
+            [table.entries[min(x, max_scn - 1)] for x in range(3 * max_scn)]
+
     @given(x=st.integers(1, 4096),
            factor=st.sampled_from([Fraction(1, 10), Fraction(1), Fraction(10),
                                    Fraction(100), Fraction(1000), Fraction(3, 7),

@@ -348,6 +348,15 @@ WIDE_PAIRS = {
     ("fifo", "hyperbolic"): ("185fd1fcbf9fe57bd76dce172f64c1063ddcff3e47e4db46c86e5e0d37daebcf", False, True),
 }
 
+# The fully associative reference LRU at the benchmark's smallest and largest
+# capacities, on 10^5 Zipf(10^6, 0.99) events: every set fills and evicts on
+# most misses, which is where the oracle's eviction path runs.
+FULL_LRU_KEYS = generate_zipf(ZipfSpec(N=10**6, s=0.99, length=10**5, seed=1)).keys.tolist()
+FULL_LRU = {
+    128: "9d28fb39336f69a1ed25a6df4f381bb5d98373f21d0e80c2652adcd1302bf00e",
+    2048: "5072cae5f8d4c98eb7d5d322a76f9837ffcf89ff2c1fe3a924016d78d0a2686c",
+}
+
 
 class TestGolden:
     @pytest.mark.parametrize("policy, k, d", sorted(GOLDEN_SINGLE))
@@ -362,6 +371,11 @@ class TestGolden:
     def test_wide_set_stream(self, policy, k, d):
         cache = ReferenceCache(policy, k, d)
         assert (stream_digest(cache, WIDE_KEYS), cache.tie_seen) == WIDE_SINGLE[policy, k, d]
+
+    @pytest.mark.parametrize("k", sorted(FULL_LRU))
+    def test_full_associative_lru_stream(self, k):
+        cache = ReferenceCache("lru", k, 1)
+        assert (stream_digest(cache, FULL_LRU_KEYS), cache.tie_seen) == (FULL_LRU[k], False)
 
     @pytest.mark.parametrize("window, main", sorted(WIDE_PAIRS))
     def test_wide_set_filtered_pair(self, window, main):
