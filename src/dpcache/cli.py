@@ -55,7 +55,7 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", help="trace file to replay")
-    parser.add_argument("--trace-format", choices=["plain", "csv", "arc"],
+    parser.add_argument("--trace-format", choices=["plain", "csv"],
                         default="plain")
     parser.add_argument("--key-column", default="key",
                         help="key column name for csv traces")

@@ -90,11 +90,12 @@ class LogTable:
     """Immutable fixed-point log2 lookup table.
 
     ``entries[x] = floor(log2(x) * integer_factor)`` for 1 <= x < max_scn.
-    Index 0 is defined as 0 (live frequencies are >= 1 and lifetimes are
-    clamped >= 1, so it is only reached by empty ways, whose score must sit at
-    the bottom).  ``lookup`` takes x >= 0; x >= ``max_scn`` saturates to the last
-    entry.  It indexes ``entries``, so a negative x counts from the end, and one
-    below -max_scn gets the last entry.  ``max_scn`` lies in [2, DEFAULT_MAX_SCN].
+    Index 0 is defined as 0 and read only for empty ways (live frequencies are
+    >= 1, lifetimes clamped >= 1); a frequency-1 way can tie an empty way's
+    score, so the fold may evict it while the set has room.  ``lookup`` takes
+    x >= 0; x >= ``max_scn`` saturates to the last entry.  It indexes
+    ``entries``, so a negative x counts from the end, and one below -max_scn
+    gets the last entry.  ``max_scn`` lies in [2, DEFAULT_MAX_SCN].
     """
 
     def __init__(self, max_scn: int = DEFAULT_MAX_SCN,
@@ -174,7 +175,6 @@ class HyperbolicEngine(PolicyEngine):
         return [(scn & freq_max) | (scn >> shift << freq_bits) for scn in scns]
 
     def _initial_scn(self) -> int:
-        self._tick()
         return 1 | self.tick << self.freq_bits
 
     def _hit_scn(self, scn: int) -> int:

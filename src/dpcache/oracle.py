@@ -296,7 +296,7 @@ class ExhaustiveReport:
 
     @property
     def passed(self) -> bool:
-        if self.policy in EXACT_POLICIES:
+        if self.policy.lower() in EXACT_POLICIES:
             return self.divergent_sequences == 0
         return self.untagged_divergences == 0
 
@@ -332,6 +332,7 @@ def has_metric_tie(
     non-unique metric minimum at any reference eviction.  It has returned
     True for every LFU and hyperbolic sequence tried (ROADMAP item 14).
     """
+    policy = policy.lower()
     engine = _fresh_engine(policy, k, d, integer_factor)
     reference = ReferenceCache(policy, k, d)
     found = False

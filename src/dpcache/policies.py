@@ -58,21 +58,22 @@ class PolicyEngine:
     # -- policy hooks --------------------------------------------------------
 
     # _initial_scn() is an inserted element's SCN, _hit_scn(scn) the SCN a hit
-    # writes over ``scn``.
+    # writes over ``scn``.  _tick() advances the clock once per access, before
+    # the set is read, and a restart bumps ``epoch``; FIFO and LFU keep no clock.
     def _initial_scn(self) -> int:
         raise NotImplementedError
 
     def _hit_scn(self, scn: int) -> int:
         raise NotImplementedError
 
+    def _tick(self) -> None:
+        pass
+
     # Optional hooks, None unless a policy defines them:
-    # _tick() advances the clock once per hit or insertion, before the set is
-    # read (LRU, hyperbolic); _initial_scn calls it, and a restart bumps ``epoch``;
     # _rebase(scns, missed) returns a stale set's SCN row after ``missed`` epochs;
     # _age(rows) adjusts the set read for an insertion before the fold (LFU);
     # _metric(rows) returns the per-way values the fold carries the minimum of,
     # in place of the SCN row (hyperbolic).
-    _tick: Callable[[], None] | None = None
     _rebase: Callable[[list[int], int], list[int]] | None = None
     _age: Callable[[list[list[int]]], None] | None = None
     _metric: Callable[[list[list[int]]], list[int]] | None = None
@@ -85,10 +86,9 @@ class PolicyEngine:
         The clock ticks before the read, and a set it left stale is normalised.
         """
         store = self.store
-        if self._tick is not None:
-            self._tick()
-            if store.epochs[h] != self.epoch:
-                store.normalise(h, self.epoch, self._rebase)
+        self._tick()
+        if store.epochs[h] != self.epoch:
+            store.normalise(h, self.epoch, self._rebase)
         _, scn = store.read_way(h, way)
         store.write_way_field(h, way, self._hit_scn(scn))
         return True, None
@@ -107,6 +107,7 @@ class PolicyEngine:
         the victim goes back to way 0 of the set's rows and ``key`` leaves
         instead; one ``write_set_raw`` commits the set either way.
         """
+        self._tick()
         evicted, scn = self.insert_pending_raw(h, key, self._initial_scn())
         if evicted and rejects is not None and rejects(key, evicted):
             keys, scns = self.store.rows[h]
@@ -244,7 +245,6 @@ class LruEngine(PolicyEngine):
             self.clock = self.store.peak_live + 1
 
     def _initial_scn(self) -> int:
-        self._tick()
         return self.clock
 
     def _hit_scn(self, scn: int) -> int:

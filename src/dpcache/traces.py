@@ -26,7 +26,6 @@ GENERATOR_ID = "numpy-pcg64"
 
 FORMAT_PLAIN = "plain"
 FORMAT_CSV = "csv"
-FORMAT_ARC = "arc"
 
 _ZIPF_CHUNK = 1 << 16  # uniform draws per chunk of a generated trace
 _BLOCK_CHARS = 1 << 16  # characters read per block of a parsed trace
@@ -228,7 +227,7 @@ def _block_keys(cells: list[str], first: int, path: str, format: str) -> list[in
 def parse_trace(path: str, format: str = FORMAT_PLAIN, key_column: str = "key") -> Trace:
     """Read a trace file and remap its keys to a dense 1-based space.
 
-    ``plain`` and ``arc`` are one decimal key per line (blank lines skipped);
+    ``plain`` is one decimal key per line (blank lines skipped);
     ``csv`` takes the key from the named header column, and a row whose key
     cell is empty or missing is an error.  Accepts LF or CRLF, and a UTF-8
     byte-order mark.  The file is streamed: memory holds the keys and the
@@ -238,7 +237,7 @@ def parse_trace(path: str, format: str = FORMAT_PLAIN, key_column: str = "key") 
     is parsed line by line.  A block that brings the distinct keys to
     ``KEY_LIMIT`` raises ``TraceFormatError``.
     """
-    if format not in (FORMAT_PLAIN, FORMAT_CSV, FORMAT_ARC):
+    if format not in (FORMAT_PLAIN, FORMAT_CSV):
         raise TraceFormatError(f"unknown trace format {format!r}")
     ids = defaultdict(count(1).__next__)  # raw key -> dense id, in first-seen order
     remap = ids.__getitem__

@@ -515,6 +515,13 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: {bad}:2: field larger than field limit (131072)\n")
 
+    def test_arc_is_not_a_trace_format(self, tmp_path, capsys):
+        trace = plain_trace(tmp_path, [1, 2, 1])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--policy", "lru", "--trace", trace, "--trace-format", "arc"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'arc'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, message", [
         (["check", "--policy", "lru", "--alphabet", "10", "--max-len", "8"],
          "too large"),

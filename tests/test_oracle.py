@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dpcache import oracle
+from dpcache.core import LayoutConfig
 from dpcache.multiregion import RegionSpec
 from dpcache.oracle import (
     ReferenceCache,
@@ -13,6 +14,7 @@ from dpcache.oracle import (
     exhaustive_check,
     has_metric_tie,
 )
+from dpcache.policies import make_engine
 from dpcache.traces import ZipfSpec, generate_zipf
 
 
@@ -212,6 +214,19 @@ class TestExhaustiveCheck:
         monkeypatch.setattr(oracle, "has_metric_tie", lambda *args: False)
         report = exhaustive_check("lfu", k=2, d=1, alphabet_size=4, max_len=7)
         assert report.untagged_divergences == report.divergent_sequences == 9_936
+
+    @pytest.mark.parametrize("policy", ["lru", "LRU", "Lru"])
+    def test_an_exact_policy_is_held_exact_in_any_case(self, policy, monkeypatch):
+        # an LFU engine behind the name lru diverges from the LRU reference; a
+        # tie explains each divergence, but an exact policy may not have any
+        def lfu_engine(policy, k, d, integer_factor):
+            return make_engine("lfu", LayoutConfig(key_bits=16, value_bits=16, scn_bits=32,
+                                                   k=k, d=d))
+
+        monkeypatch.setattr(oracle, "_fresh_engine", lfu_engine)
+        report = exhaustive_check(policy, k=2, d=1, alphabet_size=3, max_len=5)
+        assert report.divergent_sequences == 84
+        assert not report.passed
 
     def test_divergence_reporting_fields(self):
         report = exhaustive_check("lfu", k=2, d=1, alphabet_size=4, max_len=6)

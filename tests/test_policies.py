@@ -473,6 +473,45 @@ class TestFetchResultInvariants:
             assert len(after) - len(before) == (not hit and evicted is None)
             before = after
 
+    @pytest.mark.parametrize("policy", ["fifo", "lru", "lfu"])
+    @pytest.mark.parametrize("scn_bits", [32, 8, 6])
+    def test_a_set_with_an_empty_way_evicts_no_live_key(self, policy, scn_bits):
+        """A miss on a set with an empty way fills it: FIFO's shift, and LRU's
+        and LFU's strict fold over a row where an empty way's 0 is below every
+        live SCN, carry the empty way out.
+
+        Hyperbolic is the exception: an empty way scores ``entries[0] -
+        entries[tick]``, a frequency-1 way whose quantised lifetime log equals
+        the tick's scores the same, and the strict fold keeps the way it
+        already carries, which may be the live one.
+        """
+        rng = random.Random(scn_bits)
+        for k, d in [(2, 1), (4, 3), (8, 2), (16, 4)]:
+            eng = make_engine(policy, LayoutConfig(scn_bits=scn_bits, k=k, d=d))
+            universe = 4 * k * d
+            for _ in range(5000):
+                key = 1 + int((universe - 1) * rng.random() ** 3)
+                had_room = 0 in eng.store.rows[key % d][0]
+                _, evicted = eng.fetch(key)
+                assert not (had_room and evicted), (k, d, key, evicted)
+
+
+class TestClockStep:
+    """Only ``PolicyEngine`` steps the clock, once per access; a hook names an SCN."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_initial_scn_leaves_the_clock_alone(self, policy):
+        # 8-bit SCNs: the LRU clock restarts and the hyperbolic tick halves in the replay
+        eng = make_engine(policy, LayoutConfig(scn_bits=8, k=4, d=2))
+        for key in random_trace(3, 300, universe=20):
+            eng.fetch(key)
+
+        def state():
+            return (eng._initial_scn(), getattr(eng, "clock", getattr(eng, "tick", None)),
+                    eng.epoch)
+
+        assert state() == state()
+
 
 class TestPolicyNames:
     @pytest.mark.parametrize("policy", POLICIES)

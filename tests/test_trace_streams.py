@@ -147,7 +147,7 @@ def trace_texts(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(texts=trace_texts(), format=st.sampled_from(["plain", "arc", "csv"]),
+@given(texts=trace_texts(), format=st.sampled_from(["plain", "csv"]),
        block=st.sampled_from([1, 2, 3, 5, 8, traces._BLOCK_CHARS]))
 def test_streaming_parse_matches_whole_text(texts, format, block):
     cells, seps = texts
@@ -169,7 +169,7 @@ def test_streaming_parse_matches_whole_text(texts, format, block):
             assert outcome(streamed, path, format) == expected
 
 
-@pytest.mark.parametrize("format", ["plain", "arc"])
+@pytest.mark.parametrize("format", ["plain"])
 def test_block_boundary_inside_crlf_pair(tmp_path, format):
     # "11\r" fills the first block; its "\n" opens the second, so a parser
     # that took the lone "\r" as a line end would count an extra blank line

@@ -153,3 +153,30 @@ def replay_counts(tracer, shape: str) -> dict[str, int]:
 def test_traced_call_counts_are_pinned(tracer, shape):
     """A change that stops calling a traced name would zero its span silently."""
     assert replay_counts(tracer, shape) == CALL_COUNTS[shape]
+
+
+PATCHED = ("load_trace", "build_cache", "run_experiment", "_replay_restricted", "emit_report")
+
+
+@pytest.mark.parametrize("detailed", [True, False])
+def test_the_patched_harness_names_run_and_come_back(tracer, detailed):
+    """The tracer patches these harness names by ``getattr``: a rename fails here,
+    not first in the benchmark, and ``restore`` puts every original back."""
+    originals = {name: getattr(harness, name) for name in PATCHED}
+    zipf = ZipfSpec(N=100, s=0.99, length=200, seed=1)
+    runs = [ExperimentConfig(engine, SPECS["lru"], zipf=zipf)
+            for engine in (harness.ENGINE_RESTRICTED, harness.ENGINE_REFERENCE)]
+    spans = tracer.Tracer(detailed)
+    spans.install()
+    try:
+        reports = [harness.run_experiment(config) for config in runs]
+        harness.emit_report(reports, "csv")
+    finally:
+        spans.restore()
+    assert all(getattr(harness, name) is fn for name, fn in originals.items())
+    counts = {name: span.count for name, span in spans.spans.items()
+              if name.startswith(("harness.", "traces."))}
+    expected = {"traces.ingest": 2, "harness.build_cache": 2, "harness.run_experiment": 2}
+    if detailed:
+        expected.update({"harness.replay": 1, "harness.emit_report": 1})
+    assert counts == expected

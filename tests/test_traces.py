@@ -141,11 +141,6 @@ class TestParseTrace:
         assert trace.keys.tolist() == [1, 1, 2]
         assert all(key >= 1 for key in trace.keys)
 
-    def test_arc_is_key_per_line(self, tmp_path):
-        path = tmp_path / "t.lirs"
-        path.write_text("100\n200\n100\n")
-        assert parse_trace(str(path), format="arc").keys.tolist() == [1, 2, 1]
-
     def test_blank_lines_and_crlf(self, tmp_path):
         path = tmp_path / "t.trace"
         path.write_bytes(b"7\r\n\r\n8\r\n")
@@ -205,8 +200,10 @@ class TestParseTrace:
             parse_trace(str(path), format="csv")
 
     def test_unknown_format(self, tmp_path):
-        with pytest.raises(TraceFormatError):
-            parse_trace("whatever", format="binary")
+        # "arc" is no alias of plain: an ARC trace line holds four fields
+        for format in ("binary", "arc"):
+            with pytest.raises(TraceFormatError, match=f"^unknown trace format '{format}'$"):
+                parse_trace("whatever", format=format)
 
     def test_remap_is_bijection(self, tmp_path):
         import random
