@@ -38,10 +38,13 @@ class ReferenceCache:
     key, victim)`` places a missed key after evicting that victim.  The miss
     path, ``admit``, runs the last two; the base ``fetch`` and both regions
     of ``ReferenceMultiCache`` call it, and LRU serves ``fetch`` in one body
-    over its ordered set.  ``tie_seen`` latches when the key an eviction
-    picks shares the minimal metric with another key of its set (LFU equal
-    frequencies, hyperbolic equal exact priorities); a tie between keys that
-    a strictly smaller one beats does not count.
+    over its ordered set.  A fourth hook, ``_tick()``, steps the clock once
+    per fetch after the key check; it does nothing here, so FIFO and LRU,
+    whose order lives in their sets, keep no clock (``_RecordReference``
+    keeps one).  ``tie_seen`` latches when the key an eviction picks shares
+    the minimal metric with another key of its set (LFU equal frequencies,
+    hyperbolic equal exact priorities); a tie between keys that a strictly
+    smaller one beats does not count.
     """
 
     policy: str
@@ -58,17 +61,19 @@ class ReferenceCache:
         self.k = k
         self.d = d
         self.tie_seen = False
-        self.seq = 0  # fetch counter: LFU recency + hyperbolic clock
         self.sets: list = [self._new_set() for _ in range(d)]
 
     def fetch(self, key: int) -> tuple[bool, int | None]:
         if key < 1:
             raise ValueError("keys must be >= 1")
-        self.seq += 1
+        self._tick()
         h = key % self.d
         if self._touch(h, key):
             return True, None
         return False, self.admit(h, key)
+
+    def _tick(self) -> None:
+        """One fetch's clock step; a policy without a clock has nothing to step."""
 
     def admit(self, h: int, key: int, rejects: Callable[[int, int], bool] | None = None) -> int | None:
         """The miss path: return the key that leaves set ``h``, or None.  A full set
@@ -91,9 +96,7 @@ class ReferenceCache:
 
     def clone(self) -> "ReferenceCache":
         other = object.__new__(type(self))
-        other.k, other.d = self.k, self.d
-        other.tie_seen = self.tie_seen
-        other.seq = self.seq
+        other.__dict__.update(self.__dict__)
         other.sets = [self._copy_set(s) for s in self.sets]
         return other
 
@@ -130,7 +133,6 @@ class _LruReference(_OrderedReference):
     def fetch(self, key: int) -> tuple[bool, int | None]:
         if key < 1:
             raise ValueError("keys must be >= 1")
-        self.seq += 1
         s = self.sets[key % self.d]
         if key in s:
             s.move_to_end(key)
@@ -149,9 +151,20 @@ class _LruReference(_OrderedReference):
 
 
 class _RecordReference(ReferenceCache):
-    """Sets of ``key -> [freq, tick]`` records; a new key starts at freq 1."""
+    """Sets of ``key -> [freq, tick]`` records; a new key starts at freq 1.
+
+    These policies read a clock: ``seq`` counts fetches, stepped by
+    ``_tick``, and a record's tick is the ``seq`` of an access to its key.
+    """
 
     _new_set = dict
+
+    def __init__(self, policy: str, k: int, d: int) -> None:
+        super().__init__(policy, k, d)
+        self.seq = 0
+
+    def _tick(self) -> None:
+        self.seq += 1
 
     @staticmethod
     def _copy_set(s: dict) -> dict:
@@ -165,23 +178,65 @@ class _RecordReference(ReferenceCache):
 
 
 class _LfuReference(_RecordReference):
-    """Perfect LFU; the tick is the last access, so recency breaks ties."""
+    """Perfect LFU; the tick is the last access, so recency breaks ties.
+
+    Beside each set's records, ``buckets[h]`` maps each frequency present in
+    set ``h`` to a dict of its keys in last-access order, and ``low[h]`` is
+    the lowest of those frequencies (Shah, Mitra & Matani's O(1) LFU).  The
+    victim is the first key of the lowest bucket, so every hook runs in O(1)
+    and no eviction scans its set.
+    """
 
     policy = "lfu"
+
+    def __init__(self, policy: str, k: int, d: int) -> None:
+        super().__init__(policy, k, d)
+        self.buckets: list[dict[int, dict[int, None]]] = [{} for _ in range(d)]
+        self.low = [1] * d
+
+    def clone(self) -> "_LfuReference":
+        other = super().clone()
+        other.buckets = [{f: bucket.copy() for f, bucket in buckets.items()}
+                         for buckets in self.buckets]
+        other.low = self.low[:]
+        return other
 
     def _touch(self, h: int, key: int) -> bool:
         rec = self.sets[h].get(key)
         if rec is None:
             return False
-        rec[0] += 1
+        f = rec[0]
+        rec[0] = f + 1
         rec[1] = self.seq
+        buckets = self.buckets[h]
+        bucket = buckets[f]
+        del bucket[key]
+        if not bucket:
+            del buckets[f]
+            if self.low[h] == f:
+                self.low[h] = f + 1
+        buckets.setdefault(f + 1, {})[key] = None
         return True
 
-    def _victim_of(self, s: dict) -> int:
-        best = min(s.items(), key=lambda kv: (kv[1][0], kv[1][1]))
-        if sum(1 for rec in s.values() if rec[0] == best[1][0]) > 1:
+    def victim(self, h: int) -> int | None:
+        if len(self.sets[h]) < self.k:
+            return None
+        bucket = self.buckets[h][self.low[h]]
+        if len(bucket) > 1:
             self.tie_seen = True
-        return best[0]
+        return next(iter(bucket))
+
+    def _insert(self, h: int, key: int, victim: int | None) -> None:
+        buckets = self.buckets[h]
+        if victim is not None:
+            f = self.sets[h][victim][0]
+            bucket = buckets[f]
+            del bucket[victim]
+            if not bucket:
+                del buckets[f]
+        super()._insert(h, key, victim)
+        buckets.setdefault(1, {})[key] = None
+        self.low[h] = 1
 
 
 class _HyperbolicReference(_RecordReference):
@@ -260,8 +315,8 @@ class ReferenceMultiCache:
             flt.record_access(key)
 
         window, main = self.window, self.main
-        main.seq += 1
-        window.seq += 1
+        main._tick()
+        window._tick()
         if main._touch(key % main.d, key) or window._touch(key % window.d, key):
             return True, None
         victim = window.admit(key % window.d, key)
@@ -405,8 +460,11 @@ def exhaustive_check(
     def walk(engine: PolicyEngine, reference: ReferenceCache, path: tuple[int, ...]) -> None:
         nonlocal divergent, untagged, first_divergence, first_dump
         for key in range(1, alphabet_size + 1):
-            eng = engine.clone()
-            ref = reference.clone()
+            # the last child takes this node's own state: nothing reads it after
+            if key < alphabet_size:
+                eng, ref = engine.clone(), reference.clone()
+            else:
+                eng, ref = engine, reference
             hit_e = eng.fetch(key)[0]
             hit_r = ref.fetch(key)[0]
             seq = path + (key,)

@@ -3,10 +3,11 @@
 Random traces replay through restricted FIFO and LRU engines and through
 `ReferenceCache`, and through the two-region cache and `ReferenceMultiCache`,
 filtered with an LRU main region and filterless otherwise; every event's
-(hit, evicted key) must agree.  The layouts sit where the restricted model is
-tightest: ternary masks at exactly the 2048-bit limit, single-set and
-multi-set geometry, and SCN clocks narrow enough that LRU rescales every few
-ticks to every few hundred.
+(hit, evicted key) must agree, and for single-region FIFO and LRU the set
+each event touched must map onto the reference's set.  The layouts sit
+where the restricted model is tightest: ternary masks at exactly the
+2048-bit limit, single-set and multi-set geometry, and SCN clocks narrow
+enough that LRU rescales every few ticks to every few hundred.
 """
 
 import random
@@ -104,6 +105,39 @@ class TestNarrowClock:
         assert_same_stream(engine, ReferenceCache("lru", 4, d), keys)
         assert_written(engine)
         assert engine.clock < 7
+
+
+class TestRefinement:
+    """The state of restricted FIFO and LRU, mapped onto the reference's sets.
+
+    After every event, only the set just touched is mapped, so the check is
+    O(k) per event: LRU's live keys sorted by SCN, and FIFO's live ways in
+    reverse (way 0 holds the newest key), must both list the reference set's
+    keys, oldest first.  LRU runs at the narrowest SCN width it accepts for
+    each k, where its clock restarts every few ticks, and at 32 bits.
+    """
+
+    @pytest.mark.parametrize("policy", ["fifo", "lru"])
+    @pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("narrow", [True, False])
+    def test_touched_set_maps_to_reference(self, policy, k, d, narrow):
+        # the narrowest clock an LRU engine accepts: max SCN above k + 2
+        scn_bits = (k + 3).bit_length() if narrow else 32
+        engine = make_engine(policy, LayoutConfig(scn_bits=scn_bits, k=k, d=d))
+        reference = ReferenceCache(policy, k, d)
+        keys = random_keys(k * 100 + d * 10 + scn_bits, 2000, 1, 2 * k * d + 1)
+        for i, key in enumerate(keys):
+            assert engine.fetch(key) == reference.fetch(key), f"event {i} (key {key}) diverges"
+            h = key % d
+            ways = engine.store.peek_set(h)
+            if policy == "lru":
+                mapped = [key for key, scn in sorted(ways, key=lambda way: way[1]) if key]
+            else:
+                mapped = [key for key, _ in reversed(ways) if key]
+            assert mapped == list(reference.sets[h]), f"event {i} (key {key}): set {h} maps apart"
+        if policy == "lru" and narrow:
+            assert engine.epoch > 10  # the clock restarted over and over
 
 
 class TestTwoRegion:

@@ -104,6 +104,17 @@ class TestReferencePolicies:
         with pytest.raises(ValueError):
             ReferenceCache("mru", 2, 1)
 
+    @pytest.mark.parametrize("policy", ["fifo", "lru", "lfu", "hyperbolic"])
+    @pytest.mark.parametrize("key", [0, -1])
+    def test_a_bad_key_changes_no_state(self, policy, key):
+        # the key check comes before the clock step and every set access
+        cache = ReferenceCache(policy, 2, 1)
+        replay(cache, [1, 2, 1, 3])
+        before = repr(vars(cache))  # sets, clock, buckets and tie latch alike
+        with pytest.raises(ValueError, match="^keys must be >= 1$"):
+            cache.fetch(key)
+        assert repr(vars(cache)) == before
+
     def test_hyperbolic_victim_matches_fraction_minimum(self):
         # the cross-multiplied scan must pick the same victim as a Fraction
         # ranking with first-inserted tie-break
@@ -181,6 +192,22 @@ class TestReferenceMulti:
     def test_filterless_reference_has_no_filter(self):
         cache = ReferenceMultiCache(RegionSpec("fifo", 1, 1), RegionSpec("lru", 1, 1), 50, "none")
         assert cache.filter is None
+
+    @pytest.mark.parametrize("use_filter", [True, False])
+    def test_a_key_outside_the_universe_changes_no_state(self, use_filter):
+        cache = ReferenceMultiCache(RegionSpec("lru", 1, 1), RegionSpec("lfu", 2, 1), 9,
+                                    "tinylfu" if use_filter else "none")
+        replay(cache, [1, 2, 1, 3, 4])
+
+        def state():
+            counters = None if cache.filter is None else cache.filter.counters.tolist()
+            return repr((vars(cache.window), vars(cache.main), counters))
+
+        before = state()
+        for key in (0, 9):
+            with pytest.raises(ValueError, match=rf"^key {key} outside universe \[1, 9\)$"):
+                cache.fetch(key)
+        assert state() == before
 
     def test_live_keys_disjoint_regions(self):
         cache = ReferenceMultiCache(RegionSpec("fifo", 2, 2), RegionSpec("lru", 2, 2), 60)
@@ -371,6 +398,10 @@ FULL_LRU = {
     128: "9d28fb39336f69a1ed25a6df4f381bb5d98373f21d0e80c2652adcd1302bf00e",
     2048: "5072cae5f8d4c98eb7d5d322a76f9837ffcf89ff2c1fe3a924016d78d0a2686c",
 }
+# The fully associative reference LFU at capacity 2048 on the same events,
+# captured from the scan that named the least (freq, last access) record on
+# every eviction; the frequency buckets must give the same stream and ties.
+FULL_LFU_2048 = ("f42e24b9e759fdcd0e9df9fd289d336c0b4fbec4332b537de422809c4f72bc81", True)
 
 
 class TestGolden:
@@ -392,6 +423,10 @@ class TestGolden:
         cache = ReferenceCache("lru", k, 1)
         assert (stream_digest(cache, FULL_LRU_KEYS), cache.tie_seen) == (FULL_LRU[k], False)
 
+    def test_full_associative_lfu_stream(self):
+        cache = ReferenceCache("lfu", 2048, 1)
+        assert (stream_digest(cache, FULL_LRU_KEYS), cache.tie_seen) == FULL_LFU_2048
+
     @pytest.mark.parametrize("window, main", sorted(WIDE_PAIRS))
     def test_wide_set_filtered_pair(self, window, main):
         cache = ReferenceMultiCache(RegionSpec(window, 4, 4), RegionSpec(main, 16, 4), 401)
@@ -400,18 +435,20 @@ class TestGolden:
 
     @pytest.mark.parametrize("window, main", sorted(WIDE_PAIRS))
     def test_one_main_scan_per_admission_contest(self, window, main, monkeypatch):
-        # with an ordered window, only the main region's victim scans are
+        # with an ordered window, only the main region's victim reads are
         # counted; a fetch evicts exactly when its window victim contends
         # for a full main set, admitted or denied
         cache = ReferenceMultiCache(RegionSpec(window, 4, 4), RegionSpec(main, 16, 4), 401)
-        scan = type(cache.main)._victim_of
+        read = type(cache.main).victim
         scans = []
 
-        def counted(self, s):
-            scans.append(len(s))
-            return scan(self, s)
+        def counted(self, h):
+            named = read(self, h)
+            if named is not None:
+                scans.append(len(self.sets[h]))
+            return named
 
-        monkeypatch.setattr(type(cache.main), "_victim_of", counted)
+        monkeypatch.setattr(type(cache.main), "victim", counted)
         evictions = sum(cache.fetch(key)[1] is not None for key in WIDE_KEYS)
         assert evictions > 5000
         assert scans == [16] * evictions
@@ -433,7 +470,8 @@ class TestPerPolicyClasses:
         for key in GOLDEN_KEYS:
             assert cache.fetch(key) == ReferenceCache.fetch(twin, key)
             assert [list(s) for s in cache.sets] == [list(s) for s in twin.sets]
-        assert cache.seq == twin.seq
+        # the order lives in the sets: neither path keeps a clock
+        assert not hasattr(cache, "seq") and not hasattr(twin, "seq")
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_clone_keeps_class_and_is_independent(self, policy):
@@ -443,13 +481,16 @@ class TestPerPolicyClasses:
         assert type(other) is type(cache)
         assert type(other) is not ReferenceCache
         assert (other.policy, other.k, other.d) == (policy, 3, 2)
-        assert (other.seq, other.tie_seen) == (cache.seq, cache.tie_seen)
+        # LFU and hyperbolic read a fetch clock; FIFO and LRU hold none
+        clock = 200 if policy in ("lfu", "hyperbolic") else None
+        assert vars(other).get("seq") == vars(cache).get("seq") == clock
+        assert other.tie_seen == cache.tie_seen
         # repr shows every set's order and every LFU/hyperbolic record
         snapshot = repr(cache.sets)
         assert repr(other.sets) == snapshot
         tail = GOLDEN_KEYS[200:600]
         assert replay(other, tail) == replay(cache.clone(), tail)
-        assert (repr(cache.sets), cache.seq) == (snapshot, 200)
+        assert (repr(cache.sets), vars(cache).get("seq")) == (snapshot, clock)
 
     def test_unknown_policy_still_rejected(self):
         with pytest.raises(ValueError, match="unknown reference policy"):
@@ -457,3 +498,70 @@ class TestPerPolicyClasses:
         with pytest.raises(ValueError, match="unknown reference policy"):
             ReferenceCache("arc", k=4, d=1)
         assert ReferenceCache("LRU", 2, 1).policy == "lru"
+
+
+def bucket_order(cache, h):
+    """Set ``h``'s keys as the LFU buckets list them, lowest frequency first."""
+    buckets = cache.buckets[h]
+    return [key for f in sorted(buckets) for key in buckets[f]]
+
+
+def bucket_state(cache):
+    return repr((cache.buckets, cache.low))
+
+
+class TestLfuBuckets:
+    """The reference LFU's frequency buckets against its ``[freq, tick]`` records."""
+
+    @pytest.mark.parametrize("k, d", [(1, 1), (2, 1), (4, 4), (64, 8)])
+    def test_buckets_list_keys_in_record_order(self, k, d):
+        cache = ReferenceCache("lfu", k, d)
+        rng = random.Random(k * 1000 + d)
+        # half the events hit a live key, half draw from four times the
+        # capacity: frequencies spread, sets evict, and lowest buckets empty
+        evictions = lows_above_one = 0
+        for _ in range(4000):
+            live = sorted(cache.live_keys())
+            key = rng.choice(live) if live and rng.random() < 0.5 else rng.randint(1, 4 * k * d)
+            evictions += cache.fetch(key)[1] is not None
+            lows_above_one += cache.low[key % d] > 1
+            for h, s in enumerate(cache.sets):
+                buckets = cache.buckets[h]
+                assert bucket_order(cache, h) == sorted(s, key=s.__getitem__)
+                assert all(s[member][0] == f for f, bucket in buckets.items() for member in bucket)
+                assert all(buckets.values()), "an empty bucket was kept"
+                if s:
+                    assert cache.low[h] == min(buckets)
+        # the sets evicted, and a touch emptied the lowest bucket
+        assert evictions > 500 and lows_above_one > 10
+
+    def test_replaying_a_clone_leaves_the_buckets(self):
+        cache = ReferenceCache("lfu", 4, 2)
+        replay(cache, GOLDEN_KEYS[:300])
+        before = bucket_state(cache)
+        other = cache.clone()
+        assert bucket_state(other) == before
+        replay(other, GOLDEN_KEYS[300:900])
+        assert bucket_state(cache) == before
+        assert bucket_state(other) != before
+
+    def test_a_refused_admission_leaves_the_buckets(self):
+        cache = ReferenceMultiCache(RegionSpec("lru", 4, 4), RegionSpec("lfu", 16, 4), 401)
+        rejects = cache._rejects
+        verdicts = []
+
+        def recorded(candidate, incumbent):
+            verdicts.append(rejects(candidate, incumbent))
+            return verdicts[-1]
+
+        cache._rejects = recorded
+        main = cache.main
+        refusals = 0
+        for key in WIDE_KEYS:
+            before = repr((main.sets, main.buckets, main.low))
+            verdicts.clear()
+            cache.fetch(key)
+            if verdicts == [True]:
+                refusals += 1
+                assert repr((main.sets, main.buckets, main.low)) == before
+        assert refusals > 1000

@@ -1,0 +1,37 @@
+"""Smoke test of ``tools/oracle_cost.py`` on a tiny input, in this process."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL_PATH = Path(__file__).resolve().parents[1] / "tools" / "oracle_cost.py"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("oracle_cost", TOOL_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_prints_a_cost_per_policy_and_capacity(tool, capsys):
+    assert tool.main(["--events", "200", "--capacities", "4,16"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record["events"], record["repeat"]) == (200, tool.REPEAT)
+    assert record["zipf"] == [10**6, 0.99, 1]
+    table = record["us_per_event"]
+    assert sorted(table) == sorted(tool.POLICIES)
+    for costs in table.values():
+        assert sorted(costs) == ["16", "4"]
+        assert all(cost > 0 for cost in costs.values())
+
+
+@pytest.mark.parametrize("argv", [["--events", "0"], ["--capacities", "4,0"]])
+def test_refuses_an_empty_run(tool, argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        tool.main(argv)
+    assert exit_info.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
