@@ -5,8 +5,10 @@ against: per-set move-to-front LRU, per-set insertion-order FIFO, perfect LFU
 with least-recently-used tie-breaking, and hyperbolic priorities compared as
 exact rationals (cross multiplication, never floating division).  Each policy
 is its own subclass of `ReferenceCache`, so no per-event code branches on the
-policy name.  Fully associative behaviour is the k = capacity, d = 1 special
-case.
+policy name.  No eviction scans its set: FIFO and LRU evict the first key of
+an ordered set, LFU the first key of its lowest frequency bucket, and
+hyperbolic compares only the oldest key of each frequency.  Fully associative
+behaviour is the k = capacity, d = 1 special case.
 
 `exhaustive_check` enumerates every key sequence up to a length bound and
 compares hit/miss streams between a restricted engine and its reference; for
@@ -17,6 +19,7 @@ has found a tie in every sequence tried (ROADMAP item 14).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
@@ -34,17 +37,18 @@ class ReferenceCache:
     ``ReferenceCache(policy, k, d)`` builds the policy's own subclass.
     ``fetch`` returns (hit, evicted_key).  Every policy answers to three
     hooks: ``_touch(h, key)`` serves a hit and is False on a miss,
-    ``victim(h)`` names the key set ``h`` would evict now, and ``_insert(h,
-    key, victim)`` places a missed key after evicting that victim.  The miss
-    path, ``admit``, runs the last two; the base ``fetch`` and both regions
-    of ``ReferenceMultiCache`` call it, and LRU serves ``fetch`` in one body
-    over its ordered set.  A fourth hook, ``_tick()``, steps the clock once
-    per fetch after the key check; it does nothing here, so FIFO and LRU,
-    whose order lives in their sets, keep no clock (``_RecordReference``
-    keeps one).  ``tie_seen`` latches when the key an eviction picks shares
-    the minimal metric with another key of its set (LFU equal frequencies,
-    hyperbolic equal exact priorities); a tie between keys that a strictly
-    smaller one beats does not count.
+    ``victim(h)`` names the key set ``h`` would evict now, or None while the
+    set has room, and ``_insert(h, key, victim)`` places a missed key after
+    evicting that victim.  The miss path, ``admit``, runs the last two; the
+    base ``fetch`` and both regions of ``ReferenceMultiCache`` call it, and
+    LRU serves ``fetch`` in one body over its ordered set, where a miss
+    stores its key before it pops the oldest.  A fourth hook, ``_tick()``,
+    steps the clock once per fetch after the key check; it does nothing
+    here, so FIFO and LRU, whose order lives in their sets, keep no clock
+    (``_RecordReference`` keeps one).  ``tie_seen`` latches when the key an
+    eviction picks shares the minimal metric with another key of its set
+    (LFU equal frequencies, hyperbolic equal exact priorities); a tie between
+    keys that a strictly smaller one beats does not count.
     """
 
     policy: str
@@ -84,13 +88,6 @@ class ReferenceCache:
         self._insert(h, key, victim)
         return victim
 
-    def victim(self, h: int) -> int | None:
-        """The key this set would evict now, or None while it has room."""
-        s = self.sets[h]
-        if len(s) < self.k:
-            return None
-        return self._victim_of(s)
-
     def live_keys(self) -> set[int]:
         return {k for s in self.sets for k in s}
 
@@ -106,7 +103,10 @@ class _OrderedReference(ReferenceCache):
 
     _new_set = _copy_set = OrderedDict
 
-    def _victim_of(self, s: OrderedDict) -> int:
+    def victim(self, h: int) -> int | None:
+        s = self.sets[h]
+        if len(s) < self.k:
+            return None
         return next(iter(s))
 
     def _insert(self, h: int, key: int, victim: int | None) -> None:
@@ -131,16 +131,18 @@ class _LruReference(_OrderedReference):
     policy = "lru"
 
     def fetch(self, key: int) -> tuple[bool, int | None]:
-        if key < 1:
-            raise ValueError("keys must be >= 1")
         s = self.sets[key % self.d]
         if key in s:
             s.move_to_end(key)
             return True, None
-        # positional: popitem(last=False) takes OrderedDict's slower keyword path
-        victim = s.popitem(False)[0] if len(s) >= self.k else None
+        # no key below 1 is ever stored, so a bad key raises here, before any write
+        if key < 1:
+            raise ValueError("keys must be >= 1")
         s[key] = None
-        return False, victim
+        if len(s) > self.k:
+            # positional: popitem(last=False) takes OrderedDict's slower keyword path
+            return False, s.popitem(False)[0]
+        return False, None
 
     def _touch(self, h: int, key: int) -> bool:
         s = self.sets[h]
@@ -240,38 +242,86 @@ class _LfuReference(_RecordReference):
 
 
 class _HyperbolicReference(_RecordReference):
-    """Exact hyperbolic priorities; the tick is the insertion time."""
+    """Exact hyperbolic priorities; the tick is the insertion time.
+
+    Among keys of equal count n, the one with the smallest insert tick t has
+    strictly the lowest n / (now - t) at every clock value, so the victim is
+    always the oldest key of some frequency.  Beside each set's records,
+    ``buckets[h]`` maps each frequency present in set ``h`` to its keys'
+    insert ticks in ascending order, and ``owner[h]`` maps a tick to its key;
+    ticks are unique within a set, since a fetch inserts at most once per
+    cache.  An eviction compares one bucket head per distinct frequency.
+    """
 
     policy = "hyperbolic"
+
+    def __init__(self, policy: str, k: int, d: int) -> None:
+        super().__init__(policy, k, d)
+        self.buckets: list[dict[int, list[int]]] = [{} for _ in range(d)]
+        self.owner: list[dict[int, int]] = [{} for _ in range(d)]
+
+    def clone(self) -> "_HyperbolicReference":
+        other = super().clone()
+        other.buckets = [{f: ticks[:] for f, ticks in buckets.items()}
+                         for buckets in self.buckets]
+        other.owner = [owner.copy() for owner in self.owner]
+        return other
+
+    @staticmethod
+    def _unfile(buckets: dict[int, list[int]], f: int, t: int) -> None:
+        """Take tick ``t`` out of bucket ``f``, and the bucket out once it is empty."""
+        ticks = buckets[f]
+        if len(ticks) == 1:
+            del buckets[f]
+        else:
+            del ticks[bisect_left(ticks, t)]
 
     def _touch(self, h: int, key: int) -> bool:
         rec = self.sets[h].get(key)
         if rec is None:
             return False
-        rec[0] += 1
+        f, t = rec
+        rec[0] = f + 1
+        buckets = self.buckets[h]
+        self._unfile(buckets, f, t)
+        insort(buckets.setdefault(f + 1, []), t)
         return True
 
-    def _victim_of(self, s: dict) -> int:
-        # minimise freq/(now - insert_tick) exactly; first-inserted wins ties
+    def victim(self, h: int) -> int | None:
+        if len(self.sets[h]) < self.k:
+            return None
+        # minimise n/(now - t) over the bucket heads exactly; the smallest tick
+        # wins ties, the first inserted.  The start is a priority 1/0 above
+        # every head: a key's insert precedes the fetch that evicts, so life >= 1.
         now = self.seq
-        best_key = None
-        best_n = best_life = 0
+        best_n, best_life, best_t = 1, 0, 0
         tied = False  # whether the running minimum is shared
-        for key, (n, t) in s.items():
+        for n, ticks in self.buckets[h].items():
+            t = ticks[0]
             life = now - t
-            if best_key is None:
-                best_key, best_n, best_life = key, n, life
-                continue
             lhs = n * best_life
             rhs = best_n * life
             if lhs < rhs:
-                best_key, best_n, best_life = key, n, life
+                best_n, best_life, best_t = n, life, t
                 tied = False
             elif lhs == rhs:
                 tied = True
+                if t < best_t:
+                    best_t = t
         if tied:
             self.tie_seen = True
-        return best_key
+        return self.owner[h][best_t]
+
+    def _insert(self, h: int, key: int, victim: int | None) -> None:
+        buckets, owner = self.buckets[h], self.owner[h]
+        if victim is not None:
+            f, t = self.sets[h][victim]
+            self._unfile(buckets, f, t)
+            del owner[t]
+        super()._insert(h, key, victim)
+        # the newest tick of the set: it goes last in bucket 1
+        buckets.setdefault(1, []).append(self.seq)
+        owner[self.seq] = key
 
 
 _BY_POLICY = {cls.policy: cls for cls in

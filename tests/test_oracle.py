@@ -27,6 +27,23 @@ def random_trace(seed, length, universe):
     return [rng.randint(1, universe) for _ in range(length)]
 
 
+def load_records(cache, h, records):
+    """Install ``{key: [freq, tick]}`` records as set ``h`` of a hyperbolic reference.
+
+    The set's frequency buckets and tick owners are rebuilt to index them, as
+    the cache's own hooks would have left them; a reachable set never repeats
+    a tick, so neither may a fixture.
+    """
+    owner = {t: key for key, (f, t) in records.items()}
+    assert len(owner) == len(records), "a tick is repeated"
+    buckets = {}
+    for f, t in records.values():
+        buckets.setdefault(f, []).append(t)
+    cache.sets[h] = {key: list(rec) for key, rec in records.items()}
+    cache.buckets[h] = {f: sorted(ticks) for f, ticks in buckets.items()}
+    cache.owner[h] = owner
+
+
 class TestReferencePolicies:
     def test_full_lru_example(self):
         cache = ReferenceCache("lru", k=2, d=1)
@@ -65,7 +82,7 @@ class TestReferencePolicies:
         cache = ReferenceCache("hyperbolic", k=2, d=1)
         # at the next fetch (tick 6): p(8) = 1/(6-4) = 2/(6-2) = p(9)
         cache.seq = 5
-        cache.sets[0] = {8: [1, 4], 9: [2, 2]}
+        load_records(cache, 0, {8: [1, 4], 9: [2, 2]})
         cache.fetch(10)
         assert cache.tie_seen is True
 
@@ -73,7 +90,17 @@ class TestReferencePolicies:
         # at tick 10: p(1) = 1/2 = 2/4 = p(2) tie, but p(3) = 1/10 is smaller
         cache = ReferenceCache("hyperbolic", k=3, d=1)
         cache.seq = 9
-        cache.sets[0] = {1: [1, 8], 2: [2, 6], 3: [1, 0]}
+        load_records(cache, 0, {1: [1, 8], 2: [2, 6], 3: [1, 0]})
+        assert cache.fetch(4) == (False, 3)
+        assert cache.tie_seen is False
+
+    def test_hyperbolic_tie_of_bucket_heads_beaten_by_a_later_head_is_no_tie(self):
+        # at tick 10 each key leads its own bucket: p(1) = 1/2 = 2/4 = p(2)
+        # tie, and only then is p(3) = 3/10 met
+        cache = ReferenceCache("hyperbolic", k=3, d=1)
+        cache.seq = 9
+        load_records(cache, 0, {1: [1, 8], 2: [2, 6], 3: [3, 0]})
+        assert list(cache.buckets[0]) == [1, 2, 3]
         assert cache.fetch(4) == (False, 3)
         assert cache.tie_seen is False
 
@@ -107,7 +134,7 @@ class TestReferencePolicies:
     @pytest.mark.parametrize("policy", ["fifo", "lru", "lfu", "hyperbolic"])
     @pytest.mark.parametrize("key", [0, -1])
     def test_a_bad_key_changes_no_state(self, policy, key):
-        # the key check comes before the clock step and every set access
+        # a bad key raises before the clock step and before any write to its set
         cache = ReferenceCache(policy, 2, 1)
         replay(cache, [1, 2, 1, 3])
         before = repr(vars(cache))  # sets, clock, buckets and tie latch alike
@@ -116,21 +143,23 @@ class TestReferencePolicies:
         assert repr(vars(cache)) == before
 
     def test_hyperbolic_victim_matches_fraction_minimum(self):
-        # the cross-multiplied scan must pick the same victim as a Fraction
-        # ranking with first-inserted tie-break
+        # the cross-multiplied bucket heads must pick the same victim as a
+        # Fraction ranking whose ties go to the smallest tick, the first inserted
         rng = random.Random(77)
         for _ in range(200):
             now = rng.randint(10, 60)
             cache = ReferenceCache("hyperbolic", k=5, d=1)
             cache.seq = now
-            state = {}
-            for key in range(1, 6):
-                state[key] = [rng.randint(1, 9), rng.randint(1, now - 1)]
-            cache.sets[0] = dict(state)
+            ticks = rng.sample(range(1, now), 5)
+            state = {key: [rng.randint(1, 9), tick] for key, tick in zip(range(1, 6), ticks)}
+            load_records(cache, 0, state)
             got = cache.victim(0)
             ranked = min(state, key=lambda x: Fraction(state[x][0], now - state[x][1]))
             assert Fraction(state[got][0], now - state[got][1]) == \
                 Fraction(state[ranked][0], now - state[ranked][1])
+            first = min(state, key=lambda x: (Fraction(state[x][0], now - state[x][1]),
+                                              state[x][1]))
+            assert got == first
 
 
 class TestReferenceAdmit:
@@ -402,6 +431,10 @@ FULL_LRU = {
 # captured from the scan that named the least (freq, last access) record on
 # every eviction; the frequency buckets must give the same stream and ties.
 FULL_LFU_2048 = ("f42e24b9e759fdcd0e9df9fd289d336c0b4fbec4332b537de422809c4f72bc81", True)
+# The fully associative reference hyperbolic cache at capacity 2048 on the same
+# events, captured from the scan that compared every record's exact priority
+# on every eviction; comparing one bucket head per frequency must agree.
+FULL_HYPERBOLIC_2048 = ("d8bd0e3c8c4fcf45b9d2933197ef0394e76568ebac3414a44f83f2e1f7730c73", True)
 
 
 class TestGolden:
@@ -426,6 +459,10 @@ class TestGolden:
     def test_full_associative_lfu_stream(self):
         cache = ReferenceCache("lfu", 2048, 1)
         assert (stream_digest(cache, FULL_LRU_KEYS), cache.tie_seen) == FULL_LFU_2048
+
+    def test_full_associative_hyperbolic_stream(self):
+        cache = ReferenceCache("hyperbolic", 2048, 1)
+        assert (stream_digest(cache, FULL_LRU_KEYS), cache.tie_seen) == FULL_HYPERBOLIC_2048
 
     @pytest.mark.parametrize("window, main", sorted(WIDE_PAIRS))
     def test_wide_set_filtered_pair(self, window, main):
@@ -564,4 +601,87 @@ class TestLfuBuckets:
             if verdicts == [True]:
                 refusals += 1
                 assert repr((main.sets, main.buckets, main.low)) == before
+        assert refusals > 1000
+
+
+def scan_victim(cache, h):
+    """The hyperbolic victim by a scan of set ``h``'s records, and whether its
+    exact priority is shared: the least n/(now - t), the smallest tick on ties."""
+    now, s = cache.seq, cache.sets[h]
+    rank = {key: Fraction(n, now - t) for key, (n, t) in s.items()}
+    low = min(rank.values())
+    victim = min((key for key in s if rank[key] == low), key=lambda key: s[key][1])
+    return victim, sum(p == low for p in rank.values()) > 1
+
+
+def hyperbolic_state(cache):
+    return repr((cache.sets, cache.buckets, cache.owner))
+
+
+class TestHyperbolicBuckets:
+    """The reference hyperbolic cache's tick buckets against its ``[freq, tick]`` records."""
+
+    @pytest.mark.parametrize("k, d", [(1, 1), (2, 1), (4, 4), (64, 8)])
+    def test_buckets_index_every_record(self, k, d):
+        cache = ReferenceCache("hyperbolic", k, d)
+        rng = random.Random(k * 1000 + d)
+        # half the events hit a live key, half draw from four times the
+        # capacity: frequencies spread, sets evict, and buckets empty
+        evictions = ties = 0
+        for _ in range(4000):
+            live = sorted(cache.live_keys())
+            key = rng.choice(live) if live and rng.random() < 0.5 else rng.randint(1, 4 * k * d)
+            h = key % d
+            expected = None
+            if key not in cache.sets[h] and len(cache.sets[h]) == k:
+                cache.seq += 1  # the scan reads the clock the fetch will read
+                expected, tied = scan_victim(cache, h)
+                cache.seq -= 1
+                ties += tied
+                cache.tie_seen = False  # so the latch shows this eviction's verdict
+            assert cache.fetch(key)[1] == expected
+            if expected is not None:
+                evictions += 1
+                assert cache.tie_seen == tied
+            for h, s in enumerate(cache.sets):
+                buckets = cache.buckets[h]
+                assert all(s[cache.owner[h][t]] == [f, t]
+                           for f, ticks in buckets.items() for t in ticks)
+                assert sum(map(len, buckets.values())) == len(s)
+                assert all(ticks == sorted(ticks) for ticks in buckets.values())
+                assert all(buckets.values()), "an empty bucket was kept"
+                assert cache.owner[h] == {t: key for key, (f, t) in s.items()}
+        # the sets evicted, and some evictions met a shared minimum
+        assert evictions > 500
+        assert ties > 0 or k == 1
+
+    def test_replaying_a_clone_leaves_the_buckets(self):
+        cache = ReferenceCache("hyperbolic", 4, 2)
+        replay(cache, GOLDEN_KEYS[:300])
+        before = hyperbolic_state(cache)
+        other = cache.clone()
+        assert hyperbolic_state(other) == before
+        replay(other, GOLDEN_KEYS[300:900])
+        assert hyperbolic_state(cache) == before
+        assert hyperbolic_state(other) != before
+
+    def test_a_refused_admission_leaves_the_buckets(self):
+        cache = ReferenceMultiCache(RegionSpec("lru", 4, 4), RegionSpec("hyperbolic", 16, 4), 401)
+        rejects = cache._rejects
+        verdicts = []
+
+        def recorded(candidate, incumbent):
+            verdicts.append(rejects(candidate, incumbent))
+            return verdicts[-1]
+
+        cache._rejects = recorded
+        main = cache.main
+        refusals = 0
+        for key in WIDE_KEYS:
+            before = hyperbolic_state(main)
+            verdicts.clear()
+            cache.fetch(key)
+            if verdicts == [True]:
+                refusals += 1
+                assert hyperbolic_state(main) == before
         assert refusals > 1000
