@@ -5,10 +5,13 @@ against: per-set move-to-front LRU, per-set insertion-order FIFO, perfect LFU
 with least-recently-used tie-breaking, and hyperbolic priorities compared as
 exact rationals (cross multiplication, never floating division).  Each policy
 is its own subclass of `ReferenceCache`, so no per-event code branches on the
-policy name.  No eviction scans its set: FIFO and LRU evict the first key of
-an ordered set, LFU the first key of its lowest frequency bucket, and
-hyperbolic compares only the oldest key of each frequency.  Fully associative
-behaviour is the k = capacity, d = 1 special case.
+policy name.  Each fact is kept once: FIFO and LRU sets hold keys in
+eviction order, an LFU set maps a key to its count, and a hyperbolic set to
+its count and insert tick; hyperbolic alone keeps a clock.  No eviction
+scans its set: FIFO and LRU evict the first key of an ordered set, LFU the
+first key of its lowest count bucket, and hyperbolic compares only the
+oldest key of each count.  Fully associative behaviour is the k = capacity,
+d = 1 special case.
 
 `exhaustive_check` enumerates every key sequence up to a length bound and
 compares hit/miss streams between a restricted engine and its reference; for
@@ -44,14 +47,15 @@ class ReferenceCache:
     LRU serves ``fetch`` in one body over its ordered set, where a miss
     stores its key before it pops the oldest.  A fourth hook, ``_tick()``,
     steps the clock once per fetch after the key check; it does nothing
-    here, so FIFO and LRU, whose order lives in their sets, keep no clock
-    (``_RecordReference`` keeps one).  ``tie_seen`` latches when the key an
-    eviction picks shares the minimal metric with another key of its set
+    here, so FIFO, LRU and LFU, whose order lives in their sets or buckets,
+    keep no clock (hyperbolic keeps one).  ``tie_seen`` latches when the key
+    an eviction picks shares the minimal metric with another key of its set
     (LFU equal frequencies, hyperbolic equal exact priorities); a tie between
     keys that a strictly smaller one beats does not count.
     """
 
     policy: str
+    _new_set = dict
 
     def __new__(cls, policy: str, k: int, d: int) -> "ReferenceCache":
         chosen = _BY_POLICY.get(policy.lower())
@@ -94,14 +98,14 @@ class ReferenceCache:
     def clone(self) -> "ReferenceCache":
         other = object.__new__(type(self))
         other.__dict__.update(self.__dict__)
-        other.sets = [self._copy_set(s) for s in self.sets]
+        other.sets = [s.copy() for s in self.sets]
         return other
 
 
 class _OrderedReference(ReferenceCache):
     """Sets of keys in eviction order: a miss on a full set evicts the first."""
 
-    _new_set = _copy_set = OrderedDict
+    _new_set = OrderedDict
 
     def victim(self, h: int) -> int | None:
         s = self.sets[h]
@@ -152,41 +156,15 @@ class _LruReference(_OrderedReference):
         return True
 
 
-class _RecordReference(ReferenceCache):
-    """Sets of ``key -> [freq, tick]`` records; a new key starts at freq 1.
+class _LfuReference(ReferenceCache):
+    """Perfect LFU; among keys of the lowest count, the least recently used goes.
 
-    These policies read a clock: ``seq`` counts fetches, stepped by
-    ``_tick``, and a record's tick is the ``seq`` of an access to its key.
-    """
-
-    _new_set = dict
-
-    def __init__(self, policy: str, k: int, d: int) -> None:
-        super().__init__(policy, k, d)
-        self.seq = 0
-
-    def _tick(self) -> None:
-        self.seq += 1
-
-    @staticmethod
-    def _copy_set(s: dict) -> dict:
-        return {k: list(v) for k, v in s.items()}
-
-    def _insert(self, h: int, key: int, victim: int | None) -> None:
-        s = self.sets[h]
-        if victim is not None:
-            del s[victim]
-        s[key] = [1, self.seq]
-
-
-class _LfuReference(_RecordReference):
-    """Perfect LFU; the tick is the last access, so recency breaks ties.
-
-    Beside each set's records, ``buckets[h]`` maps each frequency present in
-    set ``h`` to a dict of its keys in last-access order, and ``low[h]`` is
-    the lowest of those frequencies (Shah, Mitra & Matani's O(1) LFU).  The
-    victim is the first key of the lowest bucket, so every hook runs in O(1)
-    and no eviction scans its set.
+    Each set maps a key to its access count.  ``buckets[h]`` maps each count
+    present in set ``h`` to a dict of its keys in last-access order, and
+    ``low[h]`` is the lowest of those counts (Shah, Mitra & Matani's O(1)
+    LFU).  The victim is the first key of the lowest bucket, so every hook
+    runs in O(1), no eviction scans its set, and recency lives in the bucket
+    order rather than in a clock.
     """
 
     policy = "lfu"
@@ -204,12 +182,11 @@ class _LfuReference(_RecordReference):
         return other
 
     def _touch(self, h: int, key: int) -> bool:
-        rec = self.sets[h].get(key)
-        if rec is None:
+        s = self.sets[h]
+        f = s.get(key)
+        if f is None:
             return False
-        f = rec[0]
-        rec[0] = f + 1
-        rec[1] = self.seq
+        s[key] = f + 1
         buckets = self.buckets[h]
         bucket = buckets[f]
         del bucket[key]
@@ -229,62 +206,67 @@ class _LfuReference(_RecordReference):
         return next(iter(bucket))
 
     def _insert(self, h: int, key: int, victim: int | None) -> None:
-        buckets = self.buckets[h]
+        s, buckets = self.sets[h], self.buckets[h]
         if victim is not None:
-            f = self.sets[h][victim][0]
+            f = s.pop(victim)
             bucket = buckets[f]
             del bucket[victim]
             if not bucket:
                 del buckets[f]
-        super()._insert(h, key, victim)
+        s[key] = 1
         buckets.setdefault(1, {})[key] = None
         self.low[h] = 1
 
 
-class _HyperbolicReference(_RecordReference):
-    """Exact hyperbolic priorities; the tick is the insertion time.
+class _HyperbolicReference(ReferenceCache):
+    """Exact hyperbolic priorities n / (now - t), t the key's insert tick.
 
-    Among keys of equal count n, the one with the smallest insert tick t has
-    strictly the lowest n / (now - t) at every clock value, so the victim is
-    always the oldest key of some frequency.  Beside each set's records,
-    ``buckets[h]`` maps each frequency present in set ``h`` to its keys'
-    insert ticks in ascending order, and ``owner[h]`` maps a tick to its key;
-    ticks are unique within a set, since a fetch inserts at most once per
-    cache.  An eviction compares one bucket head per distinct frequency.
+    ``seq`` counts fetches, stepped by ``_tick``, and each set maps a key to
+    its ``(count, insert tick)``.  Among keys of equal count n, the one with
+    the smallest insert tick t has strictly the lowest n / (now - t) at every
+    clock value, so the victim is always the oldest key of some count.
+    ``buckets[h]`` maps each count present in set ``h`` to its keys'
+    ``(insert tick, key)`` pairs in ascending order; ticks are unique within
+    a set, since a fetch inserts at most once per cache, so the pairs sort by
+    tick.  An eviction compares one bucket head per distinct count.
     """
 
     policy = "hyperbolic"
 
     def __init__(self, policy: str, k: int, d: int) -> None:
         super().__init__(policy, k, d)
-        self.buckets: list[dict[int, list[int]]] = [{} for _ in range(d)]
-        self.owner: list[dict[int, int]] = [{} for _ in range(d)]
+        self.seq = 0
+        self.buckets: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(d)]
+
+    def _tick(self) -> None:
+        self.seq += 1
 
     def clone(self) -> "_HyperbolicReference":
         other = super().clone()
-        other.buckets = [{f: ticks[:] for f, ticks in buckets.items()}
+        other.buckets = [{f: entries[:] for f, entries in buckets.items()}
                          for buckets in self.buckets]
-        other.owner = [owner.copy() for owner in self.owner]
         return other
 
     @staticmethod
-    def _unfile(buckets: dict[int, list[int]], f: int, t: int) -> None:
-        """Take tick ``t`` out of bucket ``f``, and the bucket out once it is empty."""
-        ticks = buckets[f]
-        if len(ticks) == 1:
+    def _unfile(buckets: dict[int, list[tuple[int, int]]], f: int, entry: tuple[int, int]) -> None:
+        """Take ``entry`` out of bucket ``f``, and the bucket out once it is empty."""
+        entries = buckets[f]
+        if len(entries) == 1:
             del buckets[f]
         else:
-            del ticks[bisect_left(ticks, t)]
+            del entries[bisect_left(entries, entry)]
 
     def _touch(self, h: int, key: int) -> bool:
-        rec = self.sets[h].get(key)
+        s = self.sets[h]
+        rec = s.get(key)
         if rec is None:
             return False
         f, t = rec
-        rec[0] = f + 1
+        s[key] = (f + 1, t)
         buckets = self.buckets[h]
-        self._unfile(buckets, f, t)
-        insort(buckets.setdefault(f + 1, []), t)
+        entry = (t, key)
+        self._unfile(buckets, f, entry)
+        insort(buckets.setdefault(f + 1, []), entry)
         return True
 
     def victim(self, h: int) -> int | None:
@@ -294,34 +276,32 @@ class _HyperbolicReference(_RecordReference):
         # wins ties, the first inserted.  The start is a priority 1/0 above
         # every head: a key's insert precedes the fetch that evicts, so life >= 1.
         now = self.seq
-        best_n, best_life, best_t = 1, 0, 0
+        best_n, best_life, best = 1, 0, (0, 0)
         tied = False  # whether the running minimum is shared
-        for n, ticks in self.buckets[h].items():
-            t = ticks[0]
-            life = now - t
+        for n, entries in self.buckets[h].items():
+            head = entries[0]
+            life = now - head[0]
             lhs = n * best_life
             rhs = best_n * life
             if lhs < rhs:
-                best_n, best_life, best_t = n, life, t
+                best_n, best_life, best = n, life, head
                 tied = False
             elif lhs == rhs:
                 tied = True
-                if t < best_t:
-                    best_t = t
+                if head < best:
+                    best = head
         if tied:
             self.tie_seen = True
-        return self.owner[h][best_t]
+        return best[1]
 
     def _insert(self, h: int, key: int, victim: int | None) -> None:
-        buckets, owner = self.buckets[h], self.owner[h]
+        s, buckets = self.sets[h], self.buckets[h]
         if victim is not None:
-            f, t = self.sets[h][victim]
-            self._unfile(buckets, f, t)
-            del owner[t]
-        super()._insert(h, key, victim)
+            f, t = s.pop(victim)
+            self._unfile(buckets, f, (t, victim))
+        s[key] = (1, self.seq)
         # the newest tick of the set: it goes last in bucket 1
-        buckets.setdefault(1, []).append(self.seq)
-        owner[self.seq] = key
+        buckets.setdefault(1, []).append((self.seq, key))
 
 
 _BY_POLICY = {cls.policy: cls for cls in

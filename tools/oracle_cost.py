@@ -8,11 +8,15 @@ Run from anywhere, against the ``src`` directory of any checkout:
 Each of fifo, lru, lfu and hyperbolic replays one fixed-seed Zipf(10^6, 0.99)
 trace (seed 1, 2x10^4 events by default) through ``ReferenceCache(policy,
 capacity, 1)`` at capacities 128, 512 and 2048, on a fresh cache per run.
-The figure is the best of three runs, in microseconds per event, and
-covers the ``fetch`` calls only: building the trace and the cache is outside
-the timed loop.  The checkout's ``dpcache`` is imported from ``--src``, which
-defaults to this checkout's own ``src``; only the standard library is used
-besides it.
+Each (policy, capacity) cell runs five times, and the cells take turns: every
+round replays each cell once, so load on the host during a run slows all
+cells alike rather than one block of them.  ``us_per_event`` holds each
+cell's best run and ``us_per_event_range`` its best and worst, in
+microseconds per event; a wide range marks a noisy run.  Only the ``fetch``
+calls are timed: building the trace and the cache is outside the timed
+loop.  The checkout's ``dpcache`` is imported from ``--src``, which defaults
+to this checkout's own ``src``; only the standard library is used besides
+it.
 """
 
 from __future__ import annotations
@@ -26,19 +30,16 @@ from pathlib import Path
 POLICIES = ("fifo", "lru", "lfu", "hyperbolic")
 CAPACITIES = (128, 512, 2048)
 ZIPF_N, ZIPF_S, SEED = 10**6, 0.99, 1
-REPEAT = 3
+REPEAT = 5
 
 
-def us_per_event(cache_of, keys: list[int]) -> float:
-    """Best of ``REPEAT`` replays of ``keys``, each through a fresh ``cache_of()``."""
-    best = float("inf")
-    for _ in range(REPEAT):
-        fetch = cache_of().fetch
-        start = time.perf_counter()
-        for key in keys:
-            fetch(key)
-        best = min(best, time.perf_counter() - start)
-    return best / len(keys) * 1e6
+def us_per_event(cache, keys: list[int]) -> float:
+    """One replay of ``keys`` through ``cache``, in microseconds per event."""
+    fetch = cache.fetch
+    start = time.perf_counter()
+    for key in keys:
+        fetch(key)
+    return (time.perf_counter() - start) / len(keys) * 1e6
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -57,14 +58,18 @@ def main(argv: list[str] | None = None) -> int:
     from dpcache.traces import ZipfSpec, generate_zipf
 
     keys = generate_zipf(ZipfSpec(N=ZIPF_N, s=ZIPF_S, length=args.events, seed=SEED)).keys.tolist()
-    table = {
-        policy: {str(capacity): round(us_per_event(
-            lambda: ReferenceCache(policy, capacity, 1), keys), 3)
-            for capacity in args.capacities}
-        for policy in POLICIES
-    }
-    record = {"events": args.events, "zipf": [ZIPF_N, ZIPF_S, SEED],
-              "repeat": REPEAT, "us_per_event": table}
+    cells = [(policy, capacity) for policy in POLICIES for capacity in args.capacities]
+    runs: dict[tuple[str, int], list[float]] = {cell: [] for cell in cells}
+    for _ in range(REPEAT):
+        for policy, capacity in cells:
+            runs[policy, capacity].append(us_per_event(ReferenceCache(policy, capacity, 1), keys))
+    best, spread = {}, {}
+    for (policy, capacity), costs in runs.items():
+        low, high = round(min(costs), 3), round(max(costs), 3)
+        best.setdefault(policy, {})[str(capacity)] = low
+        spread.setdefault(policy, {})[str(capacity)] = [low, high]
+    record = {"events": args.events, "zipf": [ZIPF_N, ZIPF_S, SEED], "repeat": REPEAT,
+              "us_per_event": best, "us_per_event_range": spread}
     print(json.dumps(record, indent=1))
     return 0
 
