@@ -25,6 +25,8 @@ from .oracle import exhaustive_check
 from .policies import DEFAULT_INTEGER_FACTOR, POLICIES
 from .traces import ZipfSpec, generate_zipf
 
+_WRITE_CHUNK = 1 << 16  # keys per write of ``gen-zipf``
+
 
 def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
@@ -177,8 +179,10 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "gen-zipf":
             trace = generate_zipf(ZipfSpec(N=args.zipf_n, s=args.zipf_s,
                                            length=args.zipf_len, seed=args.seed))
+            keys = trace.keys
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.writelines(f"{key}\n" for key in trace.keys)
+                for start in range(0, len(keys), _WRITE_CHUNK):
+                    fh.write("\n".join(map(str, keys[start:start + _WRITE_CHUNK])) + "\n")
         elif args.command == "check":
             report = exhaustive_check(
                 args.policy, k=args.k, d=args.d,

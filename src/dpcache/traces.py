@@ -14,10 +14,8 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
 from typing import Iterator
 
 import numpy as np
@@ -30,6 +28,9 @@ FORMAT_CSV = "csv"
 _ZIPF_CHUNK = 1 << 16  # uniform draws per chunk of a generated trace
 _BLOCK_CHARS = 1 << 16  # characters read per block of a parsed trace
 _BLOCK_ROWS = 1 << 12  # rows per block of a parsed CSV trace
+_BATCH_SHARE = 4  # a remap batch holds at least 1/4 as many keys as the table
+_CLEAN_BYTES = b"0123456789\n\r"  # the bytes of a clean block
+_SATURATED = np.uint64(2**64 - 1)  # what np.fromstring reads a key of 2**64 or more as
 KEY_LIMIT = 1 << 32  # keys are stored as 4-byte unsigned ints
 
 
@@ -72,7 +73,8 @@ class Trace:
     ``keys`` is an ``array('I')``, 4 bytes per event, so ``ZipfSpec`` refuses
     ``N >= KEY_LIMIT`` and ``parse_trace`` a file of that many distinct keys.
     ``max_key`` bounds the keys: the universe ``N`` of a generated trace, the
-    number of distinct keys of a parsed one.
+    number of distinct keys of a parsed one, whose remap table held 12 bytes
+    per distinct key while it was parsed.
     """
 
     keys: array
@@ -129,35 +131,74 @@ def generate_zipf(spec: ZipfSpec) -> Trace:
     )
 
 
-def _line_blocks(fh) -> Iterator[tuple[int, list[str]]]:
+def _clean(text: str) -> bytes | None:
+    """``text`` as ASCII bytes if it holds only digits, ``\\n`` and ``\\r``."""
+    if text.isascii():
+        data = text.encode("ascii")
+        if not data.translate(None, _CLEAN_BYTES):
+            return data
+    return None
+
+
+def _line_counts(data: bytes) -> tuple[int, int]:
+    """The lines of clean ``data`` as ``str.splitlines`` counts them, and the non-blank ones.
+
+    Every byte below ``"0"`` is a line break, a CRLF pair is one, and each
+    non-blank line is one run of digits.
+    """
+    byte = np.frombuffer(data, dtype=np.uint8)
+    if not len(byte):
+        return 0, 0
+    digit = byte > 13
+    lines = len(byte) - int(np.count_nonzero(digit)) + bool(digit[-1])
+    if b"\r" in data:
+        lines -= int(np.count_nonzero((byte[:-1] == 13) & (byte[1:] == 10)))
+    filled = int(np.count_nonzero(digit[1:] > digit[:-1])) + bool(digit[0])
+    return lines, filled
+
+
+def _line_blocks(fh) -> Iterator[tuple[int, bytes | list[str]]]:
     """Blocks of the lines of ``fh``, each with the number of its first line.
 
     The lines are exactly those ``str.splitlines`` gives for the whole text.
-    Text is read in blocks of ``_BLOCK_CHARS``.  A block's unfinished last
-    line carries into the next block, and so does a last line ended by a
-    bare ``\\r``, which may be the first half of a CRLF pair.
+    Text is read in blocks of ``_BLOCK_CHARS`` and cut after its last ``\\n``
+    or ``\\r``; the unfinished line after the cut carries into the next
+    block, and so does a last line ended by a bare ``\\r``, which may be the
+    first half of a CRLF pair.  Text without either break is cut where
+    ``str.splitlines`` cuts it.  A clean block comes as its ASCII bytes
+    (``_clean``), any other as its list of lines.
     """
     carry = ""
     line_no = 1
     while block := fh.read(_BLOCK_CHARS):
         text = carry + block
+        end = len(text) - text.endswith("\r")
+        cut = max(text.rfind("\n", 0, end), text.rfind("\r", 0, end)) + 1
+        if not cut:
+            cut = len(text) - len(text.splitlines(True)[-1])
+        carry = text[cut:]
+        if cut:
+            lines, count = _lines(text[:cut])
+            yield line_no, lines
+            line_no += count
+    yield line_no, _lines(carry)[0]
+
+
+def _lines(text: str) -> tuple[bytes | list[str], int]:
+    """The lines of ``text``, as its clean bytes or as a list, and their count."""
+    data = _clean(text)
+    if data is None:
         lines = text.splitlines()
-        end = text[-1]
-        if end == "\r":
-            carry = lines.pop() + end
-        elif end.splitlines() == [end]:  # not a line break
-            carry = lines.pop()
-        else:
-            carry = ""
-        yield line_no, lines
-        line_no += len(lines)
-    yield line_no, carry.splitlines()
+        return lines, len(lines)
+    return data, _line_counts(data)[0]
 
 
-def _csv_blocks(fh, key_column: str, path: str) -> Iterator[tuple[int, list[str]]]:
+def _csv_blocks(fh, key_column: str, path: str) -> Iterator[tuple[int, bytes | list[str]]]:
     """Blocks of the key cells of a CSV trace, each with its first row number.
 
-    The header is row 1; blank rows are skipped and not numbered.  A row the
+    The header is row 1; blank rows are skipped and not numbered.  A block
+    whose cells each hold one line of digits comes as its clean ASCII bytes,
+    one cell per line; any other as its list of cells.  A row the
     ``csv`` module cannot read (a cell over its field size limit) raises
     ``TraceFormatError`` naming that row, once the rows before it are handed
     out, so a fault in an earlier row is still the one reported.
@@ -172,13 +213,21 @@ def _csv_blocks(fh, key_column: str, path: str) -> Iterator[tuple[int, list[str]
         for row in reader:
             cells.append(row.get(key_column) or "")
             if len(cells) == _BLOCK_ROWS:
-                yield row_no, cells
+                yield row_no, _csv_block(cells)
                 row_no += len(cells)
                 cells = []
     except csv.Error as exc:
-        yield row_no, cells
+        yield row_no, _csv_block(cells)
         raise TraceFormatError(f"{path}:{row_no + len(cells)}: {exc}") from None
-    yield row_no, cells
+    yield row_no, _csv_block(cells)
+
+
+def _csv_block(cells: list[str]) -> bytes | list[str]:
+    """The cells as clean bytes, one per line, if each is one line of digits."""
+    data = _clean("\n".join(cells))
+    if data is None or _line_counts(data) != (len(cells), len(cells)):
+        return cells
+    return data
 
 
 def _parse_key(text: str, line_no: int, path: str) -> int:
@@ -208,20 +257,65 @@ def _parse_lines(cells: list[str], first: int, path: str, format: str) -> list[i
     return raws
 
 
-def _block_keys(cells: list[str], first: int, path: str, format: str) -> list[int]:
-    """The raw keys of one block: one ``map(int)`` when every cell is a key.
+def _block_keys(cells: bytes | list[str], first: int, path: str, format: str) -> np.ndarray:
+    """The raw keys of one block as ``uint64``: one ``np.fromstring`` when it is clean.
 
-    ``int`` skips the whitespace around a cell that ``str.strip`` does, except
-    ``\\x1c``-``\\x1f``, on which it raises.  Such a cell, or a blank,
-    non-numeric or out-of-range one, sends the block to ``_parse_lines``.
+    A clean block goes to ``_parse_lines`` after all if numpy reads a number
+    of keys other than its non-blank lines, or a key of ``2**64 - 1``, which
+    is also what a longer key saturates to; the line parser then keeps or
+    refuses each line exactly.  Any other block is parsed line by line.
     """
-    try:
-        raws = list(map(int, cells))
-    except ValueError:
-        return _parse_lines(cells, first, path, format)
-    if raws and (min(raws) < 0 or max(raws) >= (1 << 64)):
-        return _parse_lines(cells, first, path, format)
-    return raws
+    if isinstance(cells, bytes):
+        raws = np.fromstring(cells, dtype=np.uint64, sep="\n")
+        if len(raws) == _line_counts(cells)[1] and not (raws == _SATURATED).any():
+            return raws
+        cells = cells.decode("ascii").splitlines()
+    return np.array(_parse_lines(cells, first, path, format), dtype=np.uint64)
+
+
+class _DenseIds:
+    """Raw key -> dense 1-based id in first-seen order, as two sorted arrays.
+
+    ``raw`` holds the distinct raw keys in ascending order and ``ids`` their
+    ids, 12 bytes per distinct key.  Each batch is sorted once; its distinct
+    keys are looked up with one ``searchsorted``, and the new ones are numbered
+    in order of first appearance and merged in.  A merge copies the table, so
+    ``parse_trace`` lets a batch grow with the table, which bounds the copies
+    to a constant number per line.
+    """
+
+    def __init__(self) -> None:
+        self.raw = np.empty(0, dtype=np.uint64)
+        self.ids = np.empty(0, dtype=np.uint32)
+
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def remap(self, raws: np.ndarray, path: str) -> np.ndarray:
+        """The dense ids of ``raws``; refuses a batch that brings the table to ``KEY_LIMIT``."""
+        order = raws.argsort()
+        ranked = raws[order]
+        head = np.empty(len(raws), dtype=bool)
+        head[:1] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+        distinct = ranked[head]
+        at = np.searchsorted(self.raw, distinct)
+        known = at < len(self.raw)
+        known[known] = self.raw[at[known]] == distinct[known]
+        ids = np.empty(len(distinct), dtype=np.uint32)
+        ids[known] = self.ids[at[known]]
+        new = np.flatnonzero(~known)
+        if len(new):
+            if len(self) + len(new) >= KEY_LIMIT:
+                raise TraceFormatError(f"{path}: more than {KEY_LIMIT - 1} distinct keys")
+            first_seen = np.minimum.reduceat(order, np.flatnonzero(head))[new]
+            ids[new[first_seen.argsort()]] = np.arange(
+                len(self) + 1, len(self) + 1 + len(new), dtype=np.uint32)
+            self.raw = np.insert(self.raw, at[new], distinct[new])
+            self.ids = np.insert(self.ids, at[new], ids[new])
+        dense = np.empty(len(raws), dtype=np.uint32)
+        dense[order] = ids[np.cumsum(head) - 1]
+        return dense
 
 
 def parse_trace(path: str, format: str = FORMAT_PLAIN, key_column: str = "key") -> Trace:
@@ -229,19 +323,23 @@ def parse_trace(path: str, format: str = FORMAT_PLAIN, key_column: str = "key") 
 
     ``plain`` is one decimal key per line (blank lines skipped);
     ``csv`` takes the key from the named header column, and a row whose key
-    cell is empty or missing is an error.  Accepts LF or CRLF, and a UTF-8
-    byte-order mark.  The file is streamed: memory holds the keys and the
-    remap table, never the whole text.  Each block of lines is converted with
-    one ``map(int)`` and remapped with one ``map`` over the remap table, whose
-    missing keys take the next dense id; only a block with a blank or bad line
-    is parsed line by line.  A block that brings the distinct keys to
-    ``KEY_LIMIT`` raises ``TraceFormatError``.
+    cell is empty or missing is an error.  A line ends at LF, CRLF or a bare
+    CR, and a UTF-8 byte-order mark is skipped.  The file is streamed: memory
+    holds the keys, the remap table and one batch of blocks, never the whole
+    text.  A clean block, of ASCII digits and line breaks only, is converted
+    by one ``np.fromstring``; any other block, and a clean one whose
+    conversion ``_block_keys`` doubts, is parsed line by line, which skips
+    blank lines and names the first bad one.  The remap table (``_DenseIds``)
+    is two sorted arrays, 12 bytes per distinct key, and blocks are remapped
+    in batches of at least ``1 / _BATCH_SHARE`` as many keys as it holds.  A
+    batch that brings the distinct keys to ``KEY_LIMIT`` raises
+    ``TraceFormatError``.
     """
     if format not in (FORMAT_PLAIN, FORMAT_CSV):
         raise TraceFormatError(f"unknown trace format {format!r}")
-    ids = defaultdict(count(1).__next__)  # raw key -> dense id, in first-seen order
-    remap = ids.__getitem__
+    table = _DenseIds()
     keys = array("I")
+    batch: list[np.ndarray] = []
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             if format == FORMAT_CSV:
@@ -249,14 +347,16 @@ def parse_trace(path: str, format: str = FORMAT_PLAIN, key_column: str = "key") 
             else:
                 blocks = _line_blocks(fh)
             for first, cells in blocks:
-                block = list(map(remap, _block_keys(cells, first, path, format)))
-                if len(ids) >= KEY_LIMIT:
-                    raise TraceFormatError(f"{path}: more than {KEY_LIMIT - 1} distinct keys")
-                keys.fromlist(block)
+                batch.append(_block_keys(cells, first, path, format))
+                if sum(map(len, batch)) * _BATCH_SHARE >= len(table):
+                    keys.frombytes(table.remap(np.concatenate(batch), path).tobytes())
+                    batch = []
     except UnicodeDecodeError as exc:
         raise TraceFormatError(
             f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x}: {exc.reason})"
         ) from None
+    if batch:
+        keys.frombytes(table.remap(np.concatenate(batch), path).tobytes())
     if not keys:
         raise TraceFormatError(f"{path}: no events found")
-    return Trace(keys=keys, source=str(path), max_key=len(ids))
+    return Trace(keys=keys, source=str(path), max_key=len(table))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from dataclasses import replace
@@ -451,6 +452,19 @@ class TestCli:
         assert main(["run", "--policy", "fifo", "--km", "2", "--dm", "4",
                      "--trace", str(trace_path)]) == 0
         assert "fifo" in capsys.readouterr().out
+
+    def test_gen_zipf_writes_the_bytes_of_the_per_key_writer(self, tmp_path):
+        # 70,000 keys span two chunks of 2**16; the pin is the digest of the
+        # writer that wrote one f"{key}\n" per key
+        trace_path = tmp_path / "z.trace"
+        assert main(["gen-zipf", "--zipf-n", "1000", "--zipf-s", "0.99",
+                     "--zipf-len", "70000", "--seed", "3",
+                     "--out", str(trace_path)]) == 0
+        data = trace_path.read_bytes()
+        keys = generate_zipf(ZipfSpec(N=1000, s=0.99, length=70_000, seed=3)).keys
+        assert data == "".join(f"{key}\n" for key in keys).encode()
+        assert hashlib.sha256(data).hexdigest() == (
+            "58be3b2e6b08ffe32e0425e70c15694016fc7a8a5f888cab181ddce35b636bfc")
 
     def test_sweep_cli(self, capsys):
         code = main(["sweep", "--policy", "lru", "--zipf-n", "100",
