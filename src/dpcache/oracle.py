@@ -25,6 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 from .core import LayoutConfig
@@ -32,6 +33,7 @@ from .multiregion import FILTER_TINYLFU, CountingFilter, RegionSpec, aging_windo
 from .policies import DEFAULT_INTEGER_FACTOR, PolicyEngine, make_engine
 
 _MAX_ENUMERATION_NODES = 5_000_000
+_TICK = itemgetter(0)  # the insert tick of a hyperbolic bucket entry
 
 
 class ReferenceCache:
@@ -226,9 +228,12 @@ class _HyperbolicReference(ReferenceCache):
     the smallest insert tick t has strictly the lowest n / (now - t) at every
     clock value, so the victim is always the oldest key of some count.
     ``buckets[h]`` maps each count present in set ``h`` to its keys'
-    ``(insert tick, key)`` pairs in ascending order; ticks are unique within
-    a set, since a fetch inserts at most once per cache, so the pairs sort by
-    tick.  An eviction compares one bucket head per distinct count.
+    ``(insert tick, key)`` entries in ascending order; ticks are unique within
+    a set, since a fetch inserts at most once per cache, so the entries sort
+    by tick and are found by it.  A key's entry is built once, when the key is
+    inserted: a hit moves it to the next bucket and builds only the new
+    record, so it makes one tuple.  An eviction compares one bucket head per
+    distinct count.
     """
 
     policy = "hyperbolic"
@@ -248,13 +253,14 @@ class _HyperbolicReference(ReferenceCache):
         return other
 
     @staticmethod
-    def _unfile(buckets: dict[int, list[tuple[int, int]]], f: int, entry: tuple[int, int]) -> None:
-        """Take ``entry`` out of bucket ``f``, and the bucket out once it is empty."""
+    def _unfile(buckets: dict[int, list[tuple[int, int]]], f: int, t: int) -> tuple[int, int]:
+        """Take the entry of tick ``t`` out of bucket ``f``, and the bucket out
+        once it is empty; returns the entry."""
         entries = buckets[f]
         if len(entries) == 1:
             del buckets[f]
-        else:
-            del entries[bisect_left(entries, entry)]
+            return entries[0]
+        return entries.pop(bisect_left(entries, t, key=_TICK))
 
     def _touch(self, h: int, key: int) -> bool:
         s = self.sets[h]
@@ -264,9 +270,7 @@ class _HyperbolicReference(ReferenceCache):
         f, t = rec
         s[key] = (f + 1, t)
         buckets = self.buckets[h]
-        entry = (t, key)
-        self._unfile(buckets, f, entry)
-        insort(buckets.setdefault(f + 1, []), entry)
+        insort(buckets.setdefault(f + 1, []), self._unfile(buckets, f, t), key=_TICK)
         return True
 
     def victim(self, h: int) -> int | None:
@@ -298,7 +302,7 @@ class _HyperbolicReference(ReferenceCache):
         s, buckets = self.sets[h], self.buckets[h]
         if victim is not None:
             f, t = s.pop(victim)
-            self._unfile(buckets, f, (t, victim))
+            self._unfile(buckets, f, t)
         s[key] = (1, self.seq)
         # the newest tick of the set: it goes last in bucket 1
         buckets.setdefault(1, []).append((self.seq, key))

@@ -29,6 +29,7 @@ _ZIPF_CHUNK = 1 << 16  # uniform draws per chunk of a generated trace
 _BLOCK_CHARS = 1 << 16  # characters read per block of a parsed trace
 _BLOCK_ROWS = 1 << 12  # rows per block of a parsed CSV trace
 _BATCH_SHARE = 4  # a remap batch holds at least 1/4 as many keys as the table
+_BATCH_FLOOR = 1 << 15  # and at least this many keys, unless the file ends first
 _CLEAN_BYTES = b"0123456789\n\r"  # the bytes of a clean block
 _SATURATED = np.uint64(2**64 - 1)  # what np.fromstring reads a key of 2**64 or more as
 KEY_LIMIT = 1 << 32  # keys are stored as 4-byte unsigned ints
@@ -157,7 +158,7 @@ def _line_counts(data: bytes) -> tuple[int, int]:
     return lines, filled
 
 
-def _line_blocks(fh) -> Iterator[tuple[int, bytes | list[str]]]:
+def _line_blocks(fh) -> Iterator[tuple[int, bytes | list[str], int | None]]:
     """Blocks of the lines of ``fh``, each with the number of its first line.
 
     The lines are exactly those ``str.splitlines`` gives for the whole text.
@@ -166,7 +167,8 @@ def _line_blocks(fh) -> Iterator[tuple[int, bytes | list[str]]]:
     block, and so does a last line ended by a bare ``\\r``, which may be the
     first half of a CRLF pair.  Text without either break is cut where
     ``str.splitlines`` cuts it.  A clean block comes as its ASCII bytes
-    (``_clean``), any other as its list of lines.
+    (``_clean``) and its number of non-blank lines, any other as its list of
+    lines and ``None``.
     """
     carry = ""
     line_no = 1
@@ -178,27 +180,33 @@ def _line_blocks(fh) -> Iterator[tuple[int, bytes | list[str]]]:
             cut = len(text) - len(text.splitlines(True)[-1])
         carry = text[cut:]
         if cut:
-            lines, count = _lines(text[:cut])
-            yield line_no, lines
+            cells, count, filled = _lines(text[:cut])
+            yield line_no, cells, filled
             line_no += count
-    yield line_no, _lines(carry)[0]
+    cells, _, filled = _lines(carry)
+    yield line_no, cells, filled
 
 
-def _lines(text: str) -> tuple[bytes | list[str], int]:
-    """The lines of ``text``, as its clean bytes or as a list, and their count."""
+def _lines(text: str) -> tuple[bytes | list[str], int, int | None]:
+    """The lines of ``text`` and their count, then the non-blank ones if it is clean.
+
+    Clean text comes as its bytes, with both counts from one ``_line_counts``;
+    any other as its list of lines, with ``None`` for the non-blank count.
+    """
     data = _clean(text)
     if data is None:
         lines = text.splitlines()
-        return lines, len(lines)
-    return data, _line_counts(data)[0]
+        return lines, len(lines), None
+    return (data, *_line_counts(data))
 
 
-def _csv_blocks(fh, key_column: str, path: str) -> Iterator[tuple[int, bytes | list[str]]]:
+def _csv_blocks(fh, key_column: str, path: str) -> Iterator[tuple[int, bytes | list[str], int | None]]:
     """Blocks of the key cells of a CSV trace, each with its first row number.
 
     The header is row 1; blank rows are skipped and not numbered.  A block
     whose cells each hold one line of digits comes as its clean ASCII bytes,
-    one cell per line; any other as its list of cells.  A row the
+    one cell per line, and its number of cells; any other as its list of
+    cells and ``None``.  A row the
     ``csv`` module cannot read (a cell over its field size limit) raises
     ``TraceFormatError`` naming that row, once the rows before it are handed
     out, so a fault in an earlier row is still the one reported.
@@ -213,21 +221,22 @@ def _csv_blocks(fh, key_column: str, path: str) -> Iterator[tuple[int, bytes | l
         for row in reader:
             cells.append(row.get(key_column) or "")
             if len(cells) == _BLOCK_ROWS:
-                yield row_no, _csv_block(cells)
+                yield row_no, *_csv_block(cells)
                 row_no += len(cells)
                 cells = []
     except csv.Error as exc:
-        yield row_no, _csv_block(cells)
+        yield row_no, *_csv_block(cells)
         raise TraceFormatError(f"{path}:{row_no + len(cells)}: {exc}") from None
-    yield row_no, _csv_block(cells)
+    yield row_no, *_csv_block(cells)
 
 
-def _csv_block(cells: list[str]) -> bytes | list[str]:
-    """The cells as clean bytes, one per line, if each is one line of digits."""
+def _csv_block(cells: list[str]) -> tuple[bytes | list[str], int | None]:
+    """The cells as clean bytes, one per line, and their count, if each is one
+    line of digits; else the cells and ``None``."""
     data = _clean("\n".join(cells))
     if data is None or _line_counts(data) != (len(cells), len(cells)):
-        return cells
-    return data
+        return cells, None
+    return data, len(cells)
 
 
 def _parse_key(text: str, line_no: int, path: str) -> int:
@@ -257,17 +266,19 @@ def _parse_lines(cells: list[str], first: int, path: str, format: str) -> list[i
     return raws
 
 
-def _block_keys(cells: bytes | list[str], first: int, path: str, format: str) -> np.ndarray:
+def _block_keys(cells: bytes | list[str], first: int, path: str, format: str,
+                filled: int | None) -> np.ndarray:
     """The raw keys of one block as ``uint64``: one ``np.fromstring`` when it is clean.
 
-    A clean block goes to ``_parse_lines`` after all if numpy reads a number
-    of keys other than its non-blank lines, or a key of ``2**64 - 1``, which
-    is also what a longer key saturates to; the line parser then keeps or
-    refuses each line exactly.  Any other block is parsed line by line.
+    A clean block comes with ``filled``, its number of non-blank lines, and
+    goes to ``_parse_lines`` after all if numpy reads a number of keys other
+    than that, or a key of ``2**64 - 1``, which is also what a longer key
+    saturates to; the line parser then keeps or refuses each line exactly.
+    Any other block is parsed line by line.
     """
     if isinstance(cells, bytes):
         raws = np.fromstring(cells, dtype=np.uint64, sep="\n")
-        if len(raws) == _line_counts(cells)[1] and not (raws == _SATURATED).any():
+        if len(raws) == filled and not (raws == _SATURATED).any():
             return raws
         cells = cells.decode("ascii").splitlines()
     return np.array(_parse_lines(cells, first, path, format), dtype=np.uint64)
@@ -280,8 +291,10 @@ class _DenseIds:
     ids, 12 bytes per distinct key.  Each batch is sorted once; its distinct
     keys are looked up with one ``searchsorted``, and the new ones are numbered
     in order of first appearance and merged in.  A merge copies the table, so
-    ``parse_trace`` lets a batch grow with the table, which bounds the copies
-    to a constant number per line.
+    ``parse_trace`` merges a batch only once it holds ``_BATCH_FLOOR`` keys
+    and ``1 / _BATCH_SHARE`` as many as the table (or the file has ended):
+    the floor spares a small table a merge per block, and the share bounds
+    the copies to a constant number per line.
     """
 
     def __init__(self) -> None:
@@ -318,6 +331,14 @@ class _DenseIds:
         return dense
 
 
+def _joined(batch: list[np.ndarray]) -> np.ndarray:
+    """The keys of ``batch`` in one array; empties the list, so that no key is
+    held twice while the array is remapped."""
+    raws = np.concatenate(batch)
+    batch.clear()
+    return raws
+
+
 def parse_trace(path: str, format: str = FORMAT_PLAIN, key_column: str = "key") -> Trace:
     """Read a trace file and remap its keys to a dense 1-based space.
 
@@ -330,33 +351,36 @@ def parse_trace(path: str, format: str = FORMAT_PLAIN, key_column: str = "key") 
     by one ``np.fromstring``; any other block, and a clean one whose
     conversion ``_block_keys`` doubts, is parsed line by line, which skips
     blank lines and names the first bad one.  The remap table (``_DenseIds``)
-    is two sorted arrays, 12 bytes per distinct key, and blocks are remapped
-    in batches of at least ``1 / _BATCH_SHARE`` as many keys as it holds.  A
-    batch that brings the distinct keys to ``KEY_LIMIT`` raises
-    ``TraceFormatError``.
+    is two sorted arrays, 12 bytes per distinct key.  Blocks are remapped in
+    batches: a batch is remapped once it holds at least ``_BATCH_FLOOR`` keys
+    and at least ``1 / _BATCH_SHARE`` as many keys as the table, or once the
+    file has ended.  A batch that brings the distinct keys to ``KEY_LIMIT``
+    raises ``TraceFormatError``.
     """
     if format not in (FORMAT_PLAIN, FORMAT_CSV):
         raise TraceFormatError(f"unknown trace format {format!r}")
     table = _DenseIds()
     keys = array("I")
     batch: list[np.ndarray] = []
+    held = 0  # the keys in batch
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             if format == FORMAT_CSV:
                 blocks = _csv_blocks(fh, key_column, path)
             else:
                 blocks = _line_blocks(fh)
-            for first, cells in blocks:
-                batch.append(_block_keys(cells, first, path, format))
-                if sum(map(len, batch)) * _BATCH_SHARE >= len(table):
-                    keys.frombytes(table.remap(np.concatenate(batch), path).tobytes())
-                    batch = []
+            for first, cells, filled in blocks:
+                batch.append(_block_keys(cells, first, path, format, filled))
+                held += len(batch[-1])
+                if held >= _BATCH_FLOOR and held * _BATCH_SHARE >= len(table):
+                    keys.frombytes(table.remap(_joined(batch), path).tobytes())
+                    held = 0
     except UnicodeDecodeError as exc:
         raise TraceFormatError(
             f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x}: {exc.reason})"
         ) from None
     if batch:
-        keys.frombytes(table.remap(np.concatenate(batch), path).tobytes())
+        keys.frombytes(table.remap(_joined(batch), path).tobytes())
     if not keys:
         raise TraceFormatError(f"{path}: no events found")
     return Trace(keys=keys, source=str(path), max_key=len(table))

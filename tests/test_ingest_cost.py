@@ -4,9 +4,17 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from dpcache.traces import ZipfSpec, generate_zipf
+
 TOOL_PATH = Path(__file__).resolve().parents[1] / "tools" / "ingest_cost.py"
+
+
+def zipf_ranks(length):
+    """The seed-1 Zipf(10^6, 0.99) ranks the tool scrambles into its Zipf files."""
+    return generate_zipf(ZipfSpec(N=10**6, s=0.99, length=length, seed=1)).keys
 
 
 @pytest.fixture(scope="module")
@@ -22,19 +30,26 @@ def test_prints_a_cost_and_a_peak_per_size(tool, capsys):
     record = json.loads(capsys.readouterr().out)
     assert (record["lines"], record["seed"], record["repeat"]) == ([50, 200], tool.SEED, 2)
     assert record["distinct"] == {"50": 50, "200": 200}
-    for size in ("50", "200"):
-        low, high = record["ns_per_line_range"][size]
-        # the best figure is the fastest of the interleaved runs
-        assert 0 < record["ns_per_line"][size] == low <= high
-        assert record["peak_mb"][size] > 0
+    zipf = record["zipf"]
+    assert (zipf["universe"], zipf["s"]) == (tool.ZIPF_N, tool.ZIPF_S)
+    # the Zipf files repeat their hot keys
+    assert zipf["distinct"] == {str(n): len(set(zipf_ranks(n))) for n in (50, 200)}
+    assert zipf["distinct"]["200"] < 200
+    for fields in (record, zipf):
+        for size in ("50", "200"):
+            low, high = fields["ns_per_line_range"][size]
+            # the best figure is the fastest of the interleaved runs
+            assert 0 < fields["ns_per_line"][size] == low <= high
+            assert fields["peak_mb"][size] > 0
 
 
 def test_sizes_take_turns_across_the_repeats(tool, monkeypatch, capsys):
     order = []
-    monkeypatch.setattr(tool, "ns_per_line", lambda parse, path, lines: order.append(lines) or 1.0)
+    monkeypatch.setattr(tool, "ns_per_line", lambda parse, path, lines: order.append(path.name) or 1.0)
     assert tool.main(["--lines", "30,10", "--repeat", "3"]) == 0
-    assert order == [30, 10] * 3
-    assert json.loads(capsys.readouterr().out)["ns_per_line_range"]["10"] == [1.0, 1.0]
+    assert order == ["ids-30.trace", "zipf-30.trace", "ids-10.trace", "zipf-10.trace"] * 3
+    record = json.loads(capsys.readouterr().out)
+    assert record["ns_per_line_range"]["10"] == record["zipf"]["ns_per_line_range"]["10"] == [1.0, 1.0]
 
 
 def test_writes_the_seeded_ids_one_per_line(tool, tmp_path):
@@ -44,6 +59,14 @@ def test_writes_the_seeded_ids_one_per_line(tool, tmp_path):
     assert len(lines) == 5 and all(0 <= int(line) < 2**64 for line in lines)
     tool.write_ids(tmp_path / "again.trace", 5, 7)
     assert (tmp_path / "again.trace").read_bytes() == path.read_bytes()
+
+
+def test_writes_the_scrambled_zipf_ranks_as_the_benchmark_does(tool, tmp_path):
+    ranks = zipf_ranks(70_000)
+    path = tmp_path / "zipf.trace"
+    tool.write_zipf(path, ranks)
+    scrambled = np.asarray(ranks, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    assert path.read_text(encoding="ascii") == "\n".join(map(str, scrambled.tolist())) + "\n"
 
 
 @pytest.mark.parametrize("argv", [["--lines", "0"], ["--lines", "5,0"], ["--repeat", "0"]])

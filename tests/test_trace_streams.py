@@ -62,7 +62,9 @@ def test_key_storage_is_four_bytes_below_two_to_the_32():
 
 def test_parse_refuses_the_block_that_brings_key_limit_distinct_keys(tmp_path):
     # with the limit moved down to 3, two distinct keys parse, and the third,
-    # met in the second block, is refused there, naming the file
+    # met in the second block, is refused there, naming the file.  The batch
+    # floor is moved down to 1 too, so every block is its own batch; at the
+    # real limit of 2**32 the floor can never bind
     path = tmp_path / "t.trace"
     path.write_text("70\n80\n70\n")
     with mock.patch.object(traces, "KEY_LIMIT", 3):
@@ -71,6 +73,7 @@ def test_parse_refuses_the_block_that_brings_key_limit_distinct_keys(tmp_path):
     path.write_text("70\n80\n70\n90\n80\n")
     with mock.patch.object(traces, "KEY_LIMIT", 3), \
             mock.patch.object(traces, "_BLOCK_CHARS", 6), \
+            mock.patch.object(traces, "_BATCH_FLOOR", 1), \
             mock.patch.object(traces, "_block_keys", wraps=traces._block_keys) as by_block:
         with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path))}: more than 2 distinct keys$"):
             parse_trace(str(path))
@@ -148,8 +151,9 @@ def trace_texts(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(texts=trace_texts(), format=st.sampled_from(["plain", "csv"]),
-       block=st.sampled_from([1, 2, 3, 5, 8, traces._BLOCK_CHARS]))
-def test_streaming_parse_matches_whole_text(texts, format, block):
+       block=st.sampled_from([1, 2, 3, 5, 8, traces._BLOCK_CHARS]),
+       floor=st.sampled_from([1, traces._BATCH_FLOOR]))
+def test_streaming_parse_matches_whole_text(texts, format, block, floor):
     cells, seps = texts
     if format == "csv":
         # the whole-text reader raised csv.Error on a bare "\r" row end, and
@@ -165,7 +169,8 @@ def test_streaming_parse_matches_whole_text(texts, format, block):
         Path(path).write_bytes(text.encode("utf-8"))
         expected = outcome(whole_text_parse, path, format)
         with mock.patch.object(traces, "_BLOCK_CHARS", block), \
-                mock.patch.object(traces, "_BLOCK_ROWS", block):
+                mock.patch.object(traces, "_BLOCK_ROWS", block), \
+                mock.patch.object(traces, "_BATCH_FLOOR", floor):
             assert outcome(streamed, path, format) == expected
 
 
@@ -256,12 +261,9 @@ def test_clean_blocks_match_whole_text(tmp_path, text, block, expected, by_line)
     assert [call.args[1] for call in parse_lines.call_args_list] == by_line
 
 
-def test_a_remap_batch_grows_with_the_table(tmp_path):
-    # 3,000 distinct keys in blocks of two lines.  Every batch but the last
-    # holds at least 1 / _BATCH_SHARE as many keys as the table it meets, so
-    # the table is merged a few dozen times and not once per block
-    path = tmp_path / "t.trace"
-    path.write_text("".join(f"{1000 + i}\n" for i in range(3000)))
+def remap_sizes(path):
+    """Parse ``path``; returns the trace and each remap batch's (keys, table
+    size) in order."""
     sizes = []
     remap = traces._DenseIds.remap
 
@@ -269,13 +271,69 @@ def test_a_remap_batch_grows_with_the_table(tmp_path):
         sizes.append((len(raws), len(table)))
         return remap(table, raws, path)
 
-    with mock.patch.object(traces, "_BLOCK_CHARS", 10), \
-            mock.patch.object(traces._DenseIds, "remap", recorded):
-        trace = parse_trace(str(path))
+    with mock.patch.object(traces._DenseIds, "remap", recorded):
+        return parse_trace(str(path)), sizes
+
+
+def test_a_remap_batch_grows_with_the_table(tmp_path):
+    # 3,000 distinct keys in blocks of two lines.  Every batch but the last
+    # holds at least 1 / _BATCH_SHARE as many keys as the table it meets, so
+    # the table is merged a few dozen times and not once per block.  The
+    # floor is moved down to 1, so that the share alone sets each batch
+    path = tmp_path / "t.trace"
+    path.write_text("".join(f"{1000 + i}\n" for i in range(3000)))
+    with mock.patch.multiple(traces, _BLOCK_CHARS=10, _BATCH_FLOOR=1):
+        trace, sizes = remap_sizes(path)
     assert trace.keys.tolist() == list(range(1, 3001))
     assert sum(n for n, _ in sizes) == 3000
     assert all(n * traces._BATCH_SHARE >= table for n, table in sizes[:-1])
     assert len(sizes) <= 40, len(sizes)
+
+
+def test_a_file_below_the_batch_floor_is_remapped_in_one_batch(tmp_path):
+    # 2,000 keys, 1,000 of them distinct, in blocks of ten characters: one
+    # batch at the end of the file; without the floor, most blocks would merge
+    path = tmp_path / "t.trace"
+    path.write_text("".join(f"{5000 + i % 1000}\n" for i in range(2000)))
+    with mock.patch.object(traces, "_BLOCK_CHARS", 10):
+        trace, sizes = remap_sizes(path)
+    assert sizes == [(2000, 0)]
+    assert (trace.keys.tolist(), trace.max_key) == whole_text_parse(str(path), "plain")
+
+
+def test_every_batch_but_the_last_meets_the_floor_and_the_share(tmp_path):
+    # 300,000 distinct keys in blocks of the real size: the floor sets the
+    # first batches, and once the table holds more than _BATCH_SHARE times
+    # the floor, the share sets them
+    path = tmp_path / "t.trace"
+    path.write_text("".join(f"{10**7 + i}\n" for i in range(300_000)))
+    trace, sizes = remap_sizes(path)
+    assert trace.keys.tolist() == list(range(1, 300_001))
+    assert sum(n for n, _ in sizes) == 300_000
+    floor, share = traces._BATCH_FLOOR, traces._BATCH_SHARE
+    assert all(n >= max(floor, table / share) for n, table in sizes[:-1])
+    assert any(table < floor * share for _, table in sizes[:-1])
+    assert any(table > floor * share for _, table in sizes[:-1])
+    assert len(sizes) <= 10, sizes
+
+
+@pytest.mark.parametrize("format", ["plain", "csv"])
+def test_line_counts_run_once_per_clean_block(tmp_path, format):
+    # every block of this text is clean, so each is counted once, where it is
+    # cut, and handed on with both counts, which numpy's conversion meets
+    path = tmp_path / "t.trace"
+    header = "key\n" if format == "csv" else ""
+    path.write_text(header + "".join(f"{7 * i}\n" for i in range(100)))
+    with mock.patch.multiple(traces, _BLOCK_CHARS=16, _BLOCK_ROWS=8), \
+            mock.patch.object(traces, "_line_counts", wraps=traces._line_counts) as counts, \
+            mock.patch.object(traces, "_block_keys", wraps=traces._block_keys) as by_block, \
+            mock.patch.object(traces, "_parse_lines", wraps=traces._parse_lines) as by_line:
+        trace = parse_trace(str(path), format)
+    assert (trace.keys.tolist(), trace.max_key) == whole_text_parse(str(path), format)
+    assert not by_line.called
+    blocks = [call.args[0] for call in by_block.call_args_list]
+    assert len(blocks) > 5 and all(isinstance(cells, bytes) for cells in blocks)
+    assert [call.args[0] for call in counts.call_args_list] == blocks
 
 
 # -- memory ------------------------------------------------------------------

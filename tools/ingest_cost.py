@@ -1,22 +1,28 @@
-"""Cost of parsing plain trace files of 64-bit ids, per line, as JSON.
+"""Cost of parsing plain trace files of 64-bit keys, per line, as JSON.
 
 Run from anywhere, against the ``src`` directory of any checkout:
 
     python3 tools/ingest_cost.py --src ../parent/src > parent.json
     python3 tools/ingest_cost.py > change.json
 
-For each size (10^5 and 10^6 lines by default), a plain file of seeded
-random 64-bit ids (seed 1, so in practice every id is distinct) is written
-to a temporary directory, which is removed at the end.  Each file is parsed
-with ``parse_trace`` five times by default, and the sizes take turns: every
-round parses each file once, so load on the host during a run slows all
-sizes alike.  ``ns_per_line`` holds each size's best run and
-``ns_per_line_range`` its best and worst, in nanoseconds per line; a wide
-range marks a noisy run.  One more parse of each file runs under
-``tracemalloc``, and ``peak_mb`` is its peak in MB (2^20 bytes).  Writing
-the files is not timed.  The checkout's ``dpcache`` is imported from
-``--src``, which defaults to this checkout's own ``src``; only the standard
-library is used besides it.
+For each size (10^5 and 10^6 lines by default), two plain files are written
+to a temporary directory, which is removed at the end:
+
+* seeded random 64-bit ids (seed 1, so in practice every id is distinct);
+* repeated keys in the benchmark's shape: seed-1 Zipf(10^6, 0.99) ranks from
+  ``generate_zipf``, each times ``0x9E3779B97F4A7C15`` mod 2^64.
+
+Each file is parsed with ``parse_trace`` five times by default, and the
+files take turns: every round parses each file once, so load on the host
+during a run slows all files alike.  ``ns_per_line`` holds each size's best
+run and ``ns_per_line_range`` its best and worst, in nanoseconds per line; a
+wide range marks a noisy run.  One more parse of each file runs under
+``tracemalloc``, and ``peak_mb`` is its peak in MB (2^20 bytes).
+``distinct`` is the number of distinct keys of each file.  The top-level
+fields are the id files'; the ``zipf`` field holds the same four fields for
+the Zipf files.  Writing the files is not timed.  The checkout's
+``dpcache`` is imported from ``--src``, which defaults to this checkout's
+own ``src``; only the standard library is used besides it.
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ SIZES = (10**5, 10**6)
 SEED = 1
 REPEAT = 5
 WRITE_CHUNK = 1 << 16  # ids per write
+ZIPF_N, ZIPF_S = 10**6, 0.99
+SCRAMBLE = 0x9E3779B97F4A7C15  # the odd constant a Zipf rank is multiplied by
+KINDS = ("ids", "zipf")
 
 
 def write_ids(path: Path, lines: int, seed: int) -> None:
@@ -43,6 +52,14 @@ def write_ids(path: Path, lines: int, seed: int) -> None:
         for start in range(0, lines, WRITE_CHUNK):
             ids = [rng.getrandbits(64) for _ in range(min(WRITE_CHUNK, lines - start))]
             fh.write("\n".join(map(str, ids)) + "\n")
+
+
+def write_zipf(path: Path, ranks) -> None:
+    """A plain trace of the Zipf ``ranks``, each scrambled as the benchmark does it."""
+    with open(path, "w", encoding="ascii") as fh:
+        for start in range(0, len(ranks), WRITE_CHUNK):
+            chunk = ranks[start:start + WRITE_CHUNK]
+            fh.write("\n".join(str(rank * SCRAMBLE % 2**64) for rank in chunk) + "\n")
 
 
 def ns_per_line(parse_trace, path: Path, lines: int) -> float:
@@ -74,25 +91,34 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--repeat and every size must be >= 1")
 
     sys.path.insert(0, str(args.src.resolve()))
-    from dpcache.traces import parse_trace
+    from dpcache.traces import ZipfSpec, generate_zipf, parse_trace
 
     with tempfile.TemporaryDirectory(prefix="ingest-cost-") as tmp:
-        paths = {lines: Path(tmp) / f"ids-{lines}.trace" for lines in args.lines}
-        for lines, path in paths.items():
-            write_ids(path, lines, SEED)
-        runs: dict[int, list[float]] = {lines: [] for lines in paths}
+        paths = {(kind, lines): Path(tmp) / f"{kind}-{lines}.trace"
+                 for lines in args.lines for kind in KINDS}
+        for (kind, lines), path in paths.items():
+            if kind == "ids":
+                write_ids(path, lines, SEED)
+            else:
+                write_zipf(path, generate_zipf(ZipfSpec(ZIPF_N, ZIPF_S, lines, SEED)).keys)
+        runs: dict[tuple[str, int], list[float]] = {file: [] for file in paths}
         for _ in range(args.repeat):
-            for lines, path in paths.items():
-                runs[lines].append(ns_per_line(parse_trace, path, lines))
-        memory = {lines: traced(parse_trace, path) for lines, path in paths.items()}
-    record = {
-        "lines": args.lines, "seed": SEED, "repeat": args.repeat,
-        "distinct": {str(lines): memory[lines][0] for lines in paths},
-        "ns_per_line": {str(lines): round(min(costs), 1) for lines, costs in runs.items()},
-        "ns_per_line_range": {str(lines): [round(min(costs), 1), round(max(costs), 1)]
-                              for lines, costs in runs.items()},
-        "peak_mb": {str(lines): round(memory[lines][1], 2) for lines in paths},
-    }
+            for (kind, lines), path in paths.items():
+                runs[kind, lines].append(ns_per_line(parse_trace, path, lines))
+        memory = {file: traced(parse_trace, path) for file, path in paths.items()}
+
+    def fields(kind: str) -> dict:
+        costs = {str(lines): runs[kind, lines] for lines in args.lines}
+        return {
+            "distinct": {str(lines): memory[kind, lines][0] for lines in args.lines},
+            "ns_per_line": {size: round(min(times), 1) for size, times in costs.items()},
+            "ns_per_line_range": {size: [round(min(times), 1), round(max(times), 1)]
+                                  for size, times in costs.items()},
+            "peak_mb": {str(lines): round(memory[kind, lines][1], 2) for lines in args.lines},
+        }
+
+    record = {"lines": args.lines, "seed": SEED, "repeat": args.repeat, **fields("ids"),
+              "zipf": {"universe": ZIPF_N, "s": ZIPF_S, **fields("zipf")}}
     print(json.dumps(record, indent=1))
     return 0
 
