@@ -158,17 +158,15 @@ def _line_counts(data: bytes) -> tuple[int, int]:
     return lines, filled
 
 
-def _line_blocks(fh) -> Iterator[tuple[int, bytes | list[str], int | None]]:
-    """Blocks of the lines of ``fh``, each with the number of its first line.
+def _line_blocks(fh, path: str) -> Iterator[np.ndarray]:
+    """The raw keys of ``fh``'s plain text, one ``uint64`` array per block.
 
     The lines are exactly those ``str.splitlines`` gives for the whole text.
     Text is read in blocks of ``_BLOCK_CHARS`` and cut after its last ``\\n``
     or ``\\r``; the unfinished line after the cut carries into the next
     block, and so does a last line ended by a bare ``\\r``, which may be the
     first half of a CRLF pair.  Text without either break is cut where
-    ``str.splitlines`` cuts it.  A clean block comes as its ASCII bytes
-    (``_clean``) and its number of non-blank lines, any other as its list of
-    lines and ``None``.
+    ``str.splitlines`` cuts it.  Each block goes to ``_block_keys``.
     """
     carry = ""
     line_no = 1
@@ -180,63 +178,63 @@ def _line_blocks(fh) -> Iterator[tuple[int, bytes | list[str], int | None]]:
             cut = len(text) - len(text.splitlines(True)[-1])
         carry = text[cut:]
         if cut:
-            cells, count, filled = _lines(text[:cut])
-            yield line_no, cells, filled
+            raws, count = _block_keys(text[:cut], line_no, path)
+            yield raws
             line_no += count
-    cells, _, filled = _lines(carry)
-    yield line_no, cells, filled
+    yield _block_keys(carry, line_no, path)[0]
 
 
-def _lines(text: str) -> tuple[bytes | list[str], int, int | None]:
-    """The lines of ``text`` and their count, then the non-blank ones if it is clean.
+def _block_keys(text: str, first: int, path: str) -> tuple[np.ndarray, int]:
+    """The raw keys of one plain block as ``uint64``, and its number of lines.
 
-    Clean text comes as its bytes, with both counts from one ``_line_counts``;
-    any other as its list of lines, with ``None`` for the non-blank count.
+    A clean block (``_clean``) is counted by one ``_line_counts`` and
+    converted by one ``np.fromstring``.  It goes to ``_parse_lines`` after
+    all if numpy reads a number of keys other than its non-blank lines, or a
+    key of ``2**64 - 1``, which is also what a longer key saturates to; the
+    line parser then keeps or refuses each line exactly.  Any other block is
+    parsed line by line.
     """
     data = _clean(text)
-    if data is None:
-        lines = text.splitlines()
-        return lines, len(lines), None
-    return (data, *_line_counts(data))
+    if data is not None:
+        lines, filled = _line_counts(data)
+        raws = np.fromstring(data, dtype=np.uint64, sep="\n")
+        if len(raws) == filled and not (raws == _SATURATED).any():
+            return raws, lines
+    cells = text.splitlines()
+    return _parse_lines(cells, first, path, FORMAT_PLAIN), len(cells)
 
 
-def _csv_blocks(fh, key_column: str, path: str) -> Iterator[tuple[int, bytes | list[str], int | None]]:
-    """Blocks of the key cells of a CSV trace, each with its first row number.
+def _csv_blocks(fh, key_column: str, path: str) -> Iterator[np.ndarray]:
+    """The raw keys of a CSV trace, one ``uint64`` array per block of rows.
 
-    The header is row 1; blank rows are skipped and not numbered.  A block
-    whose cells each hold one line of digits comes as its clean ASCII bytes,
-    one cell per line, and its number of cells; any other as its list of
-    cells and ``None``.  A row the
-    ``csv`` module cannot read (a cell over its field size limit) raises
-    ``TraceFormatError`` naming that row, once the rows before it are handed
-    out, so a fault in an earlier row is still the one reported.
+    ``csv.reader`` reads the rows.  The key is the cell under the last
+    header cell named ``key_column``, and ``""`` in a row too short to hold
+    it, as ``csv.DictReader`` reads it.  The header is row 1; blank rows are
+    skipped and not numbered.  Every block of ``_BLOCK_ROWS`` key cells goes
+    to ``_parse_lines``, so a cell is read whole, line breaks and all.  A row
+    the ``csv`` module cannot read (a cell over its field size limit)
+    raises ``TraceFormatError`` naming that row, once the rows before it are
+    parsed, so a fault in an earlier row is still the one reported.
     """
-    reader = csv.DictReader(fh)
+    reader = csv.reader(fh)
     row_no = 1
     cells: list[str] = []
     try:
-        if reader.fieldnames is None or key_column not in reader.fieldnames:
+        column = {name: i for i, name in enumerate(next(reader, []))}.get(key_column)
+        if column is None:
             raise TraceFormatError(f"{path}: missing key column {key_column!r}")
         row_no = 2
         for row in reader:
-            cells.append(row.get(key_column) or "")
-            if len(cells) == _BLOCK_ROWS:
-                yield row_no, *_csv_block(cells)
-                row_no += len(cells)
-                cells = []
+            if row:
+                cells.append(row[column] if column < len(row) else "")
+                if len(cells) == _BLOCK_ROWS:
+                    yield _parse_lines(cells, row_no, path, FORMAT_CSV)
+                    row_no += len(cells)
+                    cells = []
     except csv.Error as exc:
-        yield row_no, *_csv_block(cells)
+        yield _parse_lines(cells, row_no, path, FORMAT_CSV)
         raise TraceFormatError(f"{path}:{row_no + len(cells)}: {exc}") from None
-    yield row_no, *_csv_block(cells)
-
-
-def _csv_block(cells: list[str]) -> tuple[bytes | list[str], int | None]:
-    """The cells as clean bytes, one per line, and their count, if each is one
-    line of digits; else the cells and ``None``."""
-    data = _clean("\n".join(cells))
-    if data is None or _line_counts(data) != (len(cells), len(cells)):
-        return cells, None
-    return data, len(cells)
+    yield _parse_lines(cells, row_no, path, FORMAT_CSV)
 
 
 def _parse_key(text: str, line_no: int, path: str) -> int:
@@ -251,8 +249,8 @@ def _parse_key(text: str, line_no: int, path: str) -> int:
     return key
 
 
-def _parse_lines(cells: list[str], first: int, path: str, format: str) -> list[int]:
-    """The raw keys of one block, line by line.
+def _parse_lines(cells: list[str], first: int, path: str, format: str) -> np.ndarray:
+    """The raw keys of one block as ``uint64``, line by line.
 
     Skips a blank line (an error in a CSV trace) and names the first bad one.
     """
@@ -263,25 +261,7 @@ def _parse_lines(cells: list[str], first: int, path: str, format: str) -> list[i
             raws.append(_parse_key(cell, line_no, path))
         elif format == FORMAT_CSV:
             raise TraceFormatError(f"{path}:{line_no}: empty key")
-    return raws
-
-
-def _block_keys(cells: bytes | list[str], first: int, path: str, format: str,
-                filled: int | None) -> np.ndarray:
-    """The raw keys of one block as ``uint64``: one ``np.fromstring`` when it is clean.
-
-    A clean block comes with ``filled``, its number of non-blank lines, and
-    goes to ``_parse_lines`` after all if numpy reads a number of keys other
-    than that, or a key of ``2**64 - 1``, which is also what a longer key
-    saturates to; the line parser then keeps or refuses each line exactly.
-    Any other block is parsed line by line.
-    """
-    if isinstance(cells, bytes):
-        raws = np.fromstring(cells, dtype=np.uint64, sep="\n")
-        if len(raws) == filled and not (raws == _SATURATED).any():
-            return raws
-        cells = cells.decode("ascii").splitlines()
-    return np.array(_parse_lines(cells, first, path, format), dtype=np.uint64)
+    return np.array(raws, dtype=np.uint64)
 
 
 class _DenseIds:
@@ -343,14 +323,16 @@ def parse_trace(path: str, format: str = FORMAT_PLAIN, key_column: str = "key") 
     """Read a trace file and remap its keys to a dense 1-based space.
 
     ``plain`` is one decimal key per line (blank lines skipped);
-    ``csv`` takes the key from the named header column, and a row whose key
-    cell is empty or missing is an error.  A line ends at LF, CRLF or a bare
-    CR, and a UTF-8 byte-order mark is skipped.  The file is streamed: memory
-    holds the keys, the remap table and one batch of blocks, never the whole
-    text.  A clean block, of ASCII digits and line breaks only, is converted
-    by one ``np.fromstring``; any other block, and a clean one whose
-    conversion ``_block_keys`` doubts, is parsed line by line, which skips
-    blank lines and names the first bad one.  The remap table (``_DenseIds``)
+    ``csv`` takes the key from the last header column of that name, and a
+    row whose key cell is empty or missing is an error.  A line ends at LF,
+    CRLF or a bare CR, and a UTF-8 byte-order mark is skipped.  The file is
+    streamed: memory holds the keys, the remap table and one batch of blocks,
+    never the whole text.  A clean plain block, of ASCII digits and line
+    breaks only, is converted by one ``np.fromstring``; any other plain
+    block, and a clean one whose conversion ``_block_keys`` doubts, is parsed
+    line by line, which skips blank lines and names the first bad one.  CSV
+    rows are read by ``csv.reader``, and their key cells always go to the
+    line parser (``_csv_blocks``).  The remap table (``_DenseIds``)
     is two sorted arrays, 12 bytes per distinct key.  Blocks are remapped in
     batches: a batch is remapped once it holds at least ``_BATCH_FLOOR`` keys
     and at least ``1 / _BATCH_SHARE`` as many keys as the table, or once the
@@ -368,10 +350,10 @@ def parse_trace(path: str, format: str = FORMAT_PLAIN, key_column: str = "key") 
             if format == FORMAT_CSV:
                 blocks = _csv_blocks(fh, key_column, path)
             else:
-                blocks = _line_blocks(fh)
-            for first, cells, filled in blocks:
-                batch.append(_block_keys(cells, first, path, format, filled))
-                held += len(batch[-1])
+                blocks = _line_blocks(fh, path)
+            for raws in blocks:
+                batch.append(raws)
+                held += len(raws)
                 if held >= _BATCH_FLOOR and held * _BATCH_SHARE >= len(table):
                     keys.frombytes(table.remap(_joined(batch), path).tobytes())
                     held = 0

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpcache.traces import ZipfSpec, generate_zipf
+from dpcache.traces import ZipfSpec, generate_zipf, parse_trace
 
 TOOL_PATH = Path(__file__).resolve().parents[1] / "tools" / "ingest_cost.py"
 
@@ -30,12 +30,13 @@ def test_prints_a_cost_and_a_peak_per_size(tool, capsys):
     record = json.loads(capsys.readouterr().out)
     assert (record["lines"], record["seed"], record["repeat"]) == ([50, 200], tool.SEED, 2)
     assert record["distinct"] == {"50": 50, "200": 200}
-    zipf = record["zipf"]
-    assert (zipf["universe"], zipf["s"]) == (tool.ZIPF_N, tool.ZIPF_S)
-    # the Zipf files repeat their hot keys
-    assert zipf["distinct"] == {str(n): len(set(zipf_ranks(n))) for n in (50, 200)}
-    assert zipf["distinct"]["200"] < 200
-    for fields in (record, zipf):
+    zipf, csv = record["zipf"], record["csv"]
+    for fields in (zipf, csv):
+        assert (fields["universe"], fields["s"]) == (tool.ZIPF_N, tool.ZIPF_S)
+        # the Zipf files repeat their hot keys
+        assert fields["distinct"] == {str(n): len(set(zipf_ranks(n))) for n in (50, 200)}
+        assert fields["distinct"]["200"] < 200
+    for fields in (record, zipf, csv):
         for size in ("50", "200"):
             low, high = fields["ns_per_line_range"][size]
             # the best figure is the fastest of the interleaved runs
@@ -47,9 +48,11 @@ def test_sizes_take_turns_across_the_repeats(tool, monkeypatch, capsys):
     order = []
     monkeypatch.setattr(tool, "ns_per_line", lambda parse, path, lines: order.append(path.name) or 1.0)
     assert tool.main(["--lines", "30,10", "--repeat", "3"]) == 0
-    assert order == ["ids-30.trace", "zipf-30.trace", "ids-10.trace", "zipf-10.trace"] * 3
+    assert order == ["ids-30.trace", "zipf-30.trace", "csv-30.trace",
+                     "ids-10.trace", "zipf-10.trace", "csv-10.trace"] * 3
     record = json.loads(capsys.readouterr().out)
-    assert record["ns_per_line_range"]["10"] == record["zipf"]["ns_per_line_range"]["10"] == [1.0, 1.0]
+    assert record["ns_per_line_range"]["10"] == record["zipf"]["ns_per_line_range"]["10"] \
+        == record["csv"]["ns_per_line_range"]["10"] == [1.0, 1.0]
 
 
 def test_writes_the_seeded_ids_one_per_line(tool, tmp_path):
@@ -67,6 +70,18 @@ def test_writes_the_scrambled_zipf_ranks_as_the_benchmark_does(tool, tmp_path):
     tool.write_zipf(path, ranks)
     scrambled = np.asarray(ranks, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     assert path.read_text(encoding="ascii") == "\n".join(map(str, scrambled.tolist())) + "\n"
+
+
+def test_writes_the_zipf_keys_as_csv_rows(tool, tmp_path):
+    # the CSV file holds the plain Zipf file's keys, one ts,key row each
+    ranks = zipf_ranks(70_000)
+    plain, rows = tmp_path / "zipf.trace", tmp_path / "zipf.csv"
+    tool.write_zipf(plain, ranks)
+    tool.write_zipf(rows, ranks, csv=True)
+    keys = plain.read_text(encoding="ascii").splitlines()
+    assert rows.read_text(encoding="ascii") == "ts,key\n" + "".join(
+        f"{ts},{key}\n" for ts, key in enumerate(keys))
+    assert parse_trace(str(rows), "csv").keys == parse_trace(str(plain)).keys
 
 
 @pytest.mark.parametrize("argv", [["--lines", "0"], ["--lines", "5,0"], ["--repeat", "0"]])

@@ -132,10 +132,21 @@ def streamed(path, format):
 CELLS = st.one_of(
     st.sampled_from(["", " ", "\t"]),
     st.integers(0, 40).map(str),
-    st.sampled_from([str(2**64 - 1), str(2**32), "0", " 7 ", "12\t"]),
+    st.sampled_from([str(2**64 - 1), str(2**32), "0", " 7 ", "12\t", "\u0663"]),  # int reads "\u0663" as 3
 )
 BAD_CELLS = st.sampled_from(["x1", "-3", str(2**64), "1 2"])
-SEPARATORS = st.sampled_from(["\n", "\r\n", "\r", "\x0c"])
+# "\x0c" to "\u2028" end a line for str.splitlines and hold no "\n" or "\r",
+# so a block of them is cut where str.splitlines cuts it
+SEPARATORS = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x0b", "\x1c", "\x85", "\u2028"])
+# the whole-text reader raised csv.Error on a bare "\r" row end, and the
+# other separators end no csv row
+CSV_SEPARATORS = {"\r": "\r\n", "\x0c": "\n", "\x0b": "\n", "\x1c": "\n", "\x85": "\n", "\u2028": "\n"}
+# how a csv row holds its cell: "cell" as the key cell, a blank one making the
+# row blank, which the reader skips; "kept" as the key cell even when blank, so
+# that the row's key is empty; quoted with a line break inside ("split",
+# "led"); or "short", in a row too short to reach the key column
+CSV_FORMS = {"cell": "{}", "kept": "{}", "split": '"{0}\n{0}"', "led": '"\r\n{}"'}
+CSV_ROWS = st.sampled_from(["cell"] * 5 + ["kept", "split", "led", "short"])
 
 
 @st.composite
@@ -149,21 +160,39 @@ def trace_texts(draw):
     return cells, seps
 
 
+@st.composite
+def plain_texts(draw):
+    cells, seps = draw(trace_texts())
+    return "plain", "".join(c + s for c, s in zip(cells, seps))
+
+
+@st.composite
+def csv_texts(draw):
+    """The cells of ``trace_texts`` as csv rows, under a header that may name
+    ``key`` twice, in which case the last ``key`` column holds the key and the
+    first a non-numeric decoy."""
+    cells, seps = draw(trace_texts())
+    twice = draw(st.booleans())
+    header, lead = ("key,op,key", "x,r") if twice else ("op,key", "r")
+    rows = []
+    for cell, sep in zip(cells, seps):
+        form = draw(CSV_ROWS)
+        if form == "short":
+            row = lead
+        elif form == "cell" and not cell.strip():
+            row = ""
+        else:
+            row = f"{lead},{CSV_FORMS[form].format(cell)}"
+        rows.append(row + CSV_SEPARATORS.get(sep, sep))
+    return "csv", header + "\n" + "".join(rows)
+
+
 @settings(max_examples=300, deadline=None)
-@given(texts=trace_texts(), format=st.sampled_from(["plain", "csv"]),
+@given(texts=st.one_of(plain_texts(), csv_texts()),
        block=st.sampled_from([1, 2, 3, 5, 8, traces._BLOCK_CHARS]),
        floor=st.sampled_from([1, traces._BATCH_FLOOR]))
-def test_streaming_parse_matches_whole_text(texts, format, block, floor):
-    cells, seps = texts
-    if format == "csv":
-        # the whole-text reader raised csv.Error on a bare "\r" row end, and
-        # "\x0c" ends no csv row; a blank key cell is an error, so a blank
-        # cell becomes a whole blank row, which the reader skips
-        seps = [{"\r": "\r\n", "\x0c": "\n"}.get(s, s) for s in seps]
-        text = "op,key\n" + "".join(f"r,{c}{s}" if c.strip() else s
-                                     for c, s in zip(cells, seps))
-    else:
-        text = "".join(c + s for c, s in zip(cells, seps))
+def test_streaming_parse_matches_whole_text(texts, block, floor):
+    format, text = texts
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "t.trace")
         Path(path).write_bytes(text.encode("utf-8"))
@@ -200,6 +229,17 @@ def test_csv_row_numbers_run_across_row_blocks(tmp_path):
             parse_trace(str(path), format="csv")
     assert outcome(whole_text_parse, str(path), "csv") == (
         "error", f"{path}:5: non-numeric key 'x'")
+
+
+def test_a_quoted_cell_with_a_line_break_is_one_key(tmp_path):
+    # the quoted cell of row 2 is one key cell, "1\n2", and a non-numeric key.
+    # Read as the lines of its cells, the block holds four lines, as many as
+    # its cells, because row 4's empty cell is no line: they cancel out, and
+    # a parser that compared those counts read three keys
+    path = tmp_path / "t.csv"
+    path.write_text('op,key\na,"1\n2"\nb,7\nc,\n')
+    expected = ("error", f"{path}:2: non-numeric key '1\\n2'")
+    assert outcome(streamed, str(path), "csv") == outcome(whole_text_parse, str(path), "csv") == expected
 
 
 def test_csv_rows_may_end_in_a_bare_cr(tmp_path):
@@ -317,14 +357,13 @@ def test_every_batch_but_the_last_meets_the_floor_and_the_share(tmp_path):
     assert len(sizes) <= 10, sizes
 
 
-@pytest.mark.parametrize("format", ["plain", "csv"])
+@pytest.mark.parametrize("format", ["plain"])
 def test_line_counts_run_once_per_clean_block(tmp_path, format):
-    # every block of this text is clean, so each is counted once, where it is
-    # cut, and handed on with both counts, which numpy's conversion meets
+    # every block of this text is clean, so each is counted once, on its
+    # ASCII bytes, and numpy's conversion meets both counts
     path = tmp_path / "t.trace"
-    header = "key\n" if format == "csv" else ""
-    path.write_text(header + "".join(f"{7 * i}\n" for i in range(100)))
-    with mock.patch.multiple(traces, _BLOCK_CHARS=16, _BLOCK_ROWS=8), \
+    path.write_text("".join(f"{7 * i}\n" for i in range(100)))
+    with mock.patch.object(traces, "_BLOCK_CHARS", 16), \
             mock.patch.object(traces, "_line_counts", wraps=traces._line_counts) as counts, \
             mock.patch.object(traces, "_block_keys", wraps=traces._block_keys) as by_block, \
             mock.patch.object(traces, "_parse_lines", wraps=traces._parse_lines) as by_line:
@@ -332,8 +371,8 @@ def test_line_counts_run_once_per_clean_block(tmp_path, format):
     assert (trace.keys.tolist(), trace.max_key) == whole_text_parse(str(path), format)
     assert not by_line.called
     blocks = [call.args[0] for call in by_block.call_args_list]
-    assert len(blocks) > 5 and all(isinstance(cells, bytes) for cells in blocks)
-    assert [call.args[0] for call in counts.call_args_list] == blocks
+    assert len(blocks) > 5
+    assert [call.args[0] for call in counts.call_args_list] == [text.encode("ascii") for text in blocks]
 
 
 # -- memory ------------------------------------------------------------------

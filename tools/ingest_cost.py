@@ -1,16 +1,20 @@
-"""Cost of parsing plain trace files of 64-bit keys, per line, as JSON.
+"""Cost of parsing trace files of 64-bit keys, per line, as JSON.
 
 Run from anywhere, against the ``src`` directory of any checkout:
 
     python3 tools/ingest_cost.py --src ../parent/src > parent.json
     python3 tools/ingest_cost.py > change.json
 
-For each size (10^5 and 10^6 lines by default), two plain files are written
+For each size (10^5 and 10^6 lines by default), three files are written
 to a temporary directory, which is removed at the end:
 
-* seeded random 64-bit ids (seed 1, so in practice every id is distinct);
-* repeated keys in the benchmark's shape: seed-1 Zipf(10^6, 0.99) ranks from
-  ``generate_zipf``, each times ``0x9E3779B97F4A7C15`` mod 2^64.
+* a plain file of seeded random 64-bit ids (seed 1, so in practice every id
+  is distinct);
+* a plain file of repeated keys in the benchmark's shape: seed-1
+  Zipf(10^6, 0.99) ranks from ``generate_zipf``, each times
+  ``0x9E3779B97F4A7C15`` mod 2^64;
+* a ``csv`` file of the same Zipf keys, one ``ts,key`` row each under that
+  header, ``ts`` being the row's index.
 
 Each file is parsed with ``parse_trace`` five times by default, and the
 files take turns: every round parses each file once, so load on the host
@@ -19,8 +23,9 @@ run and ``ns_per_line_range`` its best and worst, in nanoseconds per line; a
 wide range marks a noisy run.  One more parse of each file runs under
 ``tracemalloc``, and ``peak_mb`` is its peak in MB (2^20 bytes).
 ``distinct`` is the number of distinct keys of each file.  The top-level
-fields are the id files'; the ``zipf`` field holds the same four fields for
-the Zipf files.  Writing the files is not timed.  The checkout's
+fields are the id files'; the ``zipf`` and ``csv`` fields hold the same four
+fields for the plain and the CSV Zipf files.  A line of a CSV file is one
+row; its header is not counted.  Writing the files is not timed.  The checkout's
 ``dpcache`` is imported from ``--src``, which defaults to this checkout's
 own ``src``; only the standard library is used besides it.
 """
@@ -28,6 +33,7 @@ own ``src``; only the standard library is used besides it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -42,7 +48,7 @@ REPEAT = 5
 WRITE_CHUNK = 1 << 16  # ids per write
 ZIPF_N, ZIPF_S = 10**6, 0.99
 SCRAMBLE = 0x9E3779B97F4A7C15  # the odd constant a Zipf rank is multiplied by
-KINDS = ("ids", "zipf")
+KINDS = ("ids", "zipf", "csv")
 
 
 def write_ids(path: Path, lines: int, seed: int) -> None:
@@ -54,12 +60,16 @@ def write_ids(path: Path, lines: int, seed: int) -> None:
             fh.write("\n".join(map(str, ids)) + "\n")
 
 
-def write_zipf(path: Path, ranks) -> None:
-    """A plain trace of the Zipf ``ranks``, each scrambled as the benchmark does it."""
+def write_zipf(path: Path, ranks, csv: bool = False) -> None:
+    """A trace of the Zipf ``ranks``, each scrambled as the benchmark does it:
+    one key per line, or with ``csv`` one ``ts,key`` row per key under that
+    header."""
     with open(path, "w", encoding="ascii") as fh:
+        fh.write("ts,key\n" if csv else "")
         for start in range(0, len(ranks), WRITE_CHUNK):
-            chunk = ranks[start:start + WRITE_CHUNK]
-            fh.write("\n".join(str(rank * SCRAMBLE % 2**64) for rank in chunk) + "\n")
+            keys = (rank * SCRAMBLE % 2**64 for rank in ranks[start:start + WRITE_CHUNK])
+            rows = (f"{ts},{key}" for ts, key in enumerate(keys, start)) if csv else map(str, keys)
+            fh.write("\n".join(rows) + "\n")
 
 
 def ns_per_line(parse_trace, path: Path, lines: int) -> float:
@@ -100,12 +110,15 @@ def main(argv: list[str] | None = None) -> int:
             if kind == "ids":
                 write_ids(path, lines, SEED)
             else:
-                write_zipf(path, generate_zipf(ZipfSpec(ZIPF_N, ZIPF_S, lines, SEED)).keys)
+                write_zipf(path, generate_zipf(ZipfSpec(ZIPF_N, ZIPF_S, lines, SEED)).keys,
+                           csv=kind == "csv")
+        parse = {kind: functools.partial(parse_trace, format="csv" if kind == "csv" else "plain")
+                 for kind in KINDS}
         runs: dict[tuple[str, int], list[float]] = {file: [] for file in paths}
         for _ in range(args.repeat):
             for (kind, lines), path in paths.items():
-                runs[kind, lines].append(ns_per_line(parse_trace, path, lines))
-        memory = {file: traced(parse_trace, path) for file, path in paths.items()}
+                runs[kind, lines].append(ns_per_line(parse[kind], path, lines))
+        memory = {(kind, lines): traced(parse[kind], path) for (kind, lines), path in paths.items()}
 
     def fields(kind: str) -> dict:
         costs = {str(lines): runs[kind, lines] for lines in args.lines}
@@ -118,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
         }
 
     record = {"lines": args.lines, "seed": SEED, "repeat": args.repeat, **fields("ids"),
-              "zipf": {"universe": ZIPF_N, "s": ZIPF_S, **fields("zipf")}}
+              **{kind: {"universe": ZIPF_N, "s": ZIPF_S, **fields(kind)} for kind in ("zipf", "csv")}}
     print(json.dumps(record, indent=1))
     return 0
 
