@@ -111,7 +111,10 @@ def generate_zipf(spec: ZipfSpec) -> Trace:
     over uniform draws from a seeded PCG64 stream, so a given spec always
     produces the same byte-for-byte sequence.  Draws are taken in chunks of
     ``_ZIPF_CHUNK`` from that one stream, which yields the same doubles as a
-    single draw of the whole length.
+    single draw of the whole length.  Each chunk's draws are searched in
+    sorted order, which lets numpy narrow each search from the last, and the
+    ranks are scattered back to the draws' places.  The search is exact per
+    draw, so the keys are those of searching the draws as they come.
     """
     cdf = _zipf_cdf(spec.N, float(spec.s))
     total = cdf[-1]
@@ -120,9 +123,12 @@ def generate_zipf(spec: ZipfSpec) -> Trace:
     for start in range(0, spec.length, _ZIPF_CHUNK):
         draws = rng.random(min(_ZIPF_CHUNK, spec.length - start))
         draws *= total
-        ranks = np.searchsorted(cdf, draws, side="left")
+        order = draws.argsort()
+        draws = draws[order]
+        ranks = np.empty(len(order), dtype=np.uint32)
+        ranks[order] = np.searchsorted(cdf, draws, side="left")
         ranks += 1
-        keys.frombytes(ranks.astype(np.uint32).tobytes())
+        keys.frombytes(ranks.view(np.uint8))
     return Trace(
         keys=keys,
         source=spec.describe(),

@@ -42,17 +42,30 @@ def test_prints_a_cost_and_a_peak_per_size(tool, capsys):
             # the best figure is the fastest of the interleaved runs
             assert 0 < fields["ns_per_line"][size] == low <= high
             assert fields["peak_mb"][size] > 0
+    generate = record["generate"]
+    assert (generate["s"], generate["draws"]) == (tool.ZIPF_S, 200)
+    for n in ("10000", "1000000"):
+        low, high = generate["ns_per_draw_range"][n]
+        assert 0 < generate["ns_per_draw"][n] == low <= high
+    # each draw builds its weight table under tracemalloc: 8 bytes per rank
+    assert 8e4 / 2**20 < generate["peak_mb"]["10000"] < 1
+    assert 8e6 / 2**20 < generate["peak_mb"]["1000000"] < 9
 
 
 def test_sizes_take_turns_across_the_repeats(tool, monkeypatch, capsys):
     order = []
     monkeypatch.setattr(tool, "ns_per_line", lambda parse, path, lines: order.append(path.name) or 1.0)
+    monkeypatch.setattr(tool, "ns_per_draw", lambda generate, spec: order.append(spec) or 2.0)
     assert tool.main(["--lines", "30,10", "--repeat", "3"]) == 0
+    specs = order[6:8]
+    assert [(spec.N, spec.s, spec.length, spec.seed) for spec in specs] == [
+        (10**4, 0.99, 30, 1), (10**6, 0.99, 30, 1)]
     assert order == ["ids-30.trace", "zipf-30.trace", "csv-30.trace",
-                     "ids-10.trace", "zipf-10.trace", "csv-10.trace"] * 3
+                     "ids-10.trace", "zipf-10.trace", "csv-10.trace", *specs] * 3
     record = json.loads(capsys.readouterr().out)
     assert record["ns_per_line_range"]["10"] == record["zipf"]["ns_per_line_range"]["10"] \
         == record["csv"]["ns_per_line_range"]["10"] == [1.0, 1.0]
+    assert record["generate"]["ns_per_draw_range"] == {"10000": [2.0, 2.0], "1000000": [2.0, 2.0]}
 
 
 def test_writes_the_seeded_ids_one_per_line(tool, tmp_path):

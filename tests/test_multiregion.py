@@ -260,6 +260,26 @@ class TestComposition:
             clock = cache.main.clock
         assert rescales > 10
 
+    def test_a_hyperbolic_main_ticks_only_on_the_fetches_that_reach_it(self):
+        # the restricted main region ticks in its own serve_hit and admit; the
+        # reference composition ticks both regions on every fetch
+        regions = RegionSpec("lru", 2, 4), RegionSpec("hyperbolic", 4, 4)
+        cache = MultiRegionCache(*regions, 120, "none")
+        ref = ReferenceMultiCache(*regions, 120, "none")
+        main, window = cache.main, cache.window
+        trace = random_trace(14, 1500, 120)
+        reached = 0
+        for step, key in enumerate(trace, 1):
+            tick, main_before, window_before = main.tick, main.live_keys(), window.live_keys()
+            cache.fetch(key)
+            ref.fetch(key)
+            # a main hit, or a window victim handed to the main region's admit
+            reaches = key in main_before or bool(window_before - window.live_keys())
+            assert main.tick - tick == reaches, f"event {step} (key {key})"
+            assert ref.main.seq == step
+            reached += reaches
+        assert main.tick == reached < len(trace)
+
     def test_filter_divergence_starts_at_contended_admission(self):
         # with and without the filter, behaviour can first differ only after
         # the filter rejected a window victim that met a full main set

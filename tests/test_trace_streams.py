@@ -21,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpcache import traces
@@ -53,6 +53,40 @@ def test_generate_zipf_stream_pinned(n, length):
     trace = generate_zipf(ZipfSpec(N=n, s=0.99, length=length, seed=11))
     assert len(trace.keys) == length
     assert keys_digest(trace.keys) == ZIPF_PINS[n, length]
+
+
+def unsorted_zipf(spec: ZipfSpec) -> np.ndarray:
+    """The spec's ranks from one search of all its draws in stream order."""
+    cdf = traces._zipf_cdf(spec.N, float(spec.s))
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    u = np.concatenate([rng.random(min(traces._ZIPF_CHUNK, spec.length - start))
+                        for start in range(0, spec.length, traces._ZIPF_CHUNK)])
+    return np.searchsorted(cdf, u * cdf[-1], side="left") + 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 10**5),
+       s=st.floats(0.05, 4, exclude_min=True),
+       length=st.sampled_from([1, 2**16 - 1, 2**16, 2**16 + 1]) | st.integers(1, 3 * 2**16),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=10**4, s=4.0, length=2**16 + 1, seed=1)  # 259 flat steps of the table from rank 9,742
+def test_sorted_search_matches_the_unsorted_one(n, s, length, seed):
+    spec = ZipfSpec(N=n, s=s, length=length, seed=seed)
+    keys = np.frombuffer(generate_zipf(spec).keys, dtype=np.uint32)
+    assert np.array_equal(keys, unsorted_zipf(spec))
+
+
+def test_a_draw_on_a_flat_run_of_the_table_takes_its_first_rank(monkeypatch):
+    # a non-decreasing table with runs, whose values are the stream's own
+    # first two draws, so that those draws land exactly on a run
+    spec = ZipfSpec(N=6, s=1.0, length=2**16 + 1, seed=3)
+    low, high = sorted(np.random.Generator(np.random.PCG64(spec.seed)).random(2))
+    table = np.array([low, low, high, high, high, 1.0])
+    monkeypatch.setattr(traces, "_zipf_cdf", lambda N, s: table)
+    keys = np.frombuffer(generate_zipf(spec).keys, dtype=np.uint32)
+    assert np.array_equal(keys, unsorted_zipf(spec))
+    assert sorted(keys[:2]) == [1, 3]
+    assert set(keys.tolist()) == {1, 3, 6}
 
 
 def test_key_storage_is_four_bytes_below_two_to_the_32():

@@ -1,4 +1,4 @@
-"""Cost of parsing trace files of 64-bit keys, per line, as JSON.
+"""Cost of trace ingest, as JSON: parsing files, per line, and generating Zipf traces, per draw.
 
 Run from anywhere, against the ``src`` directory of any checkout:
 
@@ -17,15 +17,21 @@ to a temporary directory, which is removed at the end:
   header, ``ts`` being the row's index.
 
 Each file is parsed with ``parse_trace`` five times by default, and the
-files take turns: every round parses each file once, so load on the host
-during a run slows all files alike.  ``ns_per_line`` holds each size's best
+files take turns: every round parses each file once, and then draws one
+seed-1 Zipf(N, 0.99) trace with ``generate_zipf`` for N = 10^4 and 10^6, as
+many keys as the largest size, so load on the host during a run slows all
+files and draws alike.  ``ns_per_line`` holds each size's best
 run and ``ns_per_line_range`` its best and worst, in nanoseconds per line; a
 wide range marks a noisy run.  One more parse of each file runs under
 ``tracemalloc``, and ``peak_mb`` is its peak in MB (2^20 bytes).
 ``distinct`` is the number of distinct keys of each file.  The top-level
 fields are the id files'; the ``zipf`` and ``csv`` fields hold the same four
 fields for the plain and the CSV Zipf files.  A line of a CSV file is one
-row; its header is not counted.  Writing the files is not timed.  The checkout's
+row; its header is not counted.  The ``generate`` fields are keyed by N:
+``ns_per_draw`` and ``ns_per_draw_range`` time the draws alone, each N's
+weight table having been built before the rounds, and ``peak_mb`` is the
+``tracemalloc`` peak of one more draw that builds its table, 8 bytes per
+rank, as a fresh process does.  Writing the files is not timed.  The checkout's
 ``dpcache`` is imported from ``--src``, which defaults to this checkout's
 own ``src``; only the standard library is used besides it.
 """
@@ -49,6 +55,7 @@ WRITE_CHUNK = 1 << 16  # ids per write
 ZIPF_N, ZIPF_S = 10**6, 0.99
 SCRAMBLE = 0x9E3779B97F4A7C15  # the odd constant a Zipf rank is multiplied by
 KINDS = ("ids", "zipf", "csv")
+UNIVERSES = (10**4, ZIPF_N)  # the N of each generated trace
 
 
 def write_ids(path: Path, lines: int, seed: int) -> None:
@@ -79,12 +86,18 @@ def ns_per_line(parse_trace, path: Path, lines: int) -> float:
     return (time.perf_counter() - start) / lines * 1e9
 
 
-def traced(parse_trace, path: Path) -> tuple[int, float]:
-    """The distinct keys of one parse of ``path`` and its tracemalloc peak in MB."""
+def ns_per_draw(generate_zipf, spec) -> float:
+    """One ``generate_zipf(spec)``, in nanoseconds per draw."""
+    start = time.perf_counter()
+    generate_zipf(spec)
+    return (time.perf_counter() - start) / spec.length * 1e9
+
+
+def traced(fn):
+    """The trace ``fn()`` returns and the call's tracemalloc peak in MB."""
     tracemalloc.start()
     try:
-        trace = parse_trace(str(path))
-        return trace.max_key, tracemalloc.get_traced_memory()[1] / 2**20
+        return fn(), tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
 
@@ -101,6 +114,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--repeat and every size must be >= 1")
 
     sys.path.insert(0, str(args.src.resolve()))
+    from dpcache import traces
     from dpcache.traces import ZipfSpec, generate_zipf, parse_trace
 
     with tempfile.TemporaryDirectory(prefix="ingest-cost-") as tmp:
@@ -114,24 +128,40 @@ def main(argv: list[str] | None = None) -> int:
                            csv=kind == "csv")
         parse = {kind: functools.partial(parse_trace, format="csv" if kind == "csv" else "plain")
                  for kind in KINDS}
-        runs: dict[tuple[str, int], list[float]] = {file: [] for file in paths}
+        specs = {("generate", n): ZipfSpec(n, ZIPF_S, max(args.lines), SEED) for n in UNIVERSES}
+        for spec in specs.values():
+            traces._zipf_cdf(spec.N, float(spec.s))  # the weight table, built before the timed draws
+        runs: dict[tuple[str, int], list[float]] = {key: [] for key in [*paths, *specs]}
         for _ in range(args.repeat):
             for (kind, lines), path in paths.items():
                 runs[kind, lines].append(ns_per_line(parse[kind], path, lines))
-        memory = {(kind, lines): traced(parse[kind], path) for (kind, lines), path in paths.items()}
+            for key, spec in specs.items():
+                runs[key].append(ns_per_draw(generate_zipf, spec))
+        memory = {}  # (kind, size) -> (max_key, peak_mb)
+        for (kind, lines), path in paths.items():
+            trace, peak = traced(functools.partial(parse[kind], str(path)))
+            memory[kind, lines] = trace.max_key, peak
+        for key, spec in specs.items():
+            traces._zipf_cdf.cache_clear()
+            trace, peak = traced(functools.partial(generate_zipf, spec))
+            memory[key] = trace.max_key, peak
 
-    def fields(kind: str) -> dict:
-        costs = {str(lines): runs[kind, lines] for lines in args.lines}
+    def timed(kind: str, sizes, unit: str) -> dict:
+        costs = {str(size): runs[kind, size] for size in sizes}
         return {
-            "distinct": {str(lines): memory[kind, lines][0] for lines in args.lines},
-            "ns_per_line": {size: round(min(times), 1) for size, times in costs.items()},
-            "ns_per_line_range": {size: [round(min(times), 1), round(max(times), 1)]
-                                  for size, times in costs.items()},
-            "peak_mb": {str(lines): round(memory[kind, lines][1], 2) for lines in args.lines},
+            f"ns_per_{unit}": {size: round(min(times), 1) for size, times in costs.items()},
+            f"ns_per_{unit}_range": {size: [round(min(times), 1), round(max(times), 1)]
+                                     for size, times in costs.items()},
+            "peak_mb": {str(size): round(memory[kind, size][1], 2) for size in sizes},
         }
 
+    def fields(kind: str) -> dict:
+        return {"distinct": {str(lines): memory[kind, lines][0] for lines in args.lines},
+                **timed(kind, args.lines, "line")}
+
     record = {"lines": args.lines, "seed": SEED, "repeat": args.repeat, **fields("ids"),
-              **{kind: {"universe": ZIPF_N, "s": ZIPF_S, **fields(kind)} for kind in ("zipf", "csv")}}
+              **{kind: {"universe": ZIPF_N, "s": ZIPF_S, **fields(kind)} for kind in ("zipf", "csv")},
+              "generate": {"s": ZIPF_S, "draws": max(args.lines), **timed("generate", UNIVERSES, "draw")}}
     print(json.dumps(record, indent=1))
     return 0
 
